@@ -160,12 +160,6 @@ class Tensor:
     def T(self):
         return Tensor(self.data.T, (self,), lambda g: (g.T,))
 
-    def reshape(self, *shape):
-        orig = self.data.shape
-        return Tensor(
-            self.data.reshape(*shape), (self,), lambda g: (g.reshape(orig),)
-        )
-
     def sum(self, axis=None, keepdims=False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
@@ -182,17 +176,6 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     # -- elementwise nonlinearities -----------------------------------------
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return Tensor(out_data, (self,), lambda g: (g * out_data,))
-
-    def log(self):
-        return Tensor(np.log(self.data), (self,), lambda g: (g / self.data,))
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-        return Tensor(out_data, (self,), lambda g: (g * 0.5 / out_data,))
 
     def sigmoid(self):
         out_data = np.where(

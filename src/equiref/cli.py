@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,9 @@ from .errors import (
     UndefinedMetricError,
     WeightsFormatError,
 )
-from .featurize import GRANULARITIES, build_knn_graph, feature_widths, read_surface_file
+from .featurize import read_surface_file
 from .metrics import (
+    REPORT_SCHEMA_VERSION,
     DecoyScore,
     RankingInput,
     format_mean_std,
@@ -46,6 +48,8 @@ from .metrics import (
 )
 from .model import (
     ModelConfig,
+    build_graph,
+    check_field_types,
     forward,
     init_params,
     load_weights,
@@ -63,94 +67,68 @@ EXIT_MISSING_INPUT = 6
 EXIT_DIVERGED = 7
 EXIT_EMPTY_DATASET = 8
 
-REPORT_SCHEMA_VERSION = 1
-
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
+# Config keys that set the ModelConfig field of the same name.
+MODEL_KEYS = (
+    "granularity", "num_layers", "hidden_dim", "window_size",
+    "attention_enabled", "noise_sigma", "psr_loss_weight", "qa_loss_weight",
+)
+# Ablation flags: each one that is true sets a ModelConfig field to a value.
+ABLATIONS = {
+    "no_positional_corruption": ("noise_sigma", 0.0),
+    "no_surface_proximity": ("include_surface", False),
+    "no_relative_geometric_features": ("include_geometric", False),
+}
+
+
 @dataclass
 class RunConfig:
-    """Training run settings parsed from a JSON config file.
-
-    Unknown keys are rejected so ablation-name typos surface immediately.
-    """
+    """Optimizer and schedule settings of a training run."""
 
     seed: int = 0
-    granularity: str = "all-atom"
-    k: int = 20
-    num_layers: int = 7
-    hidden_dim: int = 64
-    window_size: int = 128
-    attention_enabled: bool = True
-    noise_sigma: float = 0.1
-    psr_loss_weight: float = 1.0
-    qa_loss_weight: float = 0.05
     learning_rate: float = 1e-4
     weight_decay: float = 1e-4
     max_epochs: int = 1000
     patience: int = 50
-    no_positional_corruption: bool = False
-    no_surface_proximity: bool = False
-    no_relative_geometric_features: bool = False
 
-    KEYS = (
-        "seed", "granularity", "k", "num_layers", "hidden_dim", "window_size",
-        "attention_enabled", "noise_sigma", "psr_loss_weight", "qa_loss_weight",
-        "learning_rate", "weight_decay", "max_epochs", "patience",
-        "no_positional_corruption", "no_surface_proximity",
-        "no_relative_geometric_features",
-    )
+    def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
+    def from_file(cls, path) -> tuple["RunConfig", ModelConfig]:
+        """Run and model settings from one JSON config object.
+
+        Unknown keys are rejected so ablation-name typos surface
+        immediately; ``k`` sets ``ModelConfig.k_neighbors``. Keys left out
+        take the dataclass defaults.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        unknown = set(data) - set(cls.KEYS)
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        run_keys = {f.name for f in fields(cls)}
+        unknown = set(data) - run_keys - set(MODEL_KEYS) - set(ABLATIONS) - {"k"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**data)
-        if config.granularity not in GRANULARITIES:
-            raise ConfigError(f"unknown granularity {config.granularity!r}")
-        return config
-
-    def model_config(self) -> ModelConfig:
-        include_surface = not self.no_surface_proximity
-        include_geometric = not self.no_relative_geometric_features
-        d_f, d_e = feature_widths(self.granularity, include_surface,
-                                  include_geometric)
-        sigma = 0.0 if self.no_positional_corruption else self.noise_sigma
-        return ModelConfig(
-            num_layers=self.num_layers,
-            hidden_dim=self.hidden_dim,
-            node_feat_dim=d_f,
-            edge_feat_dim=d_e,
-            psr_loss_weight=self.psr_loss_weight,
-            qa_loss_weight=self.qa_loss_weight,
-            attention_enabled=self.attention_enabled,
-            window_size=self.window_size,
-            noise_sigma=sigma,
-            granularity=self.granularity,
-            include_surface=include_surface,
-            include_geometric=include_geometric,
-            k_neighbors=self.k,
-        )
-
-
-def _build_graph_for_config(structure, config: ModelConfig, surface_path=None):
-    surface = None
-    if surface_path is not None:
-        surface = read_surface_file(surface_path, structure.num_atoms)
-    return build_knn_graph(
-        structure,
-        granularity=config.granularity,
-        k=config.k_neighbors,
-        surface_values=surface,
-        include_surface=config.include_surface,
-        include_geometric=config.include_geometric,
-    )
+        model = {key: data[key] for key in MODEL_KEYS if key in data}
+        if "k" in data:
+            model["k_neighbors"] = data["k"]
+        ablated = {}
+        for flag, (name, value) in ABLATIONS.items():
+            on = data.get(flag, False)
+            if not isinstance(on, bool):
+                raise ConfigError(f"{flag} must be bool, got {on!r}")
+            if on:
+                ablated[name] = value
+        run = cls(**{key: data[key] for key in run_keys if key in data})
+        return run, replace(ModelConfig(**model), **ablated)
 
 
 def cmd_refine(args) -> int:
@@ -172,8 +150,11 @@ def cmd_refine(args) -> int:
     refined = structure
     result = None
     try:
-        for _ in range(max(1, args.iterations)):
-            graph = _build_graph_for_config(refined, config, args.surface_file)
+        surface = None
+        if args.surface_file is not None:
+            surface = read_surface_file(args.surface_file, structure.num_atoms)
+        for _ in range(args.iterations):
+            graph = build_graph(refined, config, surface)
             result = forward(graph, params, config)
             coords = refined.coords()
             coords[graph.node_atom_indices] = result.refined_coords
@@ -251,9 +232,19 @@ def cmd_evaluate(args) -> int:
     decoys = Path(args.decoys)
     tasks = []
     predicted = {}
-    for row in rows:
+    for number, row in enumerate(rows, start=1):
         target = row["target"]
         decoy_id = row["decoy"]
+        try:
+            score = float(row["predicted_score"])
+        except (TypeError, ValueError):
+            score = math.nan
+        if not math.isfinite(score):
+            return _fail(
+                EXIT_PARSE,
+                f"scores CSV row {number} ({target}, {decoy_id}): predicted_score "
+                f"{row['predicted_score']!r} is not a finite number",
+            )
         native_path = natives / f"{target}.pdb"
         decoy_path = decoys / f"{decoy_id}.pdb"
         if not native_path.exists():
@@ -261,7 +252,7 @@ def cmd_evaluate(args) -> int:
         if not decoy_path.exists():
             return _fail(EXIT_MISSING_INPUT, f"missing decoy file {decoy_path}")
         tasks.append((target, decoy_id, str(decoy_path), str(native_path)))
-        predicted[(target, decoy_id)] = float(row["predicted_score"])
+        predicted[(target, decoy_id)] = score
 
     workers = args.workers or os.cpu_count() or 1
     if workers > 1 and len(tasks) > 1:
@@ -304,12 +295,11 @@ def _collect_pairs(directory: Path) -> list[tuple[str, Path, Path]]:
 
 def cmd_train(args) -> int:
     try:
-        run = RunConfig.from_file(args.config)
+        run, config = RunConfig.from_file(args.config)
     except OSError as exc:
         return _fail(EXIT_PARSE, f"cannot read config: {exc}")
-    except (ConfigError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigError, ValueError) as exc:
         return _fail(EXIT_PARSE, f"bad config: {exc}")
-    config = run.model_config()
 
     train_pairs = _collect_pairs(Path(args.train_dir))
     val_pairs = _collect_pairs(Path(args.val_dir)) if args.val_dir else []
@@ -379,6 +369,13 @@ def cmd_train(args) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equiref",
@@ -391,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="weights container")
     p.add_argument("--output", required=True, help="refined PDB file")
     p.add_argument("--report", required=True, help="JSON quality report")
-    p.add_argument("--iterations", type=int, default=1,
+    p.add_argument("--iterations", type=_positive_int, default=1,
                    help="re-feed the output this many times (default 1)")
     p.add_argument("--surface-file", default=None,
                    help="per-atom surface proximity override")

@@ -55,6 +55,10 @@ class WeightsVersionError(WeightsFormatError):
     """Bad magic bytes or unsupported container version."""
 
 
+class WeightsHeaderError(WeightsFormatError):
+    """The header lacks its config or block list, or holds invalid values."""
+
+
 class WeightsShapeError(WeightsFormatError):
     """A stored parameter block does not match its declared shape."""
 

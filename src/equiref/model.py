@@ -9,6 +9,11 @@ coordinates, global linear attention plus block-local softmax attention
 over the embeddings, and a gated node update. A quality head maps final
 embeddings to per-node scores in [0, 1], read out at CA nodes.
 
+``ModelConfig`` is the one home of the model settings, their defaults and
+their checks. The input feature widths are not settings: they follow from
+the granularity and the two feature ablation flags, and ``build_graph``
+featurizes a structure the way a config expects.
+
 Parameters live in a flat name -> float64 array mapping with a canonical
 block order; the same order drives the binary weights container.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -34,24 +40,41 @@ from .autodiff import (
 )
 from .errors import (
     ConfigError,
+    WeightsHeaderError,
     WeightsShapeError,
     WeightsTruncatedError,
     WeightsVersionError,
 )
-from .featurize import ComplexGraph
+from .featurize import GRANULARITIES, ComplexGraph, build_knn_graph, feature_widths
+from .structio import ComplexStructure
 
 WEIGHTS_MAGIC = b"EGRW"
 WEIGHTS_VERSION = 1
 
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real,
+                "bool": (bool, np.bool_), "str": str}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError unless each dataclass field holds its declared type.
+
+    Booleans do not count as numbers, and float values must be finite.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        is_bool = isinstance(value, (bool, np.bool_))
+        if is_bool != (f.type == "bool") or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
 
 @dataclass
 class ModelConfig:
-    """Architecture and run settings; defaults follow the tuned values."""
+    """Model, featurization and loss settings; defaults follow the tuned values."""
 
     num_layers: int = 7
     hidden_dim: int = 64
-    node_feat_dim: int = 39
-    edge_feat_dim: int = 15
     psr_loss_weight: float = 1.0
     qa_loss_weight: float = 0.05
     attention_enabled: bool = True
@@ -65,25 +88,73 @@ class ModelConfig:
     k_neighbors: int = 20
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_layers < 1:
             raise ConfigError("num_layers must be >= 1")
         if self.hidden_dim < 1:
             raise ConfigError("hidden_dim must be >= 1")
         if self.window_size < 1:
             raise ConfigError("window_size must be >= 1")
+        if self.k_neighbors < 1:
+            raise ConfigError("k_neighbors must be >= 1")
         if self.psr_loss_weight < 0 or self.qa_loss_weight < 0:
             raise ConfigError("loss weights must be non-negative")
+        if self.noise_sigma < 0:
+            raise ConfigError("noise_sigma must be non-negative")
+        if self.granularity not in GRANULARITIES:
+            raise ConfigError(f"unknown granularity {self.granularity!r}")
+
+    @property
+    def node_feat_dim(self) -> int:
+        return feature_widths(
+            self.granularity, self.include_surface, self.include_geometric
+        )[0]
+
+    @property
+    def edge_feat_dim(self) -> int:
+        return feature_widths(
+            self.granularity, self.include_surface, self.include_geometric
+        )[1]
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """Inverse of ``to_dict``.
+
+        Older containers also store the two feature widths; they are
+        accepted when they equal the widths derived from the settings.
+        """
+        data = dict(data)
+        stored = {key: data.pop(key) for key in ("node_feat_dim", "edge_feat_dim")
+                  if key in data}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        config = cls(**data)
+        for key, value in stored.items():
+            if value != getattr(config, key):
+                raise ConfigError(
+                    f"stored {key} {value!r} != derived {getattr(config, key)}"
+                )
+        return config
+
+
+def build_graph(
+    structure: ComplexStructure,
+    config: ModelConfig,
+    surface_values: np.ndarray | None = None,
+) -> ComplexGraph:
+    """The featurized k-NN graph that ``config`` expects for a structure."""
+    return build_knn_graph(
+        structure,
+        granularity=config.granularity,
+        k=config.k_neighbors,
+        surface_values=surface_values,
+        include_surface=config.include_surface,
+        include_geometric=config.include_geometric,
+    )
 
 
 @dataclass
@@ -456,16 +527,20 @@ def load_container(
         header = json.loads(data[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightsVersionError(f"unreadable header: {exc}") from None
-    config = ModelConfig.from_dict(header["config"])
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("blocks"), list)):
+        raise WeightsHeaderError("header needs a config object and a block list")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise WeightsHeaderError(f"invalid config in header: {exc}") from None
     shapes = parameter_shapes(config)
     params: dict[str, np.ndarray] = {}
     extra: dict[str, np.ndarray] = {}
     body = data[header_end:]
     for block in header["blocks"]:
-        name = block["name"]
-        shape = tuple(block["shape"])
-        size = int(np.prod(shape, dtype=np.int64)) * 8
-        start = block["offset"]
+        name, shape, start = _block_entry(block)
+        size = math.prod(shape) * 8
         if start + size > len(body):
             raise WeightsTruncatedError(f"stream ends inside block {name}")
         arr = np.frombuffer(body[start:start + size], dtype="<f8").reshape(shape).copy()
@@ -481,6 +556,19 @@ def load_container(
     if missing:
         raise WeightsShapeError(f"missing parameter blocks: {sorted(missing)}")
     return params, config, extra, header.get("meta", {})
+
+
+def _block_entry(block) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, offset) of one header block entry."""
+    try:
+        name, shape, offset = block["name"], tuple(block["shape"]), block["offset"]
+    except (KeyError, TypeError):
+        raise WeightsHeaderError(f"malformed block entry {block!r}") from None
+    if not isinstance(name, str) or not all(
+        type(value) is int and value >= 0 for value in (*shape, offset)
+    ):
+        raise WeightsHeaderError(f"malformed block entry {block!r}")
+    return name, shape, offset
 
 
 def load_weights(data: bytes) -> tuple[dict[str, np.ndarray], ModelConfig]:

@@ -124,12 +124,6 @@ class AtomCorrespondence:
     pairs: list[tuple[int, int]]
     matched_ca: list[tuple[int, int]]
 
-    def decoy_indices(self) -> np.ndarray:
-        return np.array([p[0] for p in self.pairs], dtype=np.intp)
-
-    def native_indices(self) -> np.ndarray:
-        return np.array([p[1] for p in self.pairs], dtype=np.intp)
-
 
 def _element_from_name(raw_name: str) -> str:
     name = raw_name.strip()

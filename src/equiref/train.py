@@ -25,9 +25,9 @@ from .errors import (
     SkipExample,
     UndefinedMetricError,
 )
-from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
+from .featurize import ComplexGraph, corrupt_coordinates
 from .metrics import lddt_ca
-from .model import ModelConfig, forward_pass, init_params
+from .model import ModelConfig, build_graph, forward_pass, init_params
 from .structio import (
     AtomCorrespondence,
     ComplexStructure,
@@ -104,13 +104,7 @@ def make_training_example(
         except AlignmentError:
             pass  # degenerate CA set: train in the original frames
 
-    graph = build_knn_graph(
-        decoy,
-        granularity=config.granularity,
-        k=config.k_neighbors,
-        include_surface=config.include_surface,
-        include_geometric=config.include_geometric,
-    )
+    graph = build_graph(decoy, config)
     atom_to_node = {int(a): n for n, a in enumerate(graph.node_atom_indices)}
 
     matched_nodes, native_coords = [], []
@@ -141,79 +135,6 @@ def make_training_example(
         target_id=target_id,
         decoy_id=decoy_id,
     )
-
-
-def huber(residual: np.ndarray, delta: float = HUBER_DELTA) -> np.ndarray:
-    """Component-wise Huber value: quadratic inside ``delta``, linear out."""
-    residual = np.asarray(residual, dtype=np.float64)
-    small = np.abs(residual) < delta
-    return np.where(
-        small, 0.5 * residual * residual, delta * (np.abs(residual) - 0.5 * delta)
-    )
-
-
-def psr_loss(
-    refined: np.ndarray,
-    native_coords: np.ndarray,
-    matched_nodes: np.ndarray,
-    delta: float = HUBER_DELTA,
-) -> tuple[float, np.ndarray]:
-    """Mean component-wise Huber loss over supervised atoms.
-
-    Returns the value and its gradient with respect to every refined
-    coordinate (zero rows for unsupervised atoms).
-    """
-    matched_nodes = np.asarray(matched_nodes, dtype=np.intp)
-    if matched_nodes.size == 0:
-        raise LossUndefinedError("no atoms carry reference coordinates")
-    residual = refined[matched_nodes] - native_coords
-    value = float(huber(residual, delta).mean())
-    grad = np.zeros_like(refined)
-    small = np.abs(residual) < delta
-    d_component = np.where(small, residual, delta * np.sign(residual))
-    np.add.at(grad, matched_nodes, d_component / residual.size)
-    return value, grad
-
-
-def qa_loss(
-    predicted: np.ndarray,
-    targets: np.ndarray,
-    nodes: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Mean squared error over supervised CA nodes.
-
-    ``predicted`` holds per-node scores for the whole graph; the gradient
-    has the same shape with zeros outside the supervised set.
-    """
-    nodes = np.asarray(nodes, dtype=np.intp)
-    if nodes.size == 0:
-        raise LossUndefinedError("no nodes carry LDDT labels")
-    diff = predicted[nodes] - targets
-    value = float((diff * diff).mean())
-    grad = np.zeros_like(predicted)
-    np.add.at(grad, nodes, 2.0 * diff / diff.size)
-    return value, grad
-
-
-def total_loss(
-    example: TrainingExample,
-    refined: np.ndarray,
-    predicted_qa: np.ndarray,
-    config: ModelConfig,
-) -> float:
-    """Weighted sum of the defined loss terms; empty sets contribute zero."""
-    has_psr = example.matched_nodes.size > 0
-    has_qa = example.lddt_nodes.size > 0
-    if not has_psr and not has_qa:
-        raise SkipExample(f"example {example.decoy_id!r} carries no supervision")
-    value = 0.0
-    if has_psr:
-        psr, _ = psr_loss(refined, example.native_coords, example.matched_nodes)
-        value += config.psr_loss_weight * psr
-    if has_qa:
-        qa, _ = qa_loss(predicted_qa, example.lddt_targets, example.lddt_nodes)
-        value += config.qa_loss_weight * qa
-    return value
 
 
 def _loss_tensor(example: TrainingExample, fp, config: ModelConfig) -> Tensor:

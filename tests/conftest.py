@@ -1,4 +1,7 @@
-"""Shared fixtures: synthetic structures and PDB text builders."""
+"""Shared fixtures: synthetic structures, PDB text and weights builders."""
+
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +104,15 @@ def random_rotation(rng, proper=True):
 def transform_structure(structure, rotation, translation):
     coords = structure.coords() @ rotation.T + translation
     return structure.with_coords(coords)
+
+
+def rewrite_header(blob, edit):
+    """Weights container ``blob`` after ``edit`` changed its header in place."""
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + length:]
 
 
 @pytest.fixture

@@ -1,12 +1,17 @@
-"""Independent reference implementations used to check the metric suite.
+"""Independent reference implementations used to check the package.
 
-Everything here is deliberately written as plain loops over scalars so it
-shares no code path with the package's vectorized implementations.
+The metric oracles are deliberately written as plain loops over scalars so
+they share no code path with the package's vectorized implementations.
+The loss oracles compute the training loss and its coordinate and score
+gradients in closed form with numpy, without the autodiff tape.
 """
 
 import math
 
 import numpy as np
+
+from equiref.errors import LossUndefinedError, SkipExample
+from equiref.train import HUBER_DELTA
 
 LDDT_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 
@@ -77,3 +82,62 @@ def superposed_rmsd_by_trace(mobile, target):
         s[-1] = -s[-1]
     value = (p ** 2).sum() + (q ** 2).sum() - 2.0 * s.sum()
     return math.sqrt(max(value, 0.0) / m)
+
+
+def huber(residual, delta=HUBER_DELTA):
+    """Component-wise Huber value: quadratic inside ``delta``, linear out."""
+    residual = np.asarray(residual, dtype=np.float64)
+    small = np.abs(residual) < delta
+    return np.where(
+        small, 0.5 * residual * residual, delta * (np.abs(residual) - 0.5 * delta)
+    )
+
+
+def psr_loss(refined, native_coords, matched_nodes, delta=HUBER_DELTA):
+    """Mean component-wise Huber loss over supervised atoms.
+
+    Returns the value and its gradient with respect to every refined
+    coordinate (zero rows for unsupervised atoms).
+    """
+    matched_nodes = np.asarray(matched_nodes, dtype=np.intp)
+    if matched_nodes.size == 0:
+        raise LossUndefinedError("no atoms carry reference coordinates")
+    residual = refined[matched_nodes] - native_coords
+    value = float(huber(residual, delta).mean())
+    grad = np.zeros_like(refined)
+    small = np.abs(residual) < delta
+    d_component = np.where(small, residual, delta * np.sign(residual))
+    np.add.at(grad, matched_nodes, d_component / residual.size)
+    return value, grad
+
+
+def qa_loss(predicted, targets, nodes):
+    """Mean squared error over supervised CA nodes.
+
+    ``predicted`` holds per-node scores for the whole graph; the gradient
+    has the same shape with zeros outside the supervised set.
+    """
+    nodes = np.asarray(nodes, dtype=np.intp)
+    if nodes.size == 0:
+        raise LossUndefinedError("no nodes carry LDDT labels")
+    diff = predicted[nodes] - targets
+    value = float((diff * diff).mean())
+    grad = np.zeros_like(predicted)
+    np.add.at(grad, nodes, 2.0 * diff / diff.size)
+    return value, grad
+
+
+def total_loss(example, refined, predicted_qa, config):
+    """Weighted sum of the defined loss terms; empty sets contribute zero."""
+    has_psr = example.matched_nodes.size > 0
+    has_qa = example.lddt_nodes.size > 0
+    if not has_psr and not has_qa:
+        raise SkipExample(f"example {example.decoy_id!r} carries no supervision")
+    value = 0.0
+    if has_psr:
+        psr, _ = psr_loss(refined, example.native_coords, example.matched_nodes)
+        value += config.psr_loss_weight * psr
+    if has_qa:
+        qa, _ = qa_loss(predicted_qa, example.lddt_targets, example.lddt_nodes)
+        value += config.qa_loss_weight * qa
+    return value

@@ -112,8 +112,8 @@ def test_criterion_02_linear_attention_identity(rng):
 
 def test_criterion_03_gradient_oracle():
     """Central finite differences confirm every parameter block's gradient."""
-    config = ModelConfig(num_layers=2, hidden_dim=8, node_feat_dim=12,
-                         edge_feat_dim=6)
+    config = ModelConfig(num_layers=2, hidden_dim=8, granularity="c-alpha",
+                         include_surface=False, include_geometric=False)
     rng = np.random.default_rng(101)
     example = synthetic_example(rng, n=12, config=config, residual_scale=0.3)
     params = randomize(init_params(config, 0), rng, scale=0.25)

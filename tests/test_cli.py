@@ -1,9 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from equiref.cli import (
+    ABLATIONS,
     EXIT_DIVERGED,
     EXIT_EMPTY_DATASET,
     EXIT_MISSING_INPUT,
@@ -12,6 +16,8 @@ from equiref.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_WEIGHTS,
+    MODEL_KEYS,
+    RunConfig,
     main,
 )
 from equiref.metrics import format_mean_std, score_pair
@@ -24,7 +30,12 @@ from equiref.model import (
 )
 from equiref.structio import parse_pdb_file, write_pdb
 
-from conftest import make_complex, random_rotation, transform_structure
+from conftest import (
+    make_complex,
+    random_rotation,
+    rewrite_header,
+    transform_structure,
+)
 
 SMALL_CONFIG = ModelConfig(num_layers=2, hidden_dim=8)
 
@@ -109,6 +120,42 @@ class TestRefine:
             "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
         ])
         assert code == EXIT_WEIGHTS
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["config"].update(num_layers=0),
+        lambda h: h["config"].update(num_layers="2"),
+        lambda h: h["config"].update(granularity="bogus"),
+        lambda h: h["config"].update(node_feat_dim=12, edge_feat_dim=15),
+        lambda h: h.pop("config"),
+        lambda h: h.update(config=[2, 8]),
+        lambda h: h.pop("blocks"),
+        lambda h: h["blocks"][0].pop("shape"),
+    ], ids=[
+        "invalid_value", "value_type", "bogus_granularity",
+        "mismatched_stored_widths", "no_config", "config_not_object",
+        "no_blocks", "malformed_block",
+    ])
+    def test_bad_weights_header_exits_3(self, workdir, edit):
+        tmp, _, input_pdb, weights = workdir
+        bad = tmp / "bad.weights"
+        bad.write_bytes(rewrite_header(weights.read_bytes(), edit))
+        code = main([
+            "refine", "--input", str(input_pdb), "--weights", str(bad),
+            "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
+        ])
+        assert code == EXIT_WEIGHTS
+
+    @pytest.mark.parametrize("iterations", ["0", "-2"])
+    def test_non_positive_iterations_rejected(self, workdir, iterations):
+        tmp, _, input_pdb, weights = workdir
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "refine", "--input", str(input_pdb), "--weights", str(weights),
+                "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
+                "--iterations", iterations,
+            ])
+        assert exc.value.code == EXIT_PARSE
+        assert not (tmp / "o.pdb").exists()
 
     def test_unparseable_input(self, workdir):
         tmp, _, _, weights = workdir
@@ -281,6 +328,21 @@ class TestEvaluate:
         ])
         assert code == EXIT_MISSING_INPUT
 
+    @pytest.mark.parametrize("score", ["high", "nan", "-inf", ""])
+    def test_bad_predicted_score(self, tmp_path, rng, capsys, score):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        lines = scores.read_text().splitlines()
+        lines[2] = f"t0,t0_d1,{score}"
+        scores.write_text("\n".join(lines) + "\n")
+        summary = tmp_path / "s.txt"
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(summary), "--workers", "1",
+        ])
+        assert code == EXIT_PARSE
+        assert "row 2 (t0, t0_d1)" in capsys.readouterr().err
+        assert not summary.exists()
+
     def test_summary_formatting_matches_fixture_arithmetic(self):
         assert format_mean_std([0.2, 0.4]) == "0.3000 ± 0.1414"
 
@@ -299,6 +361,25 @@ def training_fixture(tmp_path, rng, n_examples=2):
         )
     return train_dir
 
+
+# Every key a config file may hold, plus ModelConfig names it may not.
+CONFIG_KEYS = sorted(
+    {f.name for f in fields(RunConfig)} | set(MODEL_KEYS) | set(ABLATIONS)
+    | {"k"} | {f.name for f in fields(ModelConfig)}
+)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    json_containers,
+    max_leaves=4,
+)
 
 BASE_CONFIG = {
     "seed": 1,
@@ -416,3 +497,77 @@ class TestTrain:
         assert code == EXIT_OK
         _, loaded_config = load_weights(out.read_bytes())
         assert loaded_config.node_feat_dim == 38
+
+    @pytest.mark.parametrize("bad", [
+        {"num_layers": "2"},
+        {"k": "x"},
+        {"seed": -1},
+        {"learning_rate": None},
+        {"no_surface_proximity": 1},
+        {"noise_sigma": float("nan")},
+        {"leaky_slope": 0.1},
+        {"k_neighbors": 10},
+        [1, 2],
+    ])
+    def test_bad_config_value(self, tmp_path, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(tmp_path),
+            "--out-weights", str(tmp_path / "m.weights"),
+        ])
+        assert code == EXIT_PARSE
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.dictionaries(
+        st.sampled_from(CONFIG_KEYS) | st.text(max_size=12), JSON_VALUES,
+        max_size=6,
+    ))
+    def test_any_json_object_exits_with_documented_code(self, tmp_path, data):
+        # the empty dataset check comes after the config is built, so every
+        # accepted config ends there without training
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        empty = tmp_path / "empty"
+        empty.mkdir(exist_ok=True)
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(empty),
+            "--out-weights", str(tmp_path / "m.weights"),
+        ])
+        assert code in (EXIT_PARSE, EXIT_EMPTY_DATASET)
+
+
+class TestRunConfig:
+    def load(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        return RunConfig.from_file(path)
+
+    def test_empty_object_gives_defaults(self, tmp_path):
+        assert self.load(tmp_path, {}) == (RunConfig(), ModelConfig())
+
+    def test_every_documented_key_reaches_its_setting(self, tmp_path):
+        data = {
+            "seed": 3, "granularity": "c-alpha", "k": 12, "num_layers": 2,
+            "hidden_dim": 16, "window_size": 32, "attention_enabled": False,
+            "noise_sigma": 0.3, "psr_loss_weight": 0.5, "qa_loss_weight": 0.2,
+            "learning_rate": 0.01, "weight_decay": 0.0, "max_epochs": 5,
+            "patience": 2, "no_positional_corruption": False,
+            "no_surface_proximity": False,
+            "no_relative_geometric_features": False,
+        }
+        model = ModelConfig(
+            num_layers=2, hidden_dim=16, psr_loss_weight=0.5,
+            qa_loss_weight=0.2, attention_enabled=False, window_size=32,
+            noise_sigma=0.3, granularity="c-alpha", k_neighbors=12,
+        )
+        run = RunConfig(seed=3, learning_rate=0.01, weight_decay=0.0,
+                        max_epochs=5, patience=2)
+        assert self.load(tmp_path, data) == (run, model)
+        ablated = {**data, "no_positional_corruption": True,
+                   "no_surface_proximity": True,
+                   "no_relative_geometric_features": True}
+        assert self.load(tmp_path, ablated) == (run, ModelConfig(
+            **{**model.to_dict(), "noise_sigma": 0.0, "include_surface": False,
+               "include_geometric": False}))

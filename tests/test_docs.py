@@ -1,0 +1,40 @@
+"""The README's configuration defaults and library example hold."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from equiref.cli import RunConfig
+from equiref.structio import write_pdb
+
+from conftest import make_complex
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def fenced_block(heading: str, language: str) -> str:
+    """The first ``language`` code block after a README heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_training_config_defaults_match_code(tmp_path):
+    documented = tmp_path / "documented.json"
+    documented.write_text(fenced_block("### Training configuration", "json"))
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({}))
+    assert RunConfig.from_file(documented) == RunConfig.from_file(empty)
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    structure = make_complex()
+    (tmp_path / "native.pdb").write_text(write_pdb(structure))
+    (tmp_path / "decoy.pdb").write_text(write_pdb(structure))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(fenced_block("## Library", "python"), namespace)
+    assert namespace["report"].dockq == pytest.approx(1.0, abs=1e-9)
+    assert namespace["result"].predicted_lddt.shape == (11,)

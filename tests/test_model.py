@@ -7,9 +7,10 @@ from equiref.errors import (
     WeightsTruncatedError,
     WeightsVersionError,
 )
-from equiref.featurize import build_knn_graph, feature_widths
+from equiref.featurize import build_knn_graph
 from equiref.model import (
     ModelConfig,
+    build_graph,
     forward,
     init_params,
     layer_step,
@@ -22,7 +23,7 @@ from equiref.model import (
     save_weights,
 )
 
-from conftest import make_complex, random_rotation
+from conftest import make_complex, random_rotation, rewrite_header
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
 
@@ -367,6 +368,19 @@ class TestWeightsContainer:
         assert meta == {"epoch": 3}
         np.testing.assert_array_equal(arrays["opt.step"], 7.0)
 
+    def test_header_with_stored_widths_loads_bitwise(self, rng):
+        # containers written before the widths were derived store them too
+        params = randomize(init_params(SMALL, 0), rng)
+        blob = rewrite_header(
+            save_weights(params, SMALL),
+            lambda header: header["config"].update(node_feat_dim=39,
+                                                   edge_feat_dim=15),
+        )
+        loaded, config = load_weights(blob)
+        assert config == SMALL
+        for k in params:
+            np.testing.assert_array_equal(loaded[k], params[k])
+
     def test_forward_identical_after_round_trip(self, rng):
         graph = random_graph(rng, n=14, d_f=SMALL.node_feat_dim,
                              d_e=SMALL.edge_feat_dim)
@@ -384,23 +398,42 @@ class TestConfig:
             ModelConfig.from_dict({"num_layers": 2, "hidden_dim": 8, "typo": 1})
 
     def test_rejects_bad_values(self):
+        for bad in (
+            {"num_layers": 0},
+            {"window_size": 0},
+            {"qa_loss_weight": -0.1},
+            {"k_neighbors": 0},
+            {"noise_sigma": -0.5},
+            {"granularity": "bogus"},
+            {"num_layers": "2"},
+            {"hidden_dim": 8.0},
+            {"k_neighbors": True},
+            {"include_surface": 1},
+            {"noise_sigma": float("nan")},
+        ):
+            with pytest.raises(ConfigError):
+                ModelConfig(**bad)
+
+    def test_stored_widths_must_match_derived(self):
+        data = SMALL.to_dict()
+        assert "node_feat_dim" not in data and "edge_feat_dim" not in data
+        legacy = {**data, "node_feat_dim": 39, "edge_feat_dim": 15}
+        assert ModelConfig.from_dict(legacy) == SMALL
         with pytest.raises(ConfigError):
-            ModelConfig(num_layers=0)
-        with pytest.raises(ConfigError):
-            ModelConfig(window_size=0)
-        with pytest.raises(ConfigError):
-            ModelConfig(qa_loss_weight=-0.1)
+            ModelConfig.from_dict({**legacy, "node_feat_dim": 38})
 
     def test_widths_helper_agrees_with_featurize(self):
+        structure = make_complex()
         for granularity in ("all-atom", "c-alpha"):
             for surface in (True, False):
                 for geometric in (True, False):
-                    d_f, d_e = feature_widths(granularity, surface, geometric)
                     config = ModelConfig(
                         num_layers=1, hidden_dim=4,
-                        node_feat_dim=d_f, edge_feat_dim=d_e,
                         granularity=granularity,
                         include_surface=surface,
                         include_geometric=geometric,
                     )
-                    assert config.node_feat_dim == d_f
+                    graph = build_graph(structure, config)
+                    assert config.node_feat_dim == graph.node_features.shape[1]
+                    assert config.edge_feat_dim == graph.edge_features.shape[1]
+                    forward(graph, init_params(config, 0), config)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from equiref.errors import LossUndefinedError, SkipExample
-from equiref.model import ModelConfig, forward, init_params
+from equiref.model import ModelConfig, forward, forward_pass, init_params
 from equiref.structio import match_atoms
 from equiref.train import (
     OptimizerState,
@@ -14,18 +15,17 @@ from equiref.train import (
     clip_gradients,
     example_loss,
     ground_truth_lddt,
-    huber,
     make_training_example,
-    psr_loss,
-    qa_loss,
-    total_loss,
     train_loop,
     validation_rmsd,
 )
 
 from conftest import make_complex, random_rotation, transform_structure
+from oracles import huber, psr_loss, qa_loss, total_loss
 
-TINY = ModelConfig(num_layers=2, hidden_dim=6, node_feat_dim=10, edge_feat_dim=5)
+# Feature widths (27, 2): the narrowest combination the featurizer produces.
+TINY = ModelConfig(num_layers=2, hidden_dim=6, granularity="c-alpha",
+                   include_surface=False, include_geometric=False)
 
 
 def synthetic_example(rng, n=10, config=TINY, residual_scale=0.4,
@@ -157,8 +157,8 @@ class TestTotalLoss:
 
     def test_weighted_sum(self, rng):
         example, refined, predicted = self.build(rng)
-        config = ModelConfig(num_layers=1, hidden_dim=4, node_feat_dim=10,
-                             edge_feat_dim=5)
+        config = ModelConfig(num_layers=1, hidden_dim=4, granularity="c-alpha",
+                             include_surface=False, include_geometric=False)
         value = total_loss(example, refined, predicted, config)
         assert value == pytest.approx(1.0 * 2.0 + 0.05 * 1.0)
 
@@ -187,6 +187,18 @@ class TestTotalLoss:
 
 
 class TestBackward:
+    def test_tape_loss_equals_oracle(self, rng):
+        # residuals of scale 1.5 fall on both sides of the Huber delta
+        from test_model import randomize
+
+        example = synthetic_example(rng, n=12, residual_scale=1.5)
+        params = randomize(init_params(TINY, 0), rng)
+        fp = forward_pass(example.graph, params, TINY)
+        expected = total_loss(example, fp.coords.data, fp.qa.data[:, 0], TINY)
+        assert example_loss(example, params, TINY) == pytest.approx(
+            expected, rel=1e-12
+        )
+
     def test_zero_loss_gives_zero_gradients(self, rng):
         example = synthetic_example(rng, with_qa=False)
         params = init_params(TINY, seed=0)  # zero-init: refined == input
@@ -231,9 +243,8 @@ class TestBackward:
         example = synthetic_example(rng)
         params = randomize(init_params(TINY, 0), rng)
         base_value, base_grads = backward(example, params, TINY)
-        scaled_config = ModelConfig(
-            num_layers=TINY.num_layers, hidden_dim=TINY.hidden_dim,
-            node_feat_dim=TINY.node_feat_dim, edge_feat_dim=TINY.edge_feat_dim,
+        scaled_config = replace(
+            TINY,
             psr_loss_weight=3.0 * TINY.psr_loss_weight,
             qa_loss_weight=3.0 * TINY.qa_loss_weight,
         )
@@ -357,10 +368,7 @@ class TestMakeTrainingExample:
         )
 
     def test_ca_granularity_supervises_ca_nodes_only(self, rng):
-        config = ModelConfig(
-            num_layers=1, hidden_dim=4, granularity="c-alpha",
-            node_feat_dim=28, edge_feat_dim=14,
-        )
+        config = ModelConfig(num_layers=1, hidden_dim=4, granularity="c-alpha")
         decoy, native = structure_pair(rng)
         example = make_training_example(decoy, native, config)
         n_res = sum(len(ch.residues) for ch in decoy.chains)
