@@ -231,23 +231,24 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
     return Tensor(x.data[index], (x,), backward)
 
 
-def scatter_mean(x: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
-    """Average rows of ``x`` into ``num_rows`` buckets given by ``index``.
+def repeat_rows(x: Tensor, k: int) -> Tensor:
+    """Repeat each row ``k`` times in place: output row ``i*k + s`` is row i."""
+    n, d = x.data.shape
+    return Tensor(
+        np.repeat(x.data, k, axis=0),
+        (x,),
+        lambda g: (g.reshape(n, k, d).sum(axis=1),),
+    )
 
-    Buckets that receive no rows stay zero. Uses a deterministic
-    accumulation order.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    counts = np.bincount(index, minlength=num_rows).astype(np.float64)
-    safe = np.maximum(counts, 1.0)
-    summed = np.zeros((num_rows, x.data.shape[1]), dtype=np.float64)
-    np.add.at(summed, index, x.data)
-    out_data = summed / safe[:, None]
 
-    def backward(g):
-        return ((g / safe[:, None])[index],)
-
-    return Tensor(out_data, (x,), backward)
+def group_mean(x: Tensor, k: int) -> Tensor:
+    """Average runs of ``k`` rows: output row i is the mean of rows ``i*k + s``."""
+    rows, d = x.data.shape
+    return Tensor(
+        x.data.reshape(rows // k, k, d).mean(axis=1),
+        (x,),
+        lambda g: (np.repeat(g / k, k, axis=0),),
+    )
 
 
 def row_norm(x: Tensor) -> Tensor:

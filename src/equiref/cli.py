@@ -147,19 +147,25 @@ def cmd_refine(args) -> int:
     except (PdbParseError, EmptyStructureError) as exc:
         return _fail(EXIT_PARSE, f"cannot parse input: {exc}")
 
+    surface = None
+    if args.surface_file is not None:
+        try:
+            surface = read_surface_file(args.surface_file, structure.num_atoms)
+        except OSError as exc:
+            return _fail(EXIT_PARSE, f"cannot read surface file: {exc}")
+        except SurfaceOverrideError as exc:
+            return _fail(EXIT_PARSE, f"bad surface file {args.surface_file}: {exc}")
+
     refined = structure
     result = None
     try:
-        surface = None
-        if args.surface_file is not None:
-            surface = read_surface_file(args.surface_file, structure.num_atoms)
         for _ in range(args.iterations):
             graph = build_graph(refined, config, surface)
             result = forward(graph, params, config)
             coords = refined.coords()
             coords[graph.node_atom_indices] = result.refined_coords
             refined = refined.with_coords(coords)
-    except (ConfigError, SurfaceOverrideError) as exc:
+    except ConfigError as exc:
         return _fail(EXIT_WEIGHTS, f"weights do not fit this input: {exc}")
 
     try:
@@ -206,11 +212,25 @@ def cmd_score(args) -> int:
 
 
 def _score_task(task):
+    """Score one decoy; an error names its target and decoy."""
     target, decoy_id, decoy_path, native_path = task
-    decoy = parse_pdb_file(decoy_path)
-    native = parse_pdb_file(native_path)
-    report = score_pair(decoy, native)
+    try:
+        decoy = parse_pdb_file(decoy_path)
+        native = parse_pdb_file(native_path)
+        report = score_pair(decoy, native)
+    except EquirefError as exc:
+        raise type(exc)(f"target {target}, decoy {decoy_id}: {exc}") from None
     return target, decoy_id, report
+
+
+def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
+    """Worker processes for ``tasks`` jobs.
+
+    ``requested`` 0 means one per CPU; the count is at least one and at
+    most one per task and one per CPU.
+    """
+    cpus = cpus or 1
+    return max(1, min(requested or cpus, tasks, cpus))
 
 
 def cmd_evaluate(args) -> int:
@@ -254,12 +274,17 @@ def cmd_evaluate(args) -> int:
         tasks.append((target, decoy_id, str(decoy_path), str(native_path)))
         predicted[(target, decoy_id)] = score
 
-    workers = args.workers or os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_score_task, tasks)
-    else:
-        results = [_score_task(t) for t in tasks]
+    workers = worker_count(args.workers, len(tasks), os.cpu_count())
+    try:
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
+                results = pool.map(_score_task, tasks)
+        else:
+            results = [_score_task(t) for t in tasks]
+    except NoOverlapError as exc:
+        return _fail(EXIT_NO_OVERLAP, str(exc))
+    except (NoInterfaceError, UndefinedMetricError) as exc:
+        return _fail(EXIT_NO_INTERFACE, str(exc))
 
     by_target: dict[str, RankingInput] = {}
     for target, decoy_id, report in results:
@@ -405,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with target, decoy, predicted_score columns")
     p.add_argument("--natives", required=True, help="directory of <target>.pdb")
     p.add_argument("--decoys", required=True, help="directory of <decoy>.pdb")
-    p.add_argument("--top-n", type=int, default=10)
+    p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--summary", required=True, help="summary text report")
     p.add_argument("--details", default=None, help="optional per-decoy CSV")
     p.add_argument("--workers", type=int, default=0,

@@ -49,16 +49,16 @@ class ComplexGraph:
     ``coords`` is the working coordinate set the model refines;
     ``initial_coords`` is the anchor for the coordinate skip connection and
     equals the (possibly corrupted) input coordinates.
-    Edges run from neighbor ``edge_src[e]`` to center ``edge_dst[e]``; each
-    center has exactly min(k, n-1) incoming edges.
+    Every center i has exactly k = min(k_neighbors, n-1) incoming edges:
+    row i of ``neighbors`` lists its neighbors by ascending distance, and
+    edge-feature row ``i*k + s`` describes the edge ``neighbors[i, s] -> i``.
     """
 
     coords: np.ndarray           # (n, 3)
     initial_coords: np.ndarray   # (n, 3)
     node_features: np.ndarray    # (n, d_f)
-    edge_src: np.ndarray         # (E,)
-    edge_dst: np.ndarray         # (E,)
-    edge_features: np.ndarray    # (E, d_e)
+    neighbors: np.ndarray        # (n, k)
+    edge_features: np.ndarray    # (n*k, d_e)
     ca_mask: np.ndarray          # (n,) bool
     residue_of_node: np.ndarray  # (n,) global residue ordinal
     chain_of_node: np.ndarray    # (n,) chain identifiers
@@ -71,7 +71,7 @@ class ComplexGraph:
 
     @property
     def num_edges(self) -> int:
-        return self.edge_src.shape[0]
+        return self.neighbors.size
 
 
 def feature_widths(
@@ -91,16 +91,14 @@ def feature_widths(
     return d_f, d_e
 
 
-def knn_edges(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (src=j -> dst=i) linking every node to its k nearest others.
+def knn_edges(coords: np.ndarray, k: int) -> np.ndarray:
+    """(n, min(k, n-1)) table whose row i lists the nearest other nodes of i.
 
-    k is clipped to n-1. Neighbors are ordered by ascending distance with
-    ties broken by lower node index; chunking keeps memory bounded.
+    Neighbors are ordered by ascending distance with ties broken by lower
+    node index; chunking keeps memory bounded.
     """
     n = coords.shape[0]
-    k_eff = min(k, n - 1)
-    src = np.empty(n * k_eff, dtype=np.intp)
-    dst = np.empty(n * k_eff, dtype=np.intp)
+    neighbors = np.empty((n, min(k, n - 1)), dtype=np.intp)
     chunk = max(1, int(2e7) // max(n, 1))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
@@ -108,11 +106,9 @@ def knn_edges(coords: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         d2 = (diff * diff).sum(axis=2)
         rows = np.arange(start, stop)
         d2[rows - start, rows] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        for local, i in enumerate(rows):
-            src[i * k_eff:(i + 1) * k_eff] = order[local]
-            dst[i * k_eff:(i + 1) * k_eff] = i
-    return src, dst
+        order = np.argsort(d2, axis=1, kind="stable")
+        neighbors[start:stop] = order[:, :neighbors.shape[1]]
+    return neighbors
 
 
 def surface_proximity(structure: ComplexStructure) -> np.ndarray:
@@ -142,19 +138,31 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
 
 
 def read_surface_file(path, expected_atoms: int) -> np.ndarray:
-    """Per-atom surface proximity override: one value per line, atom order."""
-    values = []
+    """Per-atom surface proximity override: one value per line, atom order.
+
+    Raises OSError when the file cannot be opened and SurfaceOverrideError
+    when its content is not ``expected_atoms`` numbers in [0, 1].
+    """
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        try:
+            lines = [line.strip() for line in fh]
+        except UnicodeDecodeError:
+            raise SurfaceOverrideError("file is not ASCII text") from None
+    values = []
+    for number, line in enumerate(lines, start=1):
+        if line:
+            try:
                 values.append(float(line))
+            except ValueError:
+                raise SurfaceOverrideError(
+                    f"line {number}: {line!r} is not a number"
+                ) from None
     arr = np.array(values, dtype=np.float64)
     if arr.shape[0] != expected_atoms:
         raise SurfaceOverrideError(
             f"override file has {arr.shape[0]} values for {expected_atoms} atoms"
         )
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise SurfaceOverrideError("override values must lie in [0, 1]")
     return arr
 
@@ -299,15 +307,14 @@ def _residue_ordinals(structure: ComplexStructure) -> np.ndarray:
 def edge_features(
     structure: ComplexStructure,
     coords: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
+    neighbors: np.ndarray,
     node_residue: np.ndarray,
     node_chain: np.ndarray,
     node_residue_index: np.ndarray,
     granularity: str,
     include_geometric: bool = True,
 ) -> np.ndarray:
-    """Per-edge features for edges (src=j -> dst=i).
+    """Per-edge features; row ``i*k + s`` is the edge ``neighbors[i, s] = j -> i``.
 
     Layout: [same-chain flag, sin(index difference), 12 relative geometric
     values when enabled, covalent-bond flag (all-atom only)]. The geometric
@@ -315,6 +322,9 @@ def edge_features(
     displacement i->j in j's residue frame (3), relative frame quaternion
     with non-negative scalar part (4), 1/(1+d)].
     """
+    n, k = neighbors.shape
+    src = neighbors.ravel()
+    dst = np.repeat(np.arange(n), k)
     num_edges = src.shape[0]
     same_chain = (node_chain[src] == node_chain[dst]).astype(np.float64)
     sin_delta = np.sin((dst - src).astype(np.float64))
@@ -394,7 +404,7 @@ def build_knn_graph(
         [atoms[i].residue_index for i in node_atom_indices], dtype=np.intp
     )
 
-    src, dst = knn_edges(coords, k)
+    neighbors = knn_edges(coords, k)
 
     if include_surface and surface_values is None:
         surface_values = surface_proximity(structure)
@@ -415,8 +425,7 @@ def build_knn_graph(
     edge_feats = edge_features(
         structure,
         coords,
-        src,
-        dst,
+        neighbors,
         node_residue,
         node_chain,
         node_residue_index,
@@ -428,8 +437,7 @@ def build_knn_graph(
         coords=coords,
         initial_coords=coords.copy(),
         node_features=feats,
-        edge_src=src,
-        edge_dst=dst,
+        neighbors=neighbors,
         edge_features=edge_feats,
         ca_mask=ca_mask,
         residue_of_node=node_residue,

@@ -1,13 +1,18 @@
 """The equivariant refinement network.
 
 A stack of message-passing layers updates node embeddings and 3D
-coordinates so that rigid motions (including reflections) of the input
-commute with the network: coordinates transform, embeddings and quality
-outputs do not. Each layer combines an edge-message MLP, a normalized
-radial coordinate update with a learnable skip back to the input
-coordinates, global linear attention plus block-local softmax attention
-over the embeddings, and a gated node update. A quality head maps final
-embeddings to per-node scores in [0, 1], read out at CA nodes.
+coordinates so that rigid motions of the input graph (including
+reflections) commute with the network: coordinates transform, embeddings
+and quality outputs do not. From a structure, rotations and translations
+commute end to end; reflections also change the chiral features (residue
+frames, their relative quaternion, c-alpha backbone dihedrals), so they
+commute only for all-atom graphs built with ``include_geometric=False``.
+
+Each layer combines an edge-message MLP, a normalized radial coordinate
+update with a learnable skip back to the input coordinates, global linear
+attention plus block-local softmax attention over the embeddings, and a
+gated node update. A quality head maps final embeddings to per-node scores
+in [0, 1], read out at CA nodes.
 
 ``ModelConfig`` is the one home of the model settings, their defaults and
 their checks. The input feature widths are not settings: they follow from
@@ -33,9 +38,10 @@ from .autodiff import (
     affine,
     concat,
     gather_rows,
+    group_mean,
     layer_norm,
+    repeat_rows,
     row_norm,
-    scatter_mean,
     softmax_rows,
 )
 from .errors import (
@@ -315,36 +321,32 @@ def _layer(
     x0: Tensor,
     f_emb: Tensor,
     edge_feats: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
+    neighbors: np.ndarray,
     leaves: dict[str, Tensor],
     prefix: str,
     config: ModelConfig,
     coord_skip: Tensor,
     node_skip: Tensor,
 ) -> tuple[Tensor, Tensor]:
-    n = x.data.shape[0]
+    k = neighbors.shape[1]
     slope = config.leaky_slope
 
-    h_dst = gather_rows(h, dst)
-    h_src = gather_rows(h, src)
-    x_dst = gather_rows(x, dst)
-    x_src = gather_rows(x, src)
-    diff = x_dst - x_src  # x_i - x_j per edge (j -> i)
+    # edge row i*k + s carries the message from j = neighbors[i, s] to i
+    h_i = repeat_rows(h, k)
+    h_j = gather_rows(h, neighbors.ravel())
+    diff = repeat_rows(x, k) - gather_rows(x, neighbors.ravel())  # x_i - x_j
     sqdist = (diff * diff).sum(axis=1, keepdims=True)
 
     messages = _mlp(
-        concat([h_dst, h_src, edge_feats, sqdist], axis=1),
+        concat([h_i, h_j, edge_feats, sqdist], axis=1),
         leaves, prefix + "msg_mlp.", slope,
     )
 
     gate = _mlp(messages, leaves, prefix + "coord_mlp.", slope)  # (E, 1)
     radial = diff / (row_norm(diff) + config.norm_constant)
-    x_new = coord_skip * x0 + (1.0 - coord_skip) * x + scatter_mean(
-        radial * gate, dst, n
-    )
+    x_new = coord_skip * x0 + (1.0 - coord_skip) * x + group_mean(radial * gate, k)
 
-    m_agg = scatter_mean(messages, dst, n)
+    m_agg = group_mean(messages, k)
     if config.attention_enabled:
         attn = _linear_attention(
             h,
@@ -386,7 +388,7 @@ def layer_step(
     leaves = _wrap(params)
     x_new, h_new = _layer(
         Tensor(x), Tensor(h), Tensor(graph.initial_coords), Tensor(f_emb),
-        Tensor(graph.edge_features), graph.edge_src, graph.edge_dst,
+        Tensor(graph.edge_features), graph.neighbors,
         leaves, f"layers.{layer}.", config,
         leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
     )
@@ -434,7 +436,7 @@ def forward_pass(
     h = f_emb
     for layer in range(config.num_layers):
         x, h = _layer(
-            x, h, x0, f_emb, edge_feats, graph.edge_src, graph.edge_dst,
+            x, h, x0, f_emb, edge_feats, graph.neighbors,
             leaves, f"layers.{layer}.", config, coord_skip, node_skip,
         )
     qa = _mlp(h, leaves, "qa_head.", config.leaky_slope).sigmoid()

@@ -327,10 +327,10 @@ def test_criterion_10_knn_correctness(rng):
     sizes = [2, 3, 7, 20, 21, 64, 201, 500]
     for n in sizes:
         coords = rng.normal(scale=12.0, size=(n, 3))
-        src, dst = knn_edges(coords, 20)
+        neighbors = knn_edges(coords, 20)
         k_eff = min(20, n - 1)
-        assert src.shape[0] == n * k_eff
+        assert neighbors.shape == (n, k_eff)
         expected = brute_force_neighbors(coords, 20)
         for i in range(n):
-            assert src[dst == i].tolist() == expected[i], f"node {i} of n={n}"
+            assert neighbors[i].tolist() == expected[i], f"node {i} of n={n}"
     report(10, f"brute-force equality at sizes {sizes}; edge counts exact")

@@ -8,9 +8,10 @@ from equiref.autodiff import (
     affine,
     concat,
     gather_rows,
+    group_mean,
     layer_norm,
+    repeat_rows,
     row_norm,
-    scatter_mean,
     softmax_rows,
 )
 
@@ -104,15 +105,21 @@ def test_gather_rows_accumulates(rng):
     check_op(lambda x: (gather_rows(x, idx) ** 2).sum(), [a])
 
 
-def test_scatter_mean(rng):
+def test_repeat_rows(rng):
+    a = rng.normal(size=(3, 2))
+    weights = Tensor(rng.normal(size=(12, 2)))
+    out = repeat_rows(Tensor(a), 4)
+    np.testing.assert_array_equal(out.data, a[[0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]])
+    check_op(lambda x: (repeat_rows(x, 4) ** 2 * weights).sum(), [a])
+
+
+def test_group_mean(rng):
     a = rng.normal(size=(6, 3))
-    idx = np.array([0, 0, 1, 1, 1, 3])
-    out = scatter_mean(Tensor(a), idx, 4)
-    np.testing.assert_allclose(out.data[0], a[:2].mean(axis=0))
-    np.testing.assert_allclose(out.data[1], a[2:5].mean(axis=0))
-    np.testing.assert_allclose(out.data[2], 0.0)
-    np.testing.assert_allclose(out.data[3], a[5])
-    check_op(lambda x: (scatter_mean(x, idx, 4) ** 2).sum(), [a])
+    out = group_mean(Tensor(a), 2)
+    for i in range(3):
+        np.testing.assert_allclose(out.data[i], a[2 * i:2 * i + 2].mean(axis=0))
+    np.testing.assert_array_equal(group_mean(repeat_rows(Tensor(a), 4), 4).data, a)
+    check_op(lambda x: (group_mean(x, 2) ** 2).sum(), [a])
 
 
 def test_row_norm(rng):
@@ -164,7 +171,7 @@ def test_deterministic_backward(rng):
 
     def run():
         t = Tensor(a)
-        out = (scatter_mean(gather_rows(t, idx) ** 2, idx % 5, 5)).sum()
+        out = group_mean(repeat_rows(gather_rows(t, idx), 3) ** 2, 4).sum()
         out.backward()
         return t.grad.copy()
 

@@ -19,6 +19,7 @@ from equiref.cli import (
     MODEL_KEYS,
     RunConfig,
     main,
+    worker_count,
 )
 from equiref.metrics import format_mean_std, score_pair
 from equiref.model import (
@@ -93,6 +94,51 @@ class TestRefine:
         # refined PDB coordinates are quantized to 3 decimals
         np.testing.assert_allclose(outputs[1], expected, atol=2e-3)
 
+    @pytest.mark.parametrize("mirror", [False, True],
+                             ids=["rotation", "reflection"])
+    def test_rigid_motion_commutes_end_to_end(self, workdir, rng, monkeypatch,
+                                              mirror):
+        # A signed permutation and a whole-number shift map the input's
+        # 3-decimal PDB coordinates exactly onto the grid, so the moved input
+        # file is exact and the unrounded refined coordinates are compared.
+        # Reflections commute only without the chiral geometric features.
+        import equiref.cli as cli
+        from test_model import randomize
+
+        tmp, _, input_pdb, _ = workdir
+        config = ModelConfig(num_layers=2, hidden_dim=8,
+                             include_geometric=not mirror)
+        params = randomize(init_params(config, 0), rng, scale=0.2)
+        weights = tmp / "random.weights"
+        weights.write_bytes(save_weights(params, config))
+        motion = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        if mirror:
+            motion[1] = -motion[1]
+        assert np.linalg.det(motion) == (-1.0 if mirror else 1.0)
+        shift = np.array([5.0, -3.0, 11.0])
+        moved_pdb = tmp / "moved.pdb"
+        moved_pdb.write_text(write_pdb(
+            transform_structure(parse_pdb_file(input_pdb), motion, shift)
+        ))
+
+        refined = []
+
+        def capture(structure):
+            refined.append(structure.coords())
+            return write_pdb(structure)
+
+        monkeypatch.setattr(cli, "write_pdb", capture)
+        for source in (input_pdb, moved_pdb):
+            code = main([
+                "refine", "--input", str(source), "--weights", str(weights),
+                "--output", str(tmp / "refined.pdb"),
+                "--report", str(tmp / "report.json"),
+            ])
+            assert code == EXIT_OK
+        assert np.abs(refined[0] - parse_pdb_file(input_pdb).coords()).max() > 1e-3
+        np.testing.assert_allclose(refined[1], refined[0] @ motion.T + shift,
+                                   rtol=0, atol=1e-6)
+
     def test_multiple_iterations(self, workdir, rng):
         from test_model import randomize
 
@@ -155,6 +201,25 @@ class TestRefine:
                 "--iterations", iterations,
             ])
         assert exc.value.code == EXIT_PARSE
+        assert not (tmp / "o.pdb").exists()
+
+    @pytest.mark.parametrize(
+        "defect", ["missing", "non_numeric", "wrong_count", "out_of_range"]
+    )
+    def test_bad_surface_file(self, workdir, capsys, defect):
+        tmp, structure, input_pdb, weights = workdir
+        surface = tmp / "surface.txt"
+        last = {"non_numeric": ["abc"], "wrong_count": [], "out_of_range": ["1.5"]}
+        if defect != "missing":
+            values = ["0.5"] * (structure.num_atoms - 1) + last[defect]
+            surface.write_text("\n".join(values) + "\n")
+        code = main([
+            "refine", "--input", str(input_pdb), "--weights", str(weights),
+            "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
+            "--surface-file", str(surface),
+        ])
+        assert code == EXIT_PARSE
+        assert str(surface) in capsys.readouterr().err
         assert not (tmp / "o.pdb").exists()
 
     def test_unparseable_input(self, workdir):
@@ -342,6 +407,53 @@ class TestEvaluate:
         assert code == EXIT_PARSE
         assert "row 2 (t0, t0_d1)" in capsys.readouterr().err
         assert not summary.exists()
+
+    @pytest.mark.parametrize("top_n", ["0", "-3"])
+    def test_non_positive_top_n_rejected(self, tmp_path, rng, top_n):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        summary = tmp_path / "s.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate", "--scores", str(scores), "--natives", str(natives),
+                "--decoys", str(decoys), "--summary", str(summary),
+                "--top-n", top_n,
+            ])
+        assert exc.value.code == EXIT_PARSE
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("renamed, expected", [
+        (("X", "Y"), EXIT_NO_OVERLAP),
+        (("A", "Y"), EXIT_NO_INTERFACE),
+    ], ids=["no_overlap", "no_interface"])
+    def test_unscorable_decoy_is_named(self, tmp_path, rng, capsys, workers,
+                                       renamed, expected):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        decoy = parse_pdb_file(decoys / "t0_d1.pdb")
+        for ch, new_id in zip(decoy.chains, renamed):
+            ch.chain_id = new_id
+            for res in ch.residues:
+                for atom in res.atoms:
+                    atom.chain_id = new_id
+        (decoys / "t0_d1.pdb").write_text(write_pdb(decoy))
+        summary = tmp_path / "s.txt"
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(summary),
+            "--workers", workers,
+        ])
+        assert code == expected
+        assert "target t0, decoy t0_d1:" in capsys.readouterr().err
+        assert not summary.exists()
+
+    def test_worker_count(self):
+        assert worker_count(0, 64, 2) == 2
+        assert worker_count(0, 64, None) == 1
+        assert worker_count(2, 64, 2) == 2
+        assert worker_count(1000, 64, 2) == 2
+        assert worker_count(1000, 3, 8) == 3
+        assert worker_count(4, 1, 8) == 1
+        assert worker_count(-3, 64, 2) == 1
 
     def test_summary_formatting_matches_fixture_arithmetic(self):
         assert format_mean_std([0.2, 0.4]) == "0.3000 ± 0.1414"

@@ -36,6 +36,12 @@ def brute_force_neighbors(coords, k):
     return out
 
 
+def edge_endpoints(graph):
+    """(source, center) node of every edge-feature row, in row order."""
+    n, k = graph.neighbors.shape
+    return graph.neighbors.ravel(), np.repeat(np.arange(n), k)
+
+
 def point_chain(coords, chain_id="A", name="CA", resname="GLY"):
     """One single-atom residue per coordinate."""
     residues = [
@@ -64,20 +70,19 @@ class TestKnnGraph:
         coords = np.array(
             [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.float64
         )
-        src, dst = knn_edges(coords, 20)
+        neighbors = knn_edges(coords, 20)
         for i in range(4):
-            neighbors = src[dst == i].tolist()
-            assert neighbors == [j for j in range(4) if j != i]
+            assert neighbors[i].tolist() == [j for j in range(4) if j != i]
 
     def test_matches_brute_force(self, rng):
         for n in (2, 3, 7, 40, 120):
             coords = rng.normal(size=(n, 3)) * 10
-            src, dst = knn_edges(coords, 20)
+            neighbors = knn_edges(coords, 20)
             expected = brute_force_neighbors(coords, 20)
             k_eff = min(20, n - 1)
-            assert src.shape[0] == n * k_eff
+            assert neighbors.shape == (n, k_eff)
             for i in range(n):
-                assert src[dst == i].tolist() == expected[i]
+                assert neighbors[i].tolist() == expected[i]
 
     def test_too_small(self):
         s = ComplexStructure([point_chain(np.zeros((1, 3)))])
@@ -193,9 +198,10 @@ class TestSurfaceProximity:
 
     def test_override_range_checked(self, tmp_path):
         path = tmp_path / "surface.txt"
-        path.write_text("0.5\n1.5\n")
-        with pytest.raises(SurfaceOverrideError):
-            read_surface_file(path, 2)
+        for text in ("0.5\n1.5\n", "0.5\nnan\n", "0.5\nx\n", "0.5\n\u00e9\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(SurfaceOverrideError):
+                read_surface_file(path, 2)
 
 
 def oracle_torsion(p1, p2, p3, p4):
@@ -254,13 +260,15 @@ class TestDihedrals:
 class TestEdgeFeatures:
     def test_same_chain_flag(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "all-atom")
-        same = g.chain_of_node[g.edge_src] == g.chain_of_node[g.edge_dst]
+        src, dst = edge_endpoints(g)
+        same = g.chain_of_node[src] == g.chain_of_node[dst]
         np.testing.assert_array_equal(g.edge_features[:, 0], same.astype(float))
         assert set(np.unique(g.edge_features[:, 0])) == {0.0, 1.0}
 
     def test_sinusoidal_index_encoding(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "all-atom")
-        delta = (g.edge_dst - g.edge_src).astype(float)
+        src, dst = edge_endpoints(g)
+        delta = (dst - src).astype(float)
         np.testing.assert_allclose(g.edge_features[:, 1], np.sin(delta), atol=1e-12)
 
     def test_covalent_flag_by_distance(self):
@@ -273,8 +281,9 @@ class TestEdgeFeatures:
         s = ComplexStructure([Chain("A", [Residue(1, "ALA", atoms)])])
         g = build_knn_graph(s, "all-atom")
         cov = g.edge_features[:, -1]
+        src, dst = edge_endpoints(g)
         for e in range(g.num_edges):
-            d = np.linalg.norm(g.coords[g.edge_src[e]] - g.coords[g.edge_dst[e]])
+            d = np.linalg.norm(g.coords[src[e]] - g.coords[dst[e]])
             assert cov[e] == (1.0 if d <= 1.9 else 0.0)
         assert cov.sum() == 2.0  # the N-CA bond, both directions
 
@@ -290,12 +299,9 @@ class TestEdgeFeatures:
         # order within near-equal distances may change under rotation, so
         # compare edges in a canonical (dst, src) ordering
         def canonical(graph):
-            order = np.lexsort((graph.edge_src, graph.edge_dst))
-            return (
-                graph.edge_src[order],
-                graph.edge_dst[order],
-                graph.edge_features[order],
-            )
+            src, dst = edge_endpoints(graph)
+            order = np.lexsort((src, dst))
+            return src[order], dst[order], graph.edge_features[order]
 
         base = build_knn_graph(two_chain_complex, "all-atom")
         base_src, base_dst, base_feats = canonical(base)

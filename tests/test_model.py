@@ -38,14 +38,13 @@ def random_graph(rng, n=25, d_f=39, d_e=15, window_cap=None):
     from equiref.featurize import ComplexGraph, knn_edges
 
     coords = rng.normal(scale=6.0, size=(n, 3))
-    src, dst = knn_edges(coords, 20)
+    neighbors = knn_edges(coords, 20)
     graph = ComplexGraph(
         coords=coords,
         initial_coords=coords.copy(),
         node_features=rng.normal(size=(n, d_f)),
-        edge_src=src,
-        edge_dst=dst,
-        edge_features=rng.normal(size=(src.shape[0], d_e)),
+        neighbors=neighbors,
+        edge_features=rng.normal(size=(neighbors.size, d_e)),
         ca_mask=rng.random(n) < 0.3,
         residue_of_node=np.arange(n),
         chain_of_node=np.array(["A"] * n),
@@ -265,7 +264,9 @@ class TestForward:
 
     def test_permutation_equivariance(self, rng):
         # window covers the whole graph, so block-local attention is
-        # permutation-safe; node and edge data travel with the permutation
+        # permutation-safe; node and edge data travel with the permutation:
+        # neighbor rows and their edge-feature blocks move with their center,
+        # and their entries are renamed to the new node indices
         from dataclasses import replace
 
         graph = random_graph(rng, n=20, d_f=SMALL.node_feat_dim,
@@ -276,13 +277,15 @@ class TestForward:
         perm = rng.permutation(graph.num_nodes)
         inverse = np.empty_like(perm)
         inverse[perm] = np.arange(graph.num_nodes)
+        n, k = graph.neighbors.shape
+        edge_blocks = graph.edge_features.reshape(n, k, -1)
         permuted = replace(
             graph,
             coords=graph.coords[perm],
             initial_coords=graph.initial_coords[perm],
             node_features=graph.node_features[perm],
-            edge_src=inverse[graph.edge_src],
-            edge_dst=inverse[graph.edge_dst],
+            neighbors=inverse[graph.neighbors[perm]],
+            edge_features=edge_blocks[perm].reshape(n * k, -1),
             ca_mask=graph.ca_mask[perm],
             residue_of_node=graph.residue_of_node[perm],
             chain_of_node=graph.chain_of_node[perm],
