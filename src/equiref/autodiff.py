@@ -4,9 +4,23 @@ Every operation the network needs is a node in a dynamically built tape;
 ``Tensor.backward()`` walks the tape in reverse topological order and
 accumulates exact gradients into ``Tensor.grad``. Reductions use numpy's
 deterministic ordering, so repeated runs are bit-identical.
+
+``backward()`` consumes the tape as it walks: once an interior node has
+passed its gradient to its parents, the node drops its ``grad``, its
+parents and its backward closure, so only the leaves (tensors built
+without parents) keep gradients. Calling ``backward()`` a second time on
+the same graph is therefore not supported.
+
+Inside ``with no_grad():`` new tensors record no parents and no backward
+closure, so the same model code runs without a tape and each intermediate
+is freed as soon as the code drops it. The blocks nest, and each restores
+the previous mode on exit, also when an exception leaves it. The mode is
+one flag for the whole process, not one per thread.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -30,12 +44,28 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+_taping = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: new tensors keep only their data."""
+    global _taping
+    previous, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = previous
+
+
 class Tensor:
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = _as_array(data)
         self.grad: Array | None = None
+        if not _taping:
+            parents, backward = (), None
         self._parents: tuple[Tensor, ...] = parents
         self._backward = backward
 
@@ -49,7 +79,11 @@ class Tensor:
     # -- graph traversal ---------------------------------------------------
 
     def backward(self, seed: Array | None = None) -> None:
-        """Accumulate d(self)/d(node) into every reachable node's ``grad``."""
+        """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
+
+        The tape is consumed: interior nodes end with no ``grad``, no
+        parents and no backward closure.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -70,16 +104,20 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = _as_array(seed)
-        for node in reversed(order):
-            if node._backward is None or node.grad is None:
-                continue
-            for parent, contribution in zip(node._parents, node._backward(node.grad)):
-                if contribution is None:
-                    continue
-                if parent.grad is None:
-                    parent.grad = contribution
-                else:
-                    parent.grad = parent.grad + contribution
+        while order:
+            node = order.pop()
+            if not node._parents:
+                continue  # a leaf keeps its gradient
+            if node._backward is not None and node.grad is not None:
+                for parent, contribution in zip(node._parents,
+                                                node._backward(node.grad)):
+                    if contribution is None:
+                        continue
+                    if parent.grad is None:
+                        parent.grad = contribution
+                    else:
+                        parent.grad = parent.grad + contribution
+            node.grad, node._parents, node._backward = None, (), None
 
     # -- arithmetic --------------------------------------------------------
 

@@ -220,6 +220,10 @@ def _score_task(task):
         report = score_pair(decoy, native)
     except EquirefError as exc:
         raise type(exc)(f"target {target}, decoy {decoy_id}: {exc}") from None
+    except OSError as exc:
+        raise PdbParseError(
+            f"target {target}, decoy {decoy_id}: cannot read structure: {exc}"
+        ) from None
     return target, decoy_id, report
 
 
@@ -347,6 +351,8 @@ def cmd_train(args) -> int:
     try:
         train_examples = build(train_pairs)
         val_examples = build(val_pairs)
+    except OSError as exc:
+        return _fail(EXIT_PARSE, f"cannot read structure: {exc}")
     except (PdbParseError, EmptyStructureError, NoOverlapError) as exc:
         return _fail(EXIT_PARSE, f"cannot build dataset: {exc}")
 

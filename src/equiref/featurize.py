@@ -39,6 +39,10 @@ RESIDUE_TYPE_INDEX = {name: i for i, name in enumerate(RESIDUE_TYPES)}
 SURFACE_RADIUS = 10.0
 SURFACE_MAX_NEIGHBORS = 64
 COVALENT_CUTOFF = 1.9
+# Pairwise distances are computed for blocks of rows with about this many
+# (row, column) pairs each, which bounds the working memory of the dense
+# distance passes; every row is independent, so results do not depend on it.
+PAIR_CHUNK = 2 ** 18
 GRANULARITIES = ("all-atom", "c-alpha")
 
 
@@ -99,7 +103,7 @@ def knn_edges(coords: np.ndarray, k: int) -> np.ndarray:
     """
     n = coords.shape[0]
     neighbors = np.empty((n, min(k, n - 1)), dtype=np.intp)
-    chunk = max(1, int(2e7) // max(n, 1))
+    chunk = max(1, PAIR_CHUNK // max(n, 1))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         diff = coords[start:stop, None, :] - coords[None, :, :]
@@ -126,7 +130,7 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
         pts = coords[mask]
         m = pts.shape[0]
         counts = np.zeros(m, dtype=np.int64)
-        chunk = max(1, int(2e7) // max(m, 1))
+        chunk = max(1, PAIR_CHUNK // max(m, 1))
         for start in range(0, m, chunk):
             stop = min(start + chunk, m)
             diff = pts[start:stop, None, :] - pts[None, :, :]

@@ -40,6 +40,7 @@ from .autodiff import (
     gather_rows,
     group_mean,
     layer_norm,
+    no_grad,
     repeat_rows,
     row_norm,
     softmax_rows,
@@ -287,7 +288,8 @@ def linear_attention(
     h: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray
 ) -> np.ndarray:
     """Numpy front end for the linear-time global attention form."""
-    return _linear_attention(Tensor(h), Tensor(wq), Tensor(wk), Tensor(wv)).data
+    with no_grad():
+        return _linear_attention(Tensor(h), Tensor(wq), Tensor(wk), Tensor(wv)).data
 
 
 def quadratic_attention(
@@ -310,9 +312,10 @@ def local_window_attention(
     window: int,
 ) -> np.ndarray:
     """Numpy front end for the block-local softmax attention."""
-    return _window_attention(
-        Tensor(h), Tensor(wq), Tensor(wk), Tensor(wv), window
-    ).data
+    with no_grad():
+        return _window_attention(
+            Tensor(h), Tensor(wq), Tensor(wk), Tensor(wv), window
+        ).data
 
 
 def _layer(
@@ -383,15 +386,16 @@ def layer_step(
 
     ``x`` is the current coordinate state, ``h`` the embeddings, and
     ``f_emb`` the embedded input features reused by every layer; the
-    anchor coordinates come from ``graph.initial_coords``.
+    anchor coordinates come from ``graph.initial_coords``. No tape is built.
     """
-    leaves = _wrap(params)
-    x_new, h_new = _layer(
-        Tensor(x), Tensor(h), Tensor(graph.initial_coords), Tensor(f_emb),
-        Tensor(graph.edge_features), graph.neighbors,
-        leaves, f"layers.{layer}.", config,
-        leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
-    )
+    with no_grad():
+        leaves = _wrap(params)
+        x_new, h_new = _layer(
+            Tensor(x), Tensor(h), Tensor(graph.initial_coords), Tensor(f_emb),
+            Tensor(graph.edge_features), graph.neighbors,
+            leaves, f"layers.{layer}.", config,
+            leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
+        )
     return x_new.data, h_new.data
 
 
@@ -421,7 +425,11 @@ def check_widths(graph: ComplexGraph, config: ModelConfig) -> None:
 def forward_pass(
     graph: ComplexGraph, params: dict[str, np.ndarray], config: ModelConfig
 ) -> ForwardPass:
-    """Run the full stack on a graph, keeping the autodiff tape."""
+    """Run the full stack on a graph.
+
+    The outputs carry the autodiff tape back to ``leaves`` unless the call
+    runs inside ``no_grad()``; ``train.backward`` differentiates through it.
+    """
     check_widths(graph, config)
     leaves = _wrap(params)
     x0 = Tensor(graph.initial_coords)
@@ -446,8 +454,13 @@ def forward_pass(
 def forward(
     graph: ComplexGraph, params: dict[str, np.ndarray], config: ModelConfig
 ) -> RefinementResult:
-    """Refined coordinates, embeddings, and per-residue quality estimates."""
-    fp = forward_pass(graph, params, config)
+    """Refined coordinates, embeddings, and per-residue quality estimates.
+
+    Runs ``forward_pass`` inside ``no_grad()``: inference keeps no tape, so
+    each intermediate is freed once the next layer no longer needs it.
+    """
+    with no_grad():
+        fp = forward_pass(graph, params, config)
     ca_nodes = np.flatnonzero(graph.ca_mask)
     return RefinementResult(
         refined_coords=fp.coords.data.copy(),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gather_rows
+from .autodiff import Tensor, gather_rows, no_grad
 from .errors import (
     AlignmentError,
     DivergenceError,
@@ -167,10 +167,11 @@ def example_loss(
     config: ModelConfig,
     graph: ComplexGraph | None = None,
 ) -> float:
-    """Total loss value for one example without gradient computation."""
+    """Total loss value for one example; no tape is built."""
     graph = example.graph if graph is None else graph
-    fp = forward_pass(graph, params, config)
-    return float(_loss_tensor(example, fp, config).data)
+    with no_grad():
+        fp = forward_pass(graph, params, config)
+        return float(_loss_tensor(example, fp, config).data)
 
 
 def backward(
@@ -262,13 +263,14 @@ def validation_rmsd(
     """Mean full-complex RMSD of refined vs reference coordinates.
 
     Computed without re-superposition: decoy and reference frames are
-    aligned when examples are built.
+    aligned when examples are built. No tape is built.
     """
     values = []
     for example in examples:
         if example.matched_nodes.size == 0:
             continue
-        fp = forward_pass(example.graph, params, config)
+        with no_grad():
+            fp = forward_pass(example.graph, params, config)
         refined = fp.coords.data[example.matched_nodes]
         values.append(rmsd_without_superposition(refined, example.native_coords))
     if not values:

@@ -10,6 +10,7 @@ from equiref.autodiff import (
     gather_rows,
     group_mean,
     layer_norm,
+    no_grad,
     repeat_rows,
     row_norm,
     softmax_rows,
@@ -177,3 +178,36 @@ def test_deterministic_backward(rng):
 
     g1, g2 = run(), run()
     np.testing.assert_array_equal(g1, g2)
+
+
+def test_no_grad_nests_and_restores_on_error():
+    a = Tensor(np.ones(3))
+    with no_grad():
+        with no_grad():
+            assert (a * 2)._parents == ()
+        assert (a * 2)._parents == ()  # the inner exit keeps the outer mode
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert (a * 2)._parents == ()
+    assert (a * 2)._parents[0] is a
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    taped = a * 2
+    assert taped._parents[0] is a and taped._backward is not None
+
+
+def test_backward_consumes_the_tape(rng):
+    a = Tensor(rng.normal(size=(4, 3)))
+    w = Tensor(rng.normal(size=(3, 2)))
+    hidden = a @ w
+    activated = hidden.leaky_relu()
+    out = (activated * hidden).sum()
+    out.backward()
+    for node in (hidden, activated, out):
+        assert node.grad is None
+        assert node._parents == () and node._backward is None
+    expected = 2 * np.where(hidden.data > 0, hidden.data, 0.01 * hidden.data)
+    np.testing.assert_allclose(w.grad, a.data.T @ expected, rtol=1e-12)
+    np.testing.assert_allclose(a.grad, expected @ w.data.T, rtol=1e-12)

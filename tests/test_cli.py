@@ -446,6 +446,25 @@ class TestEvaluate:
         assert "target t0, decoy t0_d1:" in capsys.readouterr().err
         assert not summary.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("unreadable", ["decoy", "native"])
+    def test_unreadable_structure_is_named(self, tmp_path, rng, capsys, workers,
+                                           unreadable):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        path = decoys / "t0_d1.pdb" if unreadable == "decoy" else natives / "t0.pdb"
+        path.unlink()
+        path.mkdir()
+        summary = tmp_path / "s.txt"
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(summary),
+            "--workers", workers,
+        ])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "target t0, decoy t0_" in err and str(path) in err
+        assert not summary.exists()
+
     def test_worker_count(self):
         assert worker_count(0, 64, 2) == 2
         assert worker_count(0, 64, None) == 1
@@ -566,6 +585,23 @@ class TestTrain:
             "--out-weights", str(tmp_path / "m.weights"),
         ])
         assert code == EXIT_EMPTY_DATASET
+
+    def test_unreadable_structure_is_named(self, tmp_path, rng, capsys):
+        train_dir = training_fixture(tmp_path, rng)
+        (train_dir / "a_decoy.pdb").mkdir()
+        (train_dir / "a_native.pdb").write_text(
+            (train_dir / "ex0_native.pdb").read_text()
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "m.weights"
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(train_dir),
+            "--out-weights", str(out),
+        ])
+        assert code == EXIT_PARSE
+        assert str(train_dir / "a_decoy.pdb") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exits_7_and_keeps_last_good_weights(self, tmp_path, rng):

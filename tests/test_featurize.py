@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from equiref import featurize
 from equiref.errors import GraphTooSmallError, SurfaceOverrideError
 from equiref.featurize import (
     ATOM_TYPES,
@@ -357,3 +358,24 @@ def test_edge_count_invariant(rng):
         s = ComplexStructure([point_chain(coords)])
         g = build_knn_graph(s)
         assert g.num_edges == n * min(20, n - 1)
+
+
+def test_small_pair_chunks_match_brute_force(rng, monkeypatch):
+    """Many ragged row blocks give the brute-force neighbours and surface values."""
+    coords_a = rng.normal(size=(37, 3)) * 6
+    coords_b = rng.normal(size=(23, 3)) * 6 + 4.0
+    s = ComplexStructure([point_chain(coords_a, "A"), point_chain(coords_b, "B")])
+    coords = s.coords()
+    monkeypatch.setattr(featurize, "PAIR_CHUNK", 7 * coords.shape[0] + 3)
+
+    neighbors = knn_edges(coords, 20)
+    assert neighbors.tolist() == brute_force_neighbors(coords, 20)
+
+    expected = []
+    for pts in (coords_a, coords_b):
+        for p in pts:
+            count = sum(((p - q) ** 2).sum() <= 100.0 for q in pts) - 1
+            expected.append(1.0 - min(1.0, count / 64))
+    values = surface_proximity(s)
+    assert len(set(expected)) > 5
+    np.testing.assert_array_equal(values, expected)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from equiref import model
+from equiref.autodiff import Tensor, no_grad
 from equiref.errors import (
     ConfigError,
     WeightsShapeError,
@@ -12,6 +14,7 @@ from equiref.model import (
     ModelConfig,
     build_graph,
     forward,
+    forward_pass,
     init_params,
     layer_step,
     linear_attention,
@@ -327,6 +330,84 @@ class TestForward:
         params = randomize(init_params(config, 0), rng)
         result = forward(graph, params, config)
         assert np.all(np.isfinite(result.refined_coords))
+
+
+def tape_nodes(*outputs):
+    """Every tensor reachable from ``outputs`` through recorded parents."""
+    seen, stack = {}, list(outputs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestTape:
+    def _case(self, rng):
+        graph = random_graph(rng, n=20, d_f=SMALL.node_feat_dim,
+                             d_e=SMALL.edge_feat_dim)
+        return graph, randomize(init_params(SMALL, 0), rng)
+
+    def test_forward_keeps_no_tape(self, rng, monkeypatch):
+        graph, params = self._case(rng)
+        passes = []
+
+        def recording(*args):
+            passes.append(forward_pass(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(model, "forward_pass", recording)
+        forward(graph, params, SMALL)
+        fp = passes[0]
+        nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
+        assert len(nodes) == 3
+        assert all(node._backward is None for node in nodes)
+        assert (Tensor(1.0) * 2)._parents  # the taping mode is restored
+
+    def test_forward_equals_taped_forward_pass(self, rng):
+        graph, params = self._case(rng)
+        result = forward(graph, params, SMALL)
+        fp = forward_pass(graph, params, SMALL)
+        assert len(tape_nodes(fp.coords)) > 100
+        np.testing.assert_array_equal(result.refined_coords, fp.coords.data)
+        np.testing.assert_array_equal(result.embeddings, fp.embeddings.data)
+        np.testing.assert_array_equal(
+            result.predicted_lddt, fp.qa.data[np.flatnonzero(graph.ca_mask), 0]
+        )
+
+    def test_backward_keeps_only_exact_leaf_grads(self, rng):
+        graph, params = self._case(rng)
+        w_coords = rng.normal(size=graph.coords.shape)
+        w_qa = rng.normal(size=(graph.num_nodes, 1))
+
+        def loss_of(fp):
+            return (fp.coords * Tensor(w_coords)).sum() + (fp.qa * Tensor(w_qa)).sum()
+
+        fp = forward_pass(graph, params, SMALL)
+        loss = loss_of(fp)
+        nodes = tape_nodes(loss)
+        interior = [node for node in nodes if node._parents]
+        loss.backward()
+        assert all(node.grad is None and node._parents == () for node in interior)
+        assert all(leaf.grad is not None for leaf in fp.leaves.values())
+
+        step = 1e-5
+        for name in ("embed.weight", "layers.0.msg_mlp.w1", "layers.1.coord_mlp.w2",
+                     "coord_skip_raw", "qa_head.b2"):
+            flat = params[name].reshape(-1)
+            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                orig = flat[i]
+                values = []
+                for shifted in (orig + step, orig - step):
+                    flat[i] = shifted
+                    with no_grad():
+                        fp_shifted = forward_pass(graph, params, SMALL)
+                    values.append(float(loss_of(fp_shifted).data))
+                flat[i] = orig
+                fd = (values[0] - values[1]) / (2 * step)
+                analytic = fp.leaves[name].grad.reshape(-1)[i]
+                assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-8), name
 
 
 class TestWeightsContainer:
