@@ -256,6 +256,7 @@ def cmd_evaluate(args) -> int:
     decoys = Path(args.decoys)
     tasks = []
     predicted = {}
+    row_of = {}
     for number, row in enumerate(rows, start=1):
         target = row["target"]
         decoy_id = row["decoy"]
@@ -268,6 +269,13 @@ def cmd_evaluate(args) -> int:
                 EXIT_PARSE,
                 f"scores CSV row {number} ({target}, {decoy_id}): predicted_score "
                 f"{row['predicted_score']!r} is not a finite number",
+            )
+        first = row_of.setdefault((target, decoy_id), number)
+        if first != number:
+            return _fail(
+                EXIT_PARSE,
+                f"scores CSV rows {first} and {number} both list "
+                f"({target}, {decoy_id})",
             )
         native_path = natives / f"{target}.pdb"
         decoy_path = decoys / f"{decoy_id}.pdb"

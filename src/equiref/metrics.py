@@ -6,7 +6,9 @@ CA atoms, Top-N hit rates, ranking loss, and refinement improvement
 statistics. Conventions follow the standard DockQ/CAPRI and LDDT
 parameterizations: 5 A heavy-atom contacts, 10 A interfaces, backbone
 (N, CA, C, O) superposition, class cutoffs 0.23/0.49/0.80, LDDT inclusion
-radius 15 A with thresholds 0.5/1/2/4 A.
+radius 15 A with thresholds 0.5/1/2/4 A. These cutoffs, the radius and
+the thresholds are fixed conventions, held in the module constants below;
+no function takes them as parameters.
 """
 
 from __future__ import annotations
@@ -55,53 +57,46 @@ CSV_FIELDS = (
 def _cross_chain_residue_pairs(
     structure: ComplexStructure, cutoff: float
 ) -> set[ContactPair]:
-    chains = structure.chains
-    out: set[ContactPair] = set()
+    """Residue pairs of different chains with any atom pair within ``cutoff``."""
     per_chain = []
-    for ch in chains:
-        coords = []
-        res_keys = []
-        for res in ch.residues:
-            for a in res.atoms:
-                coords.append(a.coord)
-                res_keys.append((ch.chain_id, res.index))
-        per_chain.append((np.array(coords), res_keys))
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            ci, keys_i = per_chain[i]
-            cj, keys_j = per_chain[j]
+    for ch in structure.chains:
+        coords = np.array([a.coord for res in ch.residues for a in res.atoms])
+        atom_residue = np.array(
+            [r for r, res in enumerate(ch.residues) for _ in res.atoms], dtype=np.intp
+        )
+        keys = [(ch.chain_id, res.index) for res in ch.residues]
+        per_chain.append((coords, atom_residue, keys))
+    out: set[ContactPair] = set()
+    for i, (ci, res_i, keys_i) in enumerate(per_chain):
+        for cj, res_j, keys_j in per_chain[i + 1:]:
             diff = ci[:, None, :] - cj[None, :, :]
             d2 = (diff * diff).sum(axis=2)
-            hits = np.argwhere(d2 < cutoff * cutoff)
-            for a, b in hits:
-                pair = tuple(sorted((keys_i[a], keys_j[b])))
-                out.add(pair)
+            a, b = np.nonzero(d2 < cutoff * cutoff)
+            hit = np.zeros((len(keys_i), len(keys_j)), dtype=bool)
+            hit[res_i[a], res_j[b]] = True
+            out.update(
+                tuple(sorted((keys_i[p], keys_j[q]))) for p, q in zip(*np.nonzero(hit))
+            )
     return out
 
 
-def contacts(structure: ComplexStructure, cutoff: float = CONTACT_CUTOFF) -> set[ContactPair]:
-    """Cross-chain residue pairs with any heavy-atom pair within ``cutoff``.
+def contacts(structure: ComplexStructure) -> set[ContactPair]:
+    """Cross-chain residue pairs with any heavy-atom pair within 5 A.
 
     Raises NoInterfaceError for single-chain structures.
     """
     if structure.num_chains < 2:
         raise NoInterfaceError("contacts require at least two chains")
-    return _cross_chain_residue_pairs(structure, cutoff)
+    return _cross_chain_residue_pairs(structure, CONTACT_CUTOFF)
 
 
 def fnat_fnonnat(
-    decoy: ComplexStructure,
-    native: ComplexStructure,
-    cutoff: float = CONTACT_CUTOFF,
+    decoy: ComplexStructure, native: ComplexStructure
 ) -> tuple[float, float]:
     """Fraction of native contacts recovered, and of decoy contacts that
     are non-native. Empty contact sets contribute 0 by convention."""
-    native_contacts = (
-        _cross_chain_residue_pairs(native, cutoff) if native.num_chains >= 2 else set()
-    )
-    decoy_contacts = (
-        _cross_chain_residue_pairs(decoy, cutoff) if decoy.num_chains >= 2 else set()
-    )
+    native_contacts = _cross_chain_residue_pairs(native, CONTACT_CUTOFF)
+    decoy_contacts = _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)
     fnat = (
         len(decoy_contacts & native_contacts) / len(native_contacts)
         if native_contacts
@@ -115,35 +110,29 @@ def fnat_fnonnat(
     return fnat, fnonnat
 
 
-def _matched_backbone_for_residues(
+def _matched_backbone(
     decoy: ComplexStructure,
     native: ComplexStructure,
     correspondence: AtomCorrespondence,
-    residue_keys: set[ResidueKey],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[ResidueKey], np.ndarray, np.ndarray]:
+    """Residue keys, decoy coordinates and native coordinates of the matched
+    backbone atoms, in correspondence order."""
     decoy_atoms = decoy.atoms()
     native_atoms = native.atoms()
-    mobile, target = [], []
-    for di, ni in correspondence.pairs:
-        a = decoy_atoms[di]
-        if a.name not in BACKBONE_ATOMS:
-            continue
-        if (a.chain_id, a.residue_index) not in residue_keys:
-            continue
-        mobile.append(a.coord)
-        target.append(native_atoms[ni].coord)
-    return np.array(mobile), np.array(target)
+    matched = [
+        (decoy_atoms[di], native_atoms[ni])
+        for di, ni in correspondence.pairs
+        if decoy_atoms[di].name in BACKBONE_ATOMS
+    ]
+    keys = [(a.chain_id, a.residue_index) for a, _ in matched]
+    mobile = np.array([a.coord for a, _ in matched])
+    target = np.array([b.coord for _, b in matched])
+    return keys, mobile, target
 
 
-def _interface_residue_keys(
-    native: ComplexStructure, cutoff: float = INTERFACE_CUTOFF
-) -> set[ResidueKey]:
-    pairs = _cross_chain_residue_pairs(native, cutoff)
-    keys: set[ResidueKey] = set()
-    for a, b in pairs:
-        keys.add(a)
-        keys.add(b)
-    return keys
+def _interface_residue_keys(native: ComplexStructure) -> set[ResidueKey]:
+    pairs = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
+    return {key for pair in pairs for key in pair}
 
 
 def irmsd(
@@ -161,10 +150,10 @@ def irmsd(
         raise NoInterfaceError("interface RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
-    keys = _interface_residue_keys(native)
-    mobile, target = _matched_backbone_for_residues(
-        decoy, native, correspondence, keys
-    )
+    keys, mobile, target = _matched_backbone(decoy, native, correspondence)
+    interface = _interface_residue_keys(native)
+    in_interface = np.array([key in interface for key in keys], dtype=bool)
+    mobile, target = mobile[in_interface], target[in_interface]
     if mobile.shape[0] < 3:
         raise UndefinedMetricError(
             f"only {mobile.shape[0]} matched interface backbone atoms"
@@ -176,55 +165,36 @@ def irmsd(
     return value
 
 
-def _receptor_ligand_chains(native: ComplexStructure) -> tuple[set[str], set[str]]:
-    """Receptor = chain with the most residues (ties by chain id order);
-    for two chains the other chain is the ligand, otherwise the rest."""
-    sizes = [(-len(ch.residues), ch.chain_id) for ch in native.chains]
-    receptor_id = min(sizes)[1]
-    ligand = {ch.chain_id for ch in native.chains if ch.chain_id != receptor_id}
-    return {receptor_id}, ligand
-
-
 def lrmsd(
     decoy: ComplexStructure,
     native: ComplexStructure,
     correspondence: AtomCorrespondence | None = None,
 ) -> float:
-    """Ligand backbone RMSD after superposing on the receptor backbone."""
+    """Ligand backbone RMSD after superposing on the receptor backbone.
+
+    The receptor is the native chain with the most residues, ties going to
+    the smallest chain id; every other chain is ligand.
+    """
     if native.num_chains < 2:
         raise NoInterfaceError("ligand RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
-    receptor_ids, ligand_ids = _receptor_ligand_chains(native)
-
-    decoy_atoms = decoy.atoms()
-    native_atoms = native.atoms()
-    rec_mobile, rec_target = [], []
-    lig_mobile, lig_target = [], []
-    for di, ni in correspondence.pairs:
-        a = decoy_atoms[di]
-        if a.name not in BACKBONE_ATOMS:
-            continue
-        if a.chain_id in receptor_ids:
-            rec_mobile.append(a.coord)
-            rec_target.append(native_atoms[ni].coord)
-        elif a.chain_id in ligand_ids:
-            lig_mobile.append(a.coord)
-            lig_target.append(native_atoms[ni].coord)
-    rec_mobile = np.array(rec_mobile)
-    rec_target = np.array(rec_target)
-    if rec_mobile.shape[0] < 3:
+    receptor_id = min((-len(ch.residues), ch.chain_id) for ch in native.chains)[1]
+    keys, mobile, target = _matched_backbone(decoy, native, correspondence)
+    receptor = np.array([chain_id == receptor_id for chain_id, _ in keys], dtype=bool)
+    n_receptor = int(receptor.sum())
+    if n_receptor < 3:
         raise UndefinedMetricError(
-            f"only {rec_mobile.shape[0]} matched receptor backbone atoms"
+            f"only {n_receptor} matched receptor backbone atoms"
         )
-    if not lig_mobile:
+    if receptor.all():
         raise UndefinedMetricError("no matched ligand backbone atoms")
     try:
-        rotation, translation, _ = kabsch_superpose(rec_mobile, rec_target)
+        rotation, translation, _ = kabsch_superpose(mobile[receptor], target[receptor])
     except AlignmentError as exc:
         raise UndefinedMetricError(str(exc)) from None
-    lig_moved = np.array(lig_mobile) @ rotation.T + translation
-    lig_target = np.array(lig_target)
+    lig_moved = mobile[~receptor] @ rotation.T + translation
+    lig_target = target[~receptor]
     return math.sqrt(float(((lig_moved - lig_target) ** 2).sum(axis=1).mean()))
 
 
@@ -248,16 +218,14 @@ def lddt_ca(
     decoy: ComplexStructure,
     native: ComplexStructure,
     correspondence: AtomCorrespondence | None = None,
-    radius: float = LDDT_RADIUS,
-    thresholds: tuple[float, ...] = LDDT_THRESHOLDS,
 ) -> tuple[np.ndarray, float]:
     """Superposition-free per-residue distance-preservation score.
 
     For each matched CA atom i, considers every other matched CA j whose
-    native distance is under ``radius`` and scores the fraction of pairs
-    whose distance error stays below each threshold, averaged over
-    thresholds. Residues with no qualifying pair get NaN and are excluded
-    from the global mean.
+    native distance is under 15 A and scores the fraction of pairs whose
+    distance error stays below each threshold (0.5, 1, 2 and 4 A),
+    averaged over thresholds. Residues with no qualifying pair get NaN and
+    are excluded from the global mean.
 
     Returns (per-residue scores aligned with ``correspondence.matched_ca``,
     global mean).
@@ -274,19 +242,13 @@ def lddt_ca(
     native_ca = np.array([native_atoms[n].coord for _, n in matched])
     d_decoy = _distance_matrix(decoy_ca)
     d_native = _distance_matrix(native_ca)
-    include = (d_native < radius) & ~np.eye(m, dtype=bool)
+    include = (d_native < LDDT_RADIUS) & ~np.eye(m, dtype=bool)
     error = np.abs(d_decoy - d_native)
 
-    scores = np.full(m, np.nan)
-    for i in range(m):
-        pairs = include[i]
-        n_pairs = int(pairs.sum())
-        if n_pairs == 0:
-            continue
-        total = 0.0
-        for t in thresholds:
-            total += float((error[i, pairs] < t).sum()) / n_pairs
-        scores[i] = total / len(thresholds)
+    n_pairs = include.sum(axis=1)
+    per_row = np.maximum(n_pairs, 1)
+    total = sum(((error < t) & include).sum(axis=1) / per_row for t in LDDT_THRESHOLDS)
+    scores = np.where(n_pairs > 0, total / len(LDDT_THRESHOLDS), np.nan)
     defined = scores[~np.isnan(scores)]
     if defined.size == 0:
         raise UndefinedMetricError("no residue has a qualifying CA pair")

@@ -29,7 +29,6 @@ from .featurize import ComplexGraph, corrupt_coordinates
 from .metrics import lddt_ca
 from .model import ModelConfig, build_graph, forward_pass, init_params
 from .structio import (
-    AtomCorrespondence,
     ComplexStructure,
     kabsch_superpose,
     match_atoms,
@@ -56,20 +55,6 @@ class TrainingExample:
     lddt_targets: np.ndarray    # (c,) values in [0, 1]
     target_id: str = ""
     decoy_id: str = ""
-
-
-def ground_truth_lddt(
-    decoy: ComplexStructure,
-    native: ComplexStructure,
-    correspondence: AtomCorrespondence,
-) -> np.ndarray:
-    """Per-residue LDDT labels for matched CA atoms (NaN where undefined).
-
-    Delegates to the metric implementation so training labels and
-    evaluation share one definition.
-    """
-    scores, _ = lddt_ca(decoy, native, correspondence)
-    return scores
 
 
 def make_training_example(
@@ -116,7 +101,7 @@ def make_training_example(
 
     lddt_nodes, lddt_targets = [], []
     try:
-        labels = ground_truth_lddt(decoy, native, correspondence)
+        labels, _ = lddt_ca(decoy, native, correspondence)
     except UndefinedMetricError:
         labels = None
     if labels is not None:

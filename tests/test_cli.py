@@ -408,6 +408,22 @@ class TestEvaluate:
         assert "row 2 (t0, t0_d1)" in capsys.readouterr().err
         assert not summary.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_duplicate_pair_rejected(self, tmp_path, rng, capsys, workers):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        scores.write_text(scores.read_text() + "t0,t0_d0,0.1\n")
+        summary = tmp_path / "s.txt"
+        details = tmp_path / "d.csv"
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(summary),
+            "--details", str(details), "--workers", workers,
+        ])
+        assert code == EXIT_PARSE
+        assert "rows 1 and 4 both list (t0, t0_d0)" in capsys.readouterr().err
+        assert not summary.exists()
+        assert not details.exists()
+
     @pytest.mark.parametrize("top_n", ["0", "-3"])
     def test_non_positive_top_n_rejected(self, tmp_path, rng, top_n):
         scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiref.errors import NoInterfaceError, UndefinedMetricError
 from equiref.metrics import (
@@ -108,11 +111,6 @@ class TestInterfaceRmsd:
         assert irmsd(moved, two_chain_complex) < 1e-9
 
     def test_displaced_residue_matches_trace_oracle(self, two_chain_complex):
-        from equiref.metrics import (
-            _interface_residue_keys,
-            _matched_backbone_for_residues,
-        )
-
         coords = two_chain_complex.coords()
         # displace the first residue of chain B orthogonally to the interface
         offset = two_chain_complex.chains[0].residues
@@ -121,11 +119,18 @@ class TestInterfaceRmsd:
         decoy = two_chain_complex.with_coords(coords)
         value = irmsd(decoy, two_chain_complex)
 
-        corr = match_atoms(decoy, two_chain_complex)
-        keys = _interface_residue_keys(two_chain_complex)
-        mobile, target = _matched_backbone_for_residues(
-            decoy, two_chain_complex, corr, keys
-        )
+        # interface backbone atoms picked by exhaustive scans, in atom order
+        interface = {
+            key
+            for pair in contacts_bruteforce(two_chain_complex, cutoff=10.0)
+            for key in pair
+        }
+        mobile, target = [], []
+        for d_atom, n_atom in zip(decoy.atoms(), two_chain_complex.atoms()):
+            key = (d_atom.chain_id, d_atom.residue_index)
+            if d_atom.name in ("N", "CA", "C", "O") and key in interface:
+                mobile.append(d_atom.coord)
+                target.append(n_atom.coord)
         assert value == pytest.approx(
             superposed_rmsd_by_trace(mobile, target), abs=1e-9
         )
@@ -242,6 +247,68 @@ class TestLddt:
         s = ComplexStructure([Chain("A", [single_atom_residue("A", 1, 0, 0, 0)])])
         with pytest.raises(UndefinedMetricError):
             lddt_ca(s, s)
+
+
+@st.composite
+def native_and_decoy(draw):
+    """2-3 chains of 1-4 residues with 1-4 backbone atoms each; about one
+    residue in four sits 80 A or more from every other atom. The decoy moves
+    every atom by up to 2 A per axis.
+
+    Coordinates are whole Angstroms, so squared distances are exact and
+    distances of exactly 5 A, and errors of exactly a threshold, occur.
+    """
+    chains = []
+    serial = 0
+    isolated = 0
+    for chain_id in "ABC"[: draw(st.integers(2, 3))]:
+        residues = []
+        for index in range(1, draw(st.integers(1, 4)) + 1):
+            center = np.array([draw(st.integers(-5, 5)) for _ in range(3)], float)
+            if draw(st.integers(0, 3)) == 0:
+                isolated += 1
+                center[0] += 100.0 * isolated
+            names = draw(st.lists(
+                st.sampled_from(("N", "CA", "C", "O")), min_size=1, max_size=4,
+                unique=True,
+            ))
+            atoms = []
+            for name in names:
+                serial += 1
+                coord = center + [draw(st.integers(-1, 1)) for _ in range(3)]
+                atoms.append(Atom(name, name[0], coord, index, chain_id, serial))
+            residues.append(Residue(index, "GLY", atoms))
+        chains.append(Chain(chain_id, residues))
+    native = ComplexStructure(chains)
+    moves = draw(st.lists(
+        st.integers(-2, 2), min_size=3 * native.num_atoms,
+        max_size=3 * native.num_atoms,
+    ))
+    shift = np.array(moves, dtype=np.float64).reshape(-1, 3)
+    return native, native.with_coords(native.coords() + shift)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pair=native_and_decoy())
+def test_contacts_and_lddt_match_oracles(pair):
+    native, decoy = pair
+    assert contacts(native) == contacts_bruteforce(native)
+    assert contacts(decoy) == contacts_bruteforce(decoy)
+
+    decoy_ca = [a.coord for a in decoy.atoms() if a.name == "CA"]
+    native_ca = [a.coord for a in native.atoms() if a.name == "CA"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # mean of no scores
+        expected_scores, expected_mean = lddt_bruteforce(decoy_ca, native_ca)
+    if math.isnan(expected_mean):
+        with pytest.raises(UndefinedMetricError):
+            lddt_ca(decoy, native)
+        return
+    scores, mean = lddt_ca(decoy, native)
+    assert len(scores) == len(expected_scores)
+    for got, want in zip(scores, expected_scores):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    assert mean == expected_mean
 
 
 class TestQualityClass:

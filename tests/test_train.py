@@ -6,7 +6,6 @@ import pytest
 
 from equiref.errors import LossUndefinedError, SkipExample
 from equiref.model import ModelConfig, forward, forward_pass, init_params
-from equiref.structio import match_atoms
 from equiref.train import (
     OptimizerState,
     TrainingExample,
@@ -14,7 +13,6 @@ from equiref.train import (
     backward,
     clip_gradients,
     example_loss,
-    ground_truth_lddt,
     make_training_example,
     train_loop,
     validation_rmsd,
@@ -377,29 +375,22 @@ class TestMakeTrainingExample:
 
 
 class TestGroundTruthLddt:
+    CONFIG = ModelConfig(num_layers=1, hidden_dim=4)
+
     def test_identical_all_ones(self, rng):
         decoy, native = structure_pair(rng, sigma=0.0)
-        corr = match_atoms(decoy, native)
-        labels = ground_truth_lddt(decoy, native, corr)
-        np.testing.assert_array_equal(labels[~np.isnan(labels)], 1.0)
+        labels = make_training_example(decoy, native, self.CONFIG).lddt_targets
+        assert labels.size > 0
+        np.testing.assert_array_equal(labels, 1.0)
 
     def test_scrambled_all_zero(self, rng):
         native = make_complex(n_res_a=5, n_res_b=4)
         decoy = native.with_coords(
             native.coords() + rng.normal(scale=300.0, size=(native.num_atoms, 3))
         )
-        corr = match_atoms(decoy, native)
-        labels = ground_truth_lddt(decoy, native, corr)
-        assert np.nanmax(labels) < 0.05
-
-    def test_delegates_to_metric(self, rng):
-        from equiref.metrics import lddt_ca
-
-        decoy, native = structure_pair(rng)
-        corr = match_atoms(decoy, native)
-        labels = ground_truth_lddt(decoy, native, corr)
-        scores, _ = lddt_ca(decoy, native, corr)
-        np.testing.assert_array_equal(labels, scores)
+        labels = make_training_example(decoy, native, self.CONFIG).lddt_targets
+        assert labels.size > 0
+        assert labels.max() < 0.05
 
 
 @pytest.fixture
