@@ -162,7 +162,7 @@ def cmd_refine(args) -> int:
         for _ in range(args.iterations):
             graph = build_graph(refined, config, surface)
             result = forward(graph, params, config)
-            coords = refined.coords()
+            coords = refined.coords.copy()
             coords[graph.node_atom_indices] = result.refined_coords
             refined = refined.with_coords(coords)
     except ConfigError as exc:
@@ -173,17 +173,14 @@ def cmd_refine(args) -> int:
     except FormatOverflowError as exc:
         return _fail(EXIT_PARSE, f"cannot write refined structure: {exc}")
 
-    atoms = refined.atoms()
-    per_residue = []
-    for node, value in zip(result.ca_node_indices, result.predicted_lddt):
-        atom = atoms[int(graph.node_atom_indices[node])]
-        per_residue.append(
-            {
-                "chain": atom.chain_id,
-                "residue": atom.residue_index,
-                "predicted_lddt": float(value),
-            }
+    rows = graph.node_atom_indices[result.ca_node_indices]
+    per_residue = [
+        {"chain": chain, "residue": number, "predicted_lddt": value}
+        for chain, number, value in zip(
+            refined.chain[rows].tolist(), refined.resnum[rows].tolist(),
+            result.predicted_lddt.tolist(),
         )
+    ]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "mean_predicted_lddt": float(result.predicted_lddt.mean()),

@@ -36,6 +36,16 @@ RESIDUE_TYPES = (
 )
 RESIDUE_TYPE_INDEX = {name: i for i, name in enumerate(RESIDUE_TYPES)}
 
+# Width of each feature block besides the two one-hot blocks, whose widths
+# are the lengths of the type tables above. feature_widths adds the widths
+# up; the builders below produce blocks of exactly these widths.
+SURFACE_WIDTH = 1     # surface proximity
+DIHEDRAL_WIDTH = 6    # (sin, cos) of phi, psi and omega
+PAIR_WIDTH = 2        # same-chain flag, sin(index difference)
+GEOMETRIC_WIDTH = 12  # relative geometry of the two residue frames
+COVALENT_WIDTH = 1    # covalent-bond flag
+UNDEFINED_ANGLE = (0.0, 1.0)  # (sin, cos) of an angle that is not defined
+
 SURFACE_RADIUS = 10.0
 SURFACE_MAX_NEIGHBORS = 64
 COVALENT_CUTOFF = 1.9
@@ -84,12 +94,14 @@ def feature_widths(
     include_geometric: bool = True,
 ) -> tuple[int, int]:
     """(node width, edge width) for a granularity and its ablation flags."""
+    surface = SURFACE_WIDTH if include_surface else 0
+    geometric = GEOMETRIC_WIDTH if include_geometric else 0
     if granularity == "all-atom":
-        d_f = len(ATOM_TYPES) + (1 if include_surface else 0)
-        d_e = 2 + (12 if include_geometric else 0) + 1
+        d_f = len(ATOM_TYPES) + surface
+        d_e = PAIR_WIDTH + geometric + COVALENT_WIDTH
     elif granularity == "c-alpha":
-        d_f = len(RESIDUE_TYPES) + (1 if include_surface else 0) + 6
-        d_e = 2 + (12 if include_geometric else 0)
+        d_f = len(RESIDUE_TYPES) + surface + DIHEDRAL_WIDTH
+        d_e = PAIR_WIDTH + geometric
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
     return d_f, d_e
@@ -122,12 +134,9 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
     is the complement of the clamped neighbor count:
     1 - min(1, c / 64) with c the number of same-chain atoms within 10 A.
     """
-    coords = structure.coords()
-    chain_ids = np.array([a.chain_id for a in structure.atoms()])
     values = np.empty(structure.num_atoms, dtype=np.float64)
-    for chain_id in dict.fromkeys(chain_ids):
-        mask = chain_ids == chain_id
-        pts = coords[mask]
+    for _, rows in structure.chain_slices():
+        pts = structure.coords[rows]
         m = pts.shape[0]
         counts = np.zeros(m, dtype=np.int64)
         chunk = max(1, PAIR_CHUNK // max(m, 1))
@@ -137,7 +146,7 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
             d2 = (diff * diff).sum(axis=2)
             within = d2 <= SURFACE_RADIUS ** 2
             counts[start:stop] = within.sum(axis=1) - 1  # exclude self
-        values[mask] = 1.0 - np.minimum(1.0, counts / SURFACE_MAX_NEIGHBORS)
+        values[rows] = 1.0 - np.minimum(1.0, counts / SURFACE_MAX_NEIGHBORS)
     return values
 
 
@@ -176,10 +185,13 @@ def _dihedral(p1, p2, p3, p4) -> tuple[float, float]:
 
     Sign follows the biochemical convention: looking from p2 toward p3, a
     clockwise rotation from the p2->p1 projection to the p3->p4 projection
-    is positive.
+    is positive. A zero-length p2-p3 axis leaves the angle undefined.
     """
     axis = p3 - p2
-    axis = axis / np.linalg.norm(axis)
+    norm = np.linalg.norm(axis)
+    if norm == 0.0:
+        return UNDEFINED_ANGLE
+    axis = axis / norm
     u = (p1 - p2) - ((p1 - p2) @ axis) * axis
     w = (p4 - p3) - ((p4 - p3) @ axis) * axis
     x = float(u @ w)
@@ -192,38 +204,30 @@ def backbone_dihedrals(structure: ComplexStructure) -> np.ndarray:
     """Per-residue (sin phi, cos phi, sin psi, cos psi, sin omega, cos omega).
 
     Angles needing a neighboring residue are defined only when that
-    neighbor exists in the same chain with a contiguous residue index;
+    neighbor exists in the same chain with a contiguous residue number;
     undefined angles encode as (0, 1).
     """
-    rows = []
-    for ch in structure.chains:
-        residues = ch.residues
-        atoms = [{a.name: a.coord for a in r.atoms} for r in residues]
-        for i, res in enumerate(residues):
-            prev_ok = i > 0 and residues[i - 1].index == res.index - 1
-            next_ok = (
-                i + 1 < len(residues) and residues[i + 1].index == res.index + 1
+    xyz = structure.coords
+    n, ca, c = (structure.residue_rows(name) for name in ("N", "CA", "C"))
+    chain = structure.chain[structure.residue_starts]
+    number = structure.resnum[structure.residue_starts]
+    # linked[r]: residue r + 1 directly follows residue r in the same chain
+    linked = (chain[1:] == chain[:-1]) & (number[1:] == number[:-1] + 1)
+    num_res = structure.num_residues
+    rows = np.tile(UNDEFINED_ANGLE, (num_res, DIHEDRAL_WIDTH // 2))
+    for r in range(num_res):
+        prev_ok = r > 0 and linked[r - 1]
+        next_ok = r + 1 < num_res and linked[r]
+        has_n_ca_c = n[r] >= 0 and ca[r] >= 0 and c[r] >= 0
+        if prev_ok and has_n_ca_c and c[r - 1] >= 0:
+            rows[r, 0:2] = _dihedral(xyz[c[r - 1]], xyz[n[r]], xyz[ca[r]], xyz[c[r]])
+        if next_ok and has_n_ca_c and n[r + 1] >= 0:
+            rows[r, 2:4] = _dihedral(xyz[n[r]], xyz[ca[r]], xyz[c[r]], xyz[n[r + 1]])
+        if prev_ok and ca[r - 1] >= 0 and c[r - 1] >= 0 and n[r] >= 0 and ca[r] >= 0:
+            rows[r, 4:6] = _dihedral(
+                xyz[ca[r - 1]], xyz[c[r - 1]], xyz[n[r]], xyz[ca[r]]
             )
-            cur = atoms[i]
-            row = [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
-            if prev_ok and all(k in cur for k in ("N", "CA", "C")) and "C" in atoms[i - 1]:
-                row[0:2] = _dihedral(atoms[i - 1]["C"], cur["N"], cur["CA"], cur["C"])
-            if (
-                next_ok
-                and all(k in cur for k in ("N", "CA", "C"))
-                and "N" in atoms[i + 1]
-            ):
-                row[2:4] = _dihedral(cur["N"], cur["CA"], cur["C"], atoms[i + 1]["N"])
-            if (
-                prev_ok
-                and all(k in atoms[i - 1] for k in ("CA", "C"))
-                and all(k in cur for k in ("N", "CA"))
-            ):
-                row[4:6] = _dihedral(
-                    atoms[i - 1]["CA"], atoms[i - 1]["C"], cur["N"], cur["CA"]
-                )
-            rows.append(row)
-    return np.array(rows, dtype=np.float64)
+    return rows
 
 
 def _rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
@@ -251,61 +255,38 @@ def _rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+def _one_hot(names: np.ndarray, index: dict[str, int]) -> np.ndarray:
+    """Rows of a one-hot table over ``index``; unknown names map to UNK."""
+    columns = [index.get(name, index["UNK"]) for name in names.tolist()]
+    out = np.zeros((len(columns), len(index)), dtype=np.float64)
+    out[np.arange(len(columns)), columns] = 1.0
+    return out
+
+
 def node_features_allatom(
-    structure: ComplexStructure,
-    surface: np.ndarray | None = None,
-    include_surface: bool = True,
+    structure: ComplexStructure, surface: np.ndarray | None
 ) -> np.ndarray:
-    """One-hot atom type (38) plus optional surface proximity column."""
-    atoms = structure.atoms()
-    n = len(atoms)
-    one_hot = np.zeros((n, len(ATOM_TYPES)), dtype=np.float64)
-    for i, a in enumerate(atoms):
-        one_hot[i, ATOM_TYPE_INDEX.get(a.name, ATOM_TYPE_INDEX["UNK"])] = 1.0
-    if not include_surface:
-        return one_hot
+    """One-hot atom type (38), plus the surface column unless it is None."""
+    one_hot = _one_hot(structure.name, ATOM_TYPE_INDEX)
     if surface is None:
-        surface = surface_proximity(structure)
-    return np.concatenate([one_hot, surface[:, None]], axis=1)
+        return one_hot
+    return np.concatenate([one_hot, surface.reshape(-1, SURFACE_WIDTH)], axis=1)
 
 
 def node_features_ca(
     structure: ComplexStructure,
     ca_atom_indices: np.ndarray,
-    surface: np.ndarray | None = None,
-    include_surface: bool = True,
+    surface: np.ndarray | None,
 ) -> np.ndarray:
-    """Residue one-hot (21), optional surface column, dihedral descriptors."""
-    res_names = [res.name for _, res in structure.residues()]
-    one_hot = np.zeros((len(res_names), len(RESIDUE_TYPES)), dtype=np.float64)
-    for i, name in enumerate(res_names):
-        one_hot[i, RESIDUE_TYPE_INDEX.get(name, RESIDUE_TYPE_INDEX["UNK"])] = 1.0
-    dihedrals = backbone_dihedrals(structure)
-
-    # restrict residue-level rows to residues that actually have a CA node
-    residue_of_atom = _residue_ordinals(structure)
-    keep = residue_of_atom[ca_atom_indices]
-    blocks = [one_hot[keep]]
-    if include_surface:
-        if surface is None:
-            surface = surface_proximity(structure)
-        blocks.append(surface[ca_atom_indices][:, None])
-    blocks.append(dihedrals[keep])
+    """Residue one-hot (21), the surface column unless it is None, and the
+    dihedral descriptors, one row per CA atom."""
+    keep = structure.residue[ca_atom_indices]
+    residue_names = structure.resname[structure.residue_starts]
+    blocks = [_one_hot(residue_names, RESIDUE_TYPE_INDEX)[keep]]
+    if surface is not None:
+        blocks.append(surface[ca_atom_indices].reshape(-1, SURFACE_WIDTH))
+    blocks.append(backbone_dihedrals(structure)[keep])
     return np.concatenate(blocks, axis=1)
-
-
-def _residue_ordinals(structure: ComplexStructure) -> np.ndarray:
-    """Global residue ordinal for every atom, in atom order."""
-    out = np.empty(structure.num_atoms, dtype=np.intp)
-    i = 0
-    ordinal = 0
-    for ch in structure.chains:
-        for res in ch.residues:
-            for _ in res.atoms:
-                out[i] = ordinal
-                i += 1
-            ordinal += 1
-    return out
 
 
 def edge_features(
@@ -330,16 +311,17 @@ def edge_features(
     src = neighbors.ravel()
     dst = np.repeat(np.arange(n), k)
     num_edges = src.shape[0]
-    same_chain = (node_chain[src] == node_chain[dst]).astype(np.float64)
-    sin_delta = np.sin((dst - src).astype(np.float64))
-    blocks = [same_chain[:, None], sin_delta[:, None]]
+    pair = np.empty((num_edges, PAIR_WIDTH), dtype=np.float64)
+    pair[:, 0] = node_chain[src] == node_chain[dst]
+    pair[:, 1] = np.sin((dst - src).astype(np.float64))
+    blocks = [pair]
 
     disp = coords[src] - coords[dst]  # x_j - x_i
     dist = np.sqrt((disp * disp).sum(axis=1))
 
     if include_geometric:
         _, rotations = build_residue_frames(structure)
-        geo = np.zeros((num_edges, 12), dtype=np.float64)
+        geo = np.zeros((num_edges, GEOMETRIC_WIDTH), dtype=np.float64)
         geo[:, 0] = dist / 10.0
         safe = np.where(dist > 0, dist, 1.0)
         unit = disp / safe[:, None]
@@ -355,11 +337,11 @@ def edge_features(
 
     if granularity == "all-atom":
         covalent = (
-            (same_chain > 0)
+            (pair[:, 0] > 0)
             & (np.abs(node_residue_index[src] - node_residue_index[dst]) <= 1)
             & (dist <= COVALENT_CUTOFF)
         ).astype(np.float64)
-        blocks.append(covalent[:, None])
+        blocks.append(covalent.reshape(-1, COVALENT_WIDTH))
 
     return np.concatenate(blocks, axis=1)
 
@@ -381,49 +363,38 @@ def build_knn_graph(
     """
     if granularity not in GRANULARITIES:
         raise ValueError(f"unknown granularity {granularity!r}")
-    atoms = structure.atoms()
     if surface_values is not None:
         surface_values = np.asarray(surface_values, dtype=np.float64)
-        if surface_values.shape[0] != len(atoms):
+        if surface_values.shape[0] != structure.num_atoms:
             raise SurfaceOverrideError(
-                f"{surface_values.shape[0]} surface values for {len(atoms)} atoms"
+                f"{surface_values.shape[0]} surface values for "
+                f"{structure.num_atoms} atoms"
             )
 
-    residue_of_atom = _residue_ordinals(structure)
     if granularity == "c-alpha":
-        node_atom_indices = np.array(
-            [i for i, a in enumerate(atoms) if a.name == "CA"], dtype=np.intp
-        )
+        node_atom_indices = np.flatnonzero(structure.name == "CA")
     else:
-        node_atom_indices = np.arange(len(atoms), dtype=np.intp)
+        node_atom_indices = np.arange(structure.num_atoms, dtype=np.intp)
     n = node_atom_indices.shape[0]
     if n < 2:
         raise GraphTooSmallError(f"need at least 2 nodes, got {n}")
 
-    all_coords = structure.coords()
-    coords = all_coords[node_atom_indices]
-    node_chain = np.array([atoms[i].chain_id for i in node_atom_indices])
-    node_residue = residue_of_atom[node_atom_indices]
-    node_residue_index = np.array(
-        [atoms[i].residue_index for i in node_atom_indices], dtype=np.intp
-    )
+    coords = structure.coords[node_atom_indices]
+    node_chain = structure.chain[node_atom_indices]
+    node_residue = structure.residue[node_atom_indices]
+    node_residue_index = structure.resnum[node_atom_indices]
 
     neighbors = knn_edges(coords, k)
 
-    if include_surface and surface_values is None:
-        surface_values = surface_proximity(structure)
+    surface = None
+    if include_surface:
+        surface = (surface_proximity(structure) if surface_values is None
+                   else surface_values)
     if granularity == "all-atom":
-        feats = node_features_allatom(
-            structure, surface=surface_values, include_surface=include_surface
-        )
-        ca_mask = np.array([atoms[i].name == "CA" for i in node_atom_indices])
+        feats = node_features_allatom(structure, surface)
+        ca_mask = structure.name == "CA"
     else:
-        feats = node_features_ca(
-            structure,
-            node_atom_indices,
-            surface=surface_values,
-            include_surface=include_surface,
-        )
+        feats = node_features_ca(structure, node_atom_indices, surface)
         ca_mask = np.ones(n, dtype=bool)
 
     edge_feats = edge_features(

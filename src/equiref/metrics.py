@@ -59,13 +59,11 @@ def _cross_chain_residue_pairs(
 ) -> set[ContactPair]:
     """Residue pairs of different chains with any atom pair within ``cutoff``."""
     per_chain = []
-    for ch in structure.chains:
-        coords = np.array([a.coord for res in ch.residues for a in res.atoms])
-        atom_residue = np.array(
-            [r for r, res in enumerate(ch.residues) for _ in res.atoms], dtype=np.intp
-        )
-        keys = [(ch.chain_id, res.index) for res in ch.residues]
-        per_chain.append((coords, atom_residue, keys))
+    for chain_id, rows in structure.chain_slices():
+        residue = structure.residue[rows]
+        starts = structure.residue_starts[residue[0]:residue[-1] + 1]
+        keys = [(chain_id, number) for number in structure.resnum[starts].tolist()]
+        per_chain.append((structure.coords[rows], residue - residue[0], keys))
     out: set[ContactPair] = set()
     for i, (ci, res_i, keys_i) in enumerate(per_chain):
         for cj, res_j, keys_j in per_chain[i + 1:]:
@@ -114,20 +112,12 @@ def _matched_backbone(
     decoy: ComplexStructure,
     native: ComplexStructure,
     correspondence: AtomCorrespondence,
-) -> tuple[list[ResidueKey], np.ndarray, np.ndarray]:
-    """Residue keys, decoy coordinates and native coordinates of the matched
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decoy rows, decoy coordinates and native coordinates of the matched
     backbone atoms, in correspondence order."""
-    decoy_atoms = decoy.atoms()
-    native_atoms = native.atoms()
-    matched = [
-        (decoy_atoms[di], native_atoms[ni])
-        for di, ni in correspondence.pairs
-        if decoy_atoms[di].name in BACKBONE_ATOMS
-    ]
-    keys = [(a.chain_id, a.residue_index) for a, _ in matched]
-    mobile = np.array([a.coord for a, _ in matched])
-    target = np.array([b.coord for _, b in matched])
-    return keys, mobile, target
+    pairs = correspondence.pairs
+    pairs = pairs[np.isin(decoy.name[pairs[:, 0]], BACKBONE_ATOMS)]
+    return pairs[:, 0], decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
 
 
 def _interface_residue_keys(native: ComplexStructure) -> set[ResidueKey]:
@@ -150,8 +140,9 @@ def irmsd(
         raise NoInterfaceError("interface RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
-    keys, mobile, target = _matched_backbone(decoy, native, correspondence)
+    rows, mobile, target = _matched_backbone(decoy, native, correspondence)
     interface = _interface_residue_keys(native)
+    keys = zip(decoy.chain[rows].tolist(), decoy.resnum[rows].tolist())
     in_interface = np.array([key in interface for key in keys], dtype=bool)
     mobile, target = mobile[in_interface], target[in_interface]
     if mobile.shape[0] < 3:
@@ -179,9 +170,13 @@ def lrmsd(
         raise NoInterfaceError("ligand RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
-    receptor_id = min((-len(ch.residues), ch.chain_id) for ch in native.chains)[1]
-    keys, mobile, target = _matched_backbone(decoy, native, correspondence)
-    receptor = np.array([chain_id == receptor_id for chain_id, _ in keys], dtype=bool)
+    residue_chain = native.chain[native.residue_starts]
+    receptor_id = min(
+        (-np.count_nonzero(residue_chain == chain_id), chain_id)
+        for chain_id in native.chain_ids
+    )[1]
+    rows, mobile, target = _matched_backbone(decoy, native, correspondence)
+    receptor = decoy.chain[rows] == receptor_id
     n_receptor = int(receptor.sum())
     if n_receptor < 3:
         raise UndefinedMetricError(
@@ -236,10 +231,8 @@ def lddt_ca(
     m = len(matched)
     if m < 2:
         raise UndefinedMetricError(f"need >= 2 matched CA atoms, got {m}")
-    decoy_atoms = decoy.atoms()
-    native_atoms = native.atoms()
-    decoy_ca = np.array([decoy_atoms[d].coord for d, _ in matched])
-    native_ca = np.array([native_atoms[n].coord for _, n in matched])
+    decoy_ca = decoy.coords[matched[:, 0]]
+    native_ca = native.coords[matched[:, 1]]
     d_decoy = _distance_matrix(decoy_ca)
     d_native = _distance_matrix(native_ca)
     include = (d_native < LDDT_RADIUS) & ~np.eye(m, dtype=bool)
@@ -386,17 +379,14 @@ def score_pair(decoy: ComplexStructure, native: ComplexStructure) -> QualityRepo
     lrmsd_value = lrmsd(decoy, native, correspondence)
     dockq_value = dockq(fnat, lrmsd_value, irmsd_value)
     scores, lddt_global = lddt_ca(decoy, native, correspondence)
-    decoy_atoms = decoy.atoms()
-    per_residue = []
-    for (di, _), value in zip(correspondence.matched_ca, scores):
-        atom = decoy_atoms[di]
-        per_residue.append(
-            {
-                "chain": atom.chain_id,
-                "residue": atom.residue_index,
-                "lddt": None if math.isnan(value) else value,
-            }
+    rows = correspondence.matched_ca[:, 0]
+    per_residue = [
+        {"chain": chain, "residue": number,
+         "lddt": None if math.isnan(value) else value}
+        for chain, number, value in zip(
+            decoy.chain[rows].tolist(), decoy.resnum[rows].tolist(), scores
         )
+    ]
     return QualityReport(
         fnat=fnat,
         fnonnat=fnonnat,

@@ -284,40 +284,6 @@ def _window_attention(
     return concat(blocks, axis=0)
 
 
-def linear_attention(
-    h: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray
-) -> np.ndarray:
-    """Numpy front end for the linear-time global attention form."""
-    with no_grad():
-        return _linear_attention(Tensor(h), Tensor(wq), Tensor(wk), Tensor(wv)).data
-
-
-def quadratic_attention(
-    h: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray
-) -> np.ndarray:
-    """Reference quadratic form (Q K^T / n) V of the same attention."""
-    h = np.asarray(h, dtype=np.float64)
-    q = h @ wq
-    k = h @ wk
-    v = h @ wv
-    n = h.shape[0]
-    return (q @ k.T / n) @ v
-
-
-def local_window_attention(
-    h: np.ndarray,
-    wq: np.ndarray,
-    wk: np.ndarray,
-    wv: np.ndarray,
-    window: int,
-) -> np.ndarray:
-    """Numpy front end for the block-local softmax attention."""
-    with no_grad():
-        return _window_attention(
-            Tensor(h), Tensor(wq), Tensor(wk), Tensor(wv), window
-        ).data
-
-
 def _layer(
     x: Tensor,
     h: Tensor,
@@ -371,32 +337,6 @@ def _layer(
     )
     h_new = node_skip * update + (1.0 - node_skip) * h
     return x_new, h_new
-
-
-def layer_step(
-    graph: ComplexGraph,
-    params: dict[str, np.ndarray],
-    config: ModelConfig,
-    layer: int,
-    x: np.ndarray,
-    h: np.ndarray,
-    f_emb: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One layer applied to explicit state arrays (numpy in, numpy out).
-
-    ``x`` is the current coordinate state, ``h`` the embeddings, and
-    ``f_emb`` the embedded input features reused by every layer; the
-    anchor coordinates come from ``graph.initial_coords``. No tape is built.
-    """
-    with no_grad():
-        leaves = _wrap(params)
-        x_new, h_new = _layer(
-            Tensor(x), Tensor(h), Tensor(graph.initial_coords), Tensor(f_emb),
-            Tensor(graph.edge_features), graph.neighbors,
-            leaves, f"layers.{layer}.", config,
-            leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
-        )
-    return x_new.data, h_new.data
 
 
 @dataclass

@@ -1,18 +1,38 @@
 """All-atom protein complex structures: PDB I/O, correspondence, superposition.
 
-Structures are parsed from fixed-column PDB text (wwPDB v3.3 ATOM records)
-into an immutable chain/residue/atom hierarchy of heavy atoms. The module
-also establishes atom correspondence between a decoy and its reference
-structure, computes weight-free Kabsch superpositions, and builds local
-backbone coordinate frames used by edge featurization.
+A structure is one immutable table with a row per heavy atom. Its columns
+are read-only numpy arrays, one row per atom:
+
+    coords   (n, 3) float64  coordinates in Angstroms
+    name     (n,) str        atom name, e.g. "CA"
+    element  (n,) str        element symbol, e.g. "C"
+    chain    (n,) str        chain id
+    resnum   (n,) intp       residue number
+    resname  (n,) str        residue name, e.g. "GLY"
+    serial   (n,) intp       atom serial number
+
+Rows are grouped by chain, and a chain's rows by residue. A residue is a
+run of rows with one (chain, resnum), and residue numbers strictly increase
+within a chain. The constructor derives two more arrays: ``residue``, the
+ordinal of each row's residue over the whole structure, and
+``residue_starts``, the first row of each residue.
+
+``parse_pdb`` builds the table from fixed-column PDB text (wwPDB v3.3 ATOM
+records). Chains come in order of first appearance, and each chain keeps
+its atoms in file order, so interleaved chains are regrouped. A residue
+takes its name from its first atom. Insertion codes fold into the residue
+numbers, so that they strictly increase within a chain. The module also
+establishes atom correspondence between a decoy and its reference
+structure, computes Kabsch superpositions, and builds local backbone
+coordinate frames used by edge featurization.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -27,102 +47,90 @@ from .errors import (
 BACKBONE_ATOMS = ("N", "CA", "C", "O")
 
 
-@dataclass
-class Atom:
-    name: str
-    element: str
-    coord: np.ndarray  # (3,) float64, Angstroms
-    residue_index: int
-    chain_id: str
-    serial: int
-
-
-@dataclass
-class Residue:
-    index: int
-    name: str
-    atoms: list[Atom] = field(default_factory=list)
-
-
-@dataclass
-class Chain:
-    chain_id: str
-    residues: list[Residue] = field(default_factory=list)
+def _column(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
 class ComplexStructure:
-    """Parsed complex: ordered chains of ordered residues of heavy atoms.
+    """A complex as one table of heavy atoms; see the module docstring.
 
-    Treated as immutable after construction; all operations that change
-    coordinates produce new objects or explicit coordinate overrides.
+    Every column is a read-only copy of the given values. Raises
+    ValueError when the columns differ in length, a chain's rows are not
+    contiguous, or residue numbers decrease within a chain.
     """
 
-    def __init__(self, chains: list[Chain]):
-        self.chains = chains
-        self._atoms: list[Atom] = [
-            a for ch in chains for r in ch.residues for a in r.atoms
-        ]
+    def __init__(self, coords, name, element, chain, resnum, resname, serial):
+        self.coords = _column(coords, np.float64)
+        self.name = _column(name, str)
+        self.element = _column(element, str)
+        self.chain = _column(chain, str)
+        self.resnum = _column(resnum, np.intp)
+        self.resname = _column(resname, str)
+        self.serial = _column(serial, np.intp)
+        n = self.name.shape[0]
+        columns = (self.name, self.element, self.chain, self.resnum,
+                   self.resname, self.serial)
+        if self.coords.shape != (n, 3) or any(c.shape != (n,) for c in columns):
+            raise ValueError(f"structure columns do not all have {n} rows")
 
-    def atoms(self) -> list[Atom]:
-        """Atoms in file order; list index is the structure's atom index."""
-        return self._atoms
-
-    def residues(self) -> Iterator[tuple[str, Residue]]:
-        for ch in self.chains:
-            for res in ch.residues:
-                yield ch.chain_id, res
+        same_chain = self.chain[1:] == self.chain[:-1]
+        if np.any(same_chain & (self.resnum[1:] < self.resnum[:-1])):
+            raise ValueError("residue numbers decrease within a chain")
+        chain_start = np.ones(n, dtype=bool)
+        chain_start[1:] = ~same_chain
+        self._chain_starts = np.flatnonzero(chain_start)
+        self.chain_ids: tuple[str, ...] = tuple(self.chain[chain_start].tolist())
+        if len(set(self.chain_ids)) != len(self.chain_ids):
+            raise ValueError("the rows of a chain are not contiguous")
+        residue_start = chain_start.copy()
+        residue_start[1:] |= self.resnum[1:] != self.resnum[:-1]
+        self.residue_starts = _column(np.flatnonzero(residue_start), np.intp)
+        self.residue = _column(np.cumsum(residue_start) - 1, np.intp)
 
     @property
     def num_atoms(self) -> int:
-        return len(self._atoms)
+        return self.name.shape[0]
+
+    @property
+    def num_residues(self) -> int:
+        return self.residue_starts.shape[0]
 
     @property
     def num_chains(self) -> int:
-        return len(self.chains)
+        return len(self.chain_ids)
 
-    def coords(self) -> np.ndarray:
-        """(n, 3) coordinate matrix in atom order."""
-        return np.array([a.coord for a in self._atoms], dtype=np.float64)
+    def chain_slices(self) -> list[tuple[str, slice]]:
+        """(chain id, row slice) of every chain, in row order."""
+        bounds = [*self._chain_starts.tolist(), self.num_atoms]
+        return [(chain_id, slice(start, stop))
+                for chain_id, start, stop in zip(self.chain_ids, bounds, bounds[1:])]
 
-    def atom_keys(self) -> list[tuple[str, int, str]]:
-        """(chain_id, residue_index, atom name) per atom, in atom order."""
-        return [(a.chain_id, a.residue_index, a.name) for a in self._atoms]
+    def residue_rows(self, atom_name: str) -> np.ndarray:
+        """Row of the atom called ``atom_name`` in each residue; -1 if absent."""
+        rows = np.flatnonzero(self.name == atom_name)
+        out = np.full(self.num_residues, -1, dtype=np.intp)
+        out[self.residue[rows]] = rows
+        return out
 
     def with_coords(self, coords: np.ndarray) -> "ComplexStructure":
         """Copy of this structure with every atom coordinate replaced."""
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (self.num_atoms, 3):
-            raise ValueError(
-                f"coordinate override shape {coords.shape} != ({self.num_atoms}, 3)"
-            )
-        chains = []
-        i = 0
-        for ch in self.chains:
-            new_res = []
-            for res in ch.residues:
-                new_atoms = []
-                for a in res.atoms:
-                    new_atoms.append(
-                        Atom(a.name, a.element, coords[i].copy(), a.residue_index,
-                             a.chain_id, a.serial)
-                    )
-                    i += 1
-                new_res.append(Residue(res.index, res.name, new_atoms))
-            chains.append(Chain(ch.chain_id, new_res))
-        return ComplexStructure(chains)
+        return ComplexStructure(coords, self.name, self.element, self.chain,
+                                self.resnum, self.resname, self.serial)
 
 
 @dataclass
 class AtomCorrespondence:
-    """Index pairs between a decoy and a native structure.
+    """Row pairs between a decoy and a native structure.
 
-    ``pairs[k] = (decoy_atom_index, native_atom_index)``; matching key is
-    exactly (chain_id, residue_index, atom name). ``matched_ca`` is the
-    sublist restricted to CA atoms.
+    ``pairs`` is an (m, 2) array of (decoy row, native row) in decoy row
+    order; the matching key is exactly (chain, resnum, name).
+    ``matched_ca`` holds the pairs of CA atoms.
     """
 
-    pairs: list[tuple[int, int]]
-    matched_ca: list[tuple[int, int]]
+    pairs: np.ndarray       # (m, 2) intp
+    matched_ca: np.ndarray  # (c, 2) intp
 
 
 def _element_from_name(raw_name: str) -> str:
@@ -140,11 +148,14 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
 
     Keeps the first MODEL only, drops HETATM records, hydrogens/deuteriums,
     and altloc codes other than blank or 'A'. Duplicate
-    (chain, residue, atom name) occurrences keep the first copy. Insertion
-    codes are folded into the per-chain residue numbering by order of
-    appearance, so residue indices strictly increase within a chain.
+    (chain, residue, atom name) occurrences keep the first copy. Rows are
+    grouped by chain in order of first appearance. A residue takes its name
+    from its first atom. Insertion codes are folded into the per-chain
+    residue numbering by order of appearance, so residue numbers strictly
+    increase within a chain.
 
-    Raises PdbParseError (with line number) on malformed ATOM records and
+    Raises PdbParseError (with line number) on malformed ATOM records,
+    including a NUL character in a kept record's text fields, and
     EmptyStructureError if nothing survives filtering.
     """
     if isinstance(source, str):
@@ -154,10 +165,10 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
     else:
         lines = source
 
-    chains: list[Chain] = []
-    chain_by_id: dict[str, Chain] = {}
-    # per chain: (last raw (resseq, icode), last assigned index)
-    residue_state: dict[str, tuple[tuple[int, str] | None, int | None]] = {}
+    # per chain, in first-appearance order: its rows
+    rows_of_chain: dict[str, list[tuple]] = {}
+    # per chain: (last raw (resseq, icode), its residue number, residue name)
+    residue_state: dict[str, tuple[tuple[int, str], int, str]] = {}
     seen_atoms: set[tuple[str, int, str]] = set()
 
     first_model: int | None = None
@@ -210,45 +221,38 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
             continue
         if _is_hydrogen(element):
             continue
-        coord = np.array([x, y, z], dtype=np.float64)
-        if not np.all(np.isfinite(coord)):
+        # numpy string columns drop trailing NULs, which would change a
+        # field's text and, for a chain id, the width of the written line
+        if "\x00" in line[12:27] + line[76:78]:
+            raise PdbParseError("NUL character in a text field", lineno)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise PdbParseError("non-finite coordinate", lineno)
 
-        chain = chain_by_id.get(chain_id)
-        if chain is None:
-            chain = Chain(chain_id)
-            chain_by_id[chain_id] = chain
-            chains.append(chain)
-            residue_state[chain_id] = (None, None)
-
-        last_raw, last_index = residue_state[chain_id]
+        state = residue_state.get(chain_id)
         raw_key = (resseq, icode)
-        if raw_key != last_raw or not chain.residues:
-            if last_index is None:
-                assigned = resseq
+        if state is None or raw_key != state[0]:
+            if state is None:
+                number = resseq
             else:
-                assigned = resseq if resseq > last_index else last_index + 1
-            chain.residues.append(Residue(assigned, resname))
-            residue_state[chain_id] = (raw_key, assigned)
-        residue = chain.residues[-1]
+                number = resseq if resseq > state[1] else state[1] + 1
+            state = (raw_key, number, resname)
+            residue_state[chain_id] = state
 
-        key = (chain_id, residue.index, name)
+        key = (chain_id, state[1], name)
         if key in seen_atoms:
             continue
         seen_atoms.add(key)
-        residue.atoms.append(
-            Atom(name, element, coord, residue.index, chain_id, serial)
+        rows_of_chain.setdefault(chain_id, []).append(
+            (x, y, z, name, element, chain_id, state[1], state[2], serial)
         )
 
-    chains = [
-        Chain(ch.chain_id, [r for r in ch.residues if r.atoms])
-        for ch in chains
-    ]
-    chains = [ch for ch in chains if ch.residues]
-    structure = ComplexStructure(chains)
-    if structure.num_atoms == 0:
+    rows = [row for chain_rows in rows_of_chain.values() for row in chain_rows]
+    if not rows:
         raise EmptyStructureError("no ATOM records survived filtering")
-    return structure
+    x, y, z, name, element, chain, resnum, resname, serial = zip(*rows)
+    return ComplexStructure(
+        np.column_stack([x, y, z]), name, element, chain, resnum, resname, serial
+    )
 
 
 def parse_pdb_file(path) -> ComplexStructure:
@@ -264,6 +268,8 @@ def _format_atom_name(name: str) -> str:
 
 
 def _format_coordinate(value: float) -> str:
+    if not math.isfinite(value):
+        raise FormatOverflowError(f"non-finite coordinate {value} cannot be written")
     text = f"{value:8.3f}"
     if len(text) != 8:
         raise FormatOverflowError(
@@ -272,71 +278,86 @@ def _format_coordinate(value: float) -> str:
     return text
 
 
+def _format_integer(value: int, width: int, what: str) -> str:
+    text = f"{value:>{width}d}"
+    if len(text) != width:
+        raise FormatOverflowError(
+            f"{what} {value} does not fit the {width}-column PDB field"
+        )
+    return text
+
+
 def write_pdb(structure: ComplexStructure, coords: np.ndarray | None = None) -> str:
     """Render a structure as fixed-column PDB text.
 
     ``coords`` optionally overrides every atom coordinate; shape (n, 3).
-    Raises FormatOverflowError if any coordinate cannot be printed in the
-    8-character "%8.3f" field (magnitude >= 10000 A, or below -999.999 A).
+    Raises FormatOverflowError for a value the fixed columns cannot hold:
+    a non-finite coordinate, a coordinate outside the "%8.3f" field
+    (magnitude >= 10000 A, or below -999.999 A), or a residue number
+    outside -999..9999, so the text always parses back.
     """
-    if coords is not None:
+    if coords is None:
+        coords = structure.coords
+    else:
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (structure.num_atoms, 3):
             raise ValueError(
                 f"override shape {coords.shape} != ({structure.num_atoms}, 3)"
             )
     out: list[str] = []
-    i = 0
-    for ch in structure.chains:
-        for res in ch.residues:
-            for a in res.atoms:
-                xyz = coords[i] if coords is not None else a.coord
-                fields = (
-                    f"ATOM  {a.serial:>5d} {_format_atom_name(a.name)} "
-                    f"{res.name:>3s} {ch.chain_id}{res.index:>4d}    "
-                    f"{_format_coordinate(xyz[0])}{_format_coordinate(xyz[1])}"
-                    f"{_format_coordinate(xyz[2])}{1.0:6.2f}{0.0:6.2f}"
-                    f"          {a.element:>2s}"
-                )
-                out.append(fields)
-                i += 1
+    for _, rows in structure.chain_slices():
+        for serial, name, resname, chain, resnum, xyz, element in zip(
+            structure.serial[rows].tolist(), structure.name[rows].tolist(),
+            structure.resname[rows].tolist(), structure.chain[rows].tolist(),
+            structure.resnum[rows].tolist(), coords[rows].tolist(),
+            structure.element[rows].tolist(),
+        ):
+            out.append(
+                f"ATOM  {_format_integer(serial, 5, 'atom serial')} "
+                f"{_format_atom_name(name)} {resname:>3s} {chain}"
+                f"{_format_integer(resnum, 4, 'residue number')}    "
+                f"{_format_coordinate(xyz[0])}{_format_coordinate(xyz[1])}"
+                f"{_format_coordinate(xyz[2])}{1.0:6.2f}{0.0:6.2f}"
+                f"          {element:>2s}"
+            )
         out.append("TER")
     out.append("END")
     return "\n".join(out) + "\n"
 
 
-def match_atoms(decoy: ComplexStructure, native: ComplexStructure) -> AtomCorrespondence:
-    """Pair atoms sharing the (chain_id, residue_index, atom name) key.
+def match_atoms(
+    decoy: ComplexStructure, native: ComplexStructure
+) -> AtomCorrespondence:
+    """Pair atoms sharing the (chain, resnum, name) key.
 
     Raises NoOverlapError when no atom matches.
     """
-    native_by_key = {key: i for i, key in enumerate(native.atom_keys())}
-    pairs: list[tuple[int, int]] = []
-    matched_ca: list[tuple[int, int]] = []
-    for di, key in enumerate(decoy.atom_keys()):
-        ni = native_by_key.get(key)
-        if ni is None:
-            continue
-        pairs.append((di, ni))
-        if key[2] == "CA":
-            matched_ca.append((di, ni))
-    if not pairs:
+    native_row = {
+        key: row for row, key in enumerate(
+            zip(native.chain.tolist(), native.resnum.tolist(), native.name.tolist())
+        )
+    }
+    decoy_keys = zip(decoy.chain.tolist(), decoy.resnum.tolist(), decoy.name.tolist())
+    pairs = np.array(
+        [(row, native_row[key])
+         for row, key in enumerate(decoy_keys) if key in native_row],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    if not pairs.size:
         raise NoOverlapError("no atoms share a (chain, residue, name) key")
-    return AtomCorrespondence(pairs=pairs, matched_ca=matched_ca)
+    return AtomCorrespondence(
+        pairs=pairs, matched_ca=pairs[decoy.name[pairs[:, 0]] == "CA"]
+    )
 
 
 def kabsch_superpose(
-    mobile: np.ndarray,
-    target: np.ndarray,
-    weights: np.ndarray | None = None,
+    mobile: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares rigid superposition of ``mobile`` onto ``target``.
 
     Returns (rotation, translation, rmsd) with a proper rotation
     (det = +1) such that ``rotation @ x + translation`` maps mobile points
     onto the target frame and rmsd is the minimum over rigid transforms.
-    Optional non-negative per-point weights bias both the fit and the
-    reported deviation.
 
     Raises AlignmentError for fewer than 3 points or a (near-)collinear
     point set, where the optimal rotation is not unique.
@@ -348,20 +369,11 @@ def kabsch_superpose(
     m = mobile.shape[0]
     if m < 3:
         raise AlignmentError(f"need at least 3 points, got {m}")
-    if weights is None:
-        w = np.ones(m, dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (m,):
-            raise ValueError(f"weights shape {w.shape} != ({m},)")
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive sum")
-    wsum = w.sum()
-    cm = (w[:, None] * mobile).sum(axis=0) / wsum
-    ct = (w[:, None] * target).sum(axis=0) / wsum
+    cm = mobile.sum(axis=0) / m
+    ct = target.sum(axis=0) / m
     p = mobile - cm
     q = target - ct
-    h = p.T @ (w[:, None] * q)
+    h = p.T @ q
     u, s, vt = np.linalg.svd(h)
     if s[0] <= 0 or s[1] <= s[0] * 1e-9:
         raise AlignmentError("degenerate (collinear or coincident) point set")
@@ -369,7 +381,7 @@ def kabsch_superpose(
     rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     translation = ct - rotation @ cm
     moved = mobile @ rotation.T + translation
-    rmsd = math.sqrt(float((w * ((moved - target) ** 2).sum(axis=1)).sum() / wsum))
+    rmsd = math.sqrt(float(((moved - target) ** 2).sum(axis=1).sum() / m))
     return rotation, translation, rmsd
 
 
@@ -396,16 +408,17 @@ def build_residue_frames(
     Returns (origins, rotations) with shapes (n_res, 3) and (n_res, 3, 3),
     ordered as the structure's residues.
     """
+    xyz = structure.coords
+    n_rows, ca_rows, c_rows = (
+        structure.residue_rows(name) for name in ("N", "CA", "C")
+    )
+    bounds = [*structure.residue_starts.tolist(), structure.num_atoms]
     origins = []
     rotations = []
-    for _, res in structure.residues():
-        by_name = {a.name: a.coord for a in res.atoms}
-        centroid = np.mean([a.coord for a in res.atoms], axis=0)
-        n = by_name.get("N")
-        ca = by_name.get("CA")
-        c = by_name.get("C")
+    for r in range(structure.num_residues):
         frame = None
-        if n is not None and ca is not None and c is not None:
+        if n_rows[r] >= 0 and ca_rows[r] >= 0 and c_rows[r] >= 0:
+            n, ca, c = xyz[n_rows[r]], xyz[ca_rows[r]], xyz[c_rows[r]]
             e1 = c - ca
             norm1 = np.linalg.norm(e1)
             if norm1 > 1e-8:
@@ -418,7 +431,7 @@ def build_residue_frames(
                     e3 = np.cross(e1, e2)
                     frame = (ca, np.column_stack([e1, e2, e3]))
         if frame is None:
-            frame = (centroid, np.eye(3))
+            frame = (np.mean(xyz[bounds[r]:bounds[r + 1]], axis=0), np.eye(3))
         origins.append(frame[0])
         rotations.append(frame[1])
     return np.array(origins, dtype=np.float64), np.array(rotations, dtype=np.float64)

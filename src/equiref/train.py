@@ -63,7 +63,6 @@ def make_training_example(
     config: ModelConfig,
     target_id: str = "",
     decoy_id: str = "",
-    align_native: bool = True,
 ) -> TrainingExample:
     """Build a training example from a decoy/native structure pair.
 
@@ -73,50 +72,41 @@ def make_training_example(
     residues without a reference stay unsupervised.
     """
     correspondence = match_atoms(decoy, native)
-    native_coords_all = native.coords()
-    if align_native and len(correspondence.matched_ca) >= 3:
-        decoy_atoms = decoy.atoms()
-        native_atoms_list = native.atoms()
-        mobile = np.array(
-            [native_atoms_list[n].coord for _, n in correspondence.matched_ca]
-        )
-        target = np.array(
-            [decoy_atoms[d].coord for d, _ in correspondence.matched_ca]
-        )
+    native_coords_all = native.coords
+    ca = correspondence.matched_ca
+    if len(ca) >= 3:
         try:
-            rotation, translation, _ = kabsch_superpose(mobile, target)
+            rotation, translation, _ = kabsch_superpose(
+                native.coords[ca[:, 1]], decoy.coords[ca[:, 0]]
+            )
             native_coords_all = native_coords_all @ rotation.T + translation
         except AlignmentError:
             pass  # degenerate CA set: train in the original frames
 
     graph = build_graph(decoy, config)
-    atom_to_node = {int(a): n for n, a in enumerate(graph.node_atom_indices)}
+    node_of_atom = np.full(decoy.num_atoms, -1, dtype=np.intp)
+    node_of_atom[graph.node_atom_indices] = np.arange(graph.num_nodes)
 
-    matched_nodes, native_coords = [], []
-    for di, ni in correspondence.pairs:
-        node = atom_to_node.get(di)
-        if node is not None:
-            matched_nodes.append(node)
-            native_coords.append(native_coords_all[ni])
+    nodes = node_of_atom[correspondence.pairs[:, 0]]
+    matched = nodes >= 0
+    matched_nodes = nodes[matched]
+    native_coords = native_coords_all[correspondence.pairs[matched, 1]]
 
-    lddt_nodes, lddt_targets = [], []
     try:
         labels, _ = lddt_ca(decoy, native, correspondence)
     except UndefinedMetricError:
-        labels = None
-    if labels is not None:
-        for (di, _), value in zip(correspondence.matched_ca, labels):
-            node = atom_to_node.get(di)
-            if node is not None and not math.isnan(value):
-                lddt_nodes.append(node)
-                lddt_targets.append(value)
+        labels = np.full(len(ca), np.nan)
+    nodes = node_of_atom[ca[:, 0]]
+    labelled = (nodes >= 0) & ~np.isnan(labels)
+    lddt_nodes = nodes[labelled]
+    lddt_targets = labels[labelled]
 
     return TrainingExample(
         graph=graph,
-        matched_nodes=np.array(matched_nodes, dtype=np.intp),
-        native_coords=np.array(native_coords, dtype=np.float64).reshape(-1, 3),
-        lddt_nodes=np.array(lddt_nodes, dtype=np.intp),
-        lddt_targets=np.array(lddt_targets, dtype=np.float64),
+        matched_nodes=matched_nodes,
+        native_coords=native_coords,
+        lddt_nodes=lddt_nodes,
+        lddt_targets=lddt_targets,
         target_id=target_id,
         decoy_id=decoy_id,
     )
@@ -301,7 +291,6 @@ def train_loop(
     patience: int = 50,
     params: dict[str, np.ndarray] | None = None,
     optimizer: OptimizerState | None = None,
-    clip_norm: float = GRAD_CLIP_NORM,
 ) -> TrainResult:
     """Seeded training with early stopping on validation RMSD.
 
@@ -348,7 +337,7 @@ def train_loop(
                     last_good=best_params,
                     log=log,
                 )
-            clip_gradients(grads, clip_norm)
+            clip_gradients(grads, GRAD_CLIP_NORM)
             params, state = adamw_step(params, grads, state)
             losses.append(loss)
         if not losses:

@@ -6,9 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from equiref.structio import Atom, Chain, ComplexStructure, Residue
+from equiref.structio import ComplexStructure
 
 RESIDUE_CYCLE = ("ALA", "GLY", "SER", "LEU", "VAL", "THR", "LYS", "ASP")
+COLUMNS = ("coords", "name", "element", "chain", "resnum", "resname", "serial")
 
 
 def pdb_line(
@@ -61,32 +62,46 @@ def helix_backbone(n_res, radius=2.3, turn_deg=100.0, rise=1.5, phase=0.0,
     return out
 
 
-def make_chain(chain_id, backbone, first_serial=1, first_index=1,
-               resnames=None):
-    """Chain of backbone-only residues from helix_backbone output."""
-    residues = []
-    serial = first_serial
-    for i, (n_at, ca, c_at, o_at) in enumerate(backbone):
-        index = first_index + i
-        resname = (resnames or RESIDUE_CYCLE)[i % len(resnames or RESIDUE_CYCLE)]
-        atoms = []
-        for name, coord in (("N", n_at), ("CA", ca), ("C", c_at), ("O", o_at)):
-            atoms.append(
-                Atom(name, name[0], np.asarray(coord, dtype=np.float64),
-                     index, chain_id, serial)
-            )
-            serial += 1
-        residues.append(Residue(index, resname, atoms))
-    return Chain(chain_id, residues), serial
+def build_structure(rows):
+    """Structure from (chain, resnum, resname, atom name, xyz) rows.
+
+    Each element is the first letter of its atom name; serials count from 1.
+    """
+    chain, resnum, resname, name, xyz = zip(*rows)
+    return ComplexStructure(
+        np.array(xyz, dtype=np.float64).reshape(-1, 3), name,
+        [n[0] for n in name], chain, resnum, resname, range(1, len(name) + 1),
+    )
+
+
+def replace_columns(structure, **columns):
+    """Copy of ``structure`` with the named columns replaced."""
+    return ComplexStructure(
+        **{key: columns.get(key, getattr(structure, key)) for key in COLUMNS}
+    )
+
+
+def take_rows(structure, rows):
+    """Structure made of the selected rows of ``structure``."""
+    return ComplexStructure(**{key: getattr(structure, key)[rows] for key in COLUMNS})
+
+
+def make_chain(chain_id, backbone, first_index=1, resnames=None):
+    """Rows of backbone-only residues from helix_backbone output."""
+    resnames = resnames or RESIDUE_CYCLE
+    rows = []
+    for i, atoms in enumerate(backbone):
+        for name, coord in zip(("N", "CA", "C", "O"), atoms):
+            rows.append((chain_id, first_index + i, resnames[i % len(resnames)],
+                         name, coord))
+    return rows
 
 
 def make_complex(n_res_a=6, n_res_b=5, separation=6.0):
     """Two-chain synthetic complex with a genuine interface."""
     back_a = helix_backbone(n_res_a)
     back_b = helix_backbone(n_res_b, phase=2.2, origin=(separation, 0.0, 1.0))
-    chain_a, serial = make_chain("A", back_a)
-    chain_b, _ = make_chain("B", back_b, first_serial=serial)
-    return ComplexStructure([chain_a, chain_b])
+    return build_structure(make_chain("A", back_a) + make_chain("B", back_b))
 
 
 def random_rotation(rng, proper=True):
@@ -102,7 +117,7 @@ def random_rotation(rng, proper=True):
 
 
 def transform_structure(structure, rotation, translation):
-    coords = structure.coords() @ rotation.T + translation
+    coords = structure.coords @ rotation.T + translation
     return structure.with_coords(coords)
 
 

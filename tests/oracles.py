@@ -3,7 +3,9 @@
 The metric oracles are deliberately written as plain loops over scalars so
 they share no code path with the package's vectorized implementations.
 The loss oracles compute the training loss and its coordinate and score
-gradients in closed form with numpy, without the autodiff tape.
+gradients in closed form with numpy, without the autodiff tape. The
+attention oracle is the quadratic form of the model's linear-time global
+attention.
 """
 
 import math
@@ -55,17 +57,26 @@ def lddt_bruteforce(decoy_ca, native_ca, radius=15.0, thresholds=LDDT_THRESHOLDS
 
 def contacts_bruteforce(structure, cutoff=5.0):
     """Cross-chain residue contacts by an exhaustive atom-pair scan."""
-    atoms = structure.atoms()
+    keys = list(zip(structure.chain.tolist(), structure.resnum.tolist()))
+    coords = structure.coords.tolist()
     found = set()
-    for a in atoms:
-        for b in atoms:
-            if a.chain_id >= b.chain_id:
+    for a, key_a in enumerate(keys):
+        for b, key_b in enumerate(keys):
+            if key_a[0] >= key_b[0]:
                 continue
-            if pair_distance(a.coord, b.coord) < cutoff:
-                key_a = (a.chain_id, a.residue_index)
-                key_b = (b.chain_id, b.residue_index)
+            if pair_distance(coords[a], coords[b]) < cutoff:
                 found.add(tuple(sorted((key_a, key_b))))
     return found
+
+
+def quadratic_attention(h, wq, wk, wv):
+    """Reference quadratic form (Q K^T / n) V of the global linear attention."""
+    h = np.asarray(h, dtype=np.float64)
+    q = h @ wq
+    k = h @ wk
+    v = h @ wv
+    n = h.shape[0]
+    return (q @ k.T / n) @ v
 
 
 def superposed_rmsd_by_trace(mobile, target):

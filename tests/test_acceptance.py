@@ -23,22 +23,8 @@ from equiref.metrics import (
     ranking_loss,
     score_pair,
 )
-from equiref.model import (
-    ModelConfig,
-    forward,
-    init_params,
-    linear_attention,
-    quadratic_attention,
-)
-from equiref.structio import (
-    Atom,
-    Chain,
-    ComplexStructure,
-    Residue,
-    match_atoms,
-    parse_pdb,
-    write_pdb,
-)
+from equiref.model import ModelConfig, _linear_attention, forward, init_params
+from equiref.structio import match_atoms, parse_pdb, write_pdb
 from equiref.train import (
     OptimizerState,
     backward,
@@ -48,9 +34,14 @@ from equiref.train import (
     validation_rmsd,
 )
 
-from conftest import make_complex, random_rotation, transform_structure
-from oracles import lddt_bruteforce
-from test_model import random_graph, randomize, transform_graph
+from conftest import (
+    build_structure,
+    make_complex,
+    random_rotation,
+    transform_structure,
+)
+from oracles import lddt_bruteforce, quadratic_attention
+from test_model import on_arrays, random_graph, randomize, transform_graph
 from test_train import synthetic_example
 
 
@@ -100,7 +91,7 @@ def test_criterion_02_linear_attention_identity(rng):
         d = int(rng.integers(1, 65))
         h = rng.normal(size=(n, d))
         wq, wk, wv = (rng.normal(size=(d, d)) for _ in range(3))
-        lin = linear_attention(h, wq, wk, wv)
+        lin = on_arrays(_linear_attention, h, wq, wk, wv)
         quad = quadratic_attention(h, wq, wk, wv)
         scale = np.abs(quad).max() + 1e-300
         worst = max(worst, np.abs(lin - quad).max() / scale)
@@ -161,25 +152,15 @@ def test_criterion_04_dockq_analytic_points(rng):
 def _random_ca_pair(rng, max_residues=30):
     n_res = int(rng.integers(4, max_residues + 1))
     split = int(rng.integers(1, n_res))
-    chains = []
-    serial = 1
+    rows = []
     index = 0
     for chain_id, count in (("A", split), ("B", n_res - split)):
-        if count == 0:
-            continue
-        residues = []
         for _ in range(count):
             index += 1
-            coord = rng.normal(scale=8.0, size=3)
-            residues.append(
-                Residue(index, "GLY",
-                        [Atom("CA", "C", coord, index, chain_id, serial)])
-            )
-            serial += 1
-        chains.append(Chain(chain_id, residues))
-    native = ComplexStructure(chains)
+            rows.append((chain_id, index, "GLY", "CA", rng.normal(scale=8.0, size=3)))
+    native = build_structure(rows)
     decoy = native.with_coords(
-        native.coords() + rng.normal(scale=1.5, size=(native.num_atoms, 3))
+        native.coords + rng.normal(scale=1.5, size=(native.num_atoms, 3))
     )
     return decoy, native
 
@@ -190,8 +171,8 @@ def test_criterion_05_lddt_oracle_equivalence(rng):
         decoy, native = _random_ca_pair(rng)
         corr = match_atoms(decoy, native)
         scores, mean = lddt_ca(decoy, native, corr)
-        decoy_ca = [decoy.atoms()[d].coord for d, _ in corr.matched_ca]
-        native_ca = [native.atoms()[n].coord for _, n in corr.matched_ca]
+        decoy_ca = [decoy.coords[d] for d, _ in corr.matched_ca]
+        native_ca = [native.coords[n] for _, n in corr.matched_ca]
         oracle_scores, oracle_mean = lddt_bruteforce(decoy_ca, native_ca)
         assert mean == oracle_mean
         for got, want in zip(scores, oracle_scores):
@@ -208,7 +189,7 @@ def test_criterion_06_metric_rigid_motion_invariance(rng):
             n_res_a=int(rng.integers(4, 7)), n_res_b=int(rng.integers(3, 6))
         )
         decoy = native.with_coords(
-            native.coords()
+            native.coords
             + rng.normal(scale=0.6, size=(native.num_atoms, 3))
         )
         base_fnat, _ = fnat_fnonnat(decoy, native)
@@ -243,7 +224,7 @@ def test_criterion_07_overfit_smoke_test():
         native = make_complex(n_res_a=18, n_res_b=16, separation=7.0)
         assert native.num_atoms <= 300
         decoy = native.with_coords(
-            native.coords() + rng.normal(scale=0.5, size=(native.num_atoms, 3))
+            native.coords + rng.normal(scale=0.5, size=(native.num_atoms, 3))
         )
         examples.append(
             make_training_example(decoy, native, config, f"t{i}", f"d{i}")
@@ -275,7 +256,7 @@ def test_criterion_08_zero_init_identity():
     assert write_pdb(refined) == write_pdb(structure)
     round_trip = parse_pdb(write_pdb(refined))
     np.testing.assert_allclose(
-        round_trip.coords(), structure.coords(), atol=5e-4
+        round_trip.coords, structure.coords, atol=5e-4
     )
     report(8, "refined coordinates identical; PDB text byte-equal")
 

@@ -32,9 +32,13 @@ from equiref.model import (
 from equiref.structio import parse_pdb_file, write_pdb
 
 from conftest import (
+    helix_backbone,
     make_complex,
+    pdb_line,
     random_rotation,
+    replace_columns,
     rewrite_header,
+    take_rows,
     transform_structure,
 )
 
@@ -89,7 +93,7 @@ class TestRefine:
                 "--output", str(out), "--report", str(tmp / f"rep_{name}.json"),
             ])
             assert code == EXIT_OK
-            outputs.append(parse_pdb_file(out).coords())
+            outputs.append(parse_pdb_file(out).coords)
         expected = outputs[0] @ rot.T + shift
         # refined PDB coordinates are quantized to 3 decimals
         np.testing.assert_allclose(outputs[1], expected, atol=2e-3)
@@ -124,7 +128,7 @@ class TestRefine:
         refined = []
 
         def capture(structure):
-            refined.append(structure.coords())
+            refined.append(structure.coords)
             return write_pdb(structure)
 
         monkeypatch.setattr(cli, "write_pdb", capture)
@@ -135,7 +139,7 @@ class TestRefine:
                 "--report", str(tmp / "report.json"),
             ])
             assert code == EXIT_OK
-        assert np.abs(refined[0] - parse_pdb_file(input_pdb).coords()).max() > 1e-3
+        assert np.abs(refined[0] - parse_pdb_file(input_pdb).coords).max() > 1e-3
         np.testing.assert_allclose(refined[1], refined[0] @ motion.T + shift,
                                    rtol=0, atol=1e-6)
 
@@ -232,6 +236,46 @@ class TestRefine:
         ])
         assert code == EXIT_PARSE
 
+    def test_n_on_ca_gives_finite_c_alpha_output(self, workdir):
+        # The N of residue 1 sits on its CA, so its phi axis has no length:
+        # phi is undefined, encoded (0, 1), and nothing turns into NaN.
+        tmp, structure, _, _ = workdir
+        config = ModelConfig(num_layers=2, hidden_dim=8, granularity="c-alpha")
+        weights = tmp / "ca.weights"
+        weights.write_bytes(save_weights(init_params(config, 0), config))
+        coords = structure.coords.copy()
+        coords[4] = coords[5]
+        source = tmp / "n_on_ca.pdb"
+        source.write_text(write_pdb(structure.with_coords(coords)))
+        out, report = tmp / "o.pdb", tmp / "r.json"
+        code = main([
+            "refine", "--input", str(source), "--weights", str(weights),
+            "--output", str(out), "--report", str(report),
+        ])
+        assert code == EXIT_OK
+        assert np.all(np.isfinite(parse_pdb_file(out).coords))
+        payload = json.loads(report.read_text())
+        values = [r["predicted_lddt"] for r in payload["per_residue"]]
+        assert np.all(np.isfinite(values + [payload["mean_predicted_lddt"]]))
+
+    def test_unwritable_residue_number_exits_2(self, workdir, capsys):
+        # 9999 and 9999A fold to 9999 and 10000; the PDB field has 4 columns
+        tmp, _, _, weights = workdir
+        lines = []
+        for i, atoms in enumerate(helix_backbone(2)):
+            for name, xyz in zip(("N", "CA", "C", "O"), atoms):
+                lines.append(pdb_line(len(lines) + 1, name, "GLY", "A", 9999,
+                                      *xyz, icode=" A"[i]))
+        source = tmp / "wide.pdb"
+        source.write_text("\n".join(lines) + "\n")
+        code = main([
+            "refine", "--input", str(source), "--weights", str(weights),
+            "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
+        ])
+        assert code == EXIT_PARSE
+        assert "residue number 10000" in capsys.readouterr().err
+        assert not (tmp / "o.pdb").exists()
+
 
 class TestScore:
     def test_identical_pair(self, workdir):
@@ -249,9 +293,8 @@ class TestScore:
 
     def test_translated_ligand_incorrect(self, workdir):
         tmp, structure, input_pdb, _ = workdir
-        coords = structure.coords()
-        n_a = sum(len(r.atoms) for r in structure.chains[0].residues)
-        coords[n_a:] += 100.0
+        coords = structure.coords.copy()
+        coords[structure.chain == "B"] += 100.0
         decoy_pdb = tmp / "decoy.pdb"
         decoy_pdb.write_text(write_pdb(structure.with_coords(coords)))
         report = tmp / "score.json"
@@ -266,7 +309,7 @@ class TestScore:
 
     def test_report_matches_library_call(self, workdir, rng):
         tmp, structure, input_pdb, _ = workdir
-        coords = structure.coords() + rng.normal(
+        coords = structure.coords + rng.normal(
             scale=0.4, size=(structure.num_atoms, 3)
         )
         decoy = structure.with_coords(coords)
@@ -288,12 +331,9 @@ class TestScore:
 
     def test_no_overlap(self, workdir):
         tmp, structure, input_pdb, _ = workdir
-        renamed = make_complex()
-        for ch, new_id in zip(renamed.chains, ("X", "Y")):
-            ch.chain_id = new_id
-            for res in ch.residues:
-                for atom in res.atoms:
-                    atom.chain_id = new_id
+        renamed = replace_columns(
+            structure, chain=np.where(structure.chain == "A", "X", "Y")
+        )
         other = tmp / "other.pdb"
         other.write_text(write_pdb(renamed))
         code = main([
@@ -303,10 +343,8 @@ class TestScore:
         assert code == EXIT_NO_OVERLAP
 
     def test_single_chain_interface_undefined(self, workdir):
-        from equiref.structio import ComplexStructure
-
         tmp, structure, _, _ = workdir
-        single = ComplexStructure([structure.chains[0]])
+        single = take_rows(structure, structure.chain == "A")
         single_pdb = tmp / "single.pdb"
         single_pdb.write_text(write_pdb(single))
         code = main([
@@ -327,7 +365,7 @@ def evaluation_fixture(tmp_path, rng, n_targets=2, n_decoys=3):
         (natives / f"t{t}.pdb").write_text(write_pdb(native))
         for d in range(n_decoys):
             sigma = 0.02 + 1.5 * d
-            coords = native.coords() + rng.normal(
+            coords = native.coords + rng.normal(
                 scale=sigma, size=(native.num_atoms, 3)
             )
             decoy_id = f"t{t}_d{d}"
@@ -446,11 +484,9 @@ class TestEvaluate:
                                        renamed, expected):
         scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
         decoy = parse_pdb_file(decoys / "t0_d1.pdb")
-        for ch, new_id in zip(decoy.chains, renamed):
-            ch.chain_id = new_id
-            for res in ch.residues:
-                for atom in res.atoms:
-                    atom.chain_id = new_id
+        decoy = replace_columns(
+            decoy, chain=np.where(decoy.chain == "A", *renamed)
+        )
         (decoys / "t0_d1.pdb").write_text(write_pdb(decoy))
         summary = tmp_path / "s.txt"
         code = main([
@@ -499,7 +535,7 @@ def training_fixture(tmp_path, rng, n_examples=2):
     train_dir.mkdir()
     for i in range(n_examples):
         native = make_complex(n_res_a=4, n_res_b=3)
-        coords = native.coords() + rng.normal(
+        coords = native.coords + rng.normal(
             scale=0.4, size=(native.num_atoms, 3)
         )
         (train_dir / f"ex{i}_native.pdb").write_text(write_pdb(native))

@@ -17,9 +17,12 @@ from equiref.featurize import (
     read_surface_file,
     surface_proximity,
 )
-from equiref.structio import Atom, Chain, ComplexStructure, Residue
-
-from conftest import random_rotation, transform_structure
+from conftest import (
+    build_structure,
+    random_rotation,
+    replace_columns,
+    transform_structure,
+)
 
 
 def brute_force_neighbors(coords, k):
@@ -44,26 +47,20 @@ def edge_endpoints(graph):
 
 
 def point_chain(coords, chain_id="A", name="CA", resname="GLY"):
-    """One single-atom residue per coordinate."""
-    residues = [
-        Residue(i + 1, resname,
-                [Atom(name, name[0], np.asarray(c, dtype=np.float64),
-                      i + 1, chain_id, i + 1)])
-        for i, c in enumerate(coords)
-    ]
-    return Chain(chain_id, residues)
+    """Rows of one single-atom residue per coordinate."""
+    return [(chain_id, i + 1, resname, name, c) for i, c in enumerate(coords)]
 
 
 class TestKnnGraph:
     def test_k_clips_to_n_minus_1(self, rng):
         coords = rng.normal(size=(5, 3)) * 5
-        s = ComplexStructure([point_chain(coords)])
+        s = build_structure(point_chain(coords))
         g = build_knn_graph(s, k=20)
         assert g.num_edges == 5 * 4
 
     def test_paper_edge_count(self, rng):
         coords = rng.normal(size=(21, 3)) * 8
-        s = ComplexStructure([point_chain(coords)])
+        s = build_structure(point_chain(coords))
         g = build_knn_graph(s, k=20)
         assert g.num_edges == 21 * 20
 
@@ -86,7 +83,7 @@ class TestKnnGraph:
                 assert neighbors[i].tolist() == expected[i]
 
     def test_too_small(self):
-        s = ComplexStructure([point_chain(np.zeros((1, 3)))])
+        s = build_structure(point_chain(np.zeros((1, 3))))
         with pytest.raises(GraphTooSmallError):
             build_knn_graph(s)
 
@@ -101,9 +98,7 @@ class TestWidths:
         g = build_knn_graph(two_chain_complex, "c-alpha")
         assert g.node_features.shape[1] == 28
         assert g.edge_features.shape[1] == 14
-        assert g.num_nodes == sum(
-            len(ch.residues) for ch in two_chain_complex.chains
-        )
+        assert g.num_nodes == two_chain_complex.num_residues
 
     def test_ablation_widths(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "all-atom", include_surface=False)
@@ -130,10 +125,8 @@ class TestWidths:
 
 class TestNodeFeatures:
     def test_ca_one_hot_index(self, two_chain_complex):
-        feats = node_features_allatom(two_chain_complex, include_surface=False)
-        ca_rows = [
-            i for i, a in enumerate(two_chain_complex.atoms()) if a.name == "CA"
-        ]
+        feats = node_features_allatom(two_chain_complex, None)
+        ca_rows = np.flatnonzero(two_chain_complex.name == "CA")
         idx = ATOM_TYPES.index("CA")
         for r in ca_rows:
             assert feats[r, idx] == 1.0
@@ -141,13 +134,13 @@ class TestNodeFeatures:
 
     def test_unknown_atom_name_maps_to_unk(self):
         coords = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        s = ComplexStructure([point_chain(coords, name="XX1")])
-        feats = node_features_allatom(s, include_surface=False)
+        s = build_structure(point_chain(coords, name="XX1"))
+        feats = node_features_allatom(s, None)
         np.testing.assert_array_equal(feats[:, ATOM_TYPES.index("UNK")], 1.0)
 
     def test_glycine_residue_one_hot(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "c-alpha")
-        res_names = [r.name for _, r in two_chain_complex.residues()]
+        res_names = two_chain_complex.resname[two_chain_complex.residue_starts]
         gly = RESIDUE_TYPES.index("GLY")
         for row, name in zip(g.node_features, res_names):
             assert row[gly] == (1.0 if name == "GLY" else 0.0)
@@ -157,25 +150,25 @@ class TestSurfaceProximity:
     def test_isolated_atom_fully_exposed(self):
         lone = point_chain(np.array([[50.0, 50.0, 50.0]]), chain_id="B")
         other = point_chain(np.zeros((1, 3)), chain_id="A")
-        s = ComplexStructure([other, lone])
+        s = build_structure(other + lone)
         values = surface_proximity(s)
         np.testing.assert_array_equal(values, 1.0)
 
     def test_crowded_atom_fully_buried(self, rng):
         coords = np.vstack([[0.0, 0.0, 0.0], rng.normal(scale=2.0, size=(70, 3))])
-        s = ComplexStructure([point_chain(coords)])
+        s = build_structure(point_chain(coords))
         values = surface_proximity(s)
         assert values[0] == 0.0
 
     def test_three_atom_chain(self):
         coords = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        s = ComplexStructure([point_chain(coords)])
+        s = build_structure(point_chain(coords))
         np.testing.assert_allclose(surface_proximity(s), 1.0 - 2.0 / 64.0)
 
     def test_cross_chain_atoms_do_not_count(self):
         a = point_chain(np.array([[0.0, 0.0, 0.0]]), chain_id="A")
         b = point_chain(np.array([[1.0, 0.0, 0.0]]), chain_id="B")
-        s = ComplexStructure([a, b])
+        s = build_structure(a + b)
         np.testing.assert_array_equal(surface_proximity(s), 1.0)
 
     def test_values_in_unit_interval(self, two_chain_complex):
@@ -221,7 +214,8 @@ class TestDihedrals:
     def test_terminal_angles_encode_zero_one(self, two_chain_complex):
         rows = backbone_dihedrals(two_chain_complex)
         # first residue of each chain: phi and omega undefined
-        first_rows = [0, len(two_chain_complex.chains[0].residues)]
+        residue_chain = two_chain_complex.chain[two_chain_complex.residue_starts]
+        first_rows = [0, int(np.count_nonzero(residue_chain == "A"))]
         for r in first_rows:
             np.testing.assert_array_equal(rows[r, 0:2], [0.0, 1.0])
             np.testing.assert_array_equal(rows[r, 4:6], [0.0, 1.0])
@@ -232,14 +226,13 @@ class TestDihedrals:
 
     def test_midchain_matches_oracle(self, two_chain_complex):
         rows = backbone_dihedrals(two_chain_complex)
-        chain = two_chain_complex.chains[0]
-        coords = [{a.name: a.coord for a in r.atoms} for r in chain.residues]
-        for i in range(1, len(chain.residues) - 1):
-            prev_c, cur = coords[i - 1], coords[i]
-            nxt = coords[i + 1]
-            phi = oracle_torsion(prev_c["C"], cur["N"], cur["CA"], cur["C"])
-            psi = oracle_torsion(cur["N"], cur["CA"], cur["C"], nxt["N"])
-            omega = oracle_torsion(prev_c["CA"], prev_c["C"], cur["N"], cur["CA"])
+        s = two_chain_complex
+        n_res_a = int(np.count_nonzero(s.chain[s.residue_starts] == "A"))
+        n, ca, c = (s.coords[s.residue_rows(name)] for name in ("N", "CA", "C"))
+        for i in range(1, n_res_a - 1):
+            phi = oracle_torsion(c[i - 1], n[i], ca[i], c[i])
+            psi = oracle_torsion(n[i], ca[i], c[i], n[i + 1])
+            omega = oracle_torsion(ca[i - 1], c[i - 1], n[i], ca[i])
             np.testing.assert_allclose(rows[i, 0:2], phi, atol=1e-12)
             np.testing.assert_allclose(rows[i, 2:4], psi, atol=1e-12)
             np.testing.assert_allclose(rows[i, 4:6], omega, atol=1e-12)
@@ -247,15 +240,22 @@ class TestDihedrals:
     def test_numbering_gap_breaks_adjacency(self):
         from conftest import helix_backbone, make_chain
 
-        back = helix_backbone(4)
-        chain, _ = make_chain("A", back)
-        chain.residues[2].index = 10  # gap before residue 2
-        for atom in chain.residues[2].atoms:
-            atom.residue_index = 10
-        s = ComplexStructure([chain])
+        s = build_structure(make_chain("A", helix_backbone(4)))
+        # residue numbers 1, 2, 10, 11: a gap before residue 2
+        s = replace_columns(s, resnum=s.resnum + 7 * (s.residue >= 2))
         rows = backbone_dihedrals(s)
         np.testing.assert_array_equal(rows[2, 0:2], [0.0, 1.0])  # phi undefined
         np.testing.assert_array_equal(rows[1, 2:4], [0.0, 1.0])  # psi undefined
+
+    def test_zero_length_axis_is_undefined(self):
+        from conftest import helix_backbone, make_chain
+
+        s = build_structure(make_chain("A", helix_backbone(3)))
+        coords = s.coords.copy()
+        coords[4] = coords[5]  # the N of residue 1 sits on its CA
+        rows = backbone_dihedrals(s.with_coords(coords))
+        assert np.all(np.isfinite(rows))
+        np.testing.assert_array_equal(rows[1, 0:2], [0.0, 1.0])  # phi undefined
 
 
 class TestEdgeFeatures:
@@ -274,12 +274,11 @@ class TestEdgeFeatures:
 
     def test_covalent_flag_by_distance(self):
         # two bonded atoms (1.5 A) and one distant atom in the same residue
-        atoms = [
-            Atom("N", "N", np.array([0.0, 0.0, 0.0]), 1, "A", 1),
-            Atom("CA", "C", np.array([1.5, 0.0, 0.0]), 1, "A", 2),
-            Atom("CB", "C", np.array([5.5, 0.0, 0.0]), 1, "A", 3),
-        ]
-        s = ComplexStructure([Chain("A", [Residue(1, "ALA", atoms)])])
+        s = build_structure([
+            ("A", 1, "ALA", "N", (0.0, 0.0, 0.0)),
+            ("A", 1, "ALA", "CA", (1.5, 0.0, 0.0)),
+            ("A", 1, "ALA", "CB", (5.5, 0.0, 0.0)),
+        ])
         g = build_knn_graph(s, "all-atom")
         cov = g.edge_features[:, -1]
         src, dst = edge_endpoints(g)
@@ -290,9 +289,10 @@ class TestEdgeFeatures:
 
     def test_covalent_requires_adjacent_residue(self):
         # 1.5 A apart but two residue indices apart: not covalent
-        res1 = Residue(1, "GLY", [Atom("CA", "C", np.zeros(3), 1, "A", 1)])
-        res3 = Residue(3, "GLY", [Atom("CA", "C", np.array([1.5, 0, 0]), 3, "A", 2)])
-        s = ComplexStructure([Chain("A", [res1, res3])])
+        s = build_structure([
+            ("A", 1, "GLY", "CA", (0.0, 0.0, 0.0)),
+            ("A", 3, "GLY", "CA", (1.5, 0.0, 0.0)),
+        ])
         g = build_knn_graph(s, "all-atom")
         np.testing.assert_array_equal(g.edge_features[:, -1], 0.0)
 
@@ -355,7 +355,7 @@ class TestCorruption:
 def test_edge_count_invariant(rng):
     for n in (2, 5, 21, 60):
         coords = rng.normal(size=(n, 3)) * 6
-        s = ComplexStructure([point_chain(coords)])
+        s = build_structure(point_chain(coords))
         g = build_knn_graph(s)
         assert g.num_edges == n * min(20, n - 1)
 
@@ -364,8 +364,8 @@ def test_small_pair_chunks_match_brute_force(rng, monkeypatch):
     """Many ragged row blocks give the brute-force neighbours and surface values."""
     coords_a = rng.normal(size=(37, 3)) * 6
     coords_b = rng.normal(size=(23, 3)) * 6 + 4.0
-    s = ComplexStructure([point_chain(coords_a, "A"), point_chain(coords_b, "B")])
-    coords = s.coords()
+    s = build_structure(point_chain(coords_a, "A") + point_chain(coords_b, "B"))
+    coords = s.coords
     monkeypatch.setattr(featurize, "PAIR_CHUNK", 7 * coords.shape[0] + 3)
 
     neighbors = knn_edges(coords, 20)

@@ -24,26 +24,21 @@ from equiref.metrics import (
     reports_to_csv,
     score_pair,
 )
-from equiref.structio import Atom, Chain, ComplexStructure, Residue, match_atoms
+from equiref.structio import match_atoms
 
-from conftest import random_rotation, transform_structure
+from conftest import build_structure, random_rotation, transform_structure
 from oracles import contacts_bruteforce, lddt_bruteforce, superposed_rmsd_by_trace
-
-
-def single_atom_residue(chain_id, index, x, y, z, name="CA", serial=1):
-    coord = np.array([x, y, z], dtype=np.float64)
-    return Residue(index, "GLY", [Atom(name, name[0], coord, index, chain_id, serial)])
 
 
 def paired_chains(contact_flags, spacing=20.0, contact_gap=3.0, far_gap=100.0):
     """Chain A residues on a line; chain B residue i close iff flags[i]."""
-    a_res, b_res = [], []
+    a_rows, b_rows = [], []
     for i, close in enumerate(contact_flags):
         y = spacing * i
-        a_res.append(single_atom_residue("A", i + 1, 0.0, y, 0.0, serial=2 * i + 1))
+        a_rows.append(("A", i + 1, "GLY", "CA", (0.0, y, 0.0)))
         gap = contact_gap if close else far_gap
-        b_res.append(single_atom_residue("B", i + 1, gap, y, 0.0, serial=2 * i + 2))
-    return ComplexStructure([Chain("A", a_res), Chain("B", b_res)])
+        b_rows.append(("B", i + 1, "GLY", "CA", (gap, y, 0.0)))
+    return build_structure(a_rows + b_rows)
 
 
 class TestContacts:
@@ -56,23 +51,17 @@ class TestContacts:
         assert contacts(s) == {(("A", 1), ("B", 1))}
 
     def test_single_chain_raises(self):
-        s = ComplexStructure([Chain("A", [single_atom_residue("A", 1, 0, 0, 0)])])
+        s = build_structure([("A", 1, "GLY", "CA", (0.0, 0.0, 0.0))])
         with pytest.raises(NoInterfaceError):
             contacts(s)
 
     def test_three_chain_fixture_matches_bruteforce(self, rng):
-        chains = []
-        serial = 1
+        rows = []
         for chain_id, offset in (("A", 0.0), ("B", 4.0), ("C", 8.0)):
-            residues = []
             for i in range(6):
                 coord = rng.normal(scale=3.0, size=3) + [offset, i * 2.5, 0.0]
-                residues.append(
-                    single_atom_residue(chain_id, i + 1, *coord, serial=serial)
-                )
-                serial += 1
-            chains.append(Chain(chain_id, residues))
-        s = ComplexStructure(chains)
+                rows.append((chain_id, i + 1, "GLY", "CA", coord))
+        s = build_structure(rows)
         assert contacts(s) == contacts_bruteforce(s)
 
 
@@ -111,10 +100,9 @@ class TestInterfaceRmsd:
         assert irmsd(moved, two_chain_complex) < 1e-9
 
     def test_displaced_residue_matches_trace_oracle(self, two_chain_complex):
-        coords = two_chain_complex.coords()
+        coords = two_chain_complex.coords.copy()
         # displace the first residue of chain B orthogonally to the interface
-        offset = two_chain_complex.chains[0].residues
-        n_a = sum(len(r.atoms) for r in offset)
+        n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         coords[n_a:n_a + 4] += np.array([0.0, 0.0, 2.0])
         decoy = two_chain_complex.with_coords(coords)
         value = irmsd(decoy, two_chain_complex)
@@ -126,11 +114,11 @@ class TestInterfaceRmsd:
             for key in pair
         }
         mobile, target = [], []
-        for d_atom, n_atom in zip(decoy.atoms(), two_chain_complex.atoms()):
-            key = (d_atom.chain_id, d_atom.residue_index)
-            if d_atom.name in ("N", "CA", "C", "O") and key in interface:
-                mobile.append(d_atom.coord)
-                target.append(n_atom.coord)
+        for row, name in enumerate(decoy.name):
+            key = (decoy.chain[row], decoy.resnum[row])
+            if name in ("N", "CA", "C", "O") and key in interface:
+                mobile.append(decoy.coords[row])
+                target.append(two_chain_complex.coords[row])
         assert value == pytest.approx(
             superposed_rmsd_by_trace(mobile, target), abs=1e-9
         )
@@ -147,15 +135,15 @@ class TestLigandRmsd:
         assert lrmsd(two_chain_complex, two_chain_complex) < 1e-10
 
     def test_pure_ligand_translation(self, two_chain_complex):
-        coords = two_chain_complex.coords()
-        n_a = sum(len(r.atoms) for r in two_chain_complex.chains[0].residues)
+        coords = two_chain_complex.coords.copy()
+        n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         coords[n_a:] += np.array([0.0, 4.0, 0.0])  # chain B is the ligand
         decoy = two_chain_complex.with_coords(coords)
         assert lrmsd(decoy, two_chain_complex) == pytest.approx(4.0, abs=1e-9)
 
     def test_rotated_ligand_matches_two_step_oracle(self, two_chain_complex, rng):
-        coords = two_chain_complex.coords()
-        n_a = sum(len(r.atoms) for r in two_chain_complex.chains[0].residues)
+        coords = two_chain_complex.coords.copy()
+        n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         rot = random_rotation(rng)
         center = coords[n_a:].mean(axis=0)
         coords[n_a:] = (coords[n_a:] - center) @ rot.T + center
@@ -165,10 +153,10 @@ class TestLigandRmsd:
         # independent two-step check: receptor is untouched so the optimal
         # receptor alignment is the identity; deviation is the raw ligand RMSD
         lig_decoy, lig_native = [], []
-        for d_atom, n_atom in zip(decoy.atoms(), two_chain_complex.atoms()):
-            if d_atom.chain_id == "B" and d_atom.name in ("N", "CA", "C", "O"):
-                lig_decoy.append(d_atom.coord)
-                lig_native.append(n_atom.coord)
+        for row, name in enumerate(decoy.name):
+            if decoy.chain[row] == "B" and name in ("N", "CA", "C", "O"):
+                lig_decoy.append(decoy.coords[row])
+                lig_native.append(two_chain_complex.coords[row])
         expected = math.sqrt(
             np.mean(
                 [sum((a - b) ** 2) for a, b in zip(lig_decoy, lig_native)]
@@ -218,33 +206,29 @@ class TestLddt:
         assert mean == pytest.approx(1.0, abs=1e-9)
 
     def test_scrambled_decoy_scores_zero(self, two_chain_complex, rng):
-        coords = two_chain_complex.coords()
+        coords = two_chain_complex.coords
         scramble = rng.normal(scale=500.0, size=coords.shape)
         decoy = two_chain_complex.with_coords(coords + scramble)
         scores, mean = lddt_ca(decoy, two_chain_complex)
         assert mean < 0.05
 
     def test_displaced_ca_matches_bruteforce_exactly(self, two_chain_complex):
-        coords = two_chain_complex.coords()
-        ca_rows = [
-            i for i, a in enumerate(two_chain_complex.atoms()) if a.name == "CA"
-        ]
+        coords = two_chain_complex.coords.copy()
+        ca_rows = np.flatnonzero(two_chain_complex.name == "CA")
         coords[ca_rows[1]] += np.array([0.0, 1.5, 0.0])
         decoy = two_chain_complex.with_coords(coords)
         corr = match_atoms(decoy, two_chain_complex)
         scores, mean = lddt_ca(decoy, two_chain_complex, corr)
 
-        decoy_ca = [decoy.atoms()[d].coord for d, _ in corr.matched_ca]
-        native_ca = [
-            two_chain_complex.atoms()[n].coord for _, n in corr.matched_ca
-        ]
+        decoy_ca = [decoy.coords[d] for d, _ in corr.matched_ca]
+        native_ca = [two_chain_complex.coords[n] for _, n in corr.matched_ca]
         expected_scores, expected_mean = lddt_bruteforce(decoy_ca, native_ca)
         for got, want in zip(scores, expected_scores):
             assert got == want or (math.isnan(got) and math.isnan(want))
         assert mean == expected_mean
 
     def test_requires_two_matched_ca(self):
-        s = ComplexStructure([Chain("A", [single_atom_residue("A", 1, 0, 0, 0)])])
+        s = build_structure([("A", 1, "GLY", "CA", (0.0, 0.0, 0.0))])
         with pytest.raises(UndefinedMetricError):
             lddt_ca(s, s)
 
@@ -258,11 +242,9 @@ def native_and_decoy(draw):
     Coordinates are whole Angstroms, so squared distances are exact and
     distances of exactly 5 A, and errors of exactly a threshold, occur.
     """
-    chains = []
-    serial = 0
+    rows = []
     isolated = 0
     for chain_id in "ABC"[: draw(st.integers(2, 3))]:
-        residues = []
         for index in range(1, draw(st.integers(1, 4)) + 1):
             center = np.array([draw(st.integers(-5, 5)) for _ in range(3)], float)
             if draw(st.integers(0, 3)) == 0:
@@ -272,20 +254,16 @@ def native_and_decoy(draw):
                 st.sampled_from(("N", "CA", "C", "O")), min_size=1, max_size=4,
                 unique=True,
             ))
-            atoms = []
             for name in names:
-                serial += 1
                 coord = center + [draw(st.integers(-1, 1)) for _ in range(3)]
-                atoms.append(Atom(name, name[0], coord, index, chain_id, serial))
-            residues.append(Residue(index, "GLY", atoms))
-        chains.append(Chain(chain_id, residues))
-    native = ComplexStructure(chains)
+                rows.append((chain_id, index, "GLY", name, coord))
+    native = build_structure(rows)
     moves = draw(st.lists(
         st.integers(-2, 2), min_size=3 * native.num_atoms,
         max_size=3 * native.num_atoms,
     ))
     shift = np.array(moves, dtype=np.float64).reshape(-1, 3)
-    return native, native.with_coords(native.coords() + shift)
+    return native, native.with_coords(native.coords + shift)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -295,8 +273,8 @@ def test_contacts_and_lddt_match_oracles(pair):
     assert contacts(native) == contacts_bruteforce(native)
     assert contacts(decoy) == contacts_bruteforce(decoy)
 
-    decoy_ca = [a.coord for a in decoy.atoms() if a.name == "CA"]
-    native_ca = [a.coord for a in native.atoms() if a.name == "CA"]
+    decoy_ca = list(decoy.coords[decoy.name == "CA"])
+    native_ca = list(native.coords[native.name == "CA"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # mean of no scores
         expected_scores, expected_mean = lddt_bruteforce(decoy_ca, native_ca)
@@ -422,8 +400,8 @@ class TestScorePair:
         assert report.fnonnat == 0.0
 
     def test_translated_ligand_incorrect(self, two_chain_complex):
-        coords = two_chain_complex.coords()
-        n_a = sum(len(r.atoms) for r in two_chain_complex.chains[0].residues)
+        coords = two_chain_complex.coords.copy()
+        n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         coords[n_a:] += np.array([100.0, 0.0, 0.0])
         decoy = two_chain_complex.with_coords(coords)
         report = score_pair(decoy, two_chain_complex)
@@ -431,7 +409,7 @@ class TestScorePair:
         assert report.quality_class == "incorrect"
 
     def test_dockq_recomputable_from_components(self, two_chain_complex, rng):
-        coords = two_chain_complex.coords() + rng.normal(
+        coords = two_chain_complex.coords + rng.normal(
             scale=0.7, size=(two_chain_complex.num_atoms, 3)
         )
         decoy = two_chain_complex.with_coords(coords)
@@ -453,7 +431,7 @@ class TestScorePair:
 
 class TestRigidMotionInvariance:
     def test_simultaneous_motion(self, two_chain_complex, rng):
-        coords = two_chain_complex.coords() + rng.normal(
+        coords = two_chain_complex.coords + rng.normal(
             scale=0.5, size=(two_chain_complex.num_atoms, 3)
         )
         decoy = two_chain_complex.with_coords(coords)
@@ -471,7 +449,7 @@ class TestRigidMotionInvariance:
             )
 
     def test_decoy_only_motion_for_superposed_metrics(self, two_chain_complex, rng):
-        coords = two_chain_complex.coords() + rng.normal(
+        coords = two_chain_complex.coords + rng.normal(
             scale=0.5, size=(two_chain_complex.num_atoms, 3)
         )
         decoy = two_chain_complex.with_coords(coords)

@@ -16,19 +16,35 @@ from equiref.model import (
     forward,
     forward_pass,
     init_params,
-    layer_step,
-    linear_attention,
     load_container,
     load_weights,
-    local_window_attention,
     parameter_count,
-    quadratic_attention,
     save_weights,
 )
 
 from conftest import make_complex, random_rotation, rewrite_header
+from oracles import quadratic_attention
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
+
+
+def on_arrays(fn, *arrays, **kwargs):
+    """``fn`` of Tensor inputs run on numpy arrays under no_grad()."""
+    with no_grad():
+        return fn(*map(Tensor, arrays), **kwargs).data
+
+
+def layer_step(graph, params, config, layer, x, h, f_emb):
+    """One layer on explicit state arrays; the anchor is the graph's."""
+    with no_grad():
+        leaves = {name: Tensor(value) for name, value in params.items()}
+        x_new, h_new = model._layer(
+            Tensor(x), Tensor(h), Tensor(graph.initial_coords), Tensor(f_emb),
+            Tensor(graph.edge_features), graph.neighbors,
+            leaves, f"layers.{layer}.", config,
+            leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
+        )
+    return x_new.data, h_new.data
 
 
 def randomize(params, rng, scale=0.3):
@@ -117,7 +133,7 @@ class TestLinearAttention:
             d = int(rng.integers(2, 65))
             h = rng.normal(size=(n, d))
             wq, wk, wv = (rng.normal(size=(d, d)) for _ in range(3))
-            lin = linear_attention(h, wq, wk, wv)
+            lin = on_arrays(model._linear_attention, h, wq, wk, wv)
             quad = quadratic_attention(h, wq, wk, wv)
             denom = np.abs(quad).max() + 1e-12
             assert np.abs(lin - quad).max() / denom < 1e-10
@@ -127,11 +143,12 @@ class TestLinearAttention:
         wq, wk, wv = (rng.normal(size=(6, 6)) for _ in range(3))
         q, k, v = h @ wq, h @ wk, h @ wv
         expected = q @ (k.T @ v)  # n = 1: the normalization cancels
-        np.testing.assert_allclose(linear_attention(h, wq, wk, wv), expected)
+        out = on_arrays(model._linear_attention, h, wq, wk, wv)
+        np.testing.assert_allclose(out, expected)
 
     def test_zero_embeddings(self, rng):
         wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-        out = linear_attention(np.zeros((7, 4)), wq, wk, wv)
+        out = on_arrays(model._linear_attention, np.zeros((7, 4)), wq, wk, wv)
         np.testing.assert_array_equal(out, 0.0)
 
 
@@ -146,24 +163,24 @@ class TestWindowAttention:
     def test_single_block_equals_full_attention(self, rng):
         h = rng.normal(size=(10, 6))
         wq, wk, wv = (rng.normal(size=(6, 6)) for _ in range(3))
-        out = local_window_attention(h, wq, wk, wv, window=128)
+        out = on_arrays(model._window_attention, h, wq, wk, wv, window=128)
         np.testing.assert_allclose(out, self.full_softmax(h, wq, wk, wv), atol=1e-12)
 
     def test_blocks_are_independent(self, rng):
         window = 8
         h = rng.normal(size=(2 * window, 5))
         wq, wk, wv = (rng.normal(size=(5, 5)) for _ in range(3))
-        base = local_window_attention(h, wq, wk, wv, window)
+        base = on_arrays(model._window_attention, h, wq, wk, wv, window=window)
         h2 = h.copy()
         h2[window:] = rng.normal(size=(window, 5))
-        out = local_window_attention(h2, wq, wk, wv, window)
+        out = on_arrays(model._window_attention, h2, wq, wk, wv, window=window)
         np.testing.assert_array_equal(out[:window], base[:window])
         assert not np.allclose(out[window:], base[window:])
 
     def test_hand_sized_bruteforce(self, rng):
         h = rng.normal(size=(4, 2))
         wq, wk, wv = (rng.normal(size=(2, 2)) for _ in range(3))
-        out = local_window_attention(h, wq, wk, wv, window=2)
+        out = on_arrays(model._window_attention, h, wq, wk, wv, window=2)
         for block in (slice(0, 2), slice(2, 4)):
             hb = h[block]
             np.testing.assert_allclose(

@@ -339,7 +339,7 @@ class TestClip:
 
 def structure_pair(rng, sigma=0.5):
     native = make_complex(n_res_a=5, n_res_b=4)
-    noisy = native.coords() + rng.normal(scale=sigma, size=(native.num_atoms, 3))
+    noisy = native.coords + rng.normal(scale=sigma, size=(native.num_atoms, 3))
     decoy = native.with_coords(noisy)
     return decoy, native
 
@@ -350,7 +350,7 @@ class TestMakeTrainingExample:
         decoy, native = structure_pair(rng)
         example = make_training_example(decoy, native, config)
         assert example.matched_nodes.size == decoy.num_atoms
-        n_res = sum(len(ch.residues) for ch in decoy.chains)
+        n_res = decoy.num_residues
         assert example.lddt_nodes.size == n_res
         assert np.all((example.lddt_targets >= 0) & (example.lddt_targets <= 1))
 
@@ -369,7 +369,7 @@ class TestMakeTrainingExample:
         config = ModelConfig(num_layers=1, hidden_dim=4, granularity="c-alpha")
         decoy, native = structure_pair(rng)
         example = make_training_example(decoy, native, config)
-        n_res = sum(len(ch.residues) for ch in decoy.chains)
+        n_res = decoy.num_residues
         assert example.graph.num_nodes == n_res
         assert example.matched_nodes.size == n_res
 
@@ -386,7 +386,7 @@ class TestGroundTruthLddt:
     def test_scrambled_all_zero(self, rng):
         native = make_complex(n_res_a=5, n_res_b=4)
         decoy = native.with_coords(
-            native.coords() + rng.normal(scale=300.0, size=(native.num_atoms, 3))
+            native.coords + rng.normal(scale=300.0, size=(native.num_atoms, 3))
         )
         labels = make_training_example(decoy, native, self.CONFIG).lddt_targets
         assert labels.size > 0
