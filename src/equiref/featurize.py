@@ -3,17 +3,23 @@
 Builds k-NN graphs over all heavy atoms or over CA atoms only, fills the
 node and edge feature blocks, computes the chain-local surface-proximity
 approximation, and applies training-time Gaussian coordinate corruption.
+The k-NN search and the surface proximity read their atom-pair distances
+from ``structio.squared_distance_blocks``, the package's one distance
+kernel, a block of rows at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GraphTooSmallError, SurfaceOverrideError
-from .structio import ComplexStructure, build_residue_frames
+from .structio import (
+    ComplexStructure,
+    build_residue_frames,
+    squared_distance_blocks,
+)
 
 # Heavy-atom PDB names across the 20 standard residues, plus a catch-all.
 ATOM_TYPES = (
@@ -49,10 +55,6 @@ UNDEFINED_ANGLE = (0.0, 1.0)  # (sin, cos) of an angle that is not defined
 SURFACE_RADIUS = 10.0
 SURFACE_MAX_NEIGHBORS = 64
 COVALENT_CUTOFF = 1.9
-# Pairwise distances are computed for blocks of rows with about this many
-# (row, column) pairs each, which bounds the working memory of the dense
-# distance passes; every row is independent, so results do not depend on it.
-PAIR_CHUNK = 2 ** 18
 GRANULARITIES = ("all-atom", "c-alpha")
 
 
@@ -111,19 +113,28 @@ def knn_edges(coords: np.ndarray, k: int) -> np.ndarray:
     """(n, min(k, n-1)) table whose row i lists the nearest other nodes of i.
 
     Neighbors are ordered by ascending distance with ties broken by lower
-    node index; chunking keeps memory bounded.
+    node index. Each row's k candidates come from a partial sort; a row
+    whose ties straddle the k-th place, where the partial sort may have
+    kept a higher index, is sorted in full instead.
     """
     n = coords.shape[0]
-    neighbors = np.empty((n, min(k, n - 1)), dtype=np.intp)
-    chunk = max(1, PAIR_CHUNK // max(n, 1))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
-        d2 = (diff * diff).sum(axis=2)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        neighbors[start:stop] = order[:, :neighbors.shape[1]]
+    k = min(k, n - 1)
+    neighbors = np.empty((n, max(k, 0)), dtype=np.intp)
+    if k <= 0:
+        return neighbors
+    for start, d2 in squared_distance_blocks(coords, coords):
+        rows = np.arange(d2.shape[0])
+        d2[rows, rows + start] = np.inf
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        near = np.take_along_axis(d2, part, axis=1)
+        order = np.lexsort((part, near))
+        block = np.take_along_axis(part, order, axis=1)
+        # exactly k values at or below the k-th one: the choice is unique
+        ambiguous = np.count_nonzero(d2 <= near.max(axis=1)[:, None], axis=1) != k
+        if ambiguous.any():
+            full = np.argsort(d2[ambiguous], axis=1, kind="stable")
+            block[ambiguous] = full[:, :k]
+        neighbors[start:start + d2.shape[0]] = block
     return neighbors
 
 
@@ -137,15 +148,10 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
     values = np.empty(structure.num_atoms, dtype=np.float64)
     for _, rows in structure.chain_slices():
         pts = structure.coords[rows]
-        m = pts.shape[0]
-        counts = np.zeros(m, dtype=np.int64)
-        chunk = max(1, PAIR_CHUNK // max(m, 1))
-        for start in range(0, m, chunk):
-            stop = min(start + chunk, m)
-            diff = pts[start:stop, None, :] - pts[None, :, :]
-            d2 = (diff * diff).sum(axis=2)
-            within = d2 <= SURFACE_RADIUS ** 2
-            counts[start:stop] = within.sum(axis=1) - 1  # exclude self
+        counts = np.empty(pts.shape[0], dtype=np.int64)
+        for start, d2 in squared_distance_blocks(pts, pts):
+            within = np.count_nonzero(d2 <= SURFACE_RADIUS ** 2, axis=1)
+            counts[start:start + d2.shape[0]] = within - 1  # exclude self
         values[rows] = 1.0 - np.minimum(1.0, counts / SURFACE_MAX_NEIGHBORS)
     return values
 
@@ -180,24 +186,22 @@ def read_surface_file(path, expected_atoms: int) -> np.ndarray:
     return arr
 
 
-def _dihedral(p1, p2, p3, p4) -> tuple[float, float]:
-    """(sin, cos) of the torsion angle of p1-p2-p3-p4.
+def _dihedrals(p1, p2, p3, p4) -> np.ndarray:
+    """(sin, cos) rows of the torsion angles of the rows of p1-p2-p3-p4.
 
     Sign follows the biochemical convention: looking from p2 toward p3, a
     clockwise rotation from the p2->p1 projection to the p3->p4 projection
     is positive. A zero-length p2-p3 axis leaves the angle undefined.
     """
     axis = p3 - p2
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
-        return UNDEFINED_ANGLE
-    axis = axis / norm
-    u = (p1 - p2) - ((p1 - p2) @ axis) * axis
-    w = (p4 - p3) - ((p4 - p3) @ axis) * axis
-    x = float(u @ w)
-    y = float(np.cross(axis, u) @ w)
-    angle = math.atan2(y, x)
-    return math.sin(angle), math.cos(angle)
+    norm = np.sqrt(np.vecdot(axis, axis))
+    axis /= np.where(norm == 0.0, 1.0, norm)[:, None]
+    u = (p1 - p2) - np.vecdot(p1 - p2, axis)[:, None] * axis
+    w = (p4 - p3) - np.vecdot(p4 - p3, axis)[:, None] * axis
+    angle = np.arctan2(np.vecdot(np.cross(axis, u), w), np.vecdot(u, w))
+    out = np.column_stack([np.sin(angle), np.cos(angle)])
+    out[norm == 0.0] = UNDEFINED_ANGLE
+    return out
 
 
 def backbone_dihedrals(structure: ComplexStructure) -> np.ndarray:
@@ -207,52 +211,59 @@ def backbone_dihedrals(structure: ComplexStructure) -> np.ndarray:
     neighbor exists in the same chain with a contiguous residue number;
     undefined angles encode as (0, 1).
     """
-    xyz = structure.coords
-    n, ca, c = (structure.residue_rows(name) for name in ("N", "CA", "C"))
+    rows = np.stack([structure.residue_rows(name) for name in ("N", "CA", "C")])
+    # a missing atom (row -1) reads the last row; the masks drop its angles
+    n, ca, c = structure.coords[rows]
+    n_ok, ca_ok, c_ok = rows >= 0
     chain = structure.chain[structure.residue_starts]
     number = structure.resnum[structure.residue_starts]
     # linked[r]: residue r + 1 directly follows residue r in the same chain
     linked = (chain[1:] == chain[:-1]) & (number[1:] == number[:-1] + 1)
-    num_res = structure.num_residues
-    rows = np.tile(UNDEFINED_ANGLE, (num_res, DIHEDRAL_WIDTH // 2))
-    for r in range(num_res):
-        prev_ok = r > 0 and linked[r - 1]
-        next_ok = r + 1 < num_res and linked[r]
-        has_n_ca_c = n[r] >= 0 and ca[r] >= 0 and c[r] >= 0
-        if prev_ok and has_n_ca_c and c[r - 1] >= 0:
-            rows[r, 0:2] = _dihedral(xyz[c[r - 1]], xyz[n[r]], xyz[ca[r]], xyz[c[r]])
-        if next_ok and has_n_ca_c and n[r + 1] >= 0:
-            rows[r, 2:4] = _dihedral(xyz[n[r]], xyz[ca[r]], xyz[c[r]], xyz[n[r + 1]])
-        if prev_ok and ca[r - 1] >= 0 and c[r - 1] >= 0 and n[r] >= 0 and ca[r] >= 0:
-            rows[r, 4:6] = _dihedral(
-                xyz[ca[r - 1]], xyz[c[r - 1]], xyz[n[r]], xyz[ca[r]]
-            )
-    return rows
+    has_n_ca_c = n_ok & ca_ok & c_ok
+    out = np.tile(UNDEFINED_ANGLE, (structure.num_residues, DIHEDRAL_WIDTH // 2))
+    # each angle of residue r + 1 that reaches back to residue r
+    back = linked & ca_ok[1:] & n_ok[1:] & c_ok[:-1]
+    phi = np.flatnonzero(back & c_ok[1:])
+    out[phi + 1, 0:2] = _dihedrals(c[phi], n[phi + 1], ca[phi + 1], c[phi + 1])
+    psi = np.flatnonzero(linked & has_n_ca_c[:-1] & n_ok[1:])
+    out[psi, 2:4] = _dihedrals(n[psi], ca[psi], c[psi], n[psi + 1])
+    omega = np.flatnonzero(back & ca_ok[:-1])
+    out[omega + 1, 4:6] = _dihedrals(ca[omega], c[omega], n[omega + 1], ca[omega + 1])
+    return out
 
 
-def _rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, with w >= 0."""
-    t = np.trace(r)
-    if t > 0:
-        s = math.sqrt(t + 1.0) * 2
-        q = np.array([
-            0.25 * s,
-            (r[2, 1] - r[1, 2]) / s,
-            (r[0, 2] - r[2, 0]) / s,
-            (r[1, 0] - r[0, 1]) / s,
-        ])
-    else:
-        i = int(np.argmax(np.diag(r)))
+def _rotations_to_quaternions(r: np.ndarray) -> np.ndarray:
+    """Unit quaternions (w, x, y, z), with w >= 0, of (m, 3, 3) rotations.
+
+    Shepperd's method: the trace when it is positive, else the largest
+    diagonal entry, picks the best-conditioned formula for each rotation.
+    """
+    q = np.empty((r.shape[0], 4))
+    trace = np.trace(r, axis1=1, axis2=2)
+    first = trace > 0
+    s = np.sqrt(trace[first] + 1.0) * 2
+    rf = r[first]
+    q[first] = np.column_stack([
+        0.25 * s,
+        (rf[:, 2, 1] - rf[:, 1, 2]) / s,
+        (rf[:, 0, 2] - rf[:, 2, 0]) / s,
+        (rf[:, 1, 0] - rf[:, 0, 1]) / s,
+    ])
+    largest = np.argmax(np.diagonal(r, axis1=1, axis2=2), axis=1)
+    for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(1.0 + r[i, i] - r[j, j] - r[k, k], 0.0)) * 2
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+        pick = ~first & (largest == i)
+        rp = r[pick]
+        s = np.sqrt(np.maximum(
+            1.0 + rp[:, i, i] - rp[:, j, j] - rp[:, k, k], 0.0)) * 2
+        qp = np.empty((rp.shape[0], 4))
+        qp[:, 0] = (rp[:, k, j] - rp[:, j, k]) / s
+        qp[:, 1 + i] = 0.25 * s
+        qp[:, 1 + j] = (rp[:, j, i] + rp[:, i, j]) / s
+        qp[:, 1 + k] = (rp[:, k, i] + rp[:, i, k]) / s
+        q[pick] = qp
+    q[q[:, 0] < 0] *= -1
+    return q / np.sqrt(np.vecdot(q, q))[:, None]
 
 
 def _one_hot(names: np.ndarray, index: dict[str, int]) -> np.ndarray:
@@ -330,8 +341,7 @@ def edge_features(
         geo[:, 1:4] = np.einsum("eji,ej->ei", r_dst, unit)
         geo[:, 4:7] = np.einsum("eji,ej->ei", r_src, -unit)
         rel = np.einsum("eji,ejk->eik", r_dst, r_src)  # R_i^T R_j
-        for e in range(num_edges):
-            geo[e, 7:11] = _rotation_to_quaternion(rel[e])
+        geo[:, 7:11] = _rotations_to_quaternions(rel)
         geo[:, 11] = 1.0 / (1.0 + dist)
         blocks.append(geo)
 

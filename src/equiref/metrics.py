@@ -8,7 +8,9 @@ parameterizations: 5 A heavy-atom contacts, 10 A interfaces, backbone
 (N, CA, C, O) superposition, class cutoffs 0.23/0.49/0.80, LDDT inclusion
 radius 15 A with thresholds 0.5/1/2/4 A. These cutoffs, the radius and
 the thresholds are fixed conventions, held in the module constants below;
-no function takes them as parameters.
+no function takes them as parameters. Contacts, interfaces and LDDT read
+their atom-pair distances from ``structio.squared_distance_blocks``, the
+package's one distance kernel, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .structio import (
     ComplexStructure,
     kabsch_superpose,
     match_atoms,
+    squared_distance_blocks,
 )
 
 CONTACT_CUTOFF = 5.0
@@ -67,11 +70,10 @@ def _cross_chain_residue_pairs(
     out: set[ContactPair] = set()
     for i, (ci, res_i, keys_i) in enumerate(per_chain):
         for cj, res_j, keys_j in per_chain[i + 1:]:
-            diff = ci[:, None, :] - cj[None, :, :]
-            d2 = (diff * diff).sum(axis=2)
-            a, b = np.nonzero(d2 < cutoff * cutoff)
             hit = np.zeros((len(keys_i), len(keys_j)), dtype=bool)
-            hit[res_i[a], res_j[b]] = True
+            for start, d2 in squared_distance_blocks(ci, cj):
+                a, b = np.nonzero(d2 < cutoff * cutoff)
+                hit[res_i[start + a], res_j[b]] = True
             out.update(
                 tuple(sorted((keys_i[p], keys_j[q]))) for p, q in zip(*np.nonzero(hit))
             )
@@ -204,11 +206,6 @@ def dockq(fnat: float, lrmsd_value: float, irmsd_value: float) -> float:
     return (fnat + scaled_l + scaled_i) / 3.0
 
 
-def _distance_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
 def lddt_ca(
     decoy: ComplexStructure,
     native: ComplexStructure,
@@ -233,15 +230,24 @@ def lddt_ca(
         raise UndefinedMetricError(f"need >= 2 matched CA atoms, got {m}")
     decoy_ca = decoy.coords[matched[:, 0]]
     native_ca = native.coords[matched[:, 1]]
-    d_decoy = _distance_matrix(decoy_ca)
-    d_native = _distance_matrix(native_ca)
-    include = (d_native < LDDT_RADIUS) & ~np.eye(m, dtype=bool)
-    error = np.abs(d_decoy - d_native)
-
-    n_pairs = include.sum(axis=1)
-    per_row = np.maximum(n_pairs, 1)
-    total = sum(((error < t) & include).sum(axis=1) / per_row for t in LDDT_THRESHOLDS)
-    scores = np.where(n_pairs > 0, total / len(LDDT_THRESHOLDS), np.nan)
+    scores = np.empty(m, dtype=np.float64)
+    for (start, d2_decoy), (_, d2_native) in zip(
+        squared_distance_blocks(decoy_ca, decoy_ca),
+        squared_distance_blocks(native_ca, native_ca),
+    ):
+        rows = np.arange(d2_native.shape[0])
+        d_native = np.sqrt(d2_native)
+        include = d_native < LDDT_RADIUS
+        include[rows, rows + start] = False
+        error = np.abs(np.sqrt(d2_decoy) - d_native)
+        n_pairs = include.sum(axis=1)
+        per_row = np.maximum(n_pairs, 1)
+        total = sum(
+            ((error < t) & include).sum(axis=1) / per_row for t in LDDT_THRESHOLDS
+        )
+        scores[start:start + rows.shape[0]] = np.where(
+            n_pairs > 0, total / len(LDDT_THRESHOLDS), np.nan
+        )
     defined = scores[~np.isnan(scores)]
     if defined.size == 0:
         raise UndefinedMetricError("no residue has a qualifying CA pair")

@@ -29,7 +29,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -207,6 +207,13 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
     for name, shape in _mlp_shapes(d, d, 1):
         shapes["qa_head." + name] = shape
     return shapes
+
+
+def _block_count(config: ModelConfig) -> int:
+    """len(parameter_shapes(config)), without listing every layer's blocks."""
+    one, two = (len(parameter_shapes(replace(config, num_layers=layers)))
+                for layers in (1, 2))
+    return one + (config.num_layers - 1) * (two - one)
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -480,7 +487,7 @@ def load_container(
         raise WeightsTruncatedError("stream ends inside the header")
     try:
         header = json.loads(data[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise WeightsVersionError(f"unreadable header: {exc}") from None
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
             and isinstance(header.get("blocks"), list)):
@@ -489,16 +496,36 @@ def load_container(
         config = ModelConfig.from_dict(header["config"])
     except ConfigError as exc:
         raise WeightsHeaderError(f"invalid config in header: {exc}") from None
+    # a config can claim far more blocks than the header lists; listing
+    # them all would cost time and memory in proportion to that claim
+    expected = _block_count(config)
+    if len(header["blocks"]) < expected:
+        raise WeightsShapeError(
+            f"header lists {len(header['blocks'])} blocks, but a "
+            f"{config.num_layers}-layer model has {expected}"
+        )
     shapes = parameter_shapes(config)
     params: dict[str, np.ndarray] = {}
     extra: dict[str, np.ndarray] = {}
     body = data[header_end:]
+    declared = 0
     for block in header["blocks"]:
         name, shape, start = _block_entry(block)
         size = math.prod(shape) * 8
         if start + size > len(body):
             raise WeightsTruncatedError(f"stream ends inside block {name}")
-        arr = np.frombuffer(body[start:start + size], dtype="<f8").reshape(shape).copy()
+        # blocks that share bytes would each be copied: a small stream
+        # could then fill memory many times over
+        declared += size
+        if declared > len(body):
+            raise WeightsTruncatedError(
+                f"blocks up to {name} declare more bytes than the stream holds"
+            )
+        try:
+            arr = np.frombuffer(body[start:start + size], dtype="<f8").reshape(shape)
+        except ValueError:  # more dimensions, or larger ones, than numpy holds
+            raise WeightsShapeError(f"block {name} has an unusable shape") from None
+        arr = arr.copy()
         if name in shapes:
             if shape != shapes[name]:
                 raise WeightsShapeError(
@@ -507,9 +534,10 @@ def load_container(
             params[name] = arr
         else:
             extra[name] = arr
-    missing = set(shapes) - set(params)
+    missing = sorted(set(shapes) - set(params))
     if missing:
-        raise WeightsShapeError(f"missing parameter blocks: {sorted(missing)}")
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise WeightsShapeError(f"missing parameter blocks: {missing[:5]}{more}")
     return params, config, extra, header.get("meta", {})
 
 

@@ -25,6 +25,11 @@ numbers, so that they strictly increase within a chain. The module also
 establishes atom correspondence between a decoy and its reference
 structure, computes Kabsch superpositions, and builds local backbone
 coordinate frames used by edge featurization.
+
+``squared_distance_blocks`` is the one all-pairs distance kernel of the
+package: the k-NN graph, the surface proximity, the interface contacts and
+LDDT all read their distances from it, in row blocks of at most
+``PAIR_CHUNK`` pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,6 +50,10 @@ from .errors import (
 )
 
 BACKBONE_ATOMS = ("N", "CA", "C", "O")
+# Pairwise distances are computed for blocks of rows with about this many
+# (row, column) pairs each, which bounds the working memory of the dense
+# distance passes; every row is independent, so results do not depend on it.
+PAIR_CHUNK = 2 ** 18
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -394,6 +403,31 @@ def rmsd_without_superposition(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(float(((a - b) ** 2).sum(axis=1).mean()))
 
 
+def squared_distance_blocks(
+    a: np.ndarray, b: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Squared distances from the rows of ``a`` to every row of ``b``.
+
+    Yields (start, d2) for consecutive row blocks of ``a``, each with at
+    most PAIR_CHUNK pairs (and at least one row): ``d2[r, j]`` is
+    dx*dx + dy*dy + dz*dz between ``a[start + r]`` and ``b[j]``, added in
+    that order, which is bitwise the sum over the squared difference
+    vector. Every block is a new array that the caller may modify.
+    """
+    b_axes = np.ascontiguousarray(b.T)
+    chunk = max(1, PAIR_CHUNK // max(b.shape[0], 1))
+    for start in range(0, a.shape[0], chunk):
+        rows = a[start:start + chunk]
+        d2 = np.subtract(rows[:, 0, None], b_axes[0])
+        d2 *= d2
+        diff = np.empty_like(d2)
+        for axis in (1, 2):
+            np.subtract(rows[:, axis, None], b_axes[axis], out=diff)
+            diff *= diff
+            d2 += diff
+        yield start, d2
+
+
 def build_residue_frames(
     structure: ComplexStructure,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -409,29 +443,23 @@ def build_residue_frames(
     ordered as the structure's residues.
     """
     xyz = structure.coords
-    n_rows, ca_rows, c_rows = (
-        structure.residue_rows(name) for name in ("N", "CA", "C")
-    )
-    bounds = [*structure.residue_starts.tolist(), structure.num_atoms]
-    origins = []
-    rotations = []
-    for r in range(structure.num_residues):
-        frame = None
-        if n_rows[r] >= 0 and ca_rows[r] >= 0 and c_rows[r] >= 0:
-            n, ca, c = xyz[n_rows[r]], xyz[ca_rows[r]], xyz[c_rows[r]]
-            e1 = c - ca
-            norm1 = np.linalg.norm(e1)
-            if norm1 > 1e-8:
-                e1 = e1 / norm1
-                v = n - ca
-                e2 = v - (v @ e1) * e1
-                norm2 = np.linalg.norm(e2)
-                if norm2 > 1e-8:
-                    e2 = e2 / norm2
-                    e3 = np.cross(e1, e2)
-                    frame = (ca, np.column_stack([e1, e2, e3]))
-        if frame is None:
-            frame = (np.mean(xyz[bounds[r]:bounds[r + 1]], axis=0), np.eye(3))
-        origins.append(frame[0])
-        rotations.append(frame[1])
-    return np.array(origins, dtype=np.float64), np.array(rotations, dtype=np.float64)
+    rows = np.stack([structure.residue_rows(name) for name in ("N", "CA", "C")])
+    # a missing atom (row -1) reads the last row; the mask drops its frame
+    n, ca, c = xyz[rows]
+    e1 = c - ca
+    norm1 = np.sqrt(np.vecdot(e1, e1))
+    ok = np.all(rows >= 0, axis=0) & (norm1 > 1e-8)
+    e1 /= np.where(ok, norm1, 1.0)[:, None]
+    v = n - ca
+    e2 = v - np.vecdot(v, e1)[:, None] * e1
+    norm2 = np.sqrt(np.vecdot(e2, e2))
+    ok &= norm2 > 1e-8
+    e2 /= np.where(ok, norm2, 1.0)[:, None]
+    rotations = np.stack([e1, e2, np.cross(e1, e2)], axis=2)
+    rotations[~ok] = np.eye(3)
+
+    counts = np.diff([*structure.residue_starts.tolist(), structure.num_atoms])
+    centroids = np.add.reduceat(xyz, structure.residue_starts, axis=0)
+    centroids /= counts[:, None]
+    origins = np.where(ok[:, None], ca, centroids)
+    return origins, rotations

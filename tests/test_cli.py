@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from equiref.model import (
     load_weights,
     save_weights,
 )
-from equiref.structio import parse_pdb_file, write_pdb
+from equiref.structio import parse_pdb, parse_pdb_file, write_pdb
 
 from conftest import (
     helix_backbone,
@@ -97,6 +101,45 @@ class TestRefine:
         expected = outputs[0] @ rot.T + shift
         # refined PDB coordinates are quantized to 3 decimals
         np.testing.assert_allclose(outputs[1], expected, atol=2e-3)
+
+    def test_bitwise_for_a_blas_thread_count(self, tmp_path, rng):
+        # The determinism contract: a seed gives byte-identical output at a
+        # fixed BLAS thread count; across counts, sums may round in another
+        # order, so refined coordinates agree to one unit of the PDB field
+        # and the mean predicted LDDT to 1e-12. The ~1,000-atom input and
+        # the default model are large enough for OpenBLAS to split its
+        # matrix products over two threads.
+        from test_model import randomize
+
+        config = ModelConfig()
+        params = randomize(init_params(config, 0), rng, scale=0.2)
+        weights = tmp_path / "model.weights"
+        weights.write_bytes(save_weights(params, config))
+        input_pdb = tmp_path / "input.pdb"
+        input_pdb.write_text(write_pdb(make_complex(140, 120)))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def refine(threads, tag):
+            out, report = tmp_path / f"{tag}.pdb", tmp_path / f"{tag}.json"
+            subprocess.run(
+                [sys.executable, "-m", "equiref.cli", "refine",
+                 "--input", str(input_pdb), "--weights", str(weights),
+                 "--output", str(out), "--report", str(report)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": path},
+                check=True,
+            )
+            return out.read_text(), report.read_text()
+
+        runs = {t: [refine(t, f"{t}-{i}") for i in range(2)] for t in ("1", "2")}
+        for threads, (first, second) in runs.items():
+            assert first == second, f"OPENBLAS_NUM_THREADS={threads}"
+        coords = {t: parse_pdb(runs[t][0][0]).coords for t in runs}
+        lddt = {t: json.loads(runs[t][0][1])["mean_predicted_lddt"] for t in runs}
+        assert np.abs(coords["1"] - coords["2"]).max() <= 0.001 + 1e-9
+        assert abs(lddt["1"] - lddt["2"]) <= 1e-12
+        assert not np.array_equal(coords["1"], parse_pdb_file(input_pdb).coords)
 
     @pytest.mark.parametrize("mirror", [False, True],
                              ids=["rotation", "reflection"])

@@ -1,13 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equiref import featurize
+from equiref import structio
 from equiref.errors import GraphTooSmallError, SurfaceOverrideError
 from equiref.featurize import (
     ATOM_TYPES,
     RESIDUE_TYPES,
+    SURFACE_MAX_NEIGHBORS,
+    SURFACE_RADIUS,
     backbone_dihedrals,
     build_knn_graph,
     corrupt_coordinates,
@@ -17,12 +22,14 @@ from equiref.featurize import (
     read_surface_file,
     surface_proximity,
 )
+from equiref.metrics import contacts
 from conftest import (
     build_structure,
     random_rotation,
     replace_columns,
     transform_structure,
 )
+from oracles import contacts_bruteforce
 
 
 def brute_force_neighbors(coords, k):
@@ -366,7 +373,7 @@ def test_small_pair_chunks_match_brute_force(rng, monkeypatch):
     coords_b = rng.normal(size=(23, 3)) * 6 + 4.0
     s = build_structure(point_chain(coords_a, "A") + point_chain(coords_b, "B"))
     coords = s.coords
-    monkeypatch.setattr(featurize, "PAIR_CHUNK", 7 * coords.shape[0] + 3)
+    monkeypatch.setattr(structio, "PAIR_CHUNK", 7 * coords.shape[0] + 3)
 
     neighbors = knn_edges(coords, 20)
     assert neighbors.tolist() == brute_force_neighbors(coords, 20)
@@ -379,3 +386,42 @@ def test_small_pair_chunks_match_brute_force(rng, monkeypatch):
     values = surface_proximity(s)
     assert len(set(expected)) > 5
     np.testing.assert_array_equal(values, expected)
+
+
+@st.composite
+def lattice_complex(draw):
+    """Two chains of atoms on a 1 A integer lattice, several per residue.
+
+    Squared distances are exact integers, so many pairs tie, also at the
+    k-th neighbour, the 10 A surface radius and the 5 A contact cutoff.
+    """
+    rows = []
+    for chain_id in ("A", "B"):
+        points = draw(st.lists(
+            st.tuples(*[st.integers(-7, 7)] * 3), min_size=1, max_size=24,
+        ))
+        per_residue = draw(st.integers(1, 3))
+        for i, point in enumerate(points):
+            rows.append((chain_id, i // per_residue + 1, "GLY", "CA", point))
+    return build_structure(rows)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(structure=lattice_complex(), k=st.integers(1, 50),
+       chunk=st.integers(1, 120))
+def test_tied_lattice_matches_brute_force(structure, k, chunk):
+    """Neighbours, surface values and contacts equal their brute-force
+    oracles under exact ties, with ragged row blocks of the distance kernel."""
+    with mock.patch.object(structio, "PAIR_CHUNK", chunk):
+        neighbors = knn_edges(structure.coords, k)
+        values = surface_proximity(structure)
+        found = contacts(structure)
+    assert neighbors.tolist() == brute_force_neighbors(structure.coords, k)
+    expected = []
+    for _, rows in structure.chain_slices():
+        pts = structure.coords[rows]
+        for p in pts:
+            count = sum(((p - q) ** 2).sum() <= SURFACE_RADIUS ** 2 for q in pts) - 1
+            expected.append(1.0 - min(1.0, count / SURFACE_MAX_NEIGHBORS))
+    np.testing.assert_array_equal(values, expected)
+    assert found == contacts_bruteforce(structure)

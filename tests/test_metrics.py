@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiref import structio
 from equiref.errors import NoInterfaceError, UndefinedMetricError
 from equiref.metrics import (
     DecoyScore,
@@ -286,6 +288,20 @@ def test_contacts_and_lddt_match_oracles(pair):
     assert len(scores) == len(expected_scores)
     for got, want in zip(scores, expected_scores):
         assert got == want or (math.isnan(got) and math.isnan(want))
+    assert mean == expected_mean
+
+
+def test_lddt_small_pair_chunks_match_oracle(rng):
+    """Ragged row blocks of the distance kernel give the brute-force LDDT."""
+    native_ca = rng.normal(scale=6.0, size=(45, 3))
+    decoy_ca = native_ca + rng.normal(scale=1.5, size=native_ca.shape)
+    rows = [("A", i + 1, "GLY", "CA", xyz) for i, xyz in enumerate(native_ca)]
+    native = build_structure(rows)
+    decoy = native.with_coords(decoy_ca)
+    with mock.patch.object(structio, "PAIR_CHUNK", 4 * 45 + 7):
+        scores, mean = lddt_ca(decoy, native)
+    expected_scores, expected_mean = lddt_bruteforce(list(decoy_ca), list(native_ca))
+    assert scores.tolist() == expected_scores
     assert mean == expected_mean
 
 

@@ -1,10 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equiref import model
 from equiref.autodiff import Tensor, no_grad
 from equiref.errors import (
     ConfigError,
+    WeightsFormatError,
     WeightsShapeError,
     WeightsTruncatedError,
     WeightsVersionError,
@@ -19,6 +25,7 @@ from equiref.model import (
     load_container,
     load_weights,
     parameter_count,
+    parameter_shapes,
     save_weights,
 )
 
@@ -26,6 +33,40 @@ from conftest import make_complex, random_rotation, rewrite_header
 from oracles import quadratic_attention
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
+
+
+def container_bytes(header: bytes, body: bytes = b"") -> bytes:
+    """Weights container with the given raw header and data section."""
+    return (model.WEIGHTS_MAGIC + struct.pack("<I", model.WEIGHTS_VERSION)
+            + struct.pack("<Q", len(header)) + header + body)
+
+
+def container(header, body: bytes = b"") -> bytes:
+    return container_bytes(json.dumps(header).encode("utf-8"), body)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+BLOCK_NAMES = sorted(parameter_shapes(ModelConfig(num_layers=1, hidden_dim=1)))
+BLOCKS = st.fixed_dictionaries({
+    "name": st.sampled_from(BLOCK_NAMES) | JSON_VALUES,
+    "shape": st.lists(st.integers(-1, 2 ** 70), max_size=4) | JSON_VALUES,
+    "offset": st.integers(-1, 80) | JSON_VALUES,
+}) | JSON_VALUES
+CONFIGS = st.dictionaries(
+    st.sampled_from(sorted(ModelConfig().to_dict())) | st.text(max_size=6),
+    st.integers(-2, 2 ** 40) | JSON_VALUES,
+    max_size=5,
+)
+HEADERS = JSON_VALUES | st.fixed_dictionaries(
+    {"config": CONFIGS | JSON_VALUES,
+     "blocks": st.lists(BLOCKS, max_size=40) | JSON_VALUES},
+    optional={"meta": JSON_VALUES},
+)
 
 
 def on_arrays(fn, *arrays, **kwargs):
@@ -491,6 +532,58 @@ class TestWeightsContainer:
         after = forward(graph, loaded, config)
         np.testing.assert_array_equal(before.refined_coords, after.refined_coords)
         np.testing.assert_array_equal(before.predicted_lddt, after.predicted_lddt)
+
+    def test_header_claiming_more_blocks_than_listed(self, monkeypatch):
+        listed = []
+        real = model.parameter_shapes
+        monkeypatch.setattr(model, "parameter_shapes", lambda config: (
+            listed.append(config.num_layers) or real(config)))
+        blob = container({"config": {"num_layers": 100000}, "blocks": []})
+        with pytest.raises(WeightsShapeError, match="lists 0 blocks"):
+            load_container(blob)
+        assert max(listed) <= 2  # the 100000 layers were never listed
+
+    def test_blocks_sharing_bytes_are_rejected(self):
+        def repeat_first_block(header):
+            first = header["blocks"][0]
+            header["blocks"] += [{**first, "name": f"copy.{i}"} for i in range(50)]
+
+        blob = rewrite_header(save_weights(init_params(SMALL, 0), SMALL),
+                              repeat_first_block)
+        with pytest.raises(WeightsTruncatedError, match="more bytes"):
+            load_container(blob)
+
+    def test_missing_block_names_are_capped(self):
+        def rename_blocks(header):
+            for i, block in enumerate(header["blocks"]):
+                block["name"] = f"other.{i}"
+
+        blob = rewrite_header(save_weights(init_params(SMALL, 0), SMALL),
+                              rename_blocks)
+        count = len(parameter_shapes(SMALL))
+        with pytest.raises(WeightsShapeError, match=f"and {count - 5} more$"):
+            load_container(blob)
+
+    @pytest.mark.parametrize("shape", [[0, 2 ** 70], [0] * 70])
+    def test_unusable_block_shape(self, shape):
+        blob = rewrite_header(
+            save_weights(init_params(SMALL, 0), SMALL),
+            lambda header: header["blocks"][0].update(shape=shape),
+        )
+        with pytest.raises(WeightsShapeError, match="unusable shape"):
+            load_container(blob)
+
+    def test_deeply_nested_header(self):
+        with pytest.raises(WeightsFormatError):
+            load_container(container_bytes(b"[" * 100000))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(header=HEADERS, body=st.binary(max_size=64))
+    def test_any_header_raises_a_format_error(self, header, body):
+        # a WeightsFormatError is exit 3 for refine; anything else would be
+        # a traceback
+        with pytest.raises(WeightsFormatError):
+            load_container(container(header, body))
 
 
 class TestConfig:
