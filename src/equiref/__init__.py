@@ -1,7 +1,14 @@
 """E(3)-equivariant refinement and quality assessment of protein complexes."""
 
 from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
-from .metrics import QualityReport, dockq, lddt_ca, quality_class, score_pair
+from .metrics import (
+    QualityReport,
+    dockq,
+    lddt_ca,
+    quality_class,
+    score_decoys,
+    score_pair,
+)
 from .model import (
     ModelConfig,
     RefinementResult,
@@ -43,6 +50,7 @@ __all__ = [
     "parse_pdb_file",
     "quality_class",
     "save_weights",
+    "score_decoys",
     "score_pair",
     "train_loop",
     "write_pdb",

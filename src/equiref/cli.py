@@ -16,6 +16,7 @@ import math
 import multiprocessing
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from .metrics import (
     hit_rate,
     ranking_loss,
     reports_to_csv,
+    score_decoys,
     score_pair,
 )
 from .model import (
@@ -208,20 +210,36 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _score_task(task):
-    """Score one decoy; an error names its target and decoy."""
-    target, decoy_id, decoy_path, native_path = task
+@contextmanager
+def _naming(target: str, decoy_id: str):
+    """Prefix an error with its target and decoy."""
     try:
-        decoy = parse_pdb_file(decoy_path)
-        native = parse_pdb_file(native_path)
-        report = score_pair(decoy, native)
+        yield
     except EquirefError as exc:
         raise type(exc)(f"target {target}, decoy {decoy_id}: {exc}") from None
     except OSError as exc:
         raise PdbParseError(
             f"target {target}, decoy {decoy_id}: cannot read structure: {exc}"
         ) from None
-    return target, decoy_id, report
+
+
+def _score_task(target: str, decoy_id: str, reports):
+    """Read and score the next decoy of ``reports``; an error names it."""
+    with _naming(target, decoy_id):
+        return next(reports)
+
+
+def _score_target(task) -> list:
+    """Reports of one target's decoys, in the order given.
+
+    The native is read once; the decoys are read one at a time. An
+    unreadable native is named with the target's first decoy.
+    """
+    target, native_path, decoys = task
+    with _naming(target, decoys[0][0]):
+        native = parse_pdb_file(native_path)
+    reports = score_decoys((parse_pdb_file(path) for _, path in decoys), native)
+    return [_score_task(target, decoy_id, reports) for decoy_id, _ in decoys]
 
 
 def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
@@ -240,6 +258,8 @@ def cmd_evaluate(args) -> int:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         return _fail(EXIT_MISSING_INPUT, f"cannot read scores CSV: {exc}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        return _fail(EXIT_PARSE, f"cannot parse scores CSV {args.scores}: {exc}")
     if not rows:
         return _fail(EXIT_MISSING_INPUT, "no targets in scores CSV")
     required = {"target", "decoy", "predicted_score"}
@@ -251,7 +271,8 @@ def cmd_evaluate(args) -> int:
 
     natives = Path(args.natives)
     decoys = Path(args.decoys)
-    tasks = []
+    # Per target, in order of first appearance: native path and decoys.
+    groups: dict[str, tuple[str, list[tuple[str, str]]]] = {}
     predicted = {}
     row_of = {}
     for number, row in enumerate(rows, start=1):
@@ -276,24 +297,34 @@ def cmd_evaluate(args) -> int:
             )
         native_path = natives / f"{target}.pdb"
         decoy_path = decoys / f"{decoy_id}.pdb"
-        if not native_path.exists():
+        if not os.path.exists(native_path):
             return _fail(EXIT_MISSING_INPUT, f"missing native file {native_path}")
-        if not decoy_path.exists():
+        if not os.path.exists(decoy_path):
             return _fail(EXIT_MISSING_INPUT, f"missing decoy file {decoy_path}")
-        tasks.append((target, decoy_id, str(decoy_path), str(native_path)))
+        groups.setdefault(target, (str(native_path), []))[1].append(
+            (decoy_id, str(decoy_path))
+        )
         predicted[(target, decoy_id)] = score
 
+    tasks = [(target, native, group) for target, (native, group) in groups.items()]
     workers = worker_count(args.workers, len(tasks), os.cpu_count())
     try:
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:
-                results = pool.map(_score_task, tasks)
+                reports = pool.map(_score_target, tasks)
         else:
-            results = [_score_task(t) for t in tasks]
+            reports = [_score_target(task) for task in tasks]
     except NoOverlapError as exc:
         return _fail(EXIT_NO_OVERLAP, str(exc))
     except (NoInterfaceError, UndefinedMetricError) as exc:
         return _fail(EXIT_NO_INTERFACE, str(exc))
+    report_of = {
+        (target, decoy_id): report
+        for (target, _, group), target_reports in zip(tasks, reports)
+        for (decoy_id, _), report in zip(group, target_reports)
+    }
+    # ``predicted`` holds the pairs in scores-CSV row order.
+    results = [(t, d, report_of[(t, d)]) for t, d in predicted]
 
     by_target: dict[str, RankingInput] = {}
     for target, decoy_id, report in results:
@@ -311,9 +342,7 @@ def cmd_evaluate(args) -> int:
     lines.append(f"Summary\t{format_triple(summary)}\t{format_mean_std(losses)}")
     Path(args.summary).write_text("\n".join(lines) + "\n")
     if args.details:
-        Path(args.details).write_text(
-            reports_to_csv([(t, d, r) for t, d, r in results])
-        )
+        Path(args.details).write_text(reports_to_csv(results))
     return EXIT_OK
 
 
@@ -405,11 +434,19 @@ def cmd_train(args) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-n", type=_positive_int, default=10)
     p.add_argument("--summary", required=True, help="summary text report")
     p.add_argument("--details", default=None, help="optional per-decoy CSV")
-    p.add_argument("--workers", type=int, default=0,
+    p.add_argument("--workers", type=_non_negative_int, default=0,
                    help="worker processes (default: cpu count)")
     p.set_defaults(func=cmd_evaluate)
 

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,15 @@ def fnat_fnonnat(
 ) -> tuple[float, float]:
     """Fraction of native contacts recovered, and of decoy contacts that
     are non-native. Empty contact sets contribute 0 by convention."""
-    native_contacts = _cross_chain_residue_pairs(native, CONTACT_CUTOFF)
-    decoy_contacts = _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)
+    return _contact_fractions(
+        _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF),
+        _cross_chain_residue_pairs(native, CONTACT_CUTOFF),
+    )
+
+
+def _contact_fractions(
+    decoy_contacts: set[ContactPair], native_contacts: set[ContactPair]
+) -> tuple[float, float]:
     fnat = (
         len(decoy_contacts & native_contacts) / len(native_contacts)
         if native_contacts
@@ -138,12 +146,22 @@ def irmsd(
     within 10 A; the decoy is superposed onto the native over the matched
     interface backbone atoms and the residual deviation is returned.
     """
+    return _interface_rmsd(
+        decoy, native, correspondence, _interface_residue_keys(native)
+    )
+
+
+def _interface_rmsd(
+    decoy: ComplexStructure,
+    native: ComplexStructure,
+    correspondence: AtomCorrespondence | None,
+    interface: set[ResidueKey],
+) -> float:
     if native.num_chains < 2:
         raise NoInterfaceError("interface RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
     rows, mobile, target = _matched_backbone(decoy, native, correspondence)
-    interface = _interface_residue_keys(native)
     keys = zip(decoy.chain[rows].tolist(), decoy.resnum[rows].tolist())
     in_interface = np.array([key in interface for key in keys], dtype=bool)
     mobile, target = mobile[in_interface], target[in_interface]
@@ -379,30 +397,48 @@ class QualityReport:
 
 def score_pair(decoy: ComplexStructure, native: ComplexStructure) -> QualityReport:
     """Full quality report for a decoy against its reference structure."""
-    correspondence = match_atoms(decoy, native)
-    fnat, fnonnat = fnat_fnonnat(decoy, native)
-    irmsd_value = irmsd(decoy, native, correspondence)
-    lrmsd_value = lrmsd(decoy, native, correspondence)
-    dockq_value = dockq(fnat, lrmsd_value, irmsd_value)
-    scores, lddt_global = lddt_ca(decoy, native, correspondence)
-    rows = correspondence.matched_ca[:, 0]
-    per_residue = [
-        {"chain": chain, "residue": number,
-         "lddt": None if math.isnan(value) else value}
-        for chain, number, value in zip(
-            decoy.chain[rows].tolist(), decoy.resnum[rows].tolist(), scores
+    return next(score_decoys([decoy], native))
+
+
+def score_decoys(
+    decoys: Iterable[ComplexStructure], native: ComplexStructure
+) -> Iterator[QualityReport]:
+    """Full quality report of each decoy against one reference structure.
+
+    The native's 5 A contact set and 10 A interface residues are computed
+    once, before the first decoy. Decoys are taken from ``decoys`` one at a
+    time as reports are requested, so a lazy iterable keeps one decoy alive.
+    Each report and each error is the one ``score_pair`` gives for that decoy.
+    """
+    native_contacts = _cross_chain_residue_pairs(native, CONTACT_CUTOFF)
+    interface = _interface_residue_keys(native)
+    for decoy in decoys:
+        correspondence = match_atoms(decoy, native)
+        fnat, fnonnat = _contact_fractions(
+            _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF), native_contacts
         )
-    ]
-    return QualityReport(
-        fnat=fnat,
-        fnonnat=fnonnat,
-        irmsd=irmsd_value,
-        lrmsd=lrmsd_value,
-        dockq=dockq_value,
-        lddt_ca_global=lddt_global,
-        per_residue_lddt=per_residue,
-        quality_class=quality_class(dockq_value),
-    )
+        irmsd_value = _interface_rmsd(decoy, native, correspondence, interface)
+        lrmsd_value = lrmsd(decoy, native, correspondence)
+        dockq_value = dockq(fnat, lrmsd_value, irmsd_value)
+        scores, lddt_global = lddt_ca(decoy, native, correspondence)
+        rows = correspondence.matched_ca[:, 0]
+        per_residue = [
+            {"chain": chain, "residue": number,
+             "lddt": None if math.isnan(value) else value}
+            for chain, number, value in zip(
+                decoy.chain[rows].tolist(), decoy.resnum[rows].tolist(), scores
+            )
+        ]
+        yield QualityReport(
+            fnat=fnat,
+            fnonnat=fnonnat,
+            irmsd=irmsd_value,
+            lrmsd=lrmsd_value,
+            dockq=dockq_value,
+            lddt_ca_global=lddt_global,
+            per_residue_lddt=per_residue,
+            quality_class=quality_class(dockq_value),
+        )
 
 
 def reports_to_csv(rows: list[tuple[str, str, QualityReport]]) -> str:

@@ -25,7 +25,7 @@ from equiref.cli import (
     main,
     worker_count,
 )
-from equiref.metrics import format_mean_std, score_pair
+from equiref.metrics import format_mean_std, reports_to_csv, score_pair
 from equiref.model import (
     ModelConfig,
     init_params,
@@ -421,6 +421,59 @@ def evaluation_fixture(tmp_path, rng, n_targets=2, n_decoys=3):
     return scores, natives, decoys
 
 
+def fuzz_structures(natives, decoys, rng):
+    """Files for the scores CSV property: ``t0`` scores its two decoys;
+    ``t0_far`` (exit 4), ``t0_half`` (exit 5), ``t0_dir`` (a directory),
+    the garbage native ``t1`` and the one-chain native ``solo`` do not."""
+    natives.mkdir()
+    decoys.mkdir()
+    native = make_complex(n_res_a=4, n_res_b=3)
+    (natives / "t0.pdb").write_text(write_pdb(native))
+    (natives / "t1.pdb").write_text("not a PDB file\n")
+    (natives / "solo.pdb").write_text(
+        write_pdb(take_rows(native, np.flatnonzero(native.chain == "A"))))
+    for name, chains in (("t0_d0", ("A", "B")), ("t0_d1", ("A", "B")),
+                         ("t0_far", ("X", "Y")), ("t0_half", ("Y", "B"))):
+        decoy = native.with_coords(
+            native.coords + rng.normal(scale=0.5, size=native.coords.shape))
+        decoy = replace_columns(decoy, chain=np.where(decoy.chain == "A", *chains))
+        (decoys / f"{name}.pdb").write_text(write_pdb(decoy))
+    (decoys / "t0_dir.pdb").mkdir()
+
+
+FUZZ_IDS = ("t0", "t1", "solo", "t0_d0", "t0_d1", "t0_far", "t0_half", "t0_dir",
+            "../natives/t0", "t0/..", "", " t0", "x" * 300, "a\x00b", "T\xff")
+# The first five scores are finite numbers.
+FUZZ_SCORES = ("0.5", "1", "-2", " 3 ", "1_0", "1e400", "nan", "-inf", "", "x")
+
+
+@st.composite
+def scores_csv_text(draw):
+    """CSV text: either well formed with rows that name the files of
+    ``fuzz_structures``, or with odd headers, rows, ids and scores."""
+    names = ["target", "decoy", "predicted_score"]
+    scorable = st.tuples(
+        st.sampled_from(("t0", "t0", "t0", "t0", "solo", "t1", "x" * 300)),
+        st.sampled_from(("t0_d0", "t0_d1", "../natives/t0", "t0_far", "t0_half",
+                         "t0_dir", "x" * 300)),
+        st.sampled_from(FUZZ_SCORES[:5]),
+    ).map(list)
+    if draw(st.booleans()):
+        header = names
+        rows = draw(st.lists(scorable, min_size=1, max_size=3))
+    else:
+        cell = (st.sampled_from(FUZZ_IDS + FUZZ_SCORES) | st.text(max_size=6)
+                | st.floats().map(repr))
+        header = draw(st.permutations(names) | st.lists(
+            st.sampled_from(names + ["extra", ""]), max_size=5))
+        odd = st.tuples(st.sampled_from(FUZZ_IDS), st.sampled_from(FUZZ_IDS),
+                        st.sampled_from(FUZZ_SCORES) | cell).map(list)
+        rows = draw(st.lists(scorable | odd | st.lists(cell, max_size=5),
+                             max_size=5))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(",".join(row) for row in [header, *rows]) + end
+
+
 class TestEvaluate:
     def test_summary_structure(self, tmp_path, rng):
         scores, natives, decoys = evaluation_fixture(tmp_path, rng)
@@ -571,6 +624,92 @@ class TestEvaluate:
 
     def test_summary_formatting_matches_fixture_arithmetic(self):
         assert format_mean_std([0.2, 0.4]) == "0.3000 ± 0.1414"
+
+    def test_negative_workers_rejected(self, tmp_path, rng):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        summary = tmp_path / "s.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate", "--scores", str(scores), "--natives", str(natives),
+                "--decoys", str(decoys), "--summary", str(summary),
+                "--workers", "-3",
+            ])
+        assert exc.value.code == EXIT_PARSE
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("row", [b"T\xff,x,0.5", b"t0,%s,0.5" % (b"d" * 200_000)],
+                             ids=["non_utf8", "huge_field"])
+    def test_unparsable_scores_csv(self, tmp_path, rng, capsys, row):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        scores.write_bytes(b"target,decoy,predicted_score\n" + row + b"\n")
+        summary = tmp_path / "s.txt"
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(summary), "--workers", "1",
+        ])
+        assert code == EXIT_PARSE
+        assert str(scores) in capsys.readouterr().err
+        assert not summary.exists()
+
+    @pytest.mark.parametrize("column", ["target", "decoy"])
+    def test_unusable_file_name_is_missing(self, tmp_path, rng, capsys, column):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
+        row = {"target": "t0", "decoy": "t0_d0"} | {column: "x" * 300}
+        scores.write_text(
+            f"target,decoy,predicted_score\n{row['target']},{row['decoy']},1\n")
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(tmp_path / "s.txt"),
+            "--workers", "1",
+        ])
+        assert code == EXIT_MISSING_INPUT
+        assert f"missing {'native' if column == 'target' else column} file" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interleaved_targets_keep_csv_order(self, tmp_path, rng, workers):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng)
+        rows = [f"t{t},t{t}_d{d},{0.1 * (d + 3 * t):.1f}"
+                for d in range(3) for t in (1, 0)]
+        scores.write_text("\n".join(["target,decoy,predicted_score", *rows]) + "\n")
+        details = tmp_path / "details.csv"
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(tmp_path / "s.txt"),
+            "--details", str(details), "--workers", workers,
+        ])
+        assert code == EXIT_OK
+        expected = []
+        for row in rows:
+            target, decoy_id, _ = row.split(",")
+            report = score_pair(parse_pdb_file(decoys / f"{decoy_id}.pdb"),
+                                parse_pdb_file(natives / f"{target}.pdb"))
+            expected.append((target, decoy_id, report))
+        assert details.read_bytes() == reports_to_csv(expected).encode()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=120) | scores_csv_text().map(
+        lambda text: text.encode("utf-8")))
+    def test_any_scores_csv_exits_with_documented_code(self, tmp_path, rng,
+                                                       capsys, data):
+        natives, decoys = tmp_path / "natives", tmp_path / "decoys"
+        if not natives.exists():
+            fuzz_structures(natives, decoys, rng)
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(data)
+        summary, details = tmp_path / "s.txt", tmp_path / "d.csv"
+        summary.unlink(missing_ok=True)
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(summary),
+            "--details", str(details), "--workers", "1",
+        ])
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_NO_OVERLAP, EXIT_NO_INTERFACE,
+                        EXIT_MISSING_INPUT)
+        err = capsys.readouterr().err
+        assert summary.exists() == (code == EXIT_OK)
+        assert (code == EXIT_OK) != err.startswith("error: ")
 
 
 def training_fixture(tmp_path, rng, n_examples=2):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiref import structio
-from equiref.errors import NoInterfaceError, UndefinedMetricError
+from equiref.errors import NoInterfaceError, NoOverlapError, UndefinedMetricError
 from equiref.metrics import (
     DecoyScore,
     RankingInput,
@@ -24,11 +24,18 @@ from equiref.metrics import (
     quality_class,
     ranking_loss,
     reports_to_csv,
+    score_decoys,
     score_pair,
 )
 from equiref.structio import match_atoms
 
-from conftest import build_structure, random_rotation, transform_structure
+from conftest import (
+    build_structure,
+    random_rotation,
+    replace_columns,
+    take_rows,
+    transform_structure,
+)
 from oracles import contacts_bruteforce, lddt_bruteforce, superposed_rmsd_by_trace
 
 
@@ -443,6 +450,87 @@ class TestScorePair:
         lines = text.strip().splitlines()
         assert lines[0].startswith("target,decoy,fnat")
         assert lines[1].split(",")[-1] == "high"
+
+
+def jittered_decoys(native, rng, sigmas=(0.0, 0.3, 1.0, 2.5, 6.0)):
+    return [
+        native.with_coords(native.coords + rng.normal(scale=s, size=native.coords.shape))
+        for s in sigmas
+    ]
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the test compares any error
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+def composed(decoy, native):
+    """Report values from the public metric functions, each doing its own
+    native passes: the reference for the shared-pass path."""
+    correspondence = match_atoms(decoy, native)
+    fnat, fnonnat = fnat_fnonnat(decoy, native)
+    return (fnat, fnonnat, irmsd(decoy, native, correspondence),
+            lrmsd(decoy, native, correspondence),
+            lddt_ca(decoy, native, correspondence)[1])
+
+
+class TestScoreDecoys:
+    def test_reports_match_score_pair(self, two_chain_complex, rng):
+        decoys = jittered_decoys(two_chain_complex, rng)
+        coords = two_chain_complex.coords.copy()
+        coords[two_chain_complex.chain == "B"] += np.array([100.0, 0.0, 0.0])
+        decoys.append(two_chain_complex.with_coords(coords))
+        reports = list(score_decoys(decoys, two_chain_complex))
+        assert [r.to_json() for r in reports] == [
+            score_pair(d, two_chain_complex).to_json() for d in decoys
+        ]
+        assert [
+            (r.fnat, r.fnonnat, r.irmsd, r.lrmsd, r.lddt_ca_global) for r in reports
+        ] == [composed(d, two_chain_complex) for d in decoys]
+
+    def test_reads_one_decoy_per_report(self, two_chain_complex, rng):
+        decoys = jittered_decoys(two_chain_complex, rng)
+        pulled = []
+
+        def source():
+            for decoy in decoys:
+                pulled.append(decoy)
+                yield decoy
+
+        reports = score_decoys(source(), two_chain_complex)
+        assert pulled == []
+        for count in range(1, len(decoys) + 1):
+            next(reports)
+            assert len(pulled) == count
+        assert list(reports) == []
+
+    @pytest.mark.parametrize("case, error", [
+        ("single_chain_native", NoInterfaceError),
+        ("single_chain_native_no_overlap", NoOverlapError),
+        ("no_overlap", NoOverlapError),
+        ("no_interface", UndefinedMetricError),
+    ])
+    def test_errors_match_score_pair(self, two_chain_complex, rng, case, error):
+        native = two_chain_complex
+        good = jittered_decoys(native, rng, sigmas=(0.5,))[0]
+        bad = good
+        if case.startswith("single_chain_native"):
+            native = take_rows(native, np.flatnonzero(native.chain == "A"))
+        if case in ("single_chain_native_no_overlap", "no_overlap"):
+            bad = replace_columns(good, chain=np.where(good.chain == "A", "X", "Y"))
+        elif case == "no_interface":
+            bad = replace_columns(good, chain=np.where(good.chain == "A", "Y", "B"))
+        expected = raised(lambda: score_pair(bad, native))
+        assert expected[0] is error
+        assert raised(lambda: composed(bad, native)) == expected
+        decoys = [bad] if case.startswith("single_chain_native") else [good, bad]
+        reports = score_decoys(decoys, native)
+        for _ in decoys[:-1]:
+            next(reports)
+        assert raised(lambda: next(reports)) == expected
 
 
 class TestRigidMotionInvariance:
