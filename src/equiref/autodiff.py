@@ -249,12 +249,20 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(datas))
-        )
+        return tuple(np.split(g, offsets[1:-1], axis=axis))  # views of g
 
     return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), backward)
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of ``x``: a view forward, a zero-padded gradient back."""
+
+    def backward(g):
+        out = np.zeros_like(x.data)
+        out[start:stop] = g
+        return (out,)
+
+    return Tensor(x.data[start:stop], (x,), backward)
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:

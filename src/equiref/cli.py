@@ -311,7 +311,10 @@ def cmd_evaluate(args) -> int:
     try:
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:
-                reports = pool.map(_score_target, tasks)
+                # imap raises in task order, so the first failing target
+                # decides the exit code as with one worker, not the error
+                # that happens to arrive first
+                reports = list(pool.imap(_score_target, tasks))
         else:
             reports = [_score_target(task) for task in tasks]
     except NoOverlapError as exc:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from equiref import model
 from equiref.featurize import build_knn_graph, knn_edges
 from equiref.metrics import (
     DecoyScore,
@@ -132,6 +133,13 @@ def test_criterion_03_gradient_oracle():
     assert elapsed < 120.0
     report(3, f"{len(params)} blocks on a 12-atom 2-layer model, "
               f"worst rel {worst:.2e}, {elapsed:.0f}s")
+
+
+def test_criterion_03_gradient_oracle_in_edge_blocks(monkeypatch):
+    """Criterion 03 with the edge pass split into ragged node blocks."""
+    # criterion 03 has 12 nodes of k = 11 neighbours: blocks of 5, 5 and 2
+    monkeypatch.setattr(model, "EDGE_BLOCK", 5 * 11)
+    test_criterion_03_gradient_oracle()
 
 
 def test_criterion_04_dockq_analytic_points(rng):

@@ -13,6 +13,7 @@ from equiref.autodiff import (
     no_grad,
     repeat_rows,
     row_norm,
+    slice_rows,
     softmax_rows,
 )
 
@@ -98,6 +99,18 @@ def test_concat(rng):
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(3, 4))
     check_op(lambda x, y: (concat([x, y], axis=1) ** 2).sum(), [a, b])
+    c = rng.normal(size=(2, 4))
+    check_op(lambda x, y: (concat([x, y], axis=0) ** 3).sum(), [b, c])
+
+
+def test_slice_rows(rng):
+    a = rng.normal(size=(5, 3))
+    weights = Tensor(rng.normal(size=(2, 3)))
+    np.testing.assert_array_equal(slice_rows(Tensor(a), 1, 3).data, a[1:3])
+    check_op(lambda x: (slice_rows(x, 1, 3) ** 2 * weights).sum(), [a])
+    x = Tensor(a)
+    (slice_rows(x, 3, 5) * 2.0).sum().backward()
+    np.testing.assert_array_equal(x.grad, [[0.0] * 3] * 3 + [[2.0] * 3] * 2)
 
 
 def test_gather_rows_accumulates(rng):

@@ -594,6 +594,25 @@ class TestEvaluate:
         assert "target t0, decoy t0_d1:" in capsys.readouterr().err
         assert not summary.exists()
 
+    def test_first_failing_target_decides_exit_code(self, tmp_path, rng, capsys):
+        # t0's last decoy has no overlap (exit 4); t1's first decoy has no
+        # interface (exit 5) and so fails first in time at two workers
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng)
+        for decoy_id, renamed in (("t0_d2", ("X", "Y")), ("t1_d0", ("A", "Y"))):
+            decoy = parse_pdb_file(decoys / f"{decoy_id}.pdb")
+            decoy = replace_columns(
+                decoy, chain=np.where(decoy.chain == "A", *renamed)
+            )
+            (decoys / f"{decoy_id}.pdb").write_text(write_pdb(decoy))
+        for workers in ("1", "2", "2", "2", "2", "2"):
+            code = main([
+                "evaluate", "--scores", str(scores), "--natives", str(natives),
+                "--decoys", str(decoys), "--summary", str(tmp_path / "s.txt"),
+                "--workers", workers,
+            ])
+            assert code == EXIT_NO_OVERLAP, f"--workers {workers}"
+            assert "target t0, decoy t0_d2:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("unreadable", ["decoy", "native"])
     def test_unreadable_structure_is_named(self, tmp_path, rng, capsys, workers,
