@@ -78,16 +78,14 @@ class Tensor:
 
     # -- graph traversal ---------------------------------------------------
 
-    def backward(self, seed: Array | None = None) -> None:
+    def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        The tape is consumed: interior nodes end with no ``grad``, no
-        parents and no backward closure.
+        ``self`` must be a scalar. The tape is consumed: interior nodes end
+        with no ``grad``, no parents and no backward closure.
         """
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without seed requires a scalar output")
-            seed = np.ones_like(self.data)
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -103,7 +101,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = _as_array(seed)
+        self.grad = np.ones_like(self.data)
         while order:
             node = order.pop()
             if not node._parents:

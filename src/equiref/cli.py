@@ -159,16 +159,12 @@ def cmd_refine(args) -> int:
             return _fail(EXIT_PARSE, f"bad surface file {args.surface_file}: {exc}")
 
     refined = structure
-    result = None
-    try:
-        for _ in range(args.iterations):
-            graph = build_graph(refined, config, surface)
-            result = forward(graph, params, config)
-            coords = refined.coords.copy()
-            coords[graph.node_atom_indices] = result.refined_coords
-            refined = refined.with_coords(coords)
-    except ConfigError as exc:
-        return _fail(EXIT_WEIGHTS, f"weights do not fit this input: {exc}")
+    for _ in range(args.iterations):
+        graph = build_graph(refined, config, surface)
+        result = forward(graph, params, config)
+        coords = refined.coords.copy()
+        coords[graph.node_atom_indices] = result.refined_coords
+        refined = refined.with_coords(coords)
 
     try:
         Path(args.output).write_text(write_pdb(refined))

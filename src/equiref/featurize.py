@@ -62,24 +62,20 @@ GRANULARITIES = ("all-atom", "c-alpha")
 class ComplexGraph:
     """k-NN graph over atoms with node/edge features.
 
-    ``coords`` is the working coordinate set the model refines;
-    ``initial_coords`` is the anchor for the coordinate skip connection and
-    equals the (possibly corrupted) input coordinates.
-    Every center i has exactly k = min(k_neighbors, n-1) incoming edges:
-    row i of ``neighbors`` lists its neighbors by ascending distance, and
-    edge-feature row ``i*k + s`` describes the edge ``neighbors[i, s] -> i``.
+    ``coords`` is the coordinate set the model refines; every layer's
+    coordinate skip anchors back to it. Every center i has exactly
+    k = min(k_neighbors, n-1) incoming edges: row i of ``neighbors`` lists
+    its neighbors by ascending distance, and edge-feature row ``i*k + s``
+    describes the edge ``neighbors[i, s] -> i``. Node i is structure atom
+    ``node_atom_indices[i]``.
     """
 
-    coords: np.ndarray           # (n, 3)
-    initial_coords: np.ndarray   # (n, 3)
-    node_features: np.ndarray    # (n, d_f)
-    neighbors: np.ndarray        # (n, k)
-    edge_features: np.ndarray    # (n*k, d_e)
-    ca_mask: np.ndarray          # (n,) bool
-    residue_of_node: np.ndarray  # (n,) global residue ordinal
-    chain_of_node: np.ndarray    # (n,) chain identifiers
-    granularity: str
-    node_atom_indices: np.ndarray | None = None  # (n,) structure atom index
+    coords: np.ndarray             # (n, 3)
+    node_features: np.ndarray      # (n, d_f)
+    neighbors: np.ndarray          # (n, k)
+    edge_features: np.ndarray      # (n*k, d_e)
+    ca_mask: np.ndarray            # (n,) bool
+    node_atom_indices: np.ndarray  # (n,) structure atom index
 
     @property
     def num_nodes(self) -> int:
@@ -302,32 +298,32 @@ def node_features_ca(
 
 def edge_features(
     structure: ComplexStructure,
-    coords: np.ndarray,
+    node_atom_indices: np.ndarray,
     neighbors: np.ndarray,
-    node_residue: np.ndarray,
-    node_chain: np.ndarray,
-    node_residue_index: np.ndarray,
     granularity: str,
     include_geometric: bool = True,
 ) -> np.ndarray:
     """Per-edge features; row ``i*k + s`` is the edge ``neighbors[i, s] = j -> i``.
 
-    Layout: [same-chain flag, sin(index difference), 12 relative geometric
-    values when enabled, covalent-bond flag (all-atom only)]. The geometric
-    block is [d/10, unit displacement j->i in i's residue frame (3), unit
+    Node i is structure atom ``node_atom_indices[i]``. Layout: [same-chain
+    flag, sin(node index difference), 12 relative geometric values when
+    enabled, covalent-bond flag (all-atom only)]. The geometric block is
+    [d/10, unit displacement j->i in i's residue frame (3), unit
     displacement i->j in j's residue frame (3), relative frame quaternion
     with non-negative scalar part (4), 1/(1+d)].
     """
     n, k = neighbors.shape
     src = neighbors.ravel()
     dst = np.repeat(np.arange(n), k)
+    atom_src = node_atom_indices[src]
+    atom_dst = node_atom_indices[dst]
     num_edges = src.shape[0]
     pair = np.empty((num_edges, PAIR_WIDTH), dtype=np.float64)
-    pair[:, 0] = node_chain[src] == node_chain[dst]
+    pair[:, 0] = structure.chain[atom_src] == structure.chain[atom_dst]
     pair[:, 1] = np.sin((dst - src).astype(np.float64))
     blocks = [pair]
 
-    disp = coords[src] - coords[dst]  # x_j - x_i
+    disp = structure.coords[atom_src] - structure.coords[atom_dst]  # x_j - x_i
     dist = np.sqrt((disp * disp).sum(axis=1))
 
     if include_geometric:
@@ -336,8 +332,8 @@ def edge_features(
         geo[:, 0] = dist / 10.0
         safe = np.where(dist > 0, dist, 1.0)
         unit = disp / safe[:, None]
-        r_dst = rotations[node_residue[dst]]
-        r_src = rotations[node_residue[src]]
+        r_dst = rotations[structure.residue[atom_dst]]
+        r_src = rotations[structure.residue[atom_src]]
         geo[:, 1:4] = np.einsum("eji,ej->ei", r_dst, unit)
         geo[:, 4:7] = np.einsum("eji,ej->ei", r_src, -unit)
         rel = np.einsum("eji,ejk->eik", r_dst, r_src)  # R_i^T R_j
@@ -348,7 +344,7 @@ def edge_features(
     if granularity == "all-atom":
         covalent = (
             (pair[:, 0] > 0)
-            & (np.abs(node_residue_index[src] - node_residue_index[dst]) <= 1)
+            & (np.abs(structure.resnum[atom_src] - structure.resnum[atom_dst]) <= 1)
             & (dist <= COVALENT_CUTOFF)
         ).astype(np.float64)
         blocks.append(covalent.reshape(-1, COVALENT_WIDTH))
@@ -390,10 +386,6 @@ def build_knn_graph(
         raise GraphTooSmallError(f"need at least 2 nodes, got {n}")
 
     coords = structure.coords[node_atom_indices]
-    node_chain = structure.chain[node_atom_indices]
-    node_residue = structure.residue[node_atom_indices]
-    node_residue_index = structure.resnum[node_atom_indices]
-
     neighbors = knn_edges(coords, k)
 
     surface = None
@@ -407,27 +399,13 @@ def build_knn_graph(
         feats = node_features_ca(structure, node_atom_indices, surface)
         ca_mask = np.ones(n, dtype=bool)
 
-    edge_feats = edge_features(
-        structure,
-        coords,
-        neighbors,
-        node_residue,
-        node_chain,
-        node_residue_index,
-        granularity,
-        include_geometric=include_geometric,
-    )
-
     return ComplexGraph(
         coords=coords,
-        initial_coords=coords.copy(),
         node_features=feats,
         neighbors=neighbors,
-        edge_features=edge_feats,
+        edge_features=edge_features(structure, node_atom_indices, neighbors,
+                                    granularity, include_geometric),
         ca_mask=ca_mask,
-        residue_of_node=node_residue,
-        chain_of_node=node_chain,
-        granularity=granularity,
         node_atom_indices=node_atom_indices,
     )
 
@@ -435,17 +413,14 @@ def build_knn_graph(
 def corrupt_coordinates(
     graph: ComplexGraph, sigma: float, rng: np.random.Generator
 ) -> ComplexGraph:
-    """Add i.i.d. Gaussian noise to the coordinates and re-anchor X0.
+    """Add i.i.d. Gaussian noise to the coordinates.
 
-    The refinement anchor ``initial_coords`` is set to the corrupted
-    coordinates, so the model starts from (and skips back to) the noisy
-    input; supervision targets are untouched.
+    The model starts from, and its coordinate skip anchors back to, the
+    noisy coordinates; supervision targets are untouched.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
-        return replace(graph, coords=graph.coords.copy(),
-                       initial_coords=graph.coords.copy())
+        return replace(graph, coords=graph.coords.copy())
     noise = rng.normal(loc=0.0, scale=sigma, size=graph.coords.shape)
-    corrupted = graph.coords + noise
-    return replace(graph, coords=corrupted, initial_coords=corrupted.copy())
+    return replace(graph, coords=graph.coords + noise)

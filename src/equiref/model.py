@@ -300,7 +300,7 @@ def _layer(
     h: Tensor,
     x0: Tensor,
     f_emb: Tensor,
-    edge_feats: Tensor,
+    edge_features: np.ndarray,
     neighbors: np.ndarray,
     leaves: dict[str, Tensor],
     prefix: str,
@@ -326,7 +326,7 @@ def _layer(
         edges = concat([
             repeat_rows(slice_rows(h, start, stop), k),
             gather_rows(h, nbrs),
-            slice_rows(edge_feats, start * k, stop * k),
+            Tensor(edge_features[start * k:stop * k]),  # a constant: no parents
             sqdist,
         ], axis=1)
         message = _mlp(edges, leaves, prefix + "msg_mlp.", slope)
@@ -390,22 +390,22 @@ def forward_pass(
 
     The outputs carry the autodiff tape back to ``leaves`` unless the call
     runs inside ``no_grad()``; ``train.backward`` differentiates through it.
+    The graph's arrays enter as constants: the one coordinate tensor is
+    both the first layer's input and every layer's skip anchor.
     """
     check_widths(graph, config)
     leaves = _wrap(params)
-    x0 = Tensor(graph.initial_coords)
-    x = Tensor(graph.coords)
-    edge_feats = Tensor(graph.edge_features)
+    x0 = Tensor(graph.coords)
     f_emb = affine(
         Tensor(graph.node_features), leaves["embed.weight"], leaves["embed.bias"]
     )
     coord_skip = leaves["coord_skip_raw"].sigmoid()
     node_skip = leaves["node_skip_raw"].sigmoid()
 
-    h = f_emb
+    x, h = x0, f_emb
     for layer in range(config.num_layers):
         x, h = _layer(
-            x, h, x0, f_emb, edge_feats, graph.neighbors,
+            x, h, x0, f_emb, graph.edge_features, graph.neighbors,
             leaves, f"layers.{layer}.", config, coord_skip, node_skip,
         )
     qa = _mlp(h, leaves, "qa_head.", config.leaky_slope).sigmoid()

@@ -296,29 +296,20 @@ def _format_integer(value: int, width: int, what: str) -> str:
     return text
 
 
-def write_pdb(structure: ComplexStructure, coords: np.ndarray | None = None) -> str:
+def write_pdb(structure: ComplexStructure) -> str:
     """Render a structure as fixed-column PDB text.
 
-    ``coords`` optionally overrides every atom coordinate; shape (n, 3).
     Raises FormatOverflowError for a value the fixed columns cannot hold:
     a non-finite coordinate, a coordinate outside the "%8.3f" field
     (magnitude >= 10000 A, or below -999.999 A), or a residue number
     outside -999..9999, so the text always parses back.
     """
-    if coords is None:
-        coords = structure.coords
-    else:
-        coords = np.asarray(coords, dtype=np.float64)
-        if coords.shape != (structure.num_atoms, 3):
-            raise ValueError(
-                f"override shape {coords.shape} != ({structure.num_atoms}, 3)"
-            )
     out: list[str] = []
     for _, rows in structure.chain_slices():
         for serial, name, resname, chain, resnum, xyz, element in zip(
             structure.serial[rows].tolist(), structure.name[rows].tolist(),
             structure.resname[rows].tolist(), structure.chain[rows].tolist(),
-            structure.resnum[rows].tolist(), coords[rows].tolist(),
+            structure.resnum[rows].tolist(), structure.coords[rows].tolist(),
             structure.element[rows].tolist(),
         ):
             out.append(

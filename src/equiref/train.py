@@ -37,6 +37,9 @@ from .structio import (
 
 HUBER_DELTA = 1.0
 GRAD_CLIP_NORM = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -140,12 +143,10 @@ def example_loss(
     example: TrainingExample,
     params: dict[str, np.ndarray],
     config: ModelConfig,
-    graph: ComplexGraph | None = None,
 ) -> float:
     """Total loss value for one example; no tape is built."""
-    graph = example.graph if graph is None else graph
     with no_grad():
-        fp = forward_pass(graph, params, config)
+        fp = forward_pass(example.graph, params, config)
         return float(_loss_tensor(example, fp, config).data)
 
 
@@ -190,9 +191,6 @@ class OptimizerState:
 
     learning_rate: float = 1e-4
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -209,7 +207,7 @@ def adamw_step(
     applied directly to the parameters, not through the gradients.
     """
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for name, grad in grads.items():
@@ -225,7 +223,7 @@ def adamw_step(
         m_hat = m / bias1
         v_hat = v / bias2
         params[name] = params[name] - state.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + state.eps)
+            m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         ) - state.learning_rate * state.weight_decay * params[name]
     return params, state
 
@@ -289,23 +287,22 @@ def train_loop(
     seed: int = 0,
     max_epochs: int = 1000,
     patience: int = 50,
-    params: dict[str, np.ndarray] | None = None,
     optimizer: OptimizerState | None = None,
 ) -> TrainResult:
     """Seeded training with early stopping on validation RMSD.
 
-    Each epoch shuffles the training set, corrupts every example's
-    coordinates with the configured noise (a zero sigma disables the
-    corruption), and applies one optimizer step per example. The best
-    validation checkpoint among completed epochs is returned; training
-    stops when validation RMSD has not improved for ``patience`` epochs.
-    A non-finite loss aborts with DivergenceError carrying the last good
-    checkpoint and the log so far.
+    Parameters start from ``init_params(config, seed)``. Each epoch
+    shuffles the training set, corrupts every example's coordinates with
+    the configured noise (a zero sigma disables the corruption), and
+    applies one optimizer step per example. The best validation
+    checkpoint among completed epochs is returned; training stops when
+    validation RMSD has not improved for ``patience`` epochs. A non-finite
+    loss aborts with DivergenceError carrying the last good checkpoint and
+    the log so far.
     """
     if not train_examples:
         raise ValueError("training set is empty")
-    if params is None:
-        params = init_params(config, seed)
+    params = init_params(config, seed)
     state = optimizer if optimizer is not None else OptimizerState()
 
     best_params = copy.deepcopy(params)

@@ -10,6 +10,7 @@ from equiref import structio
 from equiref.errors import GraphTooSmallError, SurfaceOverrideError
 from equiref.featurize import (
     ATOM_TYPES,
+    GRANULARITIES,
     RESIDUE_TYPES,
     SURFACE_MAX_NEIGHBORS,
     SURFACE_RADIUS,
@@ -269,15 +270,19 @@ class TestEdgeFeatures:
     def test_same_chain_flag(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "all-atom")
         src, dst = edge_endpoints(g)
-        same = g.chain_of_node[src] == g.chain_of_node[dst]
+        chain = two_chain_complex.chain[g.node_atom_indices]
+        same = chain[src] == chain[dst]
         np.testing.assert_array_equal(g.edge_features[:, 0], same.astype(float))
         assert set(np.unique(g.edge_features[:, 0])) == {0.0, 1.0}
 
     def test_sinusoidal_index_encoding(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom")
-        src, dst = edge_endpoints(g)
-        delta = (dst - src).astype(float)
-        np.testing.assert_allclose(g.edge_features[:, 1], np.sin(delta), atol=1e-12)
+        # node indices, which differ from atom indices at c-alpha
+        for granularity in GRANULARITIES:
+            g = build_knn_graph(two_chain_complex, granularity)
+            src, dst = edge_endpoints(g)
+            delta = (dst - src).astype(float)
+            np.testing.assert_allclose(g.edge_features[:, 1], np.sin(delta),
+                                       atol=1e-12)
 
     def test_covalent_flag_by_distance(self):
         # two bonded atoms (1.5 A) and one distant atom in the same residue
@@ -332,7 +337,7 @@ class TestCorruption:
         g = build_knn_graph(two_chain_complex, "all-atom")
         out = corrupt_coordinates(g, 0.0, rng)
         np.testing.assert_array_equal(out.coords, g.coords)
-        np.testing.assert_array_equal(out.initial_coords, g.coords)
+        assert out.coords is not g.coords
 
     def test_fixed_seed_reproducible(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "all-atom")
@@ -342,9 +347,23 @@ class TestCorruption:
         assert not np.array_equal(a.coords, g.coords)
 
     def test_anchor_follows_corruption(self, two_chain_complex):
+        # only the coordinates change, and with the coordinate skip
+        # saturated and the gates at zero the model returns its anchor
+        from dataclasses import fields
+
+        from equiref.model import ModelConfig, forward, init_params
+
         g = build_knn_graph(two_chain_complex, "all-atom")
         out = corrupt_coordinates(g, 0.5, np.random.default_rng(1))
-        np.testing.assert_array_equal(out.initial_coords, out.coords)
+        for field in fields(g):
+            if field.name != "coords":
+                assert getattr(out, field.name) is getattr(g, field.name)
+        config = ModelConfig(num_layers=2, hidden_dim=8)
+        params = init_params(config, seed=0)
+        params["coord_skip_raw"] = np.array(1000.0)
+        refined = forward(out, params, config).refined_coords
+        np.testing.assert_array_equal(refined, out.coords)
+        assert not np.array_equal(refined, g.coords)
 
     def test_empirical_sigma(self, two_chain_complex):
         g = build_knn_graph(two_chain_complex, "all-atom")

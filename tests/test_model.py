@@ -82,8 +82,8 @@ def layer_step(graph, params, config, layer, x, h, f_emb):
     with no_grad():
         leaves = {name: Tensor(value) for name, value in params.items()}
         x_new, h_new = model._layer(
-            Tensor(x), Tensor(h), Tensor(graph.initial_coords), Tensor(f_emb),
-            Tensor(graph.edge_features), graph.neighbors,
+            Tensor(x), Tensor(h), Tensor(graph.coords), Tensor(f_emb),
+            graph.edge_features, graph.neighbors,
             leaves, f"layers.{layer}.", config,
             leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
         )
@@ -103,14 +103,11 @@ def random_graph(rng, n=25, d_f=39, d_e=15, window_cap=None):
     neighbors = knn_edges(coords, 20)
     graph = ComplexGraph(
         coords=coords,
-        initial_coords=coords.copy(),
         node_features=rng.normal(size=(n, d_f)),
         neighbors=neighbors,
         edge_features=rng.normal(size=(neighbors.size, d_e)),
         ca_mask=rng.random(n) < 0.3,
-        residue_of_node=np.arange(n),
-        chain_of_node=np.array(["A"] * n),
-        granularity="all-atom",
+        node_atom_indices=np.arange(n),
     )
     if not graph.ca_mask.any():
         graph.ca_mask[0] = True
@@ -120,11 +117,7 @@ def random_graph(rng, n=25, d_f=39, d_e=15, window_cap=None):
 def transform_graph(graph, rot, shift):
     from dataclasses import replace
 
-    return replace(
-        graph,
-        coords=graph.coords @ rot.T + shift,
-        initial_coords=graph.initial_coords @ rot.T + shift,
-    )
+    return replace(graph, coords=graph.coords @ rot.T + shift)
 
 
 class TestInit:
@@ -256,7 +249,7 @@ class TestLayer:
         params["coord_skip_raw"] = np.array(1000.0)
         x, h, f_emb = self._state(rng, params, graph)
         x_new, _ = layer_step(graph, params, SMALL, 0, x, h, f_emb)
-        np.testing.assert_array_equal(x_new, graph.initial_coords)
+        np.testing.assert_array_equal(x_new, graph.coords)
 
     def test_single_layer_equivariance(self, rng):
         graph = random_graph(rng, n=16, d_f=SMALL.node_feat_dim,
@@ -345,13 +338,11 @@ class TestForward:
         permuted = replace(
             graph,
             coords=graph.coords[perm],
-            initial_coords=graph.initial_coords[perm],
             node_features=graph.node_features[perm],
             neighbors=inverse[graph.neighbors[perm]],
             edge_features=edge_blocks[perm].reshape(n * k, -1),
             ca_mask=graph.ca_mask[perm],
-            residue_of_node=graph.residue_of_node[perm],
-            chain_of_node=graph.chain_of_node[perm],
+            node_atom_indices=graph.node_atom_indices[perm],
         )
         out = forward(permuted, params, SMALL)
         np.testing.assert_allclose(
@@ -378,7 +369,6 @@ class TestForward:
         graph = random_graph(rng, n=12, d_f=SMALL.node_feat_dim,
                              d_e=SMALL.edge_feat_dim)
         graph.coords[1] = graph.coords[0]
-        graph.initial_coords[1] = graph.initial_coords[0]
         params = randomize(init_params(SMALL, 0), rng)
         result = forward(graph, params, SMALL)
         assert np.all(np.isfinite(result.refined_coords))
@@ -435,6 +425,20 @@ class TestTape:
         np.testing.assert_array_equal(
             result.predicted_lddt, fp.qa.data[np.flatnonzero(graph.ca_mask), 0]
         )
+
+    def test_graph_arrays_are_constants(self, rng, monkeypatch):
+        # one parentless coordinate tensor is both the first layer's input
+        # and the skip anchor, and each edge block wraps its own rows of
+        # the edge features, so no taped tensor holds all n*k of them
+        graph, params = self._case(rng)
+        monkeypatch.setattr(model, "EDGE_BLOCK", 7 * graph.neighbors.shape[1])
+        fp = forward_pass(graph, params, SMALL)
+        nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
+        coords = [node for node in nodes
+                  if not node._parents and node.shape == graph.coords.shape]
+        assert len(coords) == 1
+        np.testing.assert_array_equal(coords[0].data, graph.coords)
+        assert all(node.shape != graph.edge_features.shape for node in nodes)
 
     def test_backward_keeps_only_exact_leaf_grads(self, rng):
         graph, params = self._case(rng)

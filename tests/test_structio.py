@@ -196,7 +196,7 @@ class TestWritePdb:
 
     def test_zero_override(self, two_chain_complex):
         coords = np.zeros((two_chain_complex.num_atoms, 3))
-        text = write_pdb(two_chain_complex, coords)
+        text = write_pdb(two_chain_complex.with_coords(coords))
         for line in text.splitlines():
             if line.startswith("ATOM"):
                 assert line[30:38] == "   0.000"
@@ -223,14 +223,14 @@ class TestWritePdb:
         coords = two_chain_complex.coords.copy()
         coords[0, 0] = 10000.0
         with pytest.raises(FormatOverflowError):
-            write_pdb(two_chain_complex, coords)
+            write_pdb(two_chain_complex.with_coords(coords))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_rejected(self, two_chain_complex, value):
         coords = two_chain_complex.coords.copy()
         coords[3, 1] = value
         with pytest.raises(FormatOverflowError, match="non-finite"):
-            write_pdb(two_chain_complex, coords)
+            write_pdb(two_chain_complex.with_coords(coords))
 
     def test_folded_residue_number_overflow(self):
         # 9999A folds to 10000, which the 4-column field cannot hold
@@ -242,10 +242,6 @@ class TestWritePdb:
         assert s.resnum.tolist() == [9999, 10000]
         with pytest.raises(FormatOverflowError, match="residue number 10000"):
             write_pdb(s)
-
-    def test_override_shape_checked(self, two_chain_complex):
-        with pytest.raises(ValueError):
-            write_pdb(two_chain_complex, np.zeros((3, 3)))
 
 
 class TestMatchAtoms:

@@ -7,6 +7,7 @@ import pytest
 from equiref.errors import LossUndefinedError, SkipExample
 from equiref.model import ModelConfig, forward, forward_pass, init_params
 from equiref.train import (
+    ADAM_EPS,
     OptimizerState,
     TrainingExample,
     adamw_step,
@@ -304,8 +305,7 @@ class TestAdamW:
         params = {"w": np.array(theta)}
         state = OptimizerState(learning_rate=lr, weight_decay=wd)
         adamw_step(params, {"w": np.array(1.0)}, state)
-        eps = state.eps
-        expected = theta - lr * (1.0 / (1.0 + eps)) - lr * wd * theta
+        expected = theta - lr * (1.0 / (1.0 + ADAM_EPS)) - lr * wd * theta
         assert params["w"] == pytest.approx(expected, rel=1e-15)
 
     def test_weight_decay_only_shrinks_multiplicatively(self):
