@@ -221,7 +221,7 @@ class Tensor:
         )
         return Tensor(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
-    def leaky_relu(self, slope: float = 0.01):
+    def leaky_relu(self, slope: float):
         mask = self.data > 0
         scale = np.where(mask, 1.0, slope)
         return Tensor(self.data * scale, (self,), lambda g: (g * scale,))

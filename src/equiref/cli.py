@@ -3,7 +3,8 @@
 Exit codes are stable API:
   0 success, 2 input parse/format error, 3 weights mismatch,
   4 no atom overlap, 5 undefined interface metric, 6 missing file or
-  empty evaluation input, 7 training divergence, 8 empty dataset.
+  empty evaluation input, 7 training divergence, 8 empty dataset or no
+  supervised example.
 Diagnostics go to stderr; data is written only to the requested files.
 """
 
@@ -28,6 +29,7 @@ from .errors import (
     EmptyStructureError,
     EquirefError,
     FormatOverflowError,
+    LossUndefinedError,
     NoInterfaceError,
     NoOverlapError,
     PdbParseError,
@@ -35,7 +37,7 @@ from .errors import (
     UndefinedMetricError,
     WeightsFormatError,
 )
-from .featurize import read_surface_file
+from .featurize import build_knn_graph, read_surface_file
 from .metrics import (
     REPORT_SCHEMA_VERSION,
     DecoyScore,
@@ -50,7 +52,6 @@ from .metrics import (
 )
 from .model import (
     ModelConfig,
-    build_graph,
     check_field_types,
     forward,
     init_params,
@@ -160,7 +161,7 @@ def cmd_refine(args) -> int:
 
     refined = structure
     for _ in range(args.iterations):
-        graph = build_graph(refined, config, surface)
+        graph = build_knn_graph(refined, config, surface)
         result = forward(graph, params, config)
         coords = refined.coords.copy()
         coords[graph.node_atom_indices] = result.refined_coords
@@ -412,6 +413,8 @@ def cmd_train(args) -> int:
             "best_epoch": result.best_epoch,
             "best_val_rmsd": result.best_val_rmsd,
         }
+    except LossUndefinedError as exc:
+        return _fail(EXIT_EMPTY_DATASET, str(exc))
     except DivergenceError as exc:
         diverged = True
         params = exc.last_good if exc.last_good is not None else init_params(

@@ -3,6 +3,8 @@
 Builds k-NN graphs over all heavy atoms or over CA atoms only, fills the
 node and edge feature blocks, computes the chain-local surface-proximity
 approximation, and applies training-time Gaussian coordinate corruption.
+The graph settings (granularity, k and the two feature ablation flags)
+are read from a ``model.ModelConfig``, which also checks them.
 The k-NN search and the surface proximity read their atom-pair distances
 from ``structio.squared_distance_blocks``, the package's one distance
 kernel, a block of rows at a time.
@@ -11,6 +13,7 @@ kernel, a block of rows at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +23,9 @@ from .structio import (
     build_residue_frames,
     squared_distance_blocks,
 )
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 # Heavy-atom PDB names across the 20 standard residues, plus a catch-all.
 ATOM_TYPES = (
@@ -86,23 +92,15 @@ class ComplexGraph:
         return self.neighbors.size
 
 
-def feature_widths(
-    granularity: str,
-    include_surface: bool = True,
-    include_geometric: bool = True,
-) -> tuple[int, int]:
-    """(node width, edge width) for a granularity and its ablation flags."""
-    surface = SURFACE_WIDTH if include_surface else 0
-    geometric = GEOMETRIC_WIDTH if include_geometric else 0
-    if granularity == "all-atom":
-        d_f = len(ATOM_TYPES) + surface
-        d_e = PAIR_WIDTH + geometric + COVALENT_WIDTH
-    elif granularity == "c-alpha":
-        d_f = len(RESIDUE_TYPES) + surface + DIHEDRAL_WIDTH
-        d_e = PAIR_WIDTH + geometric
-    else:
-        raise ValueError(f"unknown granularity {granularity!r}")
-    return d_f, d_e
+def feature_widths(config: ModelConfig) -> tuple[int, int]:
+    """(node width, edge width) of the graphs built for ``config``."""
+    surface = SURFACE_WIDTH if config.include_surface else 0
+    geometric = GEOMETRIC_WIDTH if config.include_geometric else 0
+    if config.granularity == "all-atom":
+        return (len(ATOM_TYPES) + surface,
+                PAIR_WIDTH + geometric + COVALENT_WIDTH)
+    return (len(RESIDUE_TYPES) + surface + DIHEDRAL_WIDTH,
+            PAIR_WIDTH + geometric)
 
 
 def knn_edges(coords: np.ndarray, k: int) -> np.ndarray:
@@ -300,17 +298,16 @@ def edge_features(
     structure: ComplexStructure,
     node_atom_indices: np.ndarray,
     neighbors: np.ndarray,
-    granularity: str,
-    include_geometric: bool = True,
+    config: ModelConfig,
 ) -> np.ndarray:
     """Per-edge features; row ``i*k + s`` is the edge ``neighbors[i, s] = j -> i``.
 
     Node i is structure atom ``node_atom_indices[i]``. Layout: [same-chain
     flag, sin(node index difference), 12 relative geometric values when
-    enabled, covalent-bond flag (all-atom only)]. The geometric block is
-    [d/10, unit displacement j->i in i's residue frame (3), unit
-    displacement i->j in j's residue frame (3), relative frame quaternion
-    with non-negative scalar part (4), 1/(1+d)].
+    ``config.include_geometric``, covalent-bond flag (all-atom only)]. The
+    geometric block is [d/10, unit displacement j->i in i's residue frame
+    (3), unit displacement i->j in j's residue frame (3), relative frame
+    quaternion with non-negative scalar part (4), 1/(1+d)].
     """
     n, k = neighbors.shape
     src = neighbors.ravel()
@@ -326,7 +323,7 @@ def edge_features(
     disp = structure.coords[atom_src] - structure.coords[atom_dst]  # x_j - x_i
     dist = np.sqrt((disp * disp).sum(axis=1))
 
-    if include_geometric:
+    if config.include_geometric:
         _, rotations = build_residue_frames(structure)
         geo = np.zeros((num_edges, GEOMETRIC_WIDTH), dtype=np.float64)
         geo[:, 0] = dist / 10.0
@@ -341,7 +338,7 @@ def edge_features(
         geo[:, 11] = 1.0 / (1.0 + dist)
         blocks.append(geo)
 
-    if granularity == "all-atom":
+    if config.granularity == "all-atom":
         covalent = (
             (pair[:, 0] > 0)
             & (np.abs(structure.resnum[atom_src] - structure.resnum[atom_dst]) <= 1)
@@ -354,21 +351,17 @@ def edge_features(
 
 def build_knn_graph(
     structure: ComplexStructure,
-    granularity: str = "all-atom",
-    k: int = 20,
+    config: ModelConfig,
     surface_values: np.ndarray | None = None,
-    include_surface: bool = True,
-    include_geometric: bool = True,
 ) -> ComplexGraph:
-    """Featurized k-NN graph over all atoms or CA atoms.
+    """The featurized k-NN graph that ``config`` expects for a structure.
 
-    ``surface_values`` optionally overrides the built-in surface-proximity
-    approximation with externally computed per-atom values (full-structure
-    atom order). Ablation flags drop the corresponding feature blocks and
-    shrink the widths accordingly.
+    Nodes are all atoms or CA atoms by ``config.granularity``, each with
+    its ``config.k_neighbors`` nearest neighbors; the two ablation flags
+    drop their feature blocks. ``surface_values`` optionally overrides the
+    built-in surface-proximity approximation with externally computed
+    per-atom values (full-structure atom order).
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"unknown granularity {granularity!r}")
     if surface_values is not None:
         surface_values = np.asarray(surface_values, dtype=np.float64)
         if surface_values.shape[0] != structure.num_atoms:
@@ -377,7 +370,7 @@ def build_knn_graph(
                 f"{structure.num_atoms} atoms"
             )
 
-    if granularity == "c-alpha":
+    if config.granularity == "c-alpha":
         node_atom_indices = np.flatnonzero(structure.name == "CA")
     else:
         node_atom_indices = np.arange(structure.num_atoms, dtype=np.intp)
@@ -386,13 +379,13 @@ def build_knn_graph(
         raise GraphTooSmallError(f"need at least 2 nodes, got {n}")
 
     coords = structure.coords[node_atom_indices]
-    neighbors = knn_edges(coords, k)
+    neighbors = knn_edges(coords, config.k_neighbors)
 
     surface = None
-    if include_surface:
+    if config.include_surface:
         surface = (surface_proximity(structure) if surface_values is None
                    else surface_values)
-    if granularity == "all-atom":
+    if config.granularity == "all-atom":
         feats = node_features_allatom(structure, surface)
         ca_mask = structure.name == "CA"
     else:
@@ -404,7 +397,7 @@ def build_knn_graph(
         node_features=feats,
         neighbors=neighbors,
         edge_features=edge_features(structure, node_atom_indices, neighbors,
-                                    granularity, include_geometric),
+                                    config),
         ca_mask=ca_mask,
         node_atom_indices=node_atom_indices,
     )

@@ -14,10 +14,12 @@ attention plus block-local softmax attention over the embeddings, and a
 gated node update. A quality head maps final embeddings to per-node scores
 in [0, 1], read out at CA nodes.
 
-``ModelConfig`` is the one home of the model settings, their defaults and
-their checks. The input feature widths are not settings: they follow from
-the granularity and the two feature ablation flags, and ``build_graph``
-featurizes a structure the way a config expects.
+``ModelConfig`` is the one home of the model and graph settings, their
+defaults and their checks; ``featurize.build_knn_graph`` reads the graph
+settings from it. The input feature widths are not settings: they follow
+from the granularity and the two feature ablation flags. The leaky ReLU
+slope and the radial normalization constant are fixed: ``LEAKY_SLOPE``,
+``NORM_CONSTANT``.
 
 Parameters live in a flat name -> float64 array mapping with a canonical
 block order; the same order drives the binary weights container.
@@ -53,14 +55,15 @@ from .errors import (
     WeightsTruncatedError,
     WeightsVersionError,
 )
-from .featurize import GRANULARITIES, ComplexGraph, build_knn_graph, feature_widths
-from .structio import ComplexStructure
+from .featurize import GRANULARITIES, ComplexGraph, feature_widths
 
 WEIGHTS_MAGIC = b"EGRW"
 WEIGHTS_VERSION = 1
 # Edge rows per block of a layer's edge pass: per-edge temporaries of this
 # many rows stay cache-sized, and 1,024 to 2,048 rows ran fastest.
 EDGE_BLOCK = 2048
+LEAKY_SLOPE = 0.01   # negative-side slope of every MLP's leaky ReLU
+NORM_CONSTANT = 1.0  # added to each edge length in the radial update
 
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real,
                 "bool": (bool, np.bool_), "str": str}
@@ -90,9 +93,7 @@ class ModelConfig:
     qa_loss_weight: float = 0.05
     attention_enabled: bool = True
     window_size: int = 128
-    norm_constant: float = 1.0
     noise_sigma: float = 0.1
-    leaky_slope: float = 0.01
     granularity: str = "all-atom"
     include_surface: bool = True
     include_geometric: bool = True
@@ -117,15 +118,11 @@ class ModelConfig:
 
     @property
     def node_feat_dim(self) -> int:
-        return feature_widths(
-            self.granularity, self.include_surface, self.include_geometric
-        )[0]
+        return feature_widths(self)[0]
 
     @property
     def edge_feat_dim(self) -> int:
-        return feature_widths(
-            self.granularity, self.include_surface, self.include_geometric
-        )[1]
+        return feature_widths(self)[1]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -134,38 +131,22 @@ class ModelConfig:
     def from_dict(cls, data: dict) -> "ModelConfig":
         """Inverse of ``to_dict``.
 
-        Older containers also store the two feature widths; they are
-        accepted when they equal the widths derived from the settings.
+        Older containers also store the two feature widths and the former
+        settings ``leaky_slope`` and ``norm_constant``; each is accepted
+        when it equals the value this version derives or fixes.
         """
-        data = dict(data)
-        stored = {key: data.pop(key) for key in ("node_feat_dim", "edge_feat_dim")
-                  if key in data}
-        unknown = set(data) - {f.name for f in fields(cls)}
+        settings = {f.name for f in fields(cls)}
+        config = cls(**{key: value for key, value in data.items() if key in settings})
+        fixed = {"node_feat_dim": config.node_feat_dim,
+                 "edge_feat_dim": config.edge_feat_dim,
+                 "leaky_slope": LEAKY_SLOPE, "norm_constant": NORM_CONSTANT}
+        unknown = set(data) - settings - set(fixed)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        config = cls(**data)
-        for key, value in stored.items():
-            if value != getattr(config, key):
-                raise ConfigError(
-                    f"stored {key} {value!r} != derived {getattr(config, key)}"
-                )
+        for key, value in fixed.items():
+            if key in data and data[key] != value:
+                raise ConfigError(f"stored {key} {data[key]!r} != {value!r}")
         return config
-
-
-def build_graph(
-    structure: ComplexStructure,
-    config: ModelConfig,
-    surface_values: np.ndarray | None = None,
-) -> ComplexGraph:
-    """The featurized k-NN graph that ``config`` expects for a structure."""
-    return build_knn_graph(
-        structure,
-        granularity=config.granularity,
-        k=config.k_neighbors,
-        surface_values=surface_values,
-        include_surface=config.include_surface,
-        include_geometric=config.include_geometric,
-    )
 
 
 @dataclass
@@ -256,10 +237,10 @@ def _wrap(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: Tensor(value) for name, value in params.items()}
 
 
-def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str, slope: float) -> Tensor:
+def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
     hidden = affine(x, leaves[prefix + "w1"], leaves[prefix + "b1"])
     hidden = layer_norm(hidden, leaves[prefix + "ln_gain"], leaves[prefix + "ln_bias"])
-    hidden = hidden.leaky_relu(slope)
+    hidden = hidden.leaky_relu(LEAKY_SLOPE)
     return affine(hidden, leaves[prefix + "w2"], leaves[prefix + "b2"])
 
 
@@ -309,7 +290,6 @@ def _layer(
     node_skip: Tensor,
 ) -> tuple[Tensor, Tensor]:
     n, k = neighbors.shape
-    slope = config.leaky_slope
 
     # The edge pass runs over blocks of whole nodes: a node's update needs
     # only its own k edge rows, so every per-edge temporary stays at about
@@ -329,9 +309,9 @@ def _layer(
             Tensor(edge_features[start * k:stop * k]),  # a constant: no parents
             sqdist,
         ], axis=1)
-        message = _mlp(edges, leaves, prefix + "msg_mlp.", slope)
-        gate = _mlp(message, leaves, prefix + "coord_mlp.", slope)  # (rows, 1)
-        radial = diff / (row_norm(diff) + config.norm_constant)
+        message = _mlp(edges, leaves, prefix + "msg_mlp.")
+        gate = _mlp(message, leaves, prefix + "coord_mlp.")  # (rows, 1)
+        radial = diff / (row_norm(diff) + NORM_CONSTANT)
         shifts.append(group_mean(radial * gate, k))
         messages.append(group_mean(message, k))
     x_new = coord_skip * x0 + (1.0 - coord_skip) * x + concat(shifts, axis=0)
@@ -353,9 +333,7 @@ def _layer(
     else:
         attn = Tensor(np.zeros_like(h.data))
 
-    update = _mlp(
-        concat([h, m_agg, attn, f_emb], axis=1), leaves, prefix + "node_mlp.", slope
-    )
+    update = _mlp(concat([h, m_agg, attn, f_emb], axis=1), leaves, prefix + "node_mlp.")
     h_new = node_skip * update + (1.0 - node_skip) * h
     return x_new, h_new
 
@@ -408,7 +386,7 @@ def forward_pass(
             x, h, x0, f_emb, graph.edge_features, graph.neighbors,
             leaves, f"layers.{layer}.", config, coord_skip, node_skip,
         )
-    qa = _mlp(h, leaves, "qa_head.", config.leaky_slope).sigmoid()
+    qa = _mlp(h, leaves, "qa_head.").sigmoid()
     return ForwardPass(coords=x, embeddings=h, qa=qa, leaves=leaves)
 
 

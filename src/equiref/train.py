@@ -25,9 +25,9 @@ from .errors import (
     SkipExample,
     UndefinedMetricError,
 )
-from .featurize import ComplexGraph, corrupt_coordinates
+from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
 from .metrics import lddt_ca
-from .model import ModelConfig, build_graph, forward_pass, init_params
+from .model import ModelConfig, forward_pass, init_params
 from .structio import (
     ComplexStructure,
     kabsch_superpose,
@@ -86,7 +86,7 @@ def make_training_example(
         except AlignmentError:
             pass  # degenerate CA set: train in the original frames
 
-    graph = build_graph(decoy, config)
+    graph = build_knn_graph(decoy, config)
     node_of_atom = np.full(decoy.num_atoms, -1, dtype=np.intp)
     node_of_atom[graph.node_atom_indices] = np.arange(graph.num_nodes)
 
@@ -298,7 +298,9 @@ def train_loop(
     checkpoint among completed epochs is returned; training stops when
     validation RMSD has not improved for ``patience`` epochs. A non-finite
     loss aborts with DivergenceError carrying the last good checkpoint and
-    the log so far.
+    the log so far. An epoch in which every example is skipped, or a
+    validation set without reference coordinates, raises
+    LossUndefinedError.
     """
     if not train_examples:
         raise ValueError("training set is empty")
@@ -338,7 +340,7 @@ def train_loop(
             params, state = adamw_step(params, grads, state)
             losses.append(loss)
         if not losses:
-            raise ValueError("every training example was skipped")
+            raise LossUndefinedError("every training example was skipped")
 
         val_rmsd = validation_rmsd(val_examples or train_examples, params, config)
         improved = val_rmsd < best_rmsd

@@ -256,7 +256,7 @@ def test_criterion_08_zero_init_identity():
     """A freshly initialized model reproduces its input exactly."""
     structure = make_complex()
     config = ModelConfig(num_layers=7, hidden_dim=64)
-    graph = build_knn_graph(structure, "all-atom")
+    graph = build_knn_graph(structure, config)
     params = init_params(config, seed=42)
     result = forward(graph, params, config)
     np.testing.assert_array_equal(result.refined_coords, graph.coords)

@@ -92,7 +92,7 @@ def test_elementwise_chain(rng):
 
 def test_leaky_relu(rng):
     a = rng.normal(size=(5, 5)) + 0.05  # keep away from the kink
-    check_op(lambda x: (x.leaky_relu() * 3.0).sum(), [a])
+    check_op(lambda x: (x.leaky_relu(0.01) * 3.0).sum(), [a])
 
 
 def test_concat(rng):
@@ -215,7 +215,7 @@ def test_backward_consumes_the_tape(rng):
     a = Tensor(rng.normal(size=(4, 3)))
     w = Tensor(rng.normal(size=(3, 2)))
     hidden = a @ w
-    activated = hidden.leaky_relu()
+    activated = hidden.leaky_relu(0.01)
     out = (activated * hidden).sum()
     out.backward()
     for node in (hidden, activated, out):

@@ -48,6 +48,19 @@ from conftest import (
 
 SMALL_CONFIG = ModelConfig(num_layers=2, hidden_dim=8)
 
+# Surface-override files: raw bytes, text, and number lines near the
+# 44 atoms of ``make_complex()``, in and out of [0, 1].
+SURFACE_FILES = (
+    st.binary(max_size=64)
+    | st.text(max_size=64).map(str.encode)
+    | st.lists(
+        st.floats(0.0, 1.0) | st.floats() | st.integers(-2, 2),
+        min_size=42, max_size=46,
+    ).map(lambda values: "\n".join(map(str, values)).encode())
+    | st.lists(st.floats(0.0, 1.0), min_size=44, max_size=44).map(
+        lambda values: "".join(f" {v!r} \n\n" for v in values).encode())
+)
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -219,13 +232,16 @@ class TestRefine:
         lambda h: h["config"].update(num_layers="2"),
         lambda h: h["config"].update(granularity="bogus"),
         lambda h: h["config"].update(node_feat_dim=12, edge_feat_dim=15),
+        lambda h: h["config"].update(leaky_slope=0.2),
+        lambda h: h["config"].update(norm_constant=0.5),
         lambda h: h.pop("config"),
         lambda h: h.update(config=[2, 8]),
         lambda h: h.pop("blocks"),
         lambda h: h["blocks"][0].pop("shape"),
     ], ids=[
         "invalid_value", "value_type", "bogus_granularity",
-        "mismatched_stored_widths", "no_config", "config_not_object",
+        "mismatched_stored_widths", "mismatched_former_slope",
+        "mismatched_former_norm_constant", "no_config", "config_not_object",
         "no_blocks", "malformed_block",
     ])
     def test_bad_weights_header_exits_3(self, workdir, edit):
@@ -268,6 +284,23 @@ class TestRefine:
         assert code == EXIT_PARSE
         assert str(surface) in capsys.readouterr().err
         assert not (tmp / "o.pdb").exists()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=SURFACE_FILES)
+    def test_any_surface_file_exits_with_documented_code(self, workdir, capsys,
+                                                         content):
+        tmp, _, input_pdb, weights = workdir
+        surface = tmp / "surface.txt"
+        surface.write_bytes(content)
+        code = main([
+            "refine", "--input", str(input_pdb), "--weights", str(weights),
+            "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
+            "--surface-file", str(surface),
+        ])
+        assert code in (EXIT_OK, EXIT_PARSE)
+        if code == EXIT_PARSE:
+            assert str(surface) in capsys.readouterr().err
 
     def test_unparseable_input(self, workdir):
         tmp, _, _, weights = workdir
@@ -839,6 +872,37 @@ class TestTrain:
         ])
         assert code == EXIT_EMPTY_DATASET
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_nothing_to_supervise_exits_8(self, tmp_path, rng, capsys, split):
+        # c-alpha nodes are CA atoms and this pair's native has none, so it
+        # supervises neither coordinates nor LDDT: as the only training
+        # pair every example is skipped, as the only validation pair there
+        # is no RMSD to measure
+        if split == "val":
+            training_fixture(tmp_path, rng)
+        pair_dir = tmp_path / split
+        pair_dir.mkdir(exist_ok=True)
+        native = make_complex(n_res_a=4, n_res_b=3)
+        decoy = native.with_coords(
+            native.coords + rng.normal(scale=0.4, size=native.coords.shape)
+        )
+        (pair_dir / "u_decoy.pdb").write_text(write_pdb(decoy))
+        (pair_dir / "u_native.pdb").write_text(
+            write_pdb(take_rows(native, native.name != "CA"))
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIG, "granularity": "c-alpha"}))
+        out = tmp_path / "m.weights"
+        args = [
+            "train", "--config", str(config), "--train-dir", str(tmp_path / "train"),
+            "--out-weights", str(out),
+        ]
+        if split == "val":
+            args += ["--val-dir", str(pair_dir)]
+        assert main(args) == EXIT_EMPTY_DATASET
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_unreadable_structure_is_named(self, tmp_path, rng, capsys):
         train_dir = training_fixture(tmp_path, rng)
         (train_dir / "a_decoy.pdb").mkdir()
@@ -947,6 +1011,13 @@ class TestRunConfig:
 
     def test_empty_object_gives_defaults(self, tmp_path):
         assert self.load(tmp_path, {}) == (RunConfig(), ModelConfig())
+
+    def test_every_model_setting_has_a_config_key(self):
+        # a ModelConfig field that no config key sets is a setting nothing
+        # can change
+        reachable = (set(MODEL_KEYS) | {"k_neighbors"}
+                     | {name for name, _ in ABLATIONS.values()})
+        assert reachable == {f.name for f in fields(ModelConfig)}
 
     def test_every_documented_key_reaches_its_setting(self, tmp_path):
         data = {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from equiref.featurize import (
     surface_proximity,
 )
 from equiref.metrics import contacts
+from equiref.model import ModelConfig
 from conftest import (
     build_structure,
     random_rotation,
@@ -31,6 +33,10 @@ from conftest import (
     transform_structure,
 )
 from oracles import contacts_bruteforce
+
+
+ALL_ATOM = ModelConfig()
+C_ALPHA = ModelConfig(granularity="c-alpha")
 
 
 def brute_force_neighbors(coords, k):
@@ -63,13 +69,13 @@ class TestKnnGraph:
     def test_k_clips_to_n_minus_1(self, rng):
         coords = rng.normal(size=(5, 3)) * 5
         s = build_structure(point_chain(coords))
-        g = build_knn_graph(s, k=20)
+        g = build_knn_graph(s, ModelConfig(k_neighbors=20))
         assert g.num_edges == 5 * 4
 
     def test_paper_edge_count(self, rng):
         coords = rng.normal(size=(21, 3)) * 8
         s = build_structure(point_chain(coords))
-        g = build_knn_graph(s, k=20)
+        g = build_knn_graph(s, ModelConfig(k_neighbors=20))
         assert g.num_edges == 21 * 20
 
     def test_tetrahedron_ties_break_by_index(self):
@@ -93,39 +99,38 @@ class TestKnnGraph:
     def test_too_small(self):
         s = build_structure(point_chain(np.zeros((1, 3))))
         with pytest.raises(GraphTooSmallError):
-            build_knn_graph(s)
+            build_knn_graph(s, ALL_ATOM)
 
 
 class TestWidths:
     def test_all_atom_widths(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         assert g.node_features.shape[1] == 39
         assert g.edge_features.shape[1] == 15
 
     def test_ca_widths(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "c-alpha")
+        g = build_knn_graph(two_chain_complex, C_ALPHA)
         assert g.node_features.shape[1] == 28
         assert g.edge_features.shape[1] == 14
         assert g.num_nodes == two_chain_complex.num_residues
 
     def test_ablation_widths(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom", include_surface=False)
-        assert g.node_features.shape[1] == 38
-        g = build_knn_graph(two_chain_complex, "all-atom", include_geometric=False)
-        assert g.edge_features.shape[1] == 3
-        g = build_knn_graph(two_chain_complex, "c-alpha", include_surface=False)
-        assert g.node_features.shape[1] == 27
-        g = build_knn_graph(two_chain_complex, "c-alpha", include_geometric=False)
-        assert g.edge_features.shape[1] == 2
-        assert feature_widths("all-atom", include_surface=False) == (38, 15)
-        assert feature_widths("all-atom", include_geometric=False) == (39, 3)
+        for config, widths in (
+            (replace(ALL_ATOM, include_surface=False), (38, 15)),
+            (replace(ALL_ATOM, include_geometric=False), (39, 3)),
+            (replace(C_ALPHA, include_surface=False), (27, 14)),
+            (replace(C_ALPHA, include_geometric=False), (28, 2)),
+        ):
+            g = build_knn_graph(two_chain_complex, config)
+            assert (g.node_features.shape[1], g.edge_features.shape[1]) == widths
+            assert feature_widths(config) == widths
 
     def test_one_hot_blocks_sum_to_one(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         np.testing.assert_array_equal(
             g.node_features[:, : len(ATOM_TYPES)].sum(axis=1), 1.0
         )
-        g = build_knn_graph(two_chain_complex, "c-alpha")
+        g = build_knn_graph(two_chain_complex, C_ALPHA)
         np.testing.assert_array_equal(
             g.node_features[:, : len(RESIDUE_TYPES)].sum(axis=1), 1.0
         )
@@ -147,7 +152,7 @@ class TestNodeFeatures:
         np.testing.assert_array_equal(feats[:, ATOM_TYPES.index("UNK")], 1.0)
 
     def test_glycine_residue_one_hot(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "c-alpha")
+        g = build_knn_graph(two_chain_complex, C_ALPHA)
         res_names = two_chain_complex.resname[two_chain_complex.residue_starts]
         gly = RESIDUE_TYPES.index("GLY")
         for row, name in zip(g.node_features, res_names):
@@ -189,7 +194,7 @@ class TestSurfaceProximity:
         path.write_text("\n".join(["0.25"] * n) + "\n")
         values = read_surface_file(path, n)
         np.testing.assert_array_equal(values, 0.25)
-        g = build_knn_graph(two_chain_complex, "all-atom", surface_values=values)
+        g = build_knn_graph(two_chain_complex, ALL_ATOM, values)
         np.testing.assert_array_equal(g.node_features[:, -1], 0.25)
 
     def test_override_count_mismatch(self, two_chain_complex, tmp_path):
@@ -268,7 +273,7 @@ class TestDihedrals:
 
 class TestEdgeFeatures:
     def test_same_chain_flag(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         src, dst = edge_endpoints(g)
         chain = two_chain_complex.chain[g.node_atom_indices]
         same = chain[src] == chain[dst]
@@ -278,7 +283,7 @@ class TestEdgeFeatures:
     def test_sinusoidal_index_encoding(self, two_chain_complex):
         # node indices, which differ from atom indices at c-alpha
         for granularity in GRANULARITIES:
-            g = build_knn_graph(two_chain_complex, granularity)
+            g = build_knn_graph(two_chain_complex, ModelConfig(granularity=granularity))
             src, dst = edge_endpoints(g)
             delta = (dst - src).astype(float)
             np.testing.assert_allclose(g.edge_features[:, 1], np.sin(delta),
@@ -291,7 +296,7 @@ class TestEdgeFeatures:
             ("A", 1, "ALA", "CA", (1.5, 0.0, 0.0)),
             ("A", 1, "ALA", "CB", (5.5, 0.0, 0.0)),
         ])
-        g = build_knn_graph(s, "all-atom")
+        g = build_knn_graph(s, ALL_ATOM)
         cov = g.edge_features[:, -1]
         src, dst = edge_endpoints(g)
         for e in range(g.num_edges):
@@ -305,7 +310,7 @@ class TestEdgeFeatures:
             ("A", 1, "GLY", "CA", (0.0, 0.0, 0.0)),
             ("A", 3, "GLY", "CA", (1.5, 0.0, 0.0)),
         ])
-        g = build_knn_graph(s, "all-atom")
+        g = build_knn_graph(s, ALL_ATOM)
         np.testing.assert_array_equal(g.edge_features[:, -1], 0.0)
 
     def test_geometric_block_rigid_motion_invariant(self, two_chain_complex, rng):
@@ -316,13 +321,13 @@ class TestEdgeFeatures:
             order = np.lexsort((src, dst))
             return src[order], dst[order], graph.edge_features[order]
 
-        base = build_knn_graph(two_chain_complex, "all-atom")
+        base = build_knn_graph(two_chain_complex, ALL_ATOM)
         base_src, base_dst, base_feats = canonical(base)
         for _ in range(5):
             rot = random_rotation(rng)
             shift = rng.normal(scale=15.0, size=3)
             moved = transform_structure(two_chain_complex, rot, shift)
-            g = build_knn_graph(moved, "all-atom")
+            g = build_knn_graph(moved, ALL_ATOM)
             src, dst, feats = canonical(g)
             np.testing.assert_array_equal(src, base_src)
             np.testing.assert_array_equal(dst, base_dst)
@@ -334,13 +339,13 @@ class TestEdgeFeatures:
 
 class TestCorruption:
     def test_sigma_zero_is_identity(self, two_chain_complex, rng):
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         out = corrupt_coordinates(g, 0.0, rng)
         np.testing.assert_array_equal(out.coords, g.coords)
         assert out.coords is not g.coords
 
     def test_fixed_seed_reproducible(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         a = corrupt_coordinates(g, 0.1, np.random.default_rng(33))
         b = corrupt_coordinates(g, 0.1, np.random.default_rng(33))
         np.testing.assert_array_equal(a.coords, b.coords)
@@ -351,9 +356,9 @@ class TestCorruption:
         # saturated and the gates at zero the model returns its anchor
         from dataclasses import fields
 
-        from equiref.model import ModelConfig, forward, init_params
+        from equiref.model import forward, init_params
 
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         out = corrupt_coordinates(g, 0.5, np.random.default_rng(1))
         for field in fields(g):
             if field.name != "coords":
@@ -366,7 +371,7 @@ class TestCorruption:
         assert not np.array_equal(refined, g.coords)
 
     def test_empirical_sigma(self, two_chain_complex):
-        g = build_knn_graph(two_chain_complex, "all-atom")
+        g = build_knn_graph(two_chain_complex, ALL_ATOM)
         rng = np.random.default_rng(99)
         sigma = 0.1
         deltas = []
@@ -382,7 +387,7 @@ def test_edge_count_invariant(rng):
     for n in (2, 5, 21, 60):
         coords = rng.normal(size=(n, 3)) * 6
         s = build_structure(point_chain(coords))
-        g = build_knn_graph(s)
+        g = build_knn_graph(s, ALL_ATOM)
         assert g.num_edges == n * min(20, n - 1)
 
 

@@ -19,7 +19,6 @@ from equiref.errors import (
 from equiref.featurize import build_knn_graph
 from equiref.model import (
     ModelConfig,
-    build_graph,
     forward,
     forward_pass,
     init_params,
@@ -280,7 +279,7 @@ class TestForward:
     def test_zero_init_identity_on_structure_graph(self):
         structure = make_complex()
         config = ModelConfig(num_layers=3, hidden_dim=16)
-        graph = build_knn_graph(structure, "all-atom")
+        graph = build_knn_graph(structure, config)
         params = init_params(config, seed=9)
         result = forward(graph, params, config)
         np.testing.assert_array_equal(result.refined_coords, graph.coords)
@@ -582,17 +581,21 @@ class TestWeightsContainer:
         np.testing.assert_array_equal(arrays["opt.step"], 7.0)
 
     def test_header_with_stored_widths_loads_bitwise(self, rng):
-        # containers written before the widths were derived store them too
+        # containers written before the widths were derived store them too,
+        # and those written before the slope and the radial constant were
+        # fixed also store both
         params = randomize(init_params(SMALL, 0), rng)
-        blob = rewrite_header(
-            save_weights(params, SMALL),
-            lambda header: header["config"].update(node_feat_dim=39,
-                                                   edge_feat_dim=15),
-        )
-        loaded, config = load_weights(blob)
-        assert config == SMALL
-        for k in params:
-            np.testing.assert_array_equal(loaded[k], params[k])
+        widths = {"node_feat_dim": 39, "edge_feat_dim": 15}
+        former = {**widths, "leaky_slope": 0.01, "norm_constant": 1.0}
+        for stored in (widths, former):
+            blob = rewrite_header(
+                save_weights(params, SMALL),
+                lambda header: header["config"].update(stored),
+            )
+            loaded, config = load_weights(blob)
+            assert config == SMALL
+            for k in params:
+                np.testing.assert_array_equal(loaded[k], params[k])
 
     def test_forward_identical_after_round_trip(self, rng):
         graph = random_graph(rng, n=14, d_f=SMALL.node_feat_dim,
@@ -698,7 +701,7 @@ class TestConfig:
                         include_surface=surface,
                         include_geometric=geometric,
                     )
-                    graph = build_graph(structure, config)
+                    graph = build_knn_graph(structure, config)
                     assert config.node_feat_dim == graph.node_features.shape[1]
                     assert config.edge_feat_dim == graph.edge_features.shape[1]
                     forward(graph, init_params(config, 0), config)
