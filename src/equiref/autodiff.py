@@ -11,15 +11,34 @@ parents and its backward closure, so only the leaves (tensors built
 without parents) keep gradients. Calling ``backward()`` a second time on
 the same graph is therefore not supported.
 
+A node's backward hands each parent either a dense gradient of the
+parent's shape or a row contribution ``(rows, values)``, meaning
+``grad[rows] += values`` for a slice or an array of distinct row indices;
+``slice_rows`` and ``gather_rows`` use the latter, so a block that reads a
+few rows of a large tensor costs time in its rows only. A first dense
+gradient becomes the parent's ``grad`` as it is, although it may be shared
+(``__add__`` hands the same array to both parents) or a view (``concat``
+hands back views of its gradient); such an array is never written. The
+walk adds later contributions into a buffer that it owns: one it allocated,
+or a copy it made on the first write.
+
+``checkpoint(fn, inputs)`` records all of ``fn`` as one tape node: the
+forward runs under ``no_grad()``, and the backward runs ``fn`` again with
+the tape on, from fresh leaves holding the inputs' data, and walks that
+short tape at once. The live tape then holds only what the checkpoints
+keep (their inputs and outputs) plus the parts left outside them.
+
 Inside ``with no_grad():`` new tensors record no parents and no backward
 closure, so the same model code runs without a tape and each intermediate
-is freed as soon as the code drops it. The blocks nest, and each restores
-the previous mode on exit, also when an exception leaves it. The mode is
-one flag for the whole process, not one per thread.
+is freed as soon as the code drops it; ``checkpoint`` then only calls
+``fn``. The blocks nest, and each restores the previous mode on exit, also
+when an exception leaves it. The mode is one flag for the whole process,
+not one per thread.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,14 +67,77 @@ _taping = True
 
 
 @contextmanager
-def no_grad():
-    """Build no tape inside the block: new tensors keep only their data."""
+def _taping_mode(on: bool):
     global _taping
-    previous, _taping = _taping, False
+    previous, _taping = _taping, on
     try:
         yield
     finally:
         _taping = previous
+
+
+def no_grad():
+    """Build no tape inside the block: new tensors keep only their data."""
+    return _taping_mode(False)
+
+
+def _accumulate(tensor: Tensor, contribution, owned: set[int]) -> None:
+    """Add one dense or row contribution into ``tensor.grad``.
+
+    ``owned`` holds the ids of tensors whose ``grad`` buffer this walk
+    allocated or copied; only those are written in place.
+    """
+    if isinstance(contribution, tuple):
+        rows, values = contribution
+        if tensor.grad is None:
+            tensor.grad = np.zeros_like(tensor.data)
+        elif id(tensor) not in owned:
+            tensor.grad = tensor.grad.copy()
+        owned.add(id(tensor))
+        tensor.grad[rows] += values
+    elif tensor.grad is None:
+        tensor.grad = contribution
+    elif id(tensor) in owned:
+        tensor.grad += contribution
+    else:
+        tensor.grad = tensor.grad + contribution
+        owned.add(id(tensor))
+
+
+def _backprop(outputs, grads) -> None:
+    """Seed each output with its gradient and walk the tape back to the leaves.
+
+    Every interior node reached is consumed: it ends with no ``grad``, no
+    parents and no backward closure.
+    """
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(out, False) for out in outputs]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    owned: set[int] = set()
+    for out, grad in zip(outputs, grads):
+        _accumulate(out, grad, owned)
+    while order:
+        node = order.pop()
+        if not node._parents:
+            continue  # a leaf keeps its gradient
+        if node._backward is not None and node.grad is not None:
+            for parent, contribution in zip(node._parents, node._backward(node.grad)):
+                if contribution is not None:
+                    _accumulate(parent, contribution, owned)
+        owned.discard(id(node))
+        node.grad, node._parents, node._backward = None, (), None
 
 
 class Tensor:
@@ -86,36 +168,7 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
-        while order:
-            node = order.pop()
-            if not node._parents:
-                continue  # a leaf keeps its gradient
-            if node._backward is not None and node.grad is not None:
-                for parent, contribution in zip(node._parents,
-                                                node._backward(node.grad)):
-                    if contribution is None:
-                        continue
-                    if parent.grad is None:
-                        parent.grad = contribution
-                    else:
-                        parent.grad = parent.grad + contribution
-            node.grad, node._parents, node._backward = None, (), None
+        _backprop((self,), (np.ones_like(self.data),))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -222,9 +275,21 @@ class Tensor:
         return Tensor(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
     def leaky_relu(self, slope: float):
-        mask = self.data > 0
-        scale = np.where(mask, 1.0, slope)
-        return Tensor(self.data * scale, (self,), lambda g: (g * scale,))
+        """``max(x, slope * x)``, which is the leaky ReLU for 0 <= slope < 1.
+
+        For such a slope an output is positive exactly where its input is,
+        so the backward reads its 1-or-slope factors off the output.
+        """
+        out_data = self.data * slope
+        np.maximum(self.data, out_data, out=out_data)
+
+        def backward(g):
+            scale = (out_data > 0).astype(np.float64)
+            np.maximum(scale, slope, out=scale)
+            scale *= g
+            return (scale,)
+
+        return Tensor(out_data, (self,), backward)
 
 
 def as_tensor(value) -> Tensor:
@@ -233,7 +298,8 @@ def as_tensor(value) -> Tensor:
 
 def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias for row-major inputs; bias has shape (out,)."""
-    out_data = x.data @ weight.data + bias.data
+    out_data = x.data @ weight.data
+    out_data += bias.data
     return Tensor(
         out_data,
         (x, weight, bias),
@@ -253,24 +319,24 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of ``x``: a view forward, a zero-padded gradient back."""
-
-    def backward(g):
-        out = np.zeros_like(x.data)
-        out[start:stop] = g
-        return (out,)
-
-    return Tensor(x.data[start:stop], (x,), backward)
+    """Rows ``start:stop`` of ``x``: a view forward, a row contribution back."""
+    return Tensor(x.data[start:stop], (x,), lambda g: ((slice(start, stop), g),))
 
 
 def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows by integer index; repeated rows accumulate gradient."""
+    """Select rows by integer index; repeated rows accumulate gradient.
+
+    The backward sums the gradient of each distinct row in index order
+    with one ``bincount`` and hands back only those rows.
+    """
     index = np.asarray(index, dtype=np.intp)
 
     def backward(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, index, g)
-        return (out,)
+        rows, inverse = np.unique(index % len(x.data), return_inverse=True)
+        width = math.prod(g.shape[1:])
+        flat = (inverse[:, None] * width + np.arange(width)).ravel()
+        sums = np.bincount(flat, weights=g.ravel(), minlength=rows.size * width)
+        return ((rows, sums.reshape((rows.size,) + g.shape[1:])),)
 
     return Tensor(x.data[index], (x,), backward)
 
@@ -307,23 +373,34 @@ def row_norm(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Feature-wise normalization per row with learnable gain and offset."""
-    mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out_data = xhat * gain.data + bias.data
+    """Feature-wise normalization per row with learnable gain and offset.
+
+    Row means are products with a column of ``1/d`` (or ``gain/d``): BLAS
+    runs them faster than numpy's reductions over short rows.
+    """
+    d = x.data.shape[1]
+    column = np.full((d, 1), 1.0 / d)
+    xhat = x.data - x.data @ column
+    var = np.square(xhat) @ column
+    var += eps
+    inv = 1.0 / np.sqrt(var)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
+        # gx = inv * (g_xhat - mean(g_xhat) - xhat * mean(g_xhat * xhat))
+        # with g_xhat = g * gain and both means over the feature axis
+        gain_column = gain.data[:, None] / d
         g_xhat = g * gain.data
-        # both mean terms are over the feature axis
-        gx = inv * (
-            g_xhat
-            - g_xhat.mean(axis=1, keepdims=True)
-            - xhat * (g_xhat * xhat).mean(axis=1, keepdims=True)
-        )
-        return (gx, (g * xhat).sum(axis=0), g.sum(axis=0))
+        g_times_xhat = g * xhat
+        gain_grad = g_times_xhat.sum(axis=0)
+        mean_g_xhat = g @ gain_column
+        np.multiply(xhat, g_times_xhat @ gain_column, out=g_times_xhat)
+        g_xhat -= mean_g_xhat
+        g_xhat -= g_times_xhat
+        g_xhat *= inv
+        return (g_xhat, gain_grad, g.sum(axis=0))
 
     return Tensor(out_data, (x, gain, bias), backward)
 
@@ -339,3 +416,44 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (s * (g - dot),)
 
     return Tensor(s, (x,), backward)
+
+
+def checkpoint(fn, inputs):
+    """``fn(*inputs)`` recorded as one tape node whose tape is rebuilt on demand.
+
+    ``fn`` takes Tensors and returns a Tensor or a tuple of Tensors; what
+    else it reads enters as a constant. The forward keeps no tape inside
+    ``fn``. The backward runs ``fn`` again with the tape on, from fresh
+    leaves holding the inputs' data, seeds the outputs' gradients into that
+    tape, walks it, and hands the leaves' gradients to ``inputs``. Each
+    output is a view of one packed array the node holds. Under
+    ``no_grad()`` this is ``fn(*inputs)``.
+    """
+    if not _taping:
+        return fn(*inputs)
+    inputs = tuple(inputs)
+    with no_grad():
+        result = fn(*inputs)
+    single = isinstance(result, Tensor)
+    outputs = (result,) if single else tuple(result)
+    shapes = [out.data.shape for out in outputs]
+    offsets = np.cumsum([0] + [out.data.size for out in outputs])
+    segments = list(zip(offsets[:-1], offsets[1:]))
+    packed = np.concatenate([out.data.ravel() for out in outputs])
+
+    def backward(g):
+        leaves = [Tensor(t.data) for t in inputs]
+        with _taping_mode(True):
+            again = fn(*leaves)
+        _backprop((again,) if single else tuple(again),
+                  [g[a:b].reshape(shape) for (a, b), shape in zip(segments, shapes)])
+        return tuple(leaf.grad for leaf in leaves)
+
+    node = Tensor(packed, inputs, backward)
+
+    def view(a, b, shape):
+        return Tensor(packed[a:b].reshape(shape), (node,),
+                      lambda g: ((slice(a, b), g.ravel()),))
+
+    views = tuple(view(a, b, shape) for (a, b), shape in zip(segments, shapes))
+    return views[0] if single else views

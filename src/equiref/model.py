@@ -38,6 +38,7 @@ import numpy as np
 from .autodiff import (
     Tensor,
     affine,
+    checkpoint,
     concat,
     gather_rows,
     group_mean,
@@ -340,7 +341,14 @@ def _layer(
 
 @dataclass
 class ForwardPass:
-    """Forward tensors kept alive for gradient computation."""
+    """Forward outputs and the parameter leaves their tape leads back to.
+
+    Outside ``no_grad()`` the outputs carry the tape: each layer is one
+    checkpoint node holding its inputs and packed outputs, and only the
+    input embedding, the two skip strengths and the QA head are taped op
+    by op. The layers' edge blocks are taped again one layer at a time
+    during the backward pass.
+    """
 
     coords: Tensor      # (n, 3) refined coordinates
     embeddings: Tensor  # (n, d) final node embeddings
@@ -368,8 +376,15 @@ def forward_pass(
 
     The outputs carry the autodiff tape back to ``leaves`` unless the call
     runs inside ``no_grad()``; ``train.backward`` differentiates through it.
-    The graph's arrays enter as constants: the one coordinate tensor is
-    both the first layer's input and every layer's skip anchor.
+    Each layer runs inside ``autodiff.checkpoint``: its inputs are the
+    coordinates, the embeddings, ``f_emb``, the two skip strengths and the
+    layer's own parameter leaves, and the backward pass re-runs it, so a
+    backward holds the tape of one layer at a time. Gradients then differ
+    from a pass taped op by op only in the last bits, where contributions
+    to the shared leaves add up in another order. Under ``no_grad()`` the
+    layers run directly. The graph's arrays enter as constants: the one
+    coordinate tensor is both the first layer's input and every layer's
+    skip anchor.
     """
     check_widths(graph, config)
     leaves = _wrap(params)
@@ -382,9 +397,17 @@ def forward_pass(
 
     x, h = x0, f_emb
     for layer in range(config.num_layers):
-        x, h = _layer(
-            x, h, x0, f_emb, graph.edge_features, graph.neighbors,
-            leaves, f"layers.{layer}.", config, coord_skip, node_skip,
+        prefix = f"layers.{layer}."
+        names = [name for name in leaves if name.startswith(prefix)]
+
+        def run(x, h, f_emb, coord_skip, node_skip, *blocks, prefix=prefix, names=names):
+            return _layer(
+                x, h, x0, f_emb, graph.edge_features, graph.neighbors,
+                dict(zip(names, blocks)), prefix, config, coord_skip, node_skip,
+            )
+
+        x, h = checkpoint(
+            run, (x, h, f_emb, coord_skip, node_skip, *(leaves[name] for name in names))
         )
     qa = _mlp(h, leaves, "qa_head.").sigmoid()
     return ForwardPass(coords=x, embeddings=h, qa=qa, leaves=leaves)

@@ -238,6 +238,7 @@ def validation_rmsd(
     Computed without re-superposition: decoy and reference frames are
     aligned when examples are built. No tape is built.
     """
+    _check_validation_set(examples)
     values = []
     for example in examples:
         if example.matched_nodes.size == 0:
@@ -246,9 +247,12 @@ def validation_rmsd(
             fp = forward_pass(example.graph, params, config)
         refined = fp.coords.data[example.matched_nodes]
         values.append(rmsd_without_superposition(refined, example.native_coords))
-    if not values:
-        raise LossUndefinedError("no validation example has reference coordinates")
     return float(np.mean(values))
+
+
+def _check_validation_set(examples: list[TrainingExample]) -> None:
+    if not any(example.matched_nodes.size for example in examples):
+        raise LossUndefinedError("no validation example has reference coordinates")
 
 
 @dataclass
@@ -298,12 +302,15 @@ def train_loop(
     checkpoint among completed epochs is returned; training stops when
     validation RMSD has not improved for ``patience`` epochs. A non-finite
     loss aborts with DivergenceError carrying the last good checkpoint and
-    the log so far. An epoch in which every example is skipped, or a
-    validation set without reference coordinates, raises
-    LossUndefinedError.
+    the log so far. An epoch in which every example is skipped raises
+    LossUndefinedError, and so does a validation set without reference
+    coordinates, before the first step. Without ``val_examples`` the
+    training set is validated on.
     """
     if not train_examples:
         raise ValueError("training set is empty")
+    val_examples = val_examples or train_examples
+    _check_validation_set(val_examples)
     params = init_params(config, seed)
     state = optimizer if optimizer is not None else OptimizerState()
 
@@ -342,7 +349,7 @@ def train_loop(
         if not losses:
             raise LossUndefinedError("every training example was skipped")
 
-        val_rmsd = validation_rmsd(val_examples or train_examples, params, config)
+        val_rmsd = validation_rmsd(val_examples, params, config)
         improved = val_rmsd < best_rmsd
         if improved:
             best_rmsd = val_rmsd

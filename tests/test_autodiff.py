@@ -6,6 +6,7 @@ import pytest
 from equiref.autodiff import (
     Tensor,
     affine,
+    checkpoint,
     concat,
     gather_rows,
     group_mean,
@@ -117,6 +118,8 @@ def test_gather_rows_accumulates(rng):
     a = rng.normal(size=(4, 3))
     idx = np.array([0, 2, 2, 3, 0, 0])
     check_op(lambda x: (gather_rows(x, idx) ** 2).sum(), [a])
+    # a negative index names the same row as its positive form
+    check_op(lambda x: (gather_rows(x, [3, -1, 0, -4]) ** 2).sum(), [a])
 
 
 def test_repeat_rows(rng):
@@ -224,3 +227,81 @@ def test_backward_consumes_the_tape(rng):
     expected = 2 * np.where(hidden.data > 0, hidden.data, 0.01 * hidden.data)
     np.testing.assert_allclose(w.grad, a.data.T @ expected, rtol=1e-12)
     np.testing.assert_allclose(a.grad, expected @ w.data.T, rtol=1e-12)
+
+
+def _two_outputs(x, y, w):
+    hidden = affine(x, w, y.sum(axis=0)).leaky_relu(0.01)
+    return layer_norm(hidden, y.sum(axis=0), y.mean(axis=0)), gather_rows(hidden * x, [2, 0, 2])
+
+
+def test_checkpoint_matches_the_unwrapped_function(rng):
+    a = rng.normal(size=(4, 3))
+    w = rng.normal(size=(3, 3))
+    weights = [rng.normal(size=(4, 3)), rng.normal(size=(3, 3))]
+
+    def grads(wrap):
+        # ``x`` enters twice, as the model's first layer passes ``f_emb``
+        x, w_leaf = Tensor(a), Tensor(w)
+        first, second = wrap(_two_outputs, (x, x, w_leaf))
+        ((first * Tensor(weights[0])).sum() + (second * Tensor(weights[1])).sum()).backward()
+        return x.grad, w_leaf.grad
+
+    plain = grads(lambda fn, inputs: fn(*inputs))
+    for got, want in zip(grads(checkpoint), plain):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+def test_checkpoint_gradients(rng):
+    a = rng.normal(size=(5, 3))
+    w = rng.normal(size=(3, 4))
+    check_op(lambda x, y: (checkpoint(lambda s, t: (s @ t).sigmoid(), (x, y)) ** 2).sum(),
+             [a, w])
+    check_op(lambda x, y: sum((out ** 2).sum() for out in checkpoint(
+        lambda s, t: (slice_rows(s, 1, 4) @ t, s * 3.0), (x, y))), [a, w])
+
+
+def test_checkpoint_under_no_grad_calls_fn(rng):
+    a = Tensor(rng.normal(size=(3, 2)))
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return x * 2.0, x.sum()
+
+    with no_grad():
+        first, second = checkpoint(fn, (a,))
+    assert calls == [a]
+    np.testing.assert_array_equal(first.data, a.data * 2.0)
+    assert first._parents == () and second._parents == ()
+
+
+@pytest.mark.parametrize("rows", [
+    lambda t: slice_rows(t, 1, 3),
+    lambda t: gather_rows(t, [3, 1, 1, 0]),
+], ids=["slice_rows", "gather_rows"])
+@pytest.mark.parametrize("shared_by", ["add", "concat"])
+@pytest.mark.parametrize("row_term_first", [True, False])
+def test_row_contribution_never_writes_a_shared_gradient(rng, rows, shared_by,
+                                                         row_term_first):
+    # ``__add__`` hands one array to both parents, and ``concat`` hands back
+    # views of a gradient that ``__add__`` also handed to ``d``: a row
+    # contribution added in place to ``a``'s gradient would change ``b``'s
+    # or ``d``'s
+    a0, b0, d0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(8, 3))
+    w = Tensor(rng.normal(size=(4, 3) if shared_by == "add" else (8, 3)))
+
+    def loss(a, b, *d):
+        joined = a + b if shared_by == "add" else concat([a, b], axis=0) + d[0]
+        shared = (joined * w).sum()
+        row_term = (rows(a) ** 2).sum()
+        return row_term + shared if row_term_first else shared + row_term
+
+    arrays = [a0, b0] if shared_by == "add" else [a0, b0, d0]
+    leaves = [Tensor(value) for value in arrays]
+    loss(*leaves).backward()
+    if shared_by == "add":
+        np.testing.assert_array_equal(leaves[1].grad, w.data)
+    else:
+        np.testing.assert_array_equal(leaves[1].grad, w.data[4:])
+        np.testing.assert_array_equal(leaves[2].grad, w.data)
+    check_op(loss, arrays)

@@ -873,11 +873,22 @@ class TestTrain:
         assert code == EXIT_EMPTY_DATASET
 
     @pytest.mark.parametrize("split", ["train", "val"])
-    def test_nothing_to_supervise_exits_8(self, tmp_path, rng, capsys, split):
+    def test_nothing_to_supervise_exits_8(self, tmp_path, rng, capsys, monkeypatch,
+                                          split):
         # c-alpha nodes are CA atoms and this pair's native has none, so it
         # supervises neither coordinates nor LDDT: as the only training
         # pair every example is skipped, as the only validation pair there
-        # is no RMSD to measure
+        # is no RMSD to measure, which is found before the first step
+        import equiref.train as train
+
+        steps = []
+        taped_step = train.backward
+
+        def counted_step(*args, **kwargs):
+            steps.append(args)
+            return taped_step(*args, **kwargs)
+
+        monkeypatch.setattr(train, "backward", counted_step)
         if split == "val":
             training_fixture(tmp_path, rng)
         pair_dir = tmp_path / split
@@ -902,6 +913,8 @@ class TestTrain:
         assert main(args) == EXIT_EMPTY_DATASET
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+        if split == "val":
+            assert steps == []
 
     def test_unreadable_structure_is_named(self, tmp_path, rng, capsys):
         train_dir = training_fixture(tmp_path, rng)

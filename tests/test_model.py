@@ -418,19 +418,24 @@ class TestTape:
         graph, params = self._case(rng)
         result = forward(graph, params, SMALL)
         fp = forward_pass(graph, params, SMALL)
-        assert len(tape_nodes(fp.coords)) > 100
         np.testing.assert_array_equal(result.refined_coords, fp.coords.data)
         np.testing.assert_array_equal(result.embeddings, fp.embeddings.data)
         np.testing.assert_array_equal(
             result.predicted_lddt, fp.qa.data[np.flatnonzero(graph.ca_mask), 0]
         )
+        # the taped outputs lead back to every parameter leaf
+        (fp.coords.sum() + fp.embeddings.sum() + fp.qa.sum()).backward()
+        assert all(leaf.grad is not None for leaf in fp.leaves.values())
 
     def test_graph_arrays_are_constants(self, rng, monkeypatch):
         # one parentless coordinate tensor is both the first layer's input
         # and the skip anchor, and each edge block wraps its own rows of
-        # the edge features, so no taped tensor holds all n*k of them
+        # the edge features, so no taped tensor holds all n*k of them; the
+        # layers run unwrapped, as the backward pass re-runs them, so that
+        # their edge blocks are on the tape
         graph, params = self._case(rng)
         monkeypatch.setattr(model, "EDGE_BLOCK", 7 * graph.neighbors.shape[1])
+        monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
         fp = forward_pass(graph, params, SMALL)
         nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
         coords = [node for node in nodes
@@ -438,6 +443,17 @@ class TestTape:
         assert len(coords) == 1
         np.testing.assert_array_equal(coords[0].data, graph.coords)
         assert all(node.shape != graph.edge_features.shape for node in nodes)
+
+    def test_tape_does_not_grow_with_edge_blocks(self, rng, monkeypatch):
+        # a layer is one checkpoint node after the forward pass: its edge
+        # blocks are taped only while the backward pass re-runs it
+        graph, params = self._case(rng)
+        sizes = []
+        for block in (2 * graph.neighbors.shape[1], graph.neighbors.size):
+            monkeypatch.setattr(model, "EDGE_BLOCK", block)
+            fp = forward_pass(graph, params, SMALL)
+            sizes.append(len(tape_nodes(fp.coords, fp.embeddings, fp.qa)))
+        assert sizes[0] == sizes[1]
 
     def test_backward_keeps_only_exact_leaf_grads(self, rng):
         graph, params = self._case(rng)
