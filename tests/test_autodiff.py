@@ -260,6 +260,15 @@ def test_checkpoint_gradients(rng):
         lambda s, t: (slice_rows(s, 1, 4) @ t, s * 3.0), (x, y))), [a, w])
 
 
+def test_checkpoint_backward_tapes_its_rerun_under_no_grad(rng):
+    a = rng.normal(size=(4, 3))
+    x = Tensor(a)
+    out = checkpoint(lambda t: (t * t).sum(), (x,))
+    with no_grad():
+        out.backward()
+    np.testing.assert_array_equal(x.grad, 2 * a)
+
+
 def test_checkpoint_under_no_grad_calls_fn(rng):
     a = Tensor(rng.normal(size=(3, 2)))
     calls = []
