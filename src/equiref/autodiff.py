@@ -45,6 +45,8 @@ import numpy as np
 
 Array = np.ndarray
 
+LAYER_NORM_EPS = 1e-5  # added to each row's variance in ``layer_norm``
+
 
 def _as_array(value) -> Array:
     return np.asarray(value, dtype=np.float64)
@@ -372,7 +374,7 @@ def row_norm(x: Tensor) -> Tensor:
     return Tensor(norms, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Feature-wise normalization per row with learnable gain and offset.
 
     Row means are products with a column of ``1/d`` (or ``gain/d``): BLAS
@@ -382,7 +384,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     column = np.full((d, 1), 1.0 / d)
     xhat = x.data - x.data @ column
     var = np.square(xhat) @ column
-    var += eps
+    var += LAYER_NORM_EPS
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
     out_data = xhat * gain.data

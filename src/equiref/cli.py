@@ -1,11 +1,14 @@
 """Command-line entry points: refine, score, evaluate, train.
 
 Exit codes are stable API:
-  0 success, 2 input parse/format error, 3 weights mismatch,
-  4 no atom overlap, 5 undefined interface metric, 6 missing file or
-  empty evaluation input, 7 training divergence, 8 empty dataset or no
-  supervised example.
-Diagnostics go to stderr; data is written only to the requested files.
+  0 success, 2 input parse/format error or a file that cannot be read or
+  written, 3 weights mismatch, 4 no atom overlap, 5 undefined interface
+  metric, 6 missing file or empty evaluation input, 7 training divergence,
+  8 empty dataset or no supervised example.
+Commands raise; ``main`` turns an error into its exit code through the one
+table ``EXIT_CODES``. A command returns a code itself only where no error
+type decides it. Diagnostics go to stderr; data is written only to the
+requested files.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ import numpy as np
 from .errors import (
     ConfigError,
     DivergenceError,
-    EmptyStructureError,
     EquirefError,
-    FormatOverflowError,
     LossUndefinedError,
     NoInterfaceError,
     NoOverlapError,
     PdbParseError,
-    SurfaceOverrideError,
     UndefinedMetricError,
     WeightsFormatError,
 )
@@ -54,7 +54,6 @@ from .model import (
     ModelConfig,
     check_field_types,
     forward,
-    init_params,
     load_weights,
     save_weights,
 )
@@ -69,6 +68,23 @@ EXIT_NO_INTERFACE = 5
 EXIT_MISSING_INPUT = 6
 EXIT_DIVERGED = 7
 EXIT_EMPTY_DATASET = 8
+
+# The exit code of an error is that of the first class in its MRO listed
+# here; every EquirefError and OSError has one.
+EXIT_CODES: dict[type[BaseException], int] = {
+    WeightsFormatError: EXIT_WEIGHTS,
+    NoOverlapError: EXIT_NO_OVERLAP,
+    NoInterfaceError: EXIT_NO_INTERFACE,
+    UndefinedMetricError: EXIT_NO_INTERFACE,
+    LossUndefinedError: EXIT_EMPTY_DATASET,
+    EquirefError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+}
+
+
+def exit_code(error: type[BaseException]) -> int:
+    """The exit code ``EXIT_CODES`` gives an error type."""
+    return next(EXIT_CODES[cls] for cls in error.__mro__ if cls in EXIT_CODES)
 
 
 def _fail(code: int, message: str) -> int:
@@ -113,7 +129,10 @@ class RunConfig:
         take the dataclass defaults.
         """
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                raise ConfigError(f"cannot decode {path} as JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         run_keys = {f.name for f in fields(cls)}
@@ -139,25 +158,11 @@ def cmd_refine(args) -> int:
         blob = Path(args.weights).read_bytes()
     except OSError as exc:
         return _fail(EXIT_WEIGHTS, f"cannot read weights: {exc}")
-    try:
-        params, config = load_weights(blob)
-    except WeightsFormatError as exc:
-        return _fail(EXIT_WEIGHTS, f"cannot load weights: {exc}")
-    try:
-        structure = parse_pdb_file(args.input)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot read input: {exc}")
-    except (PdbParseError, EmptyStructureError) as exc:
-        return _fail(EXIT_PARSE, f"cannot parse input: {exc}")
-
+    params, config = load_weights(blob)
+    structure = parse_pdb_file(args.input)
     surface = None
     if args.surface_file is not None:
-        try:
-            surface = read_surface_file(args.surface_file, structure.num_atoms)
-        except OSError as exc:
-            return _fail(EXIT_PARSE, f"cannot read surface file: {exc}")
-        except SurfaceOverrideError as exc:
-            return _fail(EXIT_PARSE, f"bad surface file {args.surface_file}: {exc}")
+        surface = read_surface_file(args.surface_file, structure.num_atoms)
 
     refined = structure
     for _ in range(args.iterations):
@@ -167,10 +172,7 @@ def cmd_refine(args) -> int:
         coords[graph.node_atom_indices] = result.refined_coords
         refined = refined.with_coords(coords)
 
-    try:
-        Path(args.output).write_text(write_pdb(refined))
-    except FormatOverflowError as exc:
-        return _fail(EXIT_PARSE, f"cannot write refined structure: {exc}")
+    Path(args.output).write_text(write_pdb(refined))
 
     rows = graph.node_atom_indices[result.ca_node_indices]
     per_residue = [
@@ -190,19 +192,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_score(args) -> int:
-    try:
-        decoy = parse_pdb_file(args.decoy)
-        native = parse_pdb_file(args.native)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot read structure: {exc}")
-    except (PdbParseError, EmptyStructureError) as exc:
-        return _fail(EXIT_PARSE, f"cannot parse structure: {exc}")
-    try:
-        report = score_pair(decoy, native)
-    except NoOverlapError as exc:
-        return _fail(EXIT_NO_OVERLAP, str(exc))
-    except (NoInterfaceError, UndefinedMetricError) as exc:
-        return _fail(EXIT_NO_INTERFACE, str(exc))
+    report = score_pair(parse_pdb_file(args.decoy), parse_pdb_file(args.native))
     Path(args.report).write_text(report.to_json() + "\n")
     return EXIT_OK
 
@@ -305,19 +295,14 @@ def cmd_evaluate(args) -> int:
 
     tasks = [(target, native, group) for target, (native, group) in groups.items()]
     workers = worker_count(args.workers, len(tasks), os.cpu_count())
-    try:
-        if workers > 1:
-            with multiprocessing.Pool(workers) as pool:
-                # imap raises in task order, so the first failing target
-                # decides the exit code as with one worker, not the error
-                # that happens to arrive first
-                reports = list(pool.imap(_score_target, tasks))
-        else:
-            reports = [_score_target(task) for task in tasks]
-    except NoOverlapError as exc:
-        return _fail(EXIT_NO_OVERLAP, str(exc))
-    except (NoInterfaceError, UndefinedMetricError) as exc:
-        return _fail(EXIT_NO_INTERFACE, str(exc))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            # imap raises in task order, so the first failing target
+            # decides the exit code as with one worker, not the error
+            # that happens to arrive first
+            reports = list(pool.imap(_score_target, tasks))
+    else:
+        reports = [_score_target(task) for task in tasks]
     report_of = {
         (target, decoy_id): report
         for (target, _, group), target_reports in zip(tasks, reports)
@@ -357,46 +342,33 @@ def _collect_pairs(directory: Path) -> list[tuple[str, Path, Path]]:
 
 
 def cmd_train(args) -> int:
-    try:
-        run, config = RunConfig.from_file(args.config)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot read config: {exc}")
-    except (ConfigError, ValueError) as exc:
-        return _fail(EXIT_PARSE, f"bad config: {exc}")
-
+    run, config = RunConfig.from_file(args.config)
     train_pairs = _collect_pairs(Path(args.train_dir))
-    val_pairs = _collect_pairs(Path(args.val_dir)) if args.val_dir else []
-    if not train_pairs:
-        return _fail(EXIT_EMPTY_DATASET, f"no *_decoy.pdb pairs in {args.train_dir}")
+    val_pairs = _collect_pairs(Path(args.val_dir)) if args.val_dir is not None else []
+    for directory, pairs in ((args.train_dir, train_pairs), (args.val_dir, val_pairs)):
+        if directory is not None and not pairs:
+            return _fail(EXIT_EMPTY_DATASET, f"no *_decoy.pdb pairs in {directory}")
 
     def build(pairs):
         examples = []
         for example_id, decoy_path, native_path in pairs:
-            decoy = parse_pdb_file(decoy_path)
-            native = parse_pdb_file(native_path)
-            examples.append(
-                make_training_example(
-                    decoy, native, config, target_id=example_id,
-                    decoy_id=example_id,
+            with _naming(example_id, example_id):
+                decoy = parse_pdb_file(decoy_path)
+                native = parse_pdb_file(native_path)
+                examples.append(
+                    make_training_example(
+                        decoy, native, config, target_id=example_id,
+                        decoy_id=example_id,
+                    )
                 )
-            )
         return examples
 
-    try:
-        train_examples = build(train_pairs)
-        val_examples = build(val_pairs)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"cannot read structure: {exc}")
-    except (PdbParseError, EmptyStructureError, NoOverlapError) as exc:
-        return _fail(EXIT_PARSE, f"cannot build dataset: {exc}")
+    train_examples = build(train_pairs)
+    val_examples = build(val_pairs)
 
-    optimizer = OptimizerState(
-        learning_rate=run.learning_rate, weight_decay=run.weight_decay
-    )
     log_path = Path(args.log) if args.log else Path(str(args.out_weights) + ".log")
     header = json.dumps({"config": config.to_dict(), "seed": run.seed})
 
-    diverged = False
     try:
         result = train_loop(
             train_examples,
@@ -405,24 +377,22 @@ def cmd_train(args) -> int:
             seed=run.seed,
             max_epochs=run.max_epochs,
             patience=run.patience,
-            optimizer=optimizer,
+            optimizer=OptimizerState(
+                learning_rate=run.learning_rate, weight_decay=run.weight_decay
+            ),
         )
-        params = result.params
+        params, optimizer = result.params, result.optimizer
         log_lines = result.log_lines()
         meta = {
             "best_epoch": result.best_epoch,
             "best_val_rmsd": result.best_val_rmsd,
         }
-    except LossUndefinedError as exc:
-        return _fail(EXIT_EMPTY_DATASET, str(exc))
+        code = EXIT_OK
     except DivergenceError as exc:
-        diverged = True
-        params = exc.last_good if exc.last_good is not None else init_params(
-            config, run.seed
-        )
-        log_lines = [record.to_line() for record in (exc.log or [])]
+        params, optimizer = exc.last_good, exc.optimizer
+        log_lines = [record.to_line() for record in exc.log]
         meta = {"diverged": True}
-        print(f"error: {exc}", file=sys.stderr)
+        code = _fail(EXIT_DIVERGED, str(exc))
 
     extra = {"opt.step": np.array(float(optimizer.step))}
     for name, value in optimizer.m.items():
@@ -433,7 +403,7 @@ def cmd_train(args) -> int:
         save_weights(params, config, extra_arrays=extra, extra_meta=meta)
     )
     log_path.write_text("\n".join([header] + log_lines) + "\n")
-    return EXIT_DIVERGED if diverged else EXIT_OK
+    return code
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -503,8 +473,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EquirefError as exc:
-        return _fail(EXIT_PARSE, str(exc))
+    except (EquirefError, OSError) as exc:
+        return _fail(exit_code(type(exc)), str(exc))
 
 
 if __name__ == "__main__":

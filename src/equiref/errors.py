@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes are mapped from these types in :mod:`equiref.cli`; library
-callers catch them directly.
+CLI exit codes are mapped from these types by ``equiref.cli.EXIT_CODES``;
+library callers catch them directly.
 """
 
 
@@ -88,9 +88,11 @@ class UndefinedMetricError(EquirefError):
 
 
 class DivergenceError(EquirefError):
-    """Training loss became non-finite; carries the last good parameters."""
+    """Training loss became non-finite; carries the last good parameters,
+    the optimizer state saved with them and the epoch log so far."""
 
-    def __init__(self, message: str, last_good=None, log=None):
+    def __init__(self, message: str, last_good, optimizer, log):
         super().__init__(message)
         self.last_good = last_good
+        self.optimizer = optimizer
         self.log = log

@@ -153,14 +153,15 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
 def read_surface_file(path, expected_atoms: int) -> np.ndarray:
     """Per-atom surface proximity override: one value per line, atom order.
 
-    Raises OSError when the file cannot be opened and SurfaceOverrideError
-    when its content is not ``expected_atoms`` numbers in [0, 1].
+    Raises OSError when the file cannot be opened and SurfaceOverrideError,
+    naming the file, when its content is not ``expected_atoms`` numbers in
+    [0, 1].
     """
     with open(path, "r", encoding="ascii") as fh:
         try:
             lines = [line.strip() for line in fh]
         except UnicodeDecodeError:
-            raise SurfaceOverrideError("file is not ASCII text") from None
+            raise SurfaceOverrideError(f"{path} is not ASCII text") from None
     values = []
     for number, line in enumerate(lines, start=1):
         if line:
@@ -168,15 +169,15 @@ def read_surface_file(path, expected_atoms: int) -> np.ndarray:
                 values.append(float(line))
             except ValueError:
                 raise SurfaceOverrideError(
-                    f"line {number}: {line!r} is not a number"
+                    f"{path}: line {number}: {line!r} is not a number"
                 ) from None
     arr = np.array(values, dtype=np.float64)
     if arr.shape[0] != expected_atoms:
         raise SurfaceOverrideError(
-            f"override file has {arr.shape[0]} values for {expected_atoms} atoms"
+            f"{path} has {arr.shape[0]} values for {expected_atoms} atoms"
         )
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise SurfaceOverrideError("override values must lie in [0, 1]")
+        raise SurfaceOverrideError(f"{path}: values must lie in [0, 1]")
     return arr
 
 

@@ -305,7 +305,7 @@ def _ranked(decoys: list[DecoyScore]) -> list[DecoyScore]:
 
 
 def hit_rate(
-    targets: list[RankingInput], top_n: int = 10
+    targets: list[RankingInput], top_n: int
 ) -> tuple[list[tuple[str, tuple[int, int, int]]], tuple[int, int, int]]:
     """Per-target (acceptable, medium, high) counts among the top-N ranked
     decoys, plus the summary count of targets hitting each level."""

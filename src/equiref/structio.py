@@ -265,8 +265,13 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
 
 
 def parse_pdb_file(path) -> ComplexStructure:
+    """``parse_pdb`` of a file; a parse error's message starts with the path."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return parse_pdb(fh)
+        try:
+            return parse_pdb(fh)
+        except (PdbParseError, EmptyStructureError) as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _format_atom_name(name: str) -> str:

@@ -276,6 +276,7 @@ class EpochRecord:
 @dataclass
 class TrainResult:
     params: dict[str, np.ndarray]
+    optimizer: OptimizerState  # the state the best parameters were saved with
     log: list[EpochRecord]
     best_epoch: int
     best_val_rmsd: float
@@ -299,13 +300,14 @@ def train_loop(
     shuffles the training set, corrupts every example's coordinates with
     the configured noise (a zero sigma disables the corruption), and
     applies one optimizer step per example. The best validation
-    checkpoint among completed epochs is returned; training stops when
-    validation RMSD has not improved for ``patience`` epochs. A non-finite
-    loss aborts with DivergenceError carrying the last good checkpoint and
-    the log so far. An epoch in which every example is skipped raises
-    LossUndefinedError, and so does a validation set without reference
-    coordinates, before the first step. Without ``val_examples`` the
-    training set is validated on.
+    checkpoint among completed epochs is returned with the optimizer
+    state of the same step; training stops when validation RMSD has not
+    improved for ``patience`` epochs. A non-finite loss aborts with
+    DivergenceError carrying the last good checkpoint, its optimizer
+    state and the log so far. An epoch in which every example is skipped
+    raises LossUndefinedError, and so does a validation set without
+    reference coordinates, before the first step. Without
+    ``val_examples`` the training set is validated on.
     """
     if not train_examples:
         raise ValueError("training set is empty")
@@ -315,6 +317,7 @@ def train_loop(
     state = optimizer if optimizer is not None else OptimizerState()
 
     best_params = copy.deepcopy(params)
+    best_state = copy.deepcopy(state)
     best_rmsd = math.inf
     best_epoch = 0
     bad_epochs = 0
@@ -335,13 +338,12 @@ def train_loop(
                 continue
             except NumericalFailureError as exc:
                 raise DivergenceError(
-                    f"epoch {epoch}: {exc}", last_good=best_params, log=log
+                    f"epoch {epoch}: {exc}", best_params, best_state, log
                 ) from None
             if not math.isfinite(loss):
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}",
-                    last_good=best_params,
-                    log=log,
+                    f"non-finite loss at epoch {epoch}", best_params, best_state,
+                    log,
                 )
             clip_gradients(grads, GRAD_CLIP_NORM)
             params, state = adamw_step(params, grads, state)
@@ -355,6 +357,7 @@ def train_loop(
             best_rmsd = val_rmsd
             best_epoch = epoch
             best_params = copy.deepcopy(params)
+            best_state = copy.deepcopy(state)
             bad_epochs = 0
         else:
             bad_epochs += 1
@@ -371,6 +374,7 @@ def train_loop(
 
     return TrainResult(
         params=best_params,
+        optimizer=best_state,
         log=log,
         best_epoch=best_epoch,
         best_val_rmsd=best_rmsd,

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from equiref import errors
 from equiref.cli import (
     ABLATIONS,
+    EXIT_CODES,
     EXIT_DIVERGED,
     EXIT_EMPTY_DATASET,
     EXIT_MISSING_INPUT,
@@ -22,6 +26,7 @@ from equiref.cli import (
     EXIT_WEIGHTS,
     MODEL_KEYS,
     RunConfig,
+    exit_code,
     main,
     worker_count,
 )
@@ -779,6 +784,49 @@ def training_fixture(tmp_path, rng, n_examples=2):
     return train_dir
 
 
+PAIR_KINDS = ("supervised", "unreadable", "unparseable", "no_overlap",
+              "unsupervised")
+
+
+def dataset_pair_files():
+    """Decoy and native text of each of ``PAIR_KINDS``; a decoy of None is
+    a directory in place of the file. The unsupervised native has no CA
+    atom, so under a c-alpha config its pair supervises nothing."""
+    rng = np.random.default_rng(7)
+    native = make_complex(n_res_a=4, n_res_b=3)
+    decoy = native.with_coords(
+        native.coords + rng.normal(scale=0.4, size=native.coords.shape)
+    )
+    far = replace_columns(decoy, chain=np.where(decoy.chain == "A", "X", "Y"))
+    native_text = write_pdb(native)
+    return {
+        "supervised": (write_pdb(decoy), native_text),
+        "unreadable": (None, native_text),
+        "unparseable": ("not a PDB file\n", native_text),
+        "no_overlap": (write_pdb(far), native_text),
+        "unsupervised": (write_pdb(decoy),
+                         write_pdb(take_rows(native, native.name != "CA"))),
+    }
+
+
+def expected_train_code(train, val, granularity):
+    """Exit code of ``train`` on pair directories holding these kinds:
+    empty directories first, then the first bad pair in training and
+    validation order, then the supervision checks."""
+    if not train or val == []:
+        return EXIT_EMPTY_DATASET
+    for kind in train + (val or []):
+        if kind in ("unreadable", "unparseable"):
+            return EXIT_PARSE
+        if kind == "no_overlap":
+            return EXIT_NO_OVERLAP
+    if granularity == "c-alpha" and not (
+        "supervised" in train and "supervised" in (val or train)
+    ):
+        return EXIT_EMPTY_DATASET
+    return EXIT_OK
+
+
 # Every key a config file may hold, plus ModelConfig names it may not.
 CONFIG_KEYS = sorted(
     {f.name for f in fields(RunConfig)} | set(MODEL_KEYS) | set(ABLATIONS)
@@ -916,6 +964,74 @@ class TestTrain:
         if split == "val":
             assert steps == []
 
+    @pytest.mark.parametrize("val", ["missing", "no_pairs"])
+    def test_empty_val_dir_exits_8(self, tmp_path, rng, capsys, val):
+        train_dir = training_fixture(tmp_path, rng)
+        val_dir = tmp_path / "val"
+        if val == "no_pairs":
+            val_dir.mkdir()
+            (val_dir / "a_native.pdb").write_text(
+                (train_dir / "ex0_native.pdb").read_text()
+            )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "m.weights"
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(train_dir),
+            "--val-dir", str(val_dir), "--out-weights", str(out),
+        ])
+        assert code == EXIT_EMPTY_DATASET
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(val_dir) in err
+        assert not out.exists()
+
+    def test_pair_without_shared_atoms_exits_4(self, tmp_path, rng, capsys):
+        train_dir = training_fixture(tmp_path, rng)
+        native = parse_pdb_file(train_dir / "ex0_native.pdb")
+        (train_dir / "far_native.pdb").write_text(write_pdb(native))
+        (train_dir / "far_decoy.pdb").write_text(write_pdb(replace_columns(
+            native, chain=np.where(native.chain == "A", "X", "Y"))))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "m.weights"
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(train_dir),
+            "--out-weights", str(out),
+        ])
+        assert code == EXIT_NO_OVERLAP
+        assert capsys.readouterr().err.startswith("error: target far, decoy far: ")
+        assert not out.exists()
+
+    def test_optimizer_state_is_that_of_the_best_weights(self, tmp_path, rng):
+        # a large step overshoots, so the best epoch is not the last
+        train_dir = training_fixture(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**BASE_CONFIG, "learning_rate": 1.0, "patience": 3, "max_epochs": 30}
+        ))
+        out = tmp_path / "model.weights"
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(train_dir),
+            "--out-weights", str(out),
+        ])
+        assert code == EXIT_OK
+        _, _, extra, meta = load_container(out.read_bytes())
+        epochs = len((tmp_path / "model.weights.log").read_text().splitlines()) - 1
+        assert meta["best_epoch"] < epochs
+        assert extra["opt.step"] == meta["best_epoch"] * 2  # 2 supervised pairs
+
+    @pytest.mark.parametrize("content", [b"{", b"\xff{}", b"1" * 5000],
+                             ids=["truncated", "not_utf8", "int_too_long"])
+    def test_undecodable_config_is_named(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(tmp_path),
+            "--out-weights", str(tmp_path / "m.weights"),
+        ])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: cannot decode {config}")
+
     def test_unreadable_structure_is_named(self, tmp_path, rng, capsys):
         train_dir = training_fixture(tmp_path, rng)
         (train_dir / "a_decoy.pdb").mkdir()
@@ -1016,6 +1132,44 @@ class TestTrain:
         assert code in (EXIT_PARSE, EXIT_EMPTY_DATASET)
 
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(train=st.lists(st.sampled_from(PAIR_KINDS), max_size=3),
+           val=st.none() | st.lists(st.sampled_from(PAIR_KINDS), max_size=2),
+           granularity=st.sampled_from(("all-atom", "c-alpha")))
+    def test_any_dataset_exits_with_documented_code(self, tmp_path, capsys, train,
+                                                    val, granularity):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        files = dataset_pair_files()
+
+        def pair_dir(name, kinds):
+            directory = root / name
+            directory.mkdir()
+            for i, kind in enumerate(kinds):
+                decoy, native = files[kind]
+                (directory / f"p{i}_native.pdb").write_text(native)
+                if decoy is None:
+                    (directory / f"p{i}_decoy.pdb").mkdir()
+                else:
+                    (directory / f"p{i}_decoy.pdb").write_text(decoy)
+            return str(directory)
+
+        config = root / "config.json"
+        config.write_text(json.dumps(
+            {**BASE_CONFIG, "max_epochs": 1, "granularity": granularity}
+        ))
+        out = root / "m.weights"
+        args = ["train", "--config", str(config), "--train-dir",
+                pair_dir("train", train), "--out-weights", str(out)]
+        if val is not None:
+            args += ["--val-dir", pair_dir("val", val)]
+        code = main(args)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_NO_OVERLAP, EXIT_EMPTY_DATASET)
+        assert code == expected_train_code(train, val, granularity)
+        assert (code != EXIT_OK) == capsys.readouterr().err.startswith("error: ")
+        assert out.exists() == (code == EXIT_OK)
+
+
 class TestRunConfig:
     def load(self, tmp_path, data):
         path = tmp_path / "config.json"
@@ -1056,3 +1210,73 @@ class TestRunConfig:
         assert self.load(tmp_path, ablated) == (run, ModelConfig(
             **{**model.to_dict(), "noise_sigma": 0.0, "include_surface": False,
                "include_geometric": False}))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_exit_codes() -> set[int]:
+    """The codes of the README's exit-code paragraph."""
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Exit codes are stable:"):].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"\b(\d) [a-z]", paragraph)}
+
+
+def successful_run(tmp_path, rng, command) -> list[str]:
+    """Arguments of a run of ``command`` that exits 0 and names every output."""
+    complex_pdb = tmp_path / "complex.pdb"
+    complex_pdb.write_text(write_pdb(make_complex()))
+    if command == "refine":
+        weights = tmp_path / "model.weights"
+        weights.write_bytes(save_weights(init_params(SMALL_CONFIG, 0), SMALL_CONFIG))
+        return ["refine", "--input", str(complex_pdb), "--weights", str(weights),
+                "--output", str(tmp_path / "o.pdb"),
+                "--report", str(tmp_path / "r.json")]
+    if command == "score":
+        return ["score", "--decoy", str(complex_pdb), "--native", str(complex_pdb),
+                "--report", str(tmp_path / "r.json")]
+    if command == "evaluate":
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng, 1, 2)
+        return ["evaluate", "--scores", str(scores), "--natives", str(natives),
+                "--decoys", str(decoys), "--summary", str(tmp_path / "s.txt"),
+                "--details", str(tmp_path / "d.csv"), "--workers", "1"]
+    train_dir = training_fixture(tmp_path, rng)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "max_epochs": 1}))
+    return ["train", "--config", str(config), "--train-dir", str(train_dir),
+            "--out-weights", str(tmp_path / "m.weights"),
+            "--log", str(tmp_path / "m.log")]
+
+
+class TestExitCodes:
+    def test_every_error_type_has_a_documented_code(self):
+        documented = documented_exit_codes()
+        assert documented == {EXIT_OK, EXIT_PARSE, EXIT_WEIGHTS, EXIT_NO_OVERLAP,
+                              EXIT_NO_INTERFACE, EXIT_MISSING_INPUT,
+                              EXIT_DIVERGED, EXIT_EMPTY_DATASET}
+        types = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, errors.EquirefError)]
+        assert errors.WeightsVersionError in types
+        for error in types + [OSError, IsADirectoryError, *EXIT_CODES]:
+            assert exit_code(error) in documented - {EXIT_OK}
+        assert [exit_code(error) for error in (
+            errors.WeightsVersionError, errors.WeightsTruncatedError,
+            errors.NoOverlapError, errors.NoInterfaceError,
+            errors.UndefinedMetricError, errors.LossUndefinedError,
+            errors.PdbParseError, errors.SurfaceOverrideError, FileNotFoundError,
+        )] == [3, 3, 4, 5, 5, 8, 2, 2, 2]
+
+    @pytest.mark.parametrize("command, option", [
+        ("refine", "--output"), ("refine", "--report"), ("score", "--report"),
+        ("evaluate", "--summary"), ("evaluate", "--details"),
+        ("train", "--out-weights"), ("train", "--log"),
+    ])
+    def test_unwritable_output_exits_2(self, tmp_path, rng, capsys, command,
+                                       option):
+        args = successful_run(tmp_path, rng, command)
+        assert main(args) == EXIT_OK
+        missing = str(tmp_path / "missing" / "out")
+        args[args.index(option) + 1] = missing
+        assert main(args) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err

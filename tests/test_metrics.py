@@ -342,25 +342,25 @@ def ranked_target(target_id, dockq_values, descending=True):
 class TestHitRate:
     def test_three_one_zero(self):
         values = [0.3, 0.5, 0.25] + [0.1] * 7
-        per_target, summary = hit_rate([ranked_target("t1", values)])
+        per_target, summary = hit_rate([ranked_target("t1", values)], top_n=10)
         assert per_target == [("t1", (3, 1, 0))]
         assert summary == (1, 1, 0)
         assert format_triple(per_target[0][1]) == "3/1/0"
 
     def test_all_incorrect(self):
-        per_target, summary = hit_rate([ranked_target("t1", [0.05] * 12)])
+        per_target, summary = hit_rate([ranked_target("t1", [0.05] * 12)], top_n=10)
         assert per_target == [("t1", (0, 0, 0))]
         assert summary == (0, 0, 0)
 
     def test_ten_ten_ten_format(self):
         values = [0.95] * 12
-        per_target, _ = hit_rate([ranked_target("t1", values)])
+        per_target, _ = hit_rate([ranked_target("t1", values)], top_n=10)
         assert format_triple(per_target[0][1]) == "10/10/10"
 
     def test_triple_non_increasing(self, rng):
         for _ in range(50):
             values = rng.uniform(0, 1, size=15).tolist()
-            per_target, _ = hit_rate([ranked_target("t", values)])
+            per_target, _ = hit_rate([ranked_target("t", values)], top_n=10)
             a, b, c = per_target[0][1]
             assert a >= b >= c
 

@@ -17,6 +17,7 @@ from equiref.structio import (
     kabsch_superpose,
     match_atoms,
     parse_pdb,
+    parse_pdb_file,
     write_pdb,
 )
 
@@ -175,6 +176,19 @@ class TestParsePdb:
         text = pdb_line(1, "O", "HOH", "A", 1, 0.0, 0.0, 0.0, record="HETATM")
         with pytest.raises(EmptyStructureError):
             parse_pdb(text)
+
+    def test_file_errors_start_with_the_path(self, tmp_path):
+        path = tmp_path / "bad.pdb"
+        good = pdb_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0)
+        path.write_text(good + "\nATOM      2  CA  ALA A   2      bad coords\n")
+        with pytest.raises(PdbParseError) as exc:
+            parse_pdb_file(path)
+        assert str(exc.value).startswith(f"{path}: line 2: ")
+        assert exc.value.line_number == 2
+        path.write_text("REMARK nothing here\n")
+        with pytest.raises(EmptyStructureError) as exc:
+            parse_pdb_file(path)
+        assert str(exc.value) == f"{path}: no ATOM records survived filtering"
 
     def test_accepts_text_stream(self):
         text = pdb_line(1, "CA", "MET", "A", 1, 1.0, 2.0, 3.0)
