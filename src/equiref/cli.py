@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +50,9 @@ from .metrics import (
     score_decoys,
     score_pair,
 )
-from .model import (
-    ModelConfig,
-    check_field_types,
-    forward,
-    load_weights,
-    save_weights,
-)
+from .model import ModelConfig, forward, load_weights, save_weights
 from .structio import parse_pdb_file, write_pdb
-from .train import OptimizerState, make_training_example, train_loop
+from .train import RunConfig, make_training_example, train_loop
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,6 +71,7 @@ EXIT_CODES: dict[type[BaseException], int] = {
     NoInterfaceError: EXIT_NO_INTERFACE,
     UndefinedMetricError: EXIT_NO_INTERFACE,
     LossUndefinedError: EXIT_EMPTY_DATASET,
+    DivergenceError: EXIT_DIVERGED,
     EquirefError: EXIT_PARSE,
     OSError: EXIT_PARSE,
 }
@@ -105,60 +100,58 @@ ABLATIONS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Optimizer and schedule settings of a training run."""
+def read_config(path) -> tuple[RunConfig, ModelConfig]:
+    """Run and model settings from one JSON config object.
 
-    seed: int = 0
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-4
-    max_epochs: int = 1000
-    patience: int = 50
+    Unknown keys are rejected so ablation-name typos surface immediately;
+    ``k`` sets ``ModelConfig.k_neighbors``. Keys left out take the
+    dataclass defaults.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"cannot decode {path} as JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    run_keys = {f.name for f in fields(RunConfig)}
+    unknown = set(data) - run_keys - set(MODEL_KEYS) - set(ABLATIONS) - {"k"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    model = {key: data[key] for key in MODEL_KEYS if key in data}
+    if "k" in data:
+        model["k_neighbors"] = data["k"]
+    ablated = {}
+    for flag, (name, value) in ABLATIONS.items():
+        on = data.get(flag, False)
+        if not isinstance(on, bool):
+            raise ConfigError(f"{flag} must be bool, got {on!r}")
+        if on:
+            ablated[name] = value
+    run = RunConfig(**{key: data[key] for key in run_keys if key in data})
+    return run, replace(ModelConfig(**model), **ablated)
 
-    def __post_init__(self):
-        check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
 
-    @classmethod
-    def from_file(cls, path) -> tuple["RunConfig", ModelConfig]:
-        """Run and model settings from one JSON config object.
+def _check_output_dirs(*paths) -> None:
+    """Raise unless each given output path lies in an existing directory.
 
-        Unknown keys are rejected so ablation-name typos surface
-        immediately; ``k`` sets ``ModelConfig.k_neighbors``. Keys left out
-        take the dataclass defaults.
-        """
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise ConfigError(f"cannot decode {path} as JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        run_keys = {f.name for f in fields(cls)}
-        unknown = set(data) - run_keys - set(MODEL_KEYS) - set(ABLATIONS) - {"k"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        model = {key: data[key] for key in MODEL_KEYS if key in data}
-        if "k" in data:
-            model["k_neighbors"] = data["k"]
-        ablated = {}
-        for flag, (name, value) in ABLATIONS.items():
-            on = data.get(flag, False)
-            if not isinstance(on, bool):
-                raise ConfigError(f"{flag} must be bool, got {on!r}")
-            if on:
-                ablated[name] = value
-        run = cls(**{key: data[key] for key in run_keys if key in data})
-        return run, replace(ModelConfig(**model), **ablated)
+    Commands call it before any work; the files themselves are not touched.
+    """
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise NotADirectoryError(f"cannot write {path}: {parent} is not a directory")
 
 
 def cmd_refine(args) -> int:
+    _check_output_dirs(args.output, args.report)
     try:
-        blob = Path(args.weights).read_bytes()
+        params, config = load_weights(Path(args.weights).read_bytes())
     except OSError as exc:
         return _fail(EXIT_WEIGHTS, f"cannot read weights: {exc}")
-    params, config = load_weights(blob)
+    except WeightsFormatError as exc:
+        exc.args = (f"{args.weights}: {exc}",)
+        raise
     structure = parse_pdb_file(args.input)
     surface = None
     if args.surface_file is not None:
@@ -240,6 +233,7 @@ def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_output_dirs(args.summary, args.details)
     try:
         with open(args.scores, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -342,7 +336,9 @@ def _collect_pairs(directory: Path) -> list[tuple[str, Path, Path]]:
 
 
 def cmd_train(args) -> int:
-    run, config = RunConfig.from_file(args.config)
+    run, config = read_config(args.config)
+    log_path = Path(args.log) if args.log else Path(str(args.out_weights) + ".log")
+    _check_output_dirs(args.out_weights, log_path)
     train_pairs = _collect_pairs(Path(args.train_dir))
     val_pairs = _collect_pairs(Path(args.val_dir)) if args.val_dir is not None else []
     for directory, pairs in ((args.train_dir, train_pairs), (args.val_dir, val_pairs)):
@@ -363,47 +359,27 @@ def cmd_train(args) -> int:
                 )
         return examples
 
+    def save(result, meta) -> None:
+        state = result.optimizer
+        extra = {"opt.step": np.array(float(state.step)),
+                 **{f"opt.m.{name}": m for name, m in state.m.items()},
+                 **{f"opt.v.{name}": v for name, v in state.v.items()}}
+        Path(args.out_weights).write_bytes(
+            save_weights(result.params, config, extra_arrays=extra, extra_meta=meta)
+        )
+        header = json.dumps({"config": config.to_dict(), "seed": run.seed})
+        log_path.write_text("\n".join([header] + result.log_lines()) + "\n")
+
     train_examples = build(train_pairs)
     val_examples = build(val_pairs)
-
-    log_path = Path(args.log) if args.log else Path(str(args.out_weights) + ".log")
-    header = json.dumps({"config": config.to_dict(), "seed": run.seed})
-
     try:
-        result = train_loop(
-            train_examples,
-            val_examples,
-            config,
-            seed=run.seed,
-            max_epochs=run.max_epochs,
-            patience=run.patience,
-            optimizer=OptimizerState(
-                learning_rate=run.learning_rate, weight_decay=run.weight_decay
-            ),
-        )
-        params, optimizer = result.params, result.optimizer
-        log_lines = result.log_lines()
-        meta = {
-            "best_epoch": result.best_epoch,
-            "best_val_rmsd": result.best_val_rmsd,
-        }
-        code = EXIT_OK
+        result = train_loop(train_examples, val_examples, config, **asdict(run))
     except DivergenceError as exc:
-        params, optimizer = exc.last_good, exc.optimizer
-        log_lines = [record.to_line() for record in exc.log]
-        meta = {"diverged": True}
-        code = _fail(EXIT_DIVERGED, str(exc))
-
-    extra = {"opt.step": np.array(float(optimizer.step))}
-    for name, value in optimizer.m.items():
-        extra[f"opt.m.{name}"] = value
-    for name, value in optimizer.v.items():
-        extra[f"opt.v.{name}"] = value
-    Path(args.out_weights).write_bytes(
-        save_weights(params, config, extra_arrays=extra, extra_meta=meta)
-    )
-    log_path.write_text("\n".join([header] + log_lines) + "\n")
-    return code
+        save(exc.result, {"diverged": True})
+        raise
+    save(result, {"best_epoch": result.best_epoch,
+                  "best_val_rmsd": result.best_val_rmsd})
+    return EXIT_OK
 
 
 def _int_at_least(text: str, low: int) -> int:

@@ -71,14 +71,6 @@ class LossUndefinedError(EquirefError):
     """A loss term was requested with an empty supervision set."""
 
 
-class SkipExample(EquirefError):
-    """Training example carries no supervision at all; skip it."""
-
-
-class NumericalFailureError(EquirefError):
-    """A non-finite value appeared; names the offending parameter block."""
-
-
 class NoInterfaceError(EquirefError):
     """Interface metrics were requested for a single-chain structure."""
 
@@ -88,11 +80,10 @@ class UndefinedMetricError(EquirefError):
 
 
 class DivergenceError(EquirefError):
-    """Training loss became non-finite; carries the last good parameters,
-    the optimizer state saved with them and the epoch log so far."""
+    """A training loss or gradient became non-finite; ``result`` is the
+    ``TrainResult`` so far: the last good checkpoint, the optimizer state
+    saved with it and the epoch log."""
 
-    def __init__(self, message: str, last_good, optimizer, log):
+    def __init__(self, message: str, result):
         super().__init__(message)
-        self.last_good = last_good
-        self.optimizer = optimizer
-        self.log = log
+        self.result = result

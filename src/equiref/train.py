@@ -19,15 +19,14 @@ import numpy as np
 from .autodiff import Tensor, gather_rows, no_grad
 from .errors import (
     AlignmentError,
+    ConfigError,
     DivergenceError,
     LossUndefinedError,
-    NumericalFailureError,
-    SkipExample,
     UndefinedMetricError,
 )
 from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
 from .metrics import lddt_ca
-from .model import ModelConfig, forward_pass, init_params
+from .model import ModelConfig, check_field_types, forward_pass, init_params
 from .structio import (
     ComplexStructure,
     kabsch_superpose,
@@ -40,6 +39,26 @@ GRAD_CLIP_NORM = 1.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+@dataclass
+class RunConfig:
+    """Optimizer and schedule settings of a training run."""
+
+    seed: int = 0
+    learning_rate: float = 1e-4
+    weight_decay: float = 1e-4
+    max_epochs: int = 1000
+    patience: int = 50
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.learning_rate <= 0 or self.weight_decay < 0:
+            raise ConfigError("learning_rate must be > 0 and weight_decay >= 0")
+        if self.max_epochs < 1 or self.patience < 1:
+            raise ConfigError("max_epochs and patience must be >= 1")
 
 
 @dataclass
@@ -58,6 +77,11 @@ class TrainingExample:
     lddt_targets: np.ndarray    # (c,) values in [0, 1]
     target_id: str = ""
     decoy_id: str = ""
+
+    @property
+    def supervised(self) -> bool:
+        """Whether any atom or residue of the example has a target."""
+        return self.matched_nodes.size > 0 or self.lddt_nodes.size > 0
 
 
 def make_training_example(
@@ -116,12 +140,10 @@ def make_training_example(
 
 
 def _loss_tensor(example: TrainingExample, fp, config: ModelConfig) -> Tensor:
-    has_psr = example.matched_nodes.size > 0
-    has_qa = example.lddt_nodes.size > 0
-    if not has_psr and not has_qa:
-        raise SkipExample(f"example {example.decoy_id!r} carries no supervision")
+    if not example.supervised:
+        raise LossUndefinedError(f"example {example.decoy_id!r} carries no supervision")
     loss: Tensor | None = None
-    if has_psr:
+    if example.matched_nodes.size:
         residual = gather_rows(fp.coords, example.matched_nodes) - Tensor(
             example.native_coords
         )
@@ -131,7 +153,7 @@ def _loss_tensor(example: TrainingExample, fp, config: ModelConfig) -> Tensor:
         linear = residual * sign * HUBER_DELTA - 0.5 * HUBER_DELTA * HUBER_DELTA
         term = (quadratic * small + linear * (1.0 - small)).mean()
         loss = term * config.psr_loss_weight
-    if has_qa:
+    if example.lddt_nodes.size:
         predicted = gather_rows(fp.qa, example.lddt_nodes)
         diff = predicted - Tensor(example.lddt_targets[:, None])
         term = (diff * diff).mean() * config.qa_loss_weight
@@ -159,19 +181,17 @@ def backward(
     """Loss value and exact parameter gradients for one example.
 
     ``graph`` may substitute the example's graph (a corrupted copy during
-    training). Raises SkipExample when no supervision exists and
-    NumericalFailureError naming the first non-finite gradient block.
+    training). Raises LossUndefinedError when no supervision exists; a
+    non-finite loss or gradient is returned as it is.
     """
     graph = example.graph if graph is None else graph
     fp = forward_pass(graph, params, config)
     loss = _loss_tensor(example, fp, config)
     loss.backward()
-    grads: dict[str, np.ndarray] = {}
-    for name, leaf in fp.leaves.items():
-        grad = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        if not np.all(np.isfinite(grad)):
-            raise NumericalFailureError(f"non-finite gradient in block {name}")
-        grads[name] = grad
+    grads = {
+        name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        for name, leaf in fp.leaves.items()
+    }
     return float(loss.data), grads
 
 
@@ -187,10 +207,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam state with bias-corrected moments."""
+    """Adam step count and moments; rate and decay come from RunConfig."""
 
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-4
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -200,11 +218,13 @@ def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
+    run: RunConfig,
 ) -> tuple[dict[str, np.ndarray], OptimizerState]:
     """One update; parameters and state are modified in place and returned.
 
-    The learning rate stays constant for the whole run; weight decay is
-    applied directly to the parameters, not through the gradients.
+    Bias-corrected Adam moments with decoupled weight decay: the learning
+    rate of ``run`` stays constant for the whole run, and its weight decay
+    is applied directly to the parameters, not through the gradients.
     """
     state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -222,9 +242,9 @@ def adamw_step(
         v += (1.0 - b2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        params[name] = params[name] - state.learning_rate * (
+        params[name] = params[name] - run.learning_rate * (
             m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        ) - state.learning_rate * state.weight_decay * params[name]
+        ) - run.learning_rate * run.weight_decay * params[name]
     return params, state
 
 
@@ -289,42 +309,36 @@ def train_loop(
     train_examples: list[TrainingExample],
     val_examples: list[TrainingExample],
     config: ModelConfig,
-    seed: int = 0,
-    max_epochs: int = 1000,
-    patience: int = 50,
-    optimizer: OptimizerState | None = None,
+    **settings,
 ) -> TrainResult:
     """Seeded training with early stopping on validation RMSD.
 
-    Parameters start from ``init_params(config, seed)``. Each epoch
-    shuffles the training set, corrupts every example's coordinates with
-    the configured noise (a zero sigma disables the corruption), and
-    applies one optimizer step per example. The best validation
-    checkpoint among completed epochs is returned with the optimizer
-    state of the same step; training stops when validation RMSD has not
-    improved for ``patience`` epochs. A non-finite loss aborts with
-    DivergenceError carrying the last good checkpoint, its optimizer
-    state and the log so far. An epoch in which every example is skipped
-    raises LossUndefinedError, and so does a validation set without
-    reference coordinates, before the first step. Without
-    ``val_examples`` the training set is validated on.
+    ``settings`` are RunConfig fields, checked as RunConfig checks them;
+    one left out takes its default. Parameters start from
+    ``init_params(config, seed)``. Each epoch shuffles the training set,
+    corrupts every example's coordinates with the configured noise (a
+    zero sigma disables the corruption) and applies one AdamW step per
+    supervised example; an unsupervised one draws its noise and is
+    skipped. The best validation checkpoint among completed epochs is
+    returned with the optimizer state of the same step; training stops
+    when validation RMSD has not improved for ``patience`` epochs. A
+    non-finite loss or gradient aborts with DivergenceError carrying the
+    TrainResult so far. An epoch in which every example is skipped raises
+    LossUndefinedError, and so does a validation set without reference
+    coordinates, before the first step. Without ``val_examples`` the
+    training set is validated on.
     """
+    run = RunConfig(**settings)
     if not train_examples:
         raise ValueError("training set is empty")
     val_examples = val_examples or train_examples
     _check_validation_set(val_examples)
-    params = init_params(config, seed)
-    state = optimizer if optimizer is not None else OptimizerState()
+    params = init_params(config, run.seed)
+    state = OptimizerState()
+    result = TrainResult(copy.deepcopy(params), copy.deepcopy(state), [], 0, math.inf)
 
-    best_params = copy.deepcopy(params)
-    best_state = copy.deepcopy(state)
-    best_rmsd = math.inf
-    best_epoch = 0
-    bad_epochs = 0
-    log: list[EpochRecord] = []
-
-    for epoch in range(1, max_epochs + 1):
-        epoch_rng = np.random.default_rng([seed, epoch])
+    for epoch in range(1, run.max_epochs + 1):
+        epoch_rng = np.random.default_rng([run.seed, epoch])
         order = epoch_rng.permutation(len(train_examples))
         losses = []
         for idx in order:
@@ -332,50 +346,29 @@ def train_loop(
             graph = example.graph
             if config.noise_sigma > 0:
                 graph = corrupt_coordinates(graph, config.noise_sigma, epoch_rng)
-            try:
-                loss, grads = backward(example, params, config, graph=graph)
-            except SkipExample:
+            if not example.supervised:
                 continue
-            except NumericalFailureError as exc:
+            loss, grads = backward(example, params, config, graph=graph)
+            bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
+            if bad:
                 raise DivergenceError(
-                    f"epoch {epoch}: {exc}", best_params, best_state, log
-                ) from None
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}", best_params, best_state,
-                    log,
+                    f"epoch {epoch}: non-finite gradient in block {bad[0]}", result
                 )
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}", result)
             clip_gradients(grads, GRAD_CLIP_NORM)
-            params, state = adamw_step(params, grads, state)
+            params, state = adamw_step(params, grads, state, run)
             losses.append(loss)
         if not losses:
             raise LossUndefinedError("every training example was skipped")
 
         val_rmsd = validation_rmsd(val_examples, params, config)
-        improved = val_rmsd < best_rmsd
+        improved = val_rmsd < result.best_val_rmsd
         if improved:
-            best_rmsd = val_rmsd
-            best_epoch = epoch
-            best_params = copy.deepcopy(params)
-            best_state = copy.deepcopy(state)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-        log.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)),
-                val_rmsd=val_rmsd,
-                best=improved,
-            )
-        )
-        if bad_epochs >= patience:
+            result.params = copy.deepcopy(params)
+            result.optimizer = copy.deepcopy(state)
+            result.best_epoch, result.best_val_rmsd = epoch, val_rmsd
+        result.log.append(EpochRecord(epoch, float(np.mean(losses)), val_rmsd, improved))
+        if epoch - result.best_epoch >= run.patience:
             break
-
-    return TrainResult(
-        params=best_params,
-        optimizer=best_state,
-        log=log,
-        best_epoch=best_epoch,
-        best_val_rmsd=best_rmsd,
-    )
+    return result

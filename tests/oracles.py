@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from equiref.errors import LossUndefinedError, SkipExample
+from equiref.errors import LossUndefinedError
 from equiref.train import HUBER_DELTA
 
 LDDT_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -143,7 +143,7 @@ def total_loss(example, refined, predicted_qa, config):
     has_psr = example.matched_nodes.size > 0
     has_qa = example.lddt_nodes.size > 0
     if not has_psr and not has_qa:
-        raise SkipExample(f"example {example.decoy_id!r} carries no supervision")
+        raise LossUndefinedError(f"example {example.decoy_id!r} carries no supervision")
     value = 0.0
     if has_psr:
         psr, _ = psr_loss(refined, example.native_coords, example.matched_nodes)

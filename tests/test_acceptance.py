@@ -27,7 +27,6 @@ from equiref.metrics import (
 from equiref.model import ModelConfig, _linear_attention, forward, init_params
 from equiref.structio import match_atoms, parse_pdb, write_pdb
 from equiref.train import (
-    OptimizerState,
     backward,
     example_loss,
     make_training_example,
@@ -242,7 +241,7 @@ def test_criterion_07_overfit_smoke_test():
     epochs = 200  # 3 steps per epoch: 600 steps, well under the 2000 cap
     result = train_loop(
         examples, examples, config, seed=0, max_epochs=epochs,
-        patience=epochs + 1, optimizer=OptimizerState(learning_rate=1e-3),
+        patience=epochs + 1, learning_rate=1e-3,
     )
     elapsed = time.time() - started
     final = validation_rmsd(examples, result.params, config)

@@ -25,9 +25,9 @@ from equiref.cli import (
     EXIT_PARSE,
     EXIT_WEIGHTS,
     MODEL_KEYS,
-    RunConfig,
     exit_code,
     main,
+    read_config,
     worker_count,
 )
 from equiref.metrics import format_mean_std, reports_to_csv, score_pair
@@ -39,6 +39,7 @@ from equiref.model import (
     save_weights,
 )
 from equiref.structio import parse_pdb, parse_pdb_file, write_pdb
+from equiref.train import RunConfig
 
 from conftest import (
     helix_backbone,
@@ -231,6 +232,17 @@ class TestRefine:
             "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
         ])
         assert code == EXIT_WEIGHTS
+
+    def test_weights_that_do_not_load_are_named(self, workdir, capsys):
+        # a PDB passed as --weights: the container fault names the file
+        tmp, _, input_pdb, _ = workdir
+        code = main([
+            "refine", "--input", str(input_pdb), "--weights", str(input_pdb),
+            "--output", str(tmp / "o.pdb"), "--report", str(tmp / "r.json"),
+        ])
+        assert code == EXIT_WEIGHTS
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {input_pdb}: bad magic bytes")
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["config"].update(num_layers=0),
@@ -1050,7 +1062,21 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_divergence_exits_7_and_keeps_last_good_weights(self, tmp_path, rng):
+    def test_divergence_exits_7_and_keeps_last_good_weights(self, tmp_path, rng,
+                                                           capsys, monkeypatch):
+        import equiref.cli as cli
+
+        raised = []
+        loop = cli.train_loop
+
+        def recorded_loop(*args, **kwargs):
+            try:
+                return loop(*args, **kwargs)
+            except errors.DivergenceError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(cli, "train_loop", recorded_loop)
         train_dir = training_fixture(tmp_path, rng)
         config = tmp_path / "config.json"
         config.write_text(
@@ -1062,9 +1088,18 @@ class TestTrain:
             "--out-weights", str(out),
         ])
         assert code == EXIT_DIVERGED
-        params, _, _, meta = load_container(out.read_bytes())
+        (exc,) = raised
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        params, _, extra, meta = load_container(out.read_bytes())
         assert meta == {"diverged": True}
         assert all(np.all(np.isfinite(v)) for v in params.values())
+        assert params.keys() == exc.result.params.keys()
+        assert all(np.array_equal(params[k], exc.result.params[k]) for k in params)
+        assert extra["opt.step"] == exc.result.optimizer.step
+        run, model = read_config(config)
+        header = json.dumps({"config": model.to_dict(), "seed": run.seed})
+        log = (tmp_path / "model.weights.log").read_text()
+        assert log == "\n".join([header] + exc.result.log_lines()) + "\n"
 
     def test_unknown_config_key(self, tmp_path, rng):
         train_dir = training_fixture(tmp_path, rng)
@@ -1102,6 +1137,7 @@ class TestTrain:
         {"leaky_slope": 0.1},
         {"k_neighbors": 10},
         [1, 2],
+        {"max_epochs": 0},
     ])
     def test_bad_config_value(self, tmp_path, bad):
         config = tmp_path / "config.json"
@@ -1174,7 +1210,7 @@ class TestRunConfig:
     def load(self, tmp_path, data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
-        return RunConfig.from_file(path)
+        return read_config(path)
 
     def test_empty_object_gives_defaults(self, tmp_path):
         assert self.load(tmp_path, {}) == (RunConfig(), ModelConfig())
@@ -1264,19 +1300,39 @@ class TestExitCodes:
             errors.NoOverlapError, errors.NoInterfaceError,
             errors.UndefinedMetricError, errors.LossUndefinedError,
             errors.PdbParseError, errors.SurfaceOverrideError, FileNotFoundError,
-        )] == [3, 3, 4, 5, 5, 8, 2, 2, 2]
+            errors.DivergenceError,
+        )] == [3, 3, 4, 5, 5, 8, 2, 2, 2, 7]
 
     @pytest.mark.parametrize("command, option", [
         ("refine", "--output"), ("refine", "--report"), ("score", "--report"),
         ("evaluate", "--summary"), ("evaluate", "--details"),
         ("train", "--out-weights"), ("train", "--log"),
     ])
-    def test_unwritable_output_exits_2(self, tmp_path, rng, capsys, command,
-                                       option):
+    def test_unwritable_output_exits_2(self, tmp_path, rng, capsys, monkeypatch,
+                                       command, option):
+        # every output's directory is checked before the work and the
+        # first write, so a failed run trains nothing and writes nothing
+        import equiref.train as train
+
         args = successful_run(tmp_path, rng, command)
         assert main(args) == EXIT_OK
+        outputs = [Path(args[i + 1]) for i, arg in enumerate(args)
+                   if arg in ("--output", "--report", "--summary", "--details",
+                              "--out-weights", "--log")]
+        for path in outputs:
+            path.unlink()
+        steps = []
+        taped_step = train.backward
+
+        def counted_step(*step_args, **kwargs):
+            steps.append(step_args)
+            return taped_step(*step_args, **kwargs)
+
+        monkeypatch.setattr(train, "backward", counted_step)
         missing = str(tmp_path / "missing" / "out")
         args[args.index(option) + 1] = missing
         assert main(args) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and missing in err
+        assert steps == []
+        assert not any(path.exists() for path in outputs)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from equiref.cli import RunConfig
+from equiref.cli import read_config
 from equiref.structio import write_pdb
 
 from conftest import make_complex
@@ -26,7 +26,7 @@ def test_training_config_defaults_match_code(tmp_path):
     documented.write_text(fenced_block("### Training configuration", "json"))
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({}))
-    assert RunConfig.from_file(documented) == RunConfig.from_file(empty)
+    assert read_config(documented) == read_config(empty)
 
 
 def test_library_example_runs(tmp_path, monkeypatch):

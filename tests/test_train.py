@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from equiref.errors import LossUndefinedError, SkipExample
+from equiref.errors import ConfigError, LossUndefinedError
 from equiref.model import ModelConfig, forward, forward_pass, init_params
 from equiref.train import (
     ADAM_EPS,
     OptimizerState,
+    RunConfig,
     TrainingExample,
     adamw_step,
     backward,
@@ -19,7 +20,7 @@ from equiref.train import (
     validation_rmsd,
 )
 
-from conftest import make_complex, random_rotation, transform_structure
+from conftest import make_complex, random_rotation, take_rows, transform_structure
 from oracles import huber, psr_loss, qa_loss, total_loss
 
 # Feature widths (27, 2): the narrowest combination the featurizer produces.
@@ -181,7 +182,7 @@ class TestTotalLoss:
         example.native_coords = np.zeros((0, 3))
         example.lddt_nodes = np.array([], dtype=np.intp)
         example.lddt_targets = np.zeros(0)
-        with pytest.raises(SkipExample):
+        with pytest.raises(LossUndefinedError):
             total_loss(example, refined, predicted, TINY)
 
 
@@ -295,31 +296,32 @@ class TestBackward:
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = {"w": np.array([1.0, -2.0])}
-        state = OptimizerState(weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(2)}, state)
+        adamw_step(params, {"w": np.zeros(2)}, OptimizerState(),
+                   RunConfig(weight_decay=0.0))
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_single_step_hand_evaluation(self):
         lr, wd = 1e-3, 1e-2
         theta = 0.7
         params = {"w": np.array(theta)}
-        state = OptimizerState(learning_rate=lr, weight_decay=wd)
-        adamw_step(params, {"w": np.array(1.0)}, state)
+        adamw_step(params, {"w": np.array(1.0)}, OptimizerState(),
+                   RunConfig(learning_rate=lr, weight_decay=wd))
         expected = theta - lr * (1.0 / (1.0 + ADAM_EPS)) - lr * wd * theta
         assert params["w"] == pytest.approx(expected, rel=1e-15)
 
     def test_weight_decay_only_shrinks_multiplicatively(self):
         lr, wd = 1e-2, 1e-1
         params = {"w": np.array(2.0)}
-        state = OptimizerState(learning_rate=lr, weight_decay=wd)
+        state = OptimizerState()
+        run = RunConfig(learning_rate=lr, weight_decay=wd)
         for step in range(1, 4):
-            adamw_step(params, {"w": np.array(0.0)}, state)
+            adamw_step(params, {"w": np.array(0.0)}, state, run)
             assert params["w"] == pytest.approx(2.0 * (1 - lr * wd) ** step)
 
     def test_moments_are_bias_corrected(self):
-        state = OptimizerState(learning_rate=1.0, weight_decay=0.0)
         params = {"w": np.array(0.0)}
-        adamw_step(params, {"w": np.array(0.5)}, state)
+        adamw_step(params, {"w": np.array(0.5)}, OptimizerState(),
+                   RunConfig(learning_rate=1.0, weight_decay=0.0))
         # first step: m_hat = g, v_hat = g^2, update ~ -lr * sign(g)
         assert params["w"] == pytest.approx(-1.0, abs=1e-6)
 
@@ -449,10 +451,9 @@ class TestTrainLoop:
         decoy, native = structure_pair(np.random.default_rng(4), sigma=0.6)
         example = make_training_example(decoy, native, config, "t", "d")
         initial = validation_rmsd([example], init_params(config, 11), config)
-        state = OptimizerState(learning_rate=2e-3)
         result = train_loop(
             [example], [example], config, seed=11, max_epochs=60,
-            patience=60, optimizer=state,
+            patience=60, learning_rate=2e-3,
         )
         assert result.log[-1].train_loss < result.log[0].train_loss
         assert result.best_val_rmsd < initial
@@ -467,6 +468,63 @@ class TestTrainLoop:
         noisy = train_loop(examples, examples, noisy_config, seed=9,
                            max_epochs=2, patience=50)
         assert clean.log[0].train_loss != noisy.log[0].train_loss
+
+    @pytest.mark.parametrize("settings, error", [
+        ({"optimizer": None}, TypeError),
+        ({"epochs": 3}, TypeError),
+        ({"seed": -1}, ConfigError),
+        ({"learning_rate": "x"}, ConfigError),
+        ({"weight_decay": float("nan")}, ConfigError),
+        ({"max_epochs": 2.0}, ConfigError),
+        ({"patience": True}, ConfigError),
+        ({"learning_rate": -1e-3}, ConfigError),
+        ({"weight_decay": -1e-4}, ConfigError),
+        ({"max_epochs": 0}, ConfigError),
+        ({"patience": 0}, ConfigError),
+    ], ids=["optimizer", "unknown", "negative_seed", "string_rate", "nan_decay",
+            "float_epochs", "bool_patience", "negative_rate", "negative_decay",
+            "no_epochs", "no_patience"])
+    def test_settings_are_checked_as_in_a_config_file(self, tiny_dataset,
+                                                      settings, error):
+        config, examples = tiny_dataset
+        with pytest.raises(error):
+            train_loop(examples, examples, config, **settings)
+
+    def test_unsupervised_example_costs_no_forward_pass(self, monkeypatch):
+        # c-alpha nodes are CA atoms and the last native has none, so its
+        # example supervises nothing and is skipped before its forward pass
+        import equiref.train as train
+
+        config = ModelConfig(num_layers=1, hidden_dim=8, k_neighbors=10,
+                             granularity="c-alpha")
+        examples = []
+        for i in range(4):
+            decoy, native = structure_pair(np.random.default_rng(100 + i))
+            if i == 3:
+                native = take_rows(native, native.name != "CA")
+            examples.append(make_training_example(decoy, native, config, "t",
+                                                  f"d{i}"))
+        assert [ex.supervised for ex in examples] == [True, True, True, False]
+        in_step = []
+        passes = []
+        taped_step, taped_pass = train.backward, train.forward_pass
+
+        def counted_step(*args, **kwargs):
+            in_step.append(True)
+            try:
+                return taped_step(*args, **kwargs)
+            finally:
+                in_step.pop()
+
+        def counted_pass(*args, **kwargs):
+            passes.append(bool(in_step))
+            return taped_pass(*args, **kwargs)
+
+        monkeypatch.setattr(train, "backward", counted_step)
+        monkeypatch.setattr(train, "forward_pass", counted_pass)
+        train_loop(examples, examples[:3], config, seed=0, max_epochs=1,
+                   patience=1)
+        assert passes.count(True) == 3  # one taped pass per supervised example
 
     def test_empty_training_set_rejected(self, tiny_dataset):
         config, _ = tiny_dataset
