@@ -14,6 +14,13 @@ attention plus block-local softmax attention over the embeddings, and a
 gated node update. A quality head maps final embeddings to per-node scores
 in [0, 1], read out at CA nodes.
 
+The edge-message MLP's first layer reads [h_i, h_j, a_ij, |x_i - x_j|^2]
+and is linear, so a layer splits its weight ``msg_mlp.w1`` by rows: the
+h_i and h_j rows multiply the node embeddings once per layer, each edge
+row reads its two node products by index, and only the edge-feature and
+squared-distance rows run per edge. The per-edge concatenation of width
+2d + E + 1 is never built; ``msg_mlp.w1`` keeps that shape and row order.
+
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
 settings from it. The input feature widths are not settings: they follow
@@ -239,7 +246,12 @@ def _wrap(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 
 def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
-    hidden = affine(x, leaves[prefix + "w1"], leaves[prefix + "b1"])
+    return _mlp_tail(affine(x, leaves[prefix + "w1"], leaves[prefix + "b1"]),
+                     leaves, prefix)
+
+
+def _mlp_tail(hidden: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
+    """An MLP from its first layer's output on: layer norm, leaky ReLU, w2."""
     hidden = layer_norm(hidden, leaves[prefix + "ln_gain"], leaves[prefix + "ln_bias"])
     hidden = hidden.leaky_relu(LEAKY_SLOPE)
     return affine(hidden, leaves[prefix + "w2"], leaves[prefix + "b2"])
@@ -291,6 +303,13 @@ def _layer(
     node_skip: Tensor,
 ) -> tuple[Tensor, Tensor]:
     n, k = neighbors.shape
+    d = h.data.shape[1]
+
+    # the h_i and h_j rows of the message MLP's w1, applied once per node
+    w1 = leaves[prefix + "msg_mlp.w1"]
+    h_src = h @ slice_rows(w1, 0, d)
+    h_dst = h @ slice_rows(w1, d, 2 * d)
+    w1_edge = slice_rows(w1, 2 * d, w1.data.shape[0])
 
     # The edge pass runs over blocks of whole nodes: a node's update needs
     # only its own k edge rows, so every per-edge temporary stays at about
@@ -305,12 +324,13 @@ def _layer(
         diff = repeat_rows(slice_rows(x, start, stop), k) - gather_rows(x, nbrs)
         sqdist = (diff * diff).sum(axis=1, keepdims=True)
         edges = concat([
-            repeat_rows(slice_rows(h, start, stop), k),
-            gather_rows(h, nbrs),
             Tensor(edge_features[start * k:stop * k]),  # a constant: no parents
             sqdist,
         ], axis=1)
-        message = _mlp(edges, leaves, prefix + "msg_mlp.")
+        hidden = (affine(edges, w1_edge, leaves[prefix + "msg_mlp.b1"])
+                  + repeat_rows(slice_rows(h_src, start, stop), k)
+                  + gather_rows(h_dst, nbrs))
+        message = _mlp_tail(hidden, leaves, prefix + "msg_mlp.")
         gate = _mlp(message, leaves, prefix + "coord_mlp.")  # (rows, 1)
         radial = diff / (row_norm(diff) + NORM_CONSTANT)
         shifts.append(group_mean(radial * gate, k))

@@ -305,6 +305,10 @@ class TrainResult:
         return [record.to_line() for record in self.log]
 
 
+# A diverging run overflows inside the network before the loop's finiteness
+# checks see it; those raise DivergenceError, so numpy's warnings would only
+# repeat the report in its own words.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_loop(
     train_examples: list[TrainingExample],
     val_examples: list[TrainingExample],

@@ -5,7 +5,8 @@ they share no code path with the package's vectorized implementations.
 The loss oracles compute the training loss and its coordinate and score
 gradients in closed form with numpy, without the autodiff tape. The
 attention oracle is the quadratic form of the model's linear-time global
-attention.
+attention, and the message oracle builds the edge-message MLP's input
+row by row, as EGNN writes it, before its first layer.
 """
 
 import math
@@ -77,6 +78,21 @@ def quadratic_attention(h, wq, wk, wv):
     v = h @ wv
     n = h.shape[0]
     return (q @ k.T / n) @ v
+
+
+def message_preactivation(h, x, edge_features, neighbors, w1, b1):
+    """First layer of the edge-message MLP on its concatenated input.
+
+    Edge row ``i*k + s`` carries the message from ``j = neighbors[i, s]``
+    to ``i``; its input is ``[h_i, h_j, a_ij, |x_i - x_j|^2]``.
+    """
+    n, k = neighbors.shape
+    i = np.repeat(np.arange(n), k)
+    j = neighbors.ravel()
+    diff = x[i] - x[j]
+    sqdist = (diff * diff).sum(axis=1, keepdims=True)
+    edges = np.concatenate([h[i], h[j], edge_features, sqdist], axis=1)
+    return edges @ w1 + b1
 
 
 def superposed_rmsd_by_trace(mobile, target):

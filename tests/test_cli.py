@@ -54,6 +54,14 @@ from conftest import (
 
 SMALL_CONFIG = ModelConfig(num_layers=2, hidden_dim=8)
 
+
+def child_env(**extra) -> dict:
+    """The environment of a CLI child process that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 # Surface-override files: raw bytes, text, and number lines near the
 # 44 atoms of ``make_complex()``, in and out of [0, 1].
 SURFACE_FILES = (
@@ -136,8 +144,6 @@ class TestRefine:
         weights.write_bytes(save_weights(params, config))
         input_pdb = tmp_path / "input.pdb"
         input_pdb.write_text(write_pdb(make_complex(140, 120)))
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
         def refine(threads, tag):
             out, report = tmp_path / f"{tag}.pdb", tmp_path / f"{tag}.json"
@@ -145,8 +151,7 @@ class TestRefine:
                 [sys.executable, "-m", "equiref.cli", "refine",
                  "--input", str(input_pdb), "--weights", str(weights),
                  "--output", str(out), "--report", str(report)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                     "PYTHONPATH": path},
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
                 check=True,
             )
             return out.read_text(), report.read_text()
@@ -1100,6 +1105,23 @@ class TestTrain:
         header = json.dumps({"config": model.to_dict(), "seed": run.seed})
         log = (tmp_path / "model.weights.log").read_text()
         assert log == "\n".join([header] + exc.result.log_lines()) + "\n"
+
+    def test_divergence_prints_only_the_error_line(self, tmp_path, rng):
+        # the run overflows inside the network before the loop's checks
+        # see it; pytest records the warnings of its own process, so the
+        # CLI runs in a child that prints them as a user would see them
+        train_dir = training_fixture(tmp_path, rng, n_examples=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": 1e12, "max_epochs": 2,
+                                      "num_layers": 1, "hidden_dim": 8}))
+        run = subprocess.run(
+            [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
+             "--train-dir", str(train_dir), "--out-weights", str(tmp_path / "w")],
+            env=child_env(PYTHONWARNINGS="default"), capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_DIVERGED
+        assert run.stderr.startswith("error: ")
+        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
 
     def test_unknown_config_key(self, tmp_path, rng):
         train_dir = training_fixture(tmp_path, rng)

@@ -1,4 +1,4 @@
-"""The README's configuration defaults and library example hold."""
+"""The README's configuration defaults, constants and library example hold."""
 
 import json
 import re
@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from equiref import model
 from equiref.cli import read_config
 from equiref.structio import write_pdb
 
@@ -38,3 +39,9 @@ def test_library_example_runs(tmp_path, monkeypatch):
     exec(fenced_block("## Library", "python"), namespace)
     assert namespace["report"].dockq == pytest.approx(1.0, abs=1e-9)
     assert namespace["result"].predicted_lddt.shape == (11,)
+
+
+def test_edge_block_matches_code():
+    text = README.read_text(encoding="utf-8")
+    quoted = re.search(r"`model\.EDGE_BLOCK`\s+\(([\d,]+)\)", text).group(1)
+    assert int(quoted.replace(",", "")) == model.EDGE_BLOCK

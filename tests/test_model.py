@@ -31,7 +31,7 @@ from equiref.model import (
 from equiref.train import backward
 
 from conftest import make_complex, random_rotation, rewrite_header
-from oracles import quadratic_attention
+from oracles import message_preactivation, quadratic_attention
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
 
@@ -250,6 +250,46 @@ class TestLayer:
         x_new, _ = layer_step(graph, params, SMALL, 0, x, h, f_emb)
         np.testing.assert_array_equal(x_new, graph.coords)
 
+    @pytest.mark.parametrize("config", [SMALL, ModelConfig(num_layers=1)],
+                             ids=["small", "default"])
+    def test_split_message_layer_matches_concatenated_input(self, rng, monkeypatch,
+                                                            config):
+        # The layer applies the message MLP's first layer as node products
+        # read by edge plus the edge rows; the oracle multiplies the whole
+        # edge input. A second run feeds the oracle's pre-activation to the
+        # rest of the layer, which the two runs then share.
+        graph = random_graph(rng, n=30, d_f=config.node_feat_dim,
+                             d_e=config.edge_feat_dim)
+        params = randomize(init_params(config, 0), rng, scale=0.2)
+        x, h, f_emb = self._state(rng, params, graph)
+        prefix = "layers.0.msg_mlp."
+        expected = message_preactivation(h, x, graph.edge_features, graph.neighbors,
+                                         params[prefix + "w1"], params[prefix + "b1"])
+        monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
+        tail = model._mlp_tail
+
+        def run(pre_activation=None):
+            seen = {}
+
+            def recording_tail(hidden, leaves, name):
+                if name == prefix:
+                    seen["hidden"] = hidden.data
+                    if pre_activation is not None:
+                        hidden = Tensor(pre_activation)
+                seen[name] = tail(hidden, leaves, name)
+                return seen[name]
+
+            monkeypatch.setattr(model, "_mlp_tail", recording_tail)
+            x_new, h_new = layer_step(graph, params, config, 0, x, h, f_emb)
+            return seen["hidden"], seen[prefix].data, x_new, h_new
+
+        hidden, message, x_new, h_new = run()
+        _, message_ref, x_ref, h_ref = run(expected)
+        for actual, reference in ((hidden, expected), (message, message_ref),
+                                  (x_new, x_ref), (h_new, h_ref)):
+            np.testing.assert_allclose(actual, reference, rtol=1e-12,
+                                       atol=1e-12 * np.abs(reference).max())
+
     def test_single_layer_equivariance(self, rng):
         graph = random_graph(rng, n=16, d_f=SMALL.node_feat_dim,
                              d_e=SMALL.edge_feat_dim)
@@ -444,6 +484,24 @@ class TestTape:
         np.testing.assert_array_equal(coords[0].data, graph.coords)
         assert all(node.shape != graph.edge_features.shape for node in nodes)
 
+    @pytest.mark.parametrize("config", [ModelConfig(num_layers=2, hidden_dim=6),
+                                        ModelConfig(num_layers=1)],
+                             ids=["small", "default"])
+    def test_no_concatenated_message_input(self, rng, monkeypatch, config):
+        # the message MLP's first layer is split, so no taped tensor holds
+        # the per-edge input [h_i, h_j, a_ij, |x_i - x_j|^2]; at d = 8 the
+        # node MLP's input of width 4d would have that width too
+        graph = random_graph(rng, n=20, d_f=config.node_feat_dim,
+                             d_e=config.edge_feat_dim)
+        params = randomize(init_params(config, 0), rng)
+        monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
+        fp = forward_pass(graph, params, config)
+        width = 2 * config.hidden_dim + config.edge_feat_dim + 1
+        nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
+        assert any(node.shape == (graph.neighbors.size, config.hidden_dim)
+                   for node in nodes)  # the edge pass is on the tape
+        assert all(node.data.ndim < 2 or node.shape[1] != width for node in nodes)
+
     def test_tape_does_not_grow_with_edge_blocks(self, rng, monkeypatch):
         # a layer is one checkpoint node after the forward pass: its edge
         # blocks are taped only while the backward pass re-runs it
@@ -471,11 +529,19 @@ class TestTape:
         assert all(node.grad is None and node._parents == () for node in interior)
         assert all(leaf.grad is not None for leaf in fp.leaves.values())
 
+        # one entry of the message MLP's w1 in each row range it splits:
+        # h_i, h_j, the edge features and the squared distance
+        d, e = SMALL.hidden_dim, SMALL.edge_feat_dim
+        w1_rows = [(0, d), (d, 2 * d), (2 * d, 2 * d + e), (2 * d + e, 2 * d + e + 1)]
+        w1_entries = [rng.integers(a, b) * d + rng.integers(d) for a, b in w1_rows]
+
         step = 1e-5
         for name in ("embed.weight", "layers.0.msg_mlp.w1", "layers.1.coord_mlp.w2",
                      "coord_skip_raw", "qa_head.b2"):
             flat = params[name].reshape(-1)
-            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            entries = (w1_entries if name == "layers.0.msg_mlp.w1" else
+                       rng.choice(flat.size, size=min(3, flat.size), replace=False))
+            for i in entries:
                 orig = flat[i]
                 values = []
                 for shifted in (orig + step, orig - step):
