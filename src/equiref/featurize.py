@@ -6,8 +6,11 @@ approximation, and applies training-time Gaussian coordinate corruption.
 The graph settings (granularity, k and the two feature ablation flags)
 are read from a ``model.ModelConfig``, which also checks them.
 The k-NN search and the surface proximity read their atom-pair distances
-from ``structio.squared_distance_blocks``, the package's one distance
-kernel, a block of rows at a time.
+from ``structio.squared_distance_blocks``, the dense distance kernel, a
+block of rows at a time. They stay dense rather than use the cell grid of
+``structio.close_pair_blocks``: within one chain of a few thousand atoms,
+most atoms are candidates at 10 A, and a grid count of the surface's
+neighbours then takes as long as the dense scan.
 """
 
 from __future__ import annotations

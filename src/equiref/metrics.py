@@ -2,15 +2,22 @@
 
 Contacts, Fnat/Fnonnat, interface and ligand RMSD, the composite DockQ
 score with its quality classes, superposition-free per-residue LDDT over
-CA atoms, Top-N hit rates, ranking loss, and refinement improvement
-statistics. Conventions follow the standard DockQ/CAPRI and LDDT
-parameterizations: 5 A heavy-atom contacts, 10 A interfaces, backbone
-(N, CA, C, O) superposition, class cutoffs 0.23/0.49/0.80, LDDT inclusion
-radius 15 A with thresholds 0.5/1/2/4 A. These cutoffs, the radius and
-the thresholds are fixed conventions, held in the module constants below;
-no function takes them as parameters. Contacts, interfaces and LDDT read
-their atom-pair distances from ``structio.squared_distance_blocks``, the
-package's one distance kernel, a block of rows at a time.
+CA atoms, Top-N hit rates and ranking loss. Conventions follow the
+standard DockQ/CAPRI and LDDT parameterizations: 5 A heavy-atom contacts,
+10 A interfaces, backbone (N, CA, C, O) superposition, class cutoffs
+0.23/0.49/0.80, LDDT inclusion radius 15 A with thresholds 0.5/1/2/4 A.
+These cutoffs, the radius and the thresholds are fixed conventions, held
+in the module constants below; no function takes them as parameters.
+
+Contacts and interfaces come from ``structio.close_pair_blocks``, a cell
+grid that tests only atom pairs from neighbouring cells. One search over
+every pair of chains gives a structure's residue pairs under 5 A as
+numpy residue-pair codes, and a mask of its residues within the search
+cutoff of another chain: a search at 10 A thus gives a native's contacts
+and its interface at once. LDDT reads its CA-pair distances from
+``structio.squared_distance_blocks``, the dense kernel, a block of rows at
+a time. Both return ``dx*dx + dy*dy + dz*dz`` bitwise alike, so a
+contact set does not depend on the search.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .structio import (
     BACKBONE_ATOMS,
     AtomCorrespondence,
     ComplexStructure,
+    close_pair_blocks,
     kabsch_superpose,
     match_atoms,
     squared_distance_blocks,
@@ -60,25 +68,39 @@ CSV_FIELDS = (
 
 def _cross_chain_residue_pairs(
     structure: ComplexStructure, cutoff: float
-) -> set[ContactPair]:
-    """Residue pairs of different chains with any atom pair within ``cutoff``."""
-    per_chain = []
-    for chain_id, rows in structure.chain_slices():
-        residue = structure.residue[rows]
-        starts = structure.residue_starts[residue[0]:residue[-1] + 1]
-        keys = [(chain_id, number) for number in structure.resnum[starts].tolist()]
-        per_chain.append((structure.coords[rows], residue - residue[0], keys))
-    out: set[ContactPair] = set()
-    for i, (ci, res_i, keys_i) in enumerate(per_chain):
-        for cj, res_j, keys_j in per_chain[i + 1:]:
-            hit = np.zeros((len(keys_i), len(keys_j)), dtype=bool)
-            for start, d2 in squared_distance_blocks(ci, cj):
-                a, b = np.nonzero(d2 < cutoff * cutoff)
-                hit[res_i[start + a], res_j[b]] = True
-            out.update(
-                tuple(sorted((keys_i[p], keys_j[q]))) for p, q in zip(*np.nonzero(hit))
-            )
-    return out
+) -> tuple[np.ndarray, np.ndarray]:
+    """One grid search over every pair of chains.
+
+    Returns the codes ``lo * R + hi`` (R residues, ``lo`` in the earlier
+    chain) of the residue pairs with an atom pair under CONTACT_CUTOFF, and
+    a mask of the residues with an atom of another chain under ``cutoff``,
+    which is CONTACT_CUTOFF or more.
+    """
+    num_residues = structure.num_residues
+    near = np.zeros(num_residues, dtype=bool)
+    codes = [np.empty(0, dtype=np.intp)]
+    slices = [rows for _, rows in structure.chain_slices()]
+    for i, rows_i in enumerate(slices):
+        res_i = structure.residue[rows_i]
+        for rows_j in slices[i + 1:]:
+            res_j = structure.residue[rows_j]
+            hit = np.zeros((res_i[-1] - res_i[0] + 1, res_j[-1] - res_j[0] + 1),
+                           dtype=bool)
+            for a, b, d2 in close_pair_blocks(
+                structure.coords[rows_i], structure.coords[rows_j], cutoff
+            ):
+                near[res_i[a]] = True
+                near[res_j[b]] = True
+                contact = d2 < CONTACT_CUTOFF * CONTACT_CUTOFF
+                hit[res_i[a[contact]] - res_i[0], res_j[b[contact]] - res_j[0]] = True
+            p, q = np.nonzero(hit)
+            codes.append((p + res_i[0]) * num_residues + (q + res_j[0]))
+    return np.concatenate(codes), near
+
+
+def _residue_keys(structure: ComplexStructure) -> list[ResidueKey]:
+    starts = structure.residue_starts
+    return list(zip(structure.chain[starts].tolist(), structure.resnum[starts].tolist()))
 
 
 def contacts(structure: ComplexStructure) -> set[ContactPair]:
@@ -88,7 +110,41 @@ def contacts(structure: ComplexStructure) -> set[ContactPair]:
     """
     if structure.num_chains < 2:
         raise NoInterfaceError("contacts require at least two chains")
-    return _cross_chain_residue_pairs(structure, CONTACT_CUTOFF)
+    codes, _ = _cross_chain_residue_pairs(structure, CONTACT_CUTOFF)
+    keys = _residue_keys(structure)
+    lo, hi = np.divmod(codes, structure.num_residues)
+    return {tuple(sorted((keys[p], keys[q]))) for p, q in zip(lo.tolist(), hi.tolist())}
+
+
+def _residues_in(structure: ComplexStructure, reference: ComplexStructure) -> np.ndarray:
+    """Residue ordinal in ``reference`` of each residue of ``structure`` with
+    the same (chain, resnum) key; -1 where ``reference`` has none."""
+    ordinal = {key: i for i, key in enumerate(_residue_keys(reference))}
+    return np.array([ordinal.get(key, -1) for key in _residue_keys(structure)],
+                    dtype=np.intp)
+
+
+def _contact_fractions(
+    decoy: ComplexStructure,
+    decoy_contacts: np.ndarray,
+    native: ComplexStructure,
+    native_contacts: np.ndarray,
+) -> tuple[float, float]:
+    """Fnat and Fnonnat from the residue-pair codes of each structure."""
+    lo, hi = np.divmod(decoy_contacts, decoy.num_residues)
+    in_native = _residues_in(decoy, native)
+    lo, hi = in_native[lo], in_native[hi]
+    both = (lo >= 0) & (hi >= 0)
+    lo, hi = lo[both], hi[both]
+    codes = np.minimum(lo, hi) * native.num_residues + np.maximum(lo, hi)
+    shared = int(np.isin(codes, native_contacts).sum())
+    fnat = shared / native_contacts.size if native_contacts.size else 0.0
+    fnonnat = (
+        (decoy_contacts.size - shared) / decoy_contacts.size
+        if decoy_contacts.size
+        else 0.0
+    )
+    return fnat, fnonnat
 
 
 def fnat_fnonnat(
@@ -97,25 +153,9 @@ def fnat_fnonnat(
     """Fraction of native contacts recovered, and of decoy contacts that
     are non-native. Empty contact sets contribute 0 by convention."""
     return _contact_fractions(
-        _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF),
-        _cross_chain_residue_pairs(native, CONTACT_CUTOFF),
+        decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
+        native, _cross_chain_residue_pairs(native, CONTACT_CUTOFF)[0],
     )
-
-
-def _contact_fractions(
-    decoy_contacts: set[ContactPair], native_contacts: set[ContactPair]
-) -> tuple[float, float]:
-    fnat = (
-        len(decoy_contacts & native_contacts) / len(native_contacts)
-        if native_contacts
-        else 0.0
-    )
-    fnonnat = (
-        len(decoy_contacts - native_contacts) / len(decoy_contacts)
-        if decoy_contacts
-        else 0.0
-    )
-    return fnat, fnonnat
 
 
 def _matched_backbone(
@@ -123,16 +163,11 @@ def _matched_backbone(
     native: ComplexStructure,
     correspondence: AtomCorrespondence,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decoy rows, decoy coordinates and native coordinates of the matched
-    backbone atoms, in correspondence order."""
+    """(decoy row, native row) pairs, decoy coordinates and native
+    coordinates of the matched backbone atoms, in correspondence order."""
     pairs = correspondence.pairs
     pairs = pairs[np.isin(decoy.name[pairs[:, 0]], BACKBONE_ATOMS)]
-    return pairs[:, 0], decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
-
-
-def _interface_residue_keys(native: ComplexStructure) -> set[ResidueKey]:
-    pairs = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
-    return {key for pair in pairs for key in pair}
+    return pairs, decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
 
 
 def irmsd(
@@ -146,24 +181,23 @@ def irmsd(
     within 10 A; the decoy is superposed onto the native over the matched
     interface backbone atoms and the residual deviation is returned.
     """
-    return _interface_rmsd(
-        decoy, native, correspondence, _interface_residue_keys(native)
-    )
+    _, interface = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
+    return _interface_rmsd(decoy, native, correspondence, interface)
 
 
 def _interface_rmsd(
     decoy: ComplexStructure,
     native: ComplexStructure,
     correspondence: AtomCorrespondence | None,
-    interface: set[ResidueKey],
+    interface: np.ndarray,
 ) -> float:
+    """``irmsd`` over the native residues that ``interface`` masks."""
     if native.num_chains < 2:
         raise NoInterfaceError("interface RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
-    rows, mobile, target = _matched_backbone(decoy, native, correspondence)
-    keys = zip(decoy.chain[rows].tolist(), decoy.resnum[rows].tolist())
-    in_interface = np.array([key in interface for key in keys], dtype=bool)
+    pairs, mobile, target = _matched_backbone(decoy, native, correspondence)
+    in_interface = interface[native.residue[pairs[:, 1]]]
     mobile, target = mobile[in_interface], target[in_interface]
     if mobile.shape[0] < 3:
         raise UndefinedMetricError(
@@ -195,8 +229,8 @@ def lrmsd(
         (-np.count_nonzero(residue_chain == chain_id), chain_id)
         for chain_id in native.chain_ids
     )[1]
-    rows, mobile, target = _matched_backbone(decoy, native, correspondence)
-    receptor = decoy.chain[rows] == receptor_id
+    pairs, mobile, target = _matched_backbone(decoy, native, correspondence)
+    receptor = decoy.chain[pairs[:, 0]] == receptor_id
     n_receptor = int(receptor.sum())
     if n_receptor < 3:
         raise UndefinedMetricError(
@@ -346,27 +380,6 @@ def ranking_loss(target: RankingInput) -> float:
     return 1.0 - best.true_dockq
 
 
-def improvement_stats(
-    initial: np.ndarray | list[float], refined: np.ndarray | list[float]
-) -> tuple[float, float]:
-    """Fraction of decoys improved, and mean percentage improvement over
-    the improved decoys (0 when nothing improved)."""
-    initial = np.asarray(initial, dtype=np.float64)
-    refined = np.asarray(refined, dtype=np.float64)
-    if initial.shape != refined.shape:
-        raise ValueError("initial and refined lists differ in length")
-    if initial.size == 0:
-        return 0.0, 0.0
-    improved = refined > initial
-    fi = float(improved.mean())
-    if not improved.any():
-        return fi, 0.0
-    gains = 100.0 * (refined[improved] - initial[improved]) / np.maximum(
-        initial[improved], 1e-6
-    )
-    return fi, float(gains.mean())
-
-
 @dataclass
 class QualityReport:
     fnat: float
@@ -405,17 +418,19 @@ def score_decoys(
 ) -> Iterator[QualityReport]:
     """Full quality report of each decoy against one reference structure.
 
-    The native's 5 A contact set and 10 A interface residues are computed
-    once, before the first decoy. Decoys are taken from ``decoys`` one at a
-    time as reports are requested, so a lazy iterable keeps one decoy alive.
-    Each report and each error is the one ``score_pair`` gives for that decoy.
+    The native's 5 A contacts and 10 A interface residues come from one
+    pair search at 10 A, before the first decoy: its contacts are the pairs
+    under 5 A. Each decoy then takes one search at 5 A. Decoys are taken
+    from ``decoys`` one at a time as reports are requested, so a lazy
+    iterable keeps one decoy alive. Each report and each error is the one
+    ``score_pair`` gives for that decoy.
     """
-    native_contacts = _cross_chain_residue_pairs(native, CONTACT_CUTOFF)
-    interface = _interface_residue_keys(native)
+    native_contacts, interface = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
     for decoy in decoys:
         correspondence = match_atoms(decoy, native)
         fnat, fnonnat = _contact_fractions(
-            _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF), native_contacts
+            decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
+            native, native_contacts,
         )
         irmsd_value = _interface_rmsd(decoy, native, correspondence, interface)
         lrmsd_value = lrmsd(decoy, native, correspondence)

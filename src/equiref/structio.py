@@ -26,10 +26,15 @@ establishes atom correspondence between a decoy and its reference
 structure, computes Kabsch superpositions, and builds local backbone
 coordinate frames used by edge featurization.
 
-``squared_distance_blocks`` is the one all-pairs distance kernel of the
-package: the k-NN graph, the surface proximity, the interface contacts and
-LDDT all read their distances from it, in row blocks of at most
-``PAIR_CHUNK`` pairs.
+Two pair searches hand out the package's atom-pair distances, both in
+blocks of at most ``PAIR_CHUNK`` pairs, so memory stays bounded at any
+size, and both as ``dx*dx + dy*dy + dz*dz``, added in that order by one
+helper. ``squared_distance_blocks`` is the dense scan of every row pair:
+the k-NN graph, the surface proximity and LDDT read it.
+``close_pair_blocks`` is a radius query on a cell grid (cell lists; Allen
+& Tildesley, *Computer Simulation of Liquids*, 1987): it tests only pairs
+from neighbouring cells and yields the pairs under the cutoff, the same
+set the dense scan finds. The contact and interface sets read it.
 """
 
 from __future__ import annotations
@@ -399,6 +404,23 @@ def rmsd_without_superposition(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(float(((a - b) ** 2).sum(axis=1).mean()))
 
 
+def _squared_distances(coordinates) -> np.ndarray:
+    """``dx*dx + dy*dy + dz*dz``, added in that order, as a new array.
+
+    ``coordinates(k)`` gives the k-th coordinates of both sides as two
+    broadcastable arrays; it is called one axis at a time.
+    """
+    a, b = coordinates(0)
+    d2 = np.subtract(a, b)
+    d2 *= d2
+    diff = np.empty_like(d2)
+    for axis in (1, 2):
+        np.subtract(*coordinates(axis), out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def squared_distance_blocks(
     a: np.ndarray, b: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -414,14 +436,78 @@ def squared_distance_blocks(
     chunk = max(1, PAIR_CHUNK // max(b.shape[0], 1))
     for start in range(0, a.shape[0], chunk):
         rows = a[start:start + chunk]
-        d2 = np.subtract(rows[:, 0, None], b_axes[0])
-        d2 *= d2
-        diff = np.empty_like(d2)
-        for axis in (1, 2):
-            np.subtract(rows[:, axis, None], b_axes[axis], out=diff)
-            diff *= diff
-            d2 += diff
-        yield start, d2
+        yield start, _squared_distances(lambda k: (rows[:, k, None], b_axes[k]))
+
+
+# Cell edges exceed the cutoff by this factor, which is far above the
+# rounding of the binning, so a pair whose computed d2 is under the cutoff
+# never lies two cells apart on an axis. A grid has at most 2**20 cells
+# per axis (wider cells where the points spread further), which keeps that
+# rounding small and every cell key inside int64.
+_CELL_MARGIN = 2.0 ** -20
+_MAX_CELLS = 2 ** 20
+
+
+def close_pair_blocks(
+    a: np.ndarray, b: np.ndarray, cutoff: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Row pairs of ``a`` and ``b`` closer than ``cutoff``, from a cell grid.
+
+    Yields (i, j, d2) for blocks of candidate pairs: ``d2`` is the squared
+    distance between ``a[i]`` and ``b[j]``, bitwise as
+    ``squared_distance_blocks`` gives it, and every pair with
+    ``d2 < cutoff * cutoff`` appears exactly once over all blocks. Only
+    pairs from the 3 x 3 x 3 cells around a row of ``a`` are tested, and a
+    block holds at most PAIR_CHUNK // 4 candidates (and at least one row of
+    ``a``), so a block takes no more memory than a dense one. A row with a
+    non-finite coordinate is closer to nothing. Coordinates are assumed to
+    differ by less than the float64 range.
+    """
+    limit = cutoff * cutoff
+    keep_a = np.flatnonzero(np.isfinite(a).all(axis=1))
+    keep_b = np.flatnonzero(np.isfinite(b).all(axis=1))
+    if not limit > 0 or keep_a.size == 0 or keep_b.size == 0:
+        return
+    a, b = a[keep_a], b[keep_b]
+    low = np.minimum(a.min(axis=0), b.min(axis=0))
+    span = float((np.maximum(a.max(axis=0), b.max(axis=0)) - low).max())
+    edge = max(cutoff * (1.0 + _CELL_MARGIN), span / _MAX_CELLS)
+    # cells start at 1 on every axis, so every neighbour index is >= 0
+    cell_a = np.floor((a - low) / edge).astype(np.int64) + 1
+    cell_b = np.floor((b - low) / edge).astype(np.int64) + 1
+    dims = np.maximum(cell_a.max(axis=0), cell_b.max(axis=0)) + 2
+
+    def keys(cells):
+        return (cells[:, 0] * dims[1] + cells[:, 1]) * dims[2] + cells[:, 2]
+
+    key_b = keys(cell_b)
+    order = np.argsort(key_b, kind="stable")
+    sorted_keys = key_b[order]
+    b_axes = np.ascontiguousarray(b[order].T)
+    # The three cells along z around (x + dx, y + dy, z) hold consecutive
+    # keys, so each of the nine (dx, dy) columns is one run of sorted b.
+    columns = np.array([(dx * dims[1] + dy) * dims[2]
+                        for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    centre = keys(cell_a)[:, None] + columns
+    first = np.searchsorted(sorted_keys, centre - 1, side="left")
+    count = np.searchsorted(sorted_keys, centre + 1, side="right") - first
+    per_row = count.sum(axis=1)
+    rows = np.flatnonzero(per_row)
+    first, count = first[rows], count[rows]
+    bounds = np.concatenate(([0], np.cumsum(per_row[rows])))
+    a_axes = np.ascontiguousarray(a[rows].T)
+    budget = max(1, PAIR_CHUNK // 4)
+    lo = 0
+    while lo < rows.size:
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + budget, "right")) - 1)
+        runs = count[lo:hi].ravel()
+        i = np.repeat(np.arange(lo, hi).repeat(9), runs)
+        j = np.arange(bounds[lo], bounds[hi])
+        j -= np.repeat(np.cumsum(runs) - runs + bounds[lo] - first[lo:hi].ravel(), runs)
+        d2 = _squared_distances(lambda k: (a_axes[k].take(i), b_axes[k].take(j)))
+        close = d2 < limit
+        yield keep_a[rows[i[close]]], keep_b[order[j[close]]], d2[close]
+        lo = hi
 
 
 def build_residue_frames(

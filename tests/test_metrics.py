@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiref import structio
+from equiref import metrics, structio
 from equiref.errors import NoInterfaceError, NoOverlapError, UndefinedMetricError
 from equiref.metrics import (
+    CONTACT_CUTOFF,
+    INTERFACE_CUTOFF,
     DecoyScore,
     RankingInput,
     contacts,
@@ -17,7 +19,6 @@ from equiref.metrics import (
     fnat_fnonnat,
     format_triple,
     hit_rate,
-    improvement_stats,
     irmsd,
     lddt_ca,
     lrmsd,
@@ -97,6 +98,25 @@ class TestFnat:
         fnat, fnonnat = fnat_fnonnat(decoy, native)
         assert fnat == 0.0
         assert fnonnat == 1.0  # all decoy contacts are non-native
+
+    def test_extra_residue_and_reversed_chains_match_contact_sets(self):
+        native = paired_chains([True, True, True, False])
+        # chain B listed before chain A; B9 is a residue the native lacks,
+        # placed against A2 while B2 moves away
+        b_rows = [("B", i + 1, "GLY", "CA", (gap, 20.0 * i, 0.0))
+                  for i, gap in enumerate((3.0, 100.0, 3.0, 3.0))]
+        b_rows.append(("B", 9, "GLY", "CA", (3.0, 20.0, 0.0)))
+        a_rows = [("A", i + 1, "GLY", "CA", (0.0, 20.0 * i, 0.0)) for i in range(4)]
+        decoy = build_structure(b_rows + a_rows)
+        decoy_set = contacts_bruteforce(decoy)
+        native_set = contacts_bruteforce(native)
+        assert (("A", 2), ("B", 9)) in decoy_set
+        expected = (
+            len(decoy_set & native_set) / len(native_set),
+            len(decoy_set - native_set) / len(decoy_set),
+        )
+        assert fnat_fnonnat(decoy, native) == expected
+        assert expected == (2 / 3, 2 / 4)
 
 
 class TestInterfaceRmsd:
@@ -395,25 +415,6 @@ class TestRankingLoss:
         assert np.mean(losses) == pytest.approx(np.mean(expected))
 
 
-class TestImprovementStats:
-    def test_no_change(self):
-        assert improvement_stats([0.3, 0.6], [0.3, 0.6]) == (0.0, 0.0)
-
-    def test_half_improved(self):
-        fi, api = improvement_stats([0.2, 0.4], [0.3, 0.3])
-        assert fi == pytest.approx(0.5)
-        assert api == pytest.approx(50.0)
-
-    def test_random_pairs_match_loop_recompute(self, rng):
-        initial = rng.uniform(0.01, 1.0, size=100)
-        refined = np.clip(initial + rng.normal(scale=0.2, size=100), 0, 1)
-        fi, api = improvement_stats(initial, refined)
-        improved = [(i, r) for i, r in zip(initial, refined) if r > i]
-        assert fi == pytest.approx(len(improved) / 100)
-        gains = [100.0 * (r - i) / max(i, 1e-6) for i, r in improved]
-        assert api == pytest.approx(sum(gains) / len(gains))
-
-
 class TestScorePair:
     def test_identical_pair_report(self, two_chain_complex):
         report = score_pair(two_chain_complex, two_chain_complex)
@@ -490,6 +491,24 @@ class TestScoreDecoys:
         assert [
             (r.fnat, r.fnonnat, r.irmsd, r.lrmsd, r.lddt_ca_global) for r in reports
         ] == [composed(d, two_chain_complex) for d in decoys]
+
+    def test_one_pair_search_per_structure(self, two_chain_complex, rng):
+        """The native's contacts and interface come from one 10 A search,
+        each decoy's contacts from one 5 A search, and the reports are the
+        ones the separate public passes give."""
+        decoys = jittered_decoys(two_chain_complex, rng)
+        with mock.patch.object(
+            metrics, "close_pair_blocks", wraps=structio.close_pair_blocks
+        ) as search:
+            reports = list(score_decoys(decoys, two_chain_complex))
+        cutoffs = [call.args[2] for call in search.call_args_list]
+        assert cutoffs == [INTERFACE_CUTOFF] + [CONTACT_CUTOFF] * len(decoys)
+        assert [
+            (r.fnat, r.fnonnat, r.irmsd, r.lrmsd, r.lddt_ca_global) for r in reports
+        ] == [composed(d, two_chain_complex) for d in decoys]
+        assert [r.to_json() for r in reports] == [
+            score_pair(d, two_chain_complex).to_json() for d in decoys
+        ]
 
     def test_reads_one_decoy_per_report(self, two_chain_complex, rng):
         decoys = jittered_decoys(two_chain_complex, rng)

@@ -1,10 +1,13 @@
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equiref import structio
 from equiref.errors import (
     AlignmentError,
     EmptyStructureError,
@@ -14,10 +17,12 @@ from equiref.errors import (
 )
 from equiref.structio import (
     build_residue_frames,
+    close_pair_blocks,
     kabsch_superpose,
     match_atoms,
     parse_pdb,
     parse_pdb_file,
+    squared_distance_blocks,
     write_pdb,
 )
 
@@ -446,3 +451,104 @@ def test_parse_write_round_trip_property(text):
     except FormatOverflowError:
         return
     assert_same_columns(parse_pdb(written), structure)
+
+
+def grid_pairs(a, b, cutoff):
+    """(i, j, d2) of every pair the grid yields; no pair may repeat."""
+    found = [
+        pair
+        for block in close_pair_blocks(a, b, cutoff)
+        for pair in zip(*(column.tolist() for column in block))
+    ]
+    assert len(found) == len(set(found))
+    return set(found)
+
+
+def kernel_pairs(a, b, cutoff):
+    """(i, j, d2) of every pair with d2 < cutoff**2 in the dense kernel."""
+    found = set()
+    for start, d2 in squared_distance_blocks(a, b):
+        for i, j in zip(*np.nonzero(d2 < cutoff * cutoff)):
+            found.add((start + int(i), int(j), float(d2[i, j])))
+    return found
+
+
+class TestClosePairs:
+    def test_exact_cutoff_and_one_ulp_under(self):
+        """Pairs at the cutoff are out and one whose d2 is one ulp under 25
+        is in, although its sqrt rounds to the cutoff itself."""
+        below_4 = float(np.nextafter(4.0, 0.0))
+        below_3 = float(np.nextafter(3.0, 0.0))
+        a = np.zeros((1, 3))
+        b = np.array([[5.0, 0.0, 0.0], [3.0, below_4, 0.0], [0.0, 4.0, -below_3]])
+        found = grid_pairs(a, b, 5.0)
+        assert found == kernel_pairs(a, b, 5.0)
+        (i, j, d2), = found
+        assert (i, j, d2) == (0, 1, float(np.nextafter(25.0, 0.0)))
+        assert math.sqrt(d2) == 5.0
+
+    def test_non_finite_rows_pair_with_nothing(self):
+        a = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+        b = np.array([[1.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]])
+        assert grid_pairs(a, b, 5.0) == kernel_pairs(a, b, 5.0) == {(0, 0, 1.0)}
+
+    def test_empty_inputs_and_no_pairs(self):
+        empty = np.empty((0, 3))
+        point = np.zeros((1, 3))
+        assert grid_pairs(empty, point, 5.0) == grid_pairs(point, empty, 5.0) == set()
+        assert grid_pairs(point, point + 5.0, 5.0) == set()
+        assert grid_pairs(point, point, 0.0) == set()
+
+
+@st.composite
+def point_clouds(draw):
+    """Two clouds and a cutoff that hit the grid's edge cases.
+
+    The grid's cells start at the lowest coordinate, which is ``origin``
+    here. Lattice points whole cutoffs or whole cell edges (of a few
+    widths near the cutoff) from it, moved by an ulp, lie on and beside
+    cell boundaries; a partner at the cutoff or one ulp under it along an
+    axis sits on the other side. Coordinates go negative, points repeat
+    within and across the clouds, and a cloud may be one point or empty.
+    """
+    cutoff = draw(st.sampled_from((0.5, 1.0, 5.0, 10.0)) | st.floats(0.05, 20.0))
+    origin = np.array(draw(st.tuples(*[st.integers(-60, 60)] * 3)), dtype=float)
+    margin = structio._CELL_MARGIN
+    step = cutoff * draw(st.sampled_from((1.0 - margin, 1.0, 1.0 + margin, 0.5)))
+    gaps = (cutoff, float(np.nextafter(cutoff, 0.0)))
+    clouds = ([], [])
+    clouds[draw(st.integers(0, 1))].append(origin)
+    for _ in range(draw(st.integers(0, 24))):
+        side = draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            lattice = np.array(draw(st.tuples(*[st.integers(0, 5)] * 3)), dtype=float)
+            point = origin + step * lattice
+            axis = draw(st.integers(0, 2))
+            towards = draw(st.sampled_from((None, -np.inf, np.inf)))
+            if towards is not None:
+                point[axis] = np.nextafter(point[axis], towards)
+            clouds[side].append(point)
+            if draw(st.booleans()):
+                partner = point.copy()
+                partner[axis] += draw(st.sampled_from(gaps))
+                clouds[1 - side].append(partner)
+        else:
+            offset = draw(st.tuples(*[st.floats(0.0, 6.0 * cutoff)] * 3))
+            clouds[side].append(origin + np.array(offset))
+    a, b = (np.array(points, dtype=float).reshape(-1, 3) for points in clouds)
+    if a.shape[0]:
+        repeats = draw(st.lists(st.integers(0, a.shape[0] - 1), max_size=4))
+        b = np.concatenate([b, a[repeats]])
+    return a, b, cutoff
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(clouds=point_clouds(), chunk=st.sampled_from((None, 1, 2, 7, 40)))
+def test_close_pairs_match_the_dense_kernel(clouds, chunk):
+    """The grid yields exactly the pairs under the cutoff that the dense
+    kernel finds, with bitwise the same squared distances, also in many
+    small candidate blocks."""
+    a, b, cutoff = clouds
+    with mock.patch.object(structio, "PAIR_CHUNK", chunk or structio.PAIR_CHUNK):
+        found = grid_pairs(a, b, cutoff)
+    assert found == kernel_pairs(a, b, cutoff)
