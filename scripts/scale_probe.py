@@ -11,6 +11,7 @@ atoms (``gen.Size(16, 12, 136)``) and ~8k atoms for the training step
 at a time, so that its peak RSS is its own; the peak includes the
 interpreter, numpy and the stage's parsed inputs. Stages, with the default ``ModelConfig``:
 
+    parse            ``structio.parse_pdb_file`` of the decoy
     build_knn_graph  the decoy's graph (saved for the next stage)
     forward          the no_grad ``model.forward`` on that graph
     score_pair       ``metrics.score_pair(decoy, native)``
@@ -43,7 +44,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-STAGES = ("build_knn_graph", "forward", "score_pair")
+STAGES = ("parse", "build_knn_graph", "forward", "score_pair")
 TRAIN_STAGES = ("backward",)
 SEED = 3
 GRAPH_FIELDS = ("coords", "node_features", "neighbors", "edge_features",
@@ -62,14 +63,17 @@ def write_inputs(directory: Path, size: gen.Size) -> int:
 def run_stage(stage: str, directory: Path) -> dict:
     """One stage in this process: seconds of the stage call, and peak RSS."""
     config = model.ModelConfig()
-    decoy = structio.parse_pdb_file(directory / "decoy.pdb")
+    if stage == "parse":
+        call, args = structio.parse_pdb_file, (directory / "decoy.pdb",)
+    else:  # every other stage holds the parsed decoy, as it did before
+        decoy = structio.parse_pdb_file(directory / "decoy.pdb")
     if stage == "build_knn_graph":
         call, args = featurize.build_knn_graph, (decoy, config)
     elif stage == "forward":
         saved = np.load(directory / "graph.npz")
         graph = featurize.ComplexGraph(**{name: saved[name] for name in GRAPH_FIELDS})
         call, args = model.forward, (graph, model.init_params(config, seed=0), config)
-    else:
+    elif stage in ("score_pair", "backward"):
         native = structio.parse_pdb_file(directory / "native.pdb")
         if stage == "score_pair":
             call, args = metrics.score_pair, (decoy, native)

@@ -238,7 +238,14 @@ class Tensor:
         )
 
     def __matmul__(self, other):
+        """Matrix product of two 2-D operands; any other shape raises
+        ValueError, because the backward pass assumes matrices."""
         other = as_tensor(other)
+        if self.data.ndim != 2 or other.data.ndim != 2:
+            raise ValueError(
+                f"matmul takes 2-D operands, got shapes {self.data.shape} "
+                f"and {other.data.shape}"
+            )
         return Tensor(
             self.data @ other.data,
             (self, other),

@@ -40,6 +40,7 @@ from .structio import (
     BACKBONE_ATOMS,
     AtomCorrespondence,
     ComplexStructure,
+    _atom_matcher,
     close_pair_blocks,
     kabsch_superpose,
     match_atoms,
@@ -420,14 +421,16 @@ def score_decoys(
 
     The native's 5 A contacts and 10 A interface residues come from one
     pair search at 10 A, before the first decoy: its contacts are the pairs
-    under 5 A. Each decoy then takes one search at 5 A. Decoys are taken
-    from ``decoys`` one at a time as reports are requested, so a lazy
-    iterable keeps one decoy alive. Each report and each error is the one
-    ``score_pair`` gives for that decoy.
+    under 5 A. The native's (chain, resnum, name) atom index, which
+    ``match_atoms`` reads, is built once then too. Each decoy then takes
+    one search at 5 A. Decoys are taken from ``decoys`` one at a time as
+    reports are requested, so a lazy iterable keeps one decoy alive. Each
+    report and each error is the one ``score_pair`` gives for that decoy.
     """
     native_contacts, interface = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
+    match = _atom_matcher(native)
     for decoy in decoys:
-        correspondence = match_atoms(decoy, native)
+        correspondence = match(decoy)
         fnat, fnonnat = _contact_fractions(
             decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
             native, native_contacts,

@@ -21,10 +21,17 @@ ordinal of each row's residue over the whole structure, and
 records). Chains come in order of first appearance, and each chain keeps
 its atoms in file order, so interleaved chains are regrouped. A residue
 takes its name from its first atom. Insertion codes fold into the residue
-numbers, so that they strictly increase within a chain. The module also
-establishes atom correspondence between a decoy and its reference
-structure, computes Kabsch superpositions, and builds local backbone
-coordinate frames used by edge featurization.
+numbers, so that they strictly increase within a chain. The parse works
+on columns, not lines: the ATOM records become one array of code points,
+a row per record, and the checks, filters, residue numbers and
+de-duplication are array operations over it. A numeric field's value is
+the one Python's ``int`` or ``float`` gives: a canonical field (digits
+right-justified, as ``write_pdb`` writes them) is read from its digit
+codes, and any other goes through ``int`` or ``float`` itself.
+
+The module also establishes atom correspondence between a decoy and its
+reference structure, computes Kabsch superpositions, and builds local
+backbone coordinate frames used by edge featurization.
 
 Two pair searches hand out the package's atom-pair distances, both in
 blocks of at most ``PAIR_CHUNK`` pairs, so memory stays bounded at any
@@ -39,10 +46,12 @@ set the dense scan finds. The contact and interface sets read it.
 
 from __future__ import annotations
 
+import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -147,6 +156,14 @@ class AtomCorrespondence:
     matched_ca: np.ndarray  # (c, 2) intp
 
 
+# ATOM records are read up to column 78, the end of the element symbol; a
+# record must reach column 54, the end of z. Numeric fields are (start,
+# stop, decimals), 0-based and end-exclusive: serial, resSeq, x, y and z.
+_READ_WIDTH = 78
+_SHORTEST_ATOM = 54
+_NUMBER_FIELDS = ((6, 11, 0), (22, 26, 0), (30, 38, 3), (38, 46, 3), (46, 54, 3))
+
+
 def _element_from_name(raw_name: str) -> str:
     name = raw_name.strip()
     stripped = name.lstrip("0123456789")
@@ -155,6 +172,136 @@ def _element_from_name(raw_name: str) -> str:
 
 def _is_hydrogen(element: str) -> bool:
     return element in ("H", "D")
+
+
+def _text(codes: list[int]) -> str:
+    return "".join(map(chr, codes))
+
+
+@functools.cache
+def _number_layout() -> tuple[list[int], list[slice], np.ndarray, np.ndarray,
+                            np.ndarray, np.ndarray]:
+    """How the numeric fields are read from the code points of their columns.
+
+    Returns the fields' columns in order and each field's slice of them;
+    the place value of each column's digit, one row per field, so that a
+    product with the digit values gives each field's digits as one
+    integer; and three masks over the columns that define the canonical
+    form, right-justified ``-?d+`` and then '.' and the field's decimals if
+    it has any: where a space or '-' may stand instead of a digit, where
+    the '.' stands, and where a space or '-' needs a space before it.
+    """
+    columns, fields, lead, point, after = [], [], [], [], []
+    places = np.zeros((len(_NUMBER_FIELDS), sum(b - a for a, b, _ in _NUMBER_FIELDS)),
+                      dtype=np.float32)
+    for field, (start, stop, decimals) in enumerate(_NUMBER_FIELDS):
+        whole = stop - start - (decimals + 1 if decimals else 0)
+        fields.append(slice(len(columns), len(columns) + stop - start))
+        exponent = whole + decimals
+        for j in range(stop - start):
+            is_point = decimals > 0 and j == whole
+            if not is_point:
+                exponent -= 1
+                places[field, len(columns)] = 10.0 ** exponent
+            columns.append(start + j)
+            lead.append(j < whole - 1)
+            point.append(is_point)
+            after.append(0 < j < whole)
+    return columns, fields, places, *(np.array(m)[:, None] for m in (lead, point, after))
+
+
+def _numbers(codes: np.ndarray, long: np.ndarray) -> tuple[list[np.ndarray], list[dict]]:
+    """Each numeric field of the records ``codes`` (one row of code points
+    each), and the ValueError of each field that its conversion rejects,
+    by record.
+
+    A field in canonical form is read from its digit codes: its digits as
+    one integer over 10**decimals round to the double that ``float`` gives.
+    Every other field of a ``long`` record goes through Python's ``int`` or
+    ``float``, so a value is always the one those give.
+    """
+    columns, fields, places, lead, point, after = _number_layout()
+    # one row per column; code points above 126 read as 127, no class
+    block = np.minimum(codes.T[columns], 127, casting="unsafe",
+                       out=np.empty((len(columns), codes.shape[0]), dtype=np.uint8))
+    digit = block - ord("0")
+    is_digit = digit < 10
+    digit *= is_digit
+    space = block == ord(" ")
+    minus = block == ord("-")
+    leading = space | minus
+    ok = leading & lead | is_digit & ~point | (block == ord(".")) & point
+    ok[1:] &= ~(after[1:] & leading[1:] & ~space[:-1])
+    # A canonical field has at most 7 digits, so float32 sums them exactly.
+    values = (places @ digit).astype(np.float64)
+    results, errors = [], []
+    for (start, stop, decimals), field, value in zip(_NUMBER_FIELDS, fields, values):
+        value = np.where(minus[field].any(axis=0), -value, value)
+        value = value / 10.0 ** decimals if decimals else value.astype(np.int64)
+        convert = float if decimals else int
+        bad = {}
+        for i in np.flatnonzero(long & ~ok[field].all(axis=0)).tolist():
+            try:
+                value[i] = convert(_text(codes[i, start:stop].tolist()))
+            except ValueError as exc:
+                bad[i] = exc
+        results.append(value)
+        errors.append(bad)
+    return results, errors
+
+
+def _packed(*columns: np.ndarray) -> np.ndarray:
+    """Up to three columns of code points as one int64 per row: code points
+    are below 2**21, so equal keys mean equal columns."""
+    key = np.zeros(columns[0].shape, dtype=np.int64)
+    for column in columns:
+        key <<= 21
+        key |= column
+    return key
+
+
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group of each row of the equal-length ``keys``, and the first row of
+    each group; rows with equal values in every key share a group."""
+    order = np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
+
+
+def _string_column(values: list[str], group: np.ndarray) -> np.ndarray:
+    """``values[group]`` as numpy makes it from a list: as wide as the
+    longest string in it, and at least one character."""
+    lengths = np.fromiter(map(len, values), dtype=np.intp, count=len(values))
+    return np.array(values, dtype=f"U{max(1, int(lengths[group].max()))}")[group]
+
+
+def _first_model_atoms(lines: list[str]) -> np.ndarray:
+    """Indices of the ATOM lines in the first model, or of every ATOM line
+    when no MODEL record comes before it."""
+    text = np.array(lines, dtype="U6")  # the record names
+    model = np.strings.startswith(text, "MODEL")
+    control = np.flatnonzero(model | np.strings.startswith(text, "ENDMDL"))
+    keep = [True]  # the ATOM lines after control record i read keep[i + 1]
+    first = current = None
+    for i in control.tolist():
+        if model[i]:
+            try:
+                current = int(lines[i][6:].split()[0])
+            except (IndexError, ValueError):
+                current = (first or 0) + 1
+            if first is None:
+                first = current
+        else:
+            current = -1 if first is not None else None
+        keep.append(first is None or current == first)
+    atoms = np.flatnonzero(np.strings.startswith(text, "ATOM  "))
+    return atoms[np.array(keep)[np.searchsorted(control, atoms)]]
 
 
 def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
@@ -166,106 +313,120 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
     grouped by chain in order of first appearance. A residue takes its name
     from its first atom. Insertion codes are folded into the per-chain
     residue numbering by order of appearance, so residue numbers strictly
-    increase within a chain.
+    increase within a chain. A numeric field's value is the one Python's
+    ``int`` or ``float`` gives for its columns.
 
     Raises PdbParseError (with line number) on malformed ATOM records,
     including a NUL character in a kept record's text fields, and
-    EmptyStructureError if nothing survives filtering.
+    EmptyStructureError if nothing survives filtering. The first bad line
+    raises; within a line the checks run in this order: length, atom
+    name, numbers, then, for a record that the altloc and hydrogen filters
+    keep, NUL characters and finite coordinates.
     """
     if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
+        lines = source.splitlines()
     elif hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        lines = source
-
-    # per chain, in first-appearance order: its rows
-    rows_of_chain: dict[str, list[tuple]] = {}
-    # per chain: (last raw (resseq, icode), its residue number, residue name)
-    residue_state: dict[str, tuple[tuple[int, str], int, str]] = {}
-    seen_atoms: set[tuple[str, int, str]] = set()
-
-    first_model: int | None = None
-    current_model: int | None = None
-
-    for lineno, line in enumerate(lines, start=1):
-        record = line[:6]
-        if record.startswith("MODEL"):
-            try:
-                current_model = int(line[6:].split()[0])
-            except (IndexError, ValueError):
-                current_model = (first_model or 0) + 1
-            if first_model is None:
-                first_model = current_model
-            continue
-        if record.startswith("ENDMDL"):
-            current_model = -1 if first_model is not None else None
-            continue
-        if record != "ATOM  ":
-            continue
-        if first_model is not None and current_model != first_model:
-            continue
-
-        if len(line) < 54:
-            raise PdbParseError("ATOM record shorter than coordinate fields", lineno)
-        try:
-            serial = int(line[6:11])
-        except ValueError:
-            serial = 0
-        raw_name = line[12:16]
-        name = raw_name.strip()
-        if not name:
-            raise PdbParseError("empty atom name", lineno)
-        altloc = line[16]
-        resname = line[17:20].strip()
-        chain_id = line[21]
-        try:
-            resseq = int(line[22:26])
-            x = float(line[30:38])
-            y = float(line[38:46])
-            z = float(line[46:54])
-        except ValueError as exc:
-            raise PdbParseError(f"malformed ATOM fields ({exc})", lineno) from None
-        icode = line[26] if len(line) > 26 else " "
-        element = line[76:78].strip().upper() if len(line) >= 78 else ""
-        if not element:
-            element = _element_from_name(raw_name)
-
-        if altloc not in (" ", "A"):
-            continue
-        if _is_hydrogen(element):
-            continue
-        # numpy string columns drop trailing NULs, which would change a
-        # field's text and, for a chain id, the width of the written line
-        if "\x00" in line[12:27] + line[76:78]:
-            raise PdbParseError("NUL character in a text field", lineno)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise PdbParseError("non-finite coordinate", lineno)
-
-        state = residue_state.get(chain_id)
-        raw_key = (resseq, icode)
-        if state is None or raw_key != state[0]:
-            if state is None:
-                number = resseq
-            else:
-                number = resseq if resseq > state[1] else state[1] + 1
-            state = (raw_key, number, resname)
-            residue_state[chain_id] = state
-
-        key = (chain_id, state[1], name)
-        if key in seen_atoms:
-            continue
-        seen_atoms.add(key)
-        rows_of_chain.setdefault(chain_id, []).append(
-            (x, y, z, name, element, chain_id, state[1], state[2], serial)
-        )
-
-    rows = [row for chain_rows in rows_of_chain.values() for row in chain_rows]
-    if not rows:
+        lines = list(source)
+    rows = _first_model_atoms(lines)
+    if not rows.size:
         raise EmptyStructureError("no ATOM records survived filtering")
-    x, y, z, name, element, chain, resnum, resname, serial = zip(*rows)
+    records = list(map(lines.__getitem__, rows.tolist()))
+    # One row of code points per record, zero past its end; a NUL in the
+    # record is a zero too, so only the record's length tells the two apart.
+    codes = np.array(records, dtype=f"U{_READ_WIDTH}").view(np.uint32)
+    codes = codes.reshape(rows.size, _READ_WIDTH)
+    length = np.fromiter(map(len, records), dtype=np.intp, count=rows.size)
+    long = length >= _SHORTEST_ATOM
+    (serial, resseq, *xyz), bad = _numbers(codes, long)
+    serial[list(bad[0])] = 0
+    coords = np.column_stack(xyz)
+    malformed = np.zeros(rows.size, dtype=bool)
+    for errors in bad[1:]:
+        malformed[list(errors)] = True
+
+    # Columns 12-26: atom name, altloc, residue name, chain id, resSeq, iCode.
+    fields = np.ascontiguousarray(codes.T[12:27])
+    # Names and elements: one Python evaluation per distinct combination
+    # of the atom-name columns and the element columns of a long record.
+    has_element = length >= 78
+    element = [(column + 1) * has_element for column in codes.T[76:78]]
+    atom_kind, representatives = _distinct(
+        _packed(*fields[:3]), _packed(fields[3], *element))
+    names, elements = [], []
+    for row in representatives.tolist():
+        raw_name = _text(fields[:4, row].tolist())
+        symbol = _text(codes[row, 76:78].tolist()) if has_element[row] else ""
+        symbol = symbol.strip().upper()
+        names.append(raw_name.strip())
+        elements.append(symbol or _element_from_name(raw_name))
+    named = np.array([bool(name) for name in names])[atom_kind]
+    dropped = ((fields[4] != ord(" ")) & (fields[4] != ord("A"))
+               | np.array([_is_hydrogen(e) for e in elements])[atom_kind])
+    has_nul = ((fields == 0).any(axis=0) | (codes[:, 76] == 0) & (length > 76)
+               | (codes[:, 77] == 0) & (length > 77))
+    finite = np.isfinite(coords).all(axis=1)
+    failed = ~long | ~named | malformed | (has_nul | ~finite) & ~dropped
+    if failed.any():
+        i = int(np.argmax(failed))
+        if malformed[i] and long[i] and named[i]:
+            reason = next(f"malformed ATOM fields ({errors[i]})"
+                          for errors in bad[1:] if i in errors)
+        else:
+            reason = next(reason for fails, reason in (
+                (~long, "ATOM record shorter than coordinate fields"),
+                (~named, "empty atom name"),
+                (has_nul, "NUL character in a text field"),
+                (~finite, "non-finite coordinate"),
+            ) if fails[i])
+        raise PdbParseError(reason, int(rows[i]) + 1)
+
+    kept = np.flatnonzero(~dropped)
+    if not kept.size:
+        raise EmptyStructureError("no ATOM records survived filtering")
+    # chains in order of first appearance, each chain's atoms in file order
+    chain_of, first_atom = _distinct(fields[9, kept])
+    appearance = np.empty_like(first_atom)
+    appearance[np.argsort(first_atom)] = np.arange(first_atom.size)
+    by_chain = np.argsort(appearance[chain_of], kind="stable")
+    atoms, chain = kept[by_chain], chain_of[by_chain]
+    rank = appearance[chain]
+
+    # A residue starts at a chain's first atom and wherever (resSeq, iCode)
+    # changes. Its number n_r = max(resSeq_r, n_(r-1) + 1) within a chain is
+    # the maximum over the chain's residues j <= r of resSeq_j - j, plus r;
+    # an offset per chain, above any spread of resSeq - j, restarts it.
+    number, icode = resseq[atoms], fields[14, atoms]
+    starts = np.ones(atoms.size, dtype=bool)
+    starts[1:] = ((rank[1:] != rank[:-1]) | (number[1:] != number[:-1])
+                  | (icode[1:] != icode[:-1]))
+    residue = np.cumsum(starts) - 1
+    heads = atoms[starts]
+    ordinal = np.arange(heads.size)
+    offset = rank[starts] * (np.ptp(number[starts]) + heads.size + 1)
+    folded = np.maximum.accumulate(number[starts] - ordinal + offset) - offset + ordinal
+    # a residue is named by its first atom
+    resname_kind, representatives = _distinct(_packed(*fields[5:8, heads]))
+    resnames = [_text(row).strip()
+                for row in fields[5:8, heads[representatives]].T.tolist()]
+
+    # the first atom of each (residue, stripped atom name)
+    name_ids: dict[str, int] = {}
+    name_id = np.array([name_ids.setdefault(name, len(name_ids)) for name in names])
+    _, first = np.unique(residue * len(name_ids) + name_id[atom_kind[atoms]],
+                         return_index=True)
+    first.sort()
+    atoms, chain, residue = atoms[first], chain[first], residue[first]
+    chain_ids = [chr(code) for code in fields[9, kept[first_atom]].tolist()]
     return ComplexStructure(
-        np.column_stack([x, y, z]), name, element, chain, resnum, resname, serial
+        coords[atoms],
+        _string_column(names, atom_kind[atoms]),
+        _string_column(elements, atom_kind[atoms]),
+        _string_column(chain_ids, chain),
+        folded[residue],
+        _string_column(resnames, resname_kind[residue]),
+        serial[atoms],
     )
 
 
@@ -335,6 +496,34 @@ def write_pdb(structure: ComplexStructure) -> str:
     return "\n".join(out) + "\n"
 
 
+def _atom_matcher(
+    native: ComplexStructure,
+) -> Callable[[ComplexStructure], AtomCorrespondence]:
+    """``match_atoms(decoy, native)`` as a function of the decoy.
+
+    The native's (chain, resnum, name) -> row index is built once, so many
+    decoys of one native share it; a repeated key keeps its last row.
+    """
+    native_row = dict(zip(
+        zip(native.chain.tolist(), native.resnum.tolist(), native.name.tolist()),
+        range(native.num_atoms),
+    ))
+
+    def match(decoy: ComplexStructure) -> AtomCorrespondence:
+        keys = zip(decoy.chain.tolist(), decoy.resnum.tolist(), decoy.name.tolist())
+        rows = np.fromiter(map(native_row.get, keys, itertools.repeat(-1)),
+                           dtype=np.intp, count=decoy.num_atoms)
+        matched = np.flatnonzero(rows >= 0)
+        if not matched.size:
+            raise NoOverlapError("no atoms share a (chain, residue, name) key")
+        pairs = np.column_stack([matched, rows[matched]])
+        return AtomCorrespondence(
+            pairs=pairs, matched_ca=pairs[decoy.name[matched] == "CA"]
+        )
+
+    return match
+
+
 def match_atoms(
     decoy: ComplexStructure, native: ComplexStructure
 ) -> AtomCorrespondence:
@@ -342,22 +531,7 @@ def match_atoms(
 
     Raises NoOverlapError when no atom matches.
     """
-    native_row = {
-        key: row for row, key in enumerate(
-            zip(native.chain.tolist(), native.resnum.tolist(), native.name.tolist())
-        )
-    }
-    decoy_keys = zip(decoy.chain.tolist(), decoy.resnum.tolist(), decoy.name.tolist())
-    pairs = np.array(
-        [(row, native_row[key])
-         for row, key in enumerate(decoy_keys) if key in native_row],
-        dtype=np.intp,
-    ).reshape(-1, 2)
-    if not pairs.size:
-        raise NoOverlapError("no atoms share a (chain, residue, name) key")
-    return AtomCorrespondence(
-        pairs=pairs, matched_ca=pairs[decoy.name[pairs[:, 0]] == "CA"]
-    )
+    return _atom_matcher(native)(decoy)
 
 
 def kabsch_superpose(

@@ -6,14 +6,17 @@ The loss oracles compute the training loss and its coordinate and score
 gradients in closed form with numpy, without the autodiff tape. The
 attention oracle is the quadratic form of the model's linear-time global
 attention, and the message oracle builds the edge-message MLP's input
-row by row, as EGNN writes it, before its first layer.
+row by row, as EGNN writes it, before its first layer. The PDB oracle
+reads ATOM records one line at a time, each field through Python's own
+``int()``, ``float()`` and ``str`` methods.
 """
 
 import math
 
 import numpy as np
 
-from equiref.errors import LossUndefinedError
+from equiref.errors import EmptyStructureError, LossUndefinedError, PdbParseError
+from equiref.structio import ComplexStructure
 from equiref.train import HUBER_DELTA
 
 LDDT_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -168,3 +171,105 @@ def total_loss(example, refined, predicted_qa, config):
         qa, _ = qa_loss(predicted_qa, example.lddt_targets, example.lddt_nodes)
         value += config.qa_loss_weight * qa
     return value
+
+
+def _element_from_name(raw_name):
+    name = raw_name.strip()
+    stripped = name.lstrip("0123456789")
+    return stripped[:1].upper() if stripped else ""
+
+
+def _is_hydrogen(element):
+    return element in ("H", "D")
+
+
+def parse_pdb_lines(lines):
+    """``structio.parse_pdb`` of a sequence of lines, one line at a time."""
+    # per chain, in first-appearance order: its rows
+    rows_of_chain = {}
+    # per chain: (last raw (resseq, icode), its residue number, residue name)
+    residue_state = {}
+    seen_atoms = set()
+
+    first_model = None
+    current_model = None
+
+    for lineno, line in enumerate(lines, start=1):
+        record = line[:6]
+        if record.startswith("MODEL"):
+            try:
+                current_model = int(line[6:].split()[0])
+            except (IndexError, ValueError):
+                current_model = (first_model or 0) + 1
+            if first_model is None:
+                first_model = current_model
+            continue
+        if record.startswith("ENDMDL"):
+            current_model = -1 if first_model is not None else None
+            continue
+        if record != "ATOM  ":
+            continue
+        if first_model is not None and current_model != first_model:
+            continue
+
+        if len(line) < 54:
+            raise PdbParseError("ATOM record shorter than coordinate fields", lineno)
+        try:
+            serial = int(line[6:11])
+        except ValueError:
+            serial = 0
+        raw_name = line[12:16]
+        name = raw_name.strip()
+        if not name:
+            raise PdbParseError("empty atom name", lineno)
+        altloc = line[16]
+        resname = line[17:20].strip()
+        chain_id = line[21]
+        try:
+            resseq = int(line[22:26])
+            x = float(line[30:38])
+            y = float(line[38:46])
+            z = float(line[46:54])
+        except ValueError as exc:
+            raise PdbParseError(f"malformed ATOM fields ({exc})", lineno) from None
+        icode = line[26] if len(line) > 26 else " "
+        element = line[76:78].strip().upper() if len(line) >= 78 else ""
+        if not element:
+            element = _element_from_name(raw_name)
+
+        if altloc not in (" ", "A"):
+            continue
+        if _is_hydrogen(element):
+            continue
+        # numpy string columns drop trailing NULs, which would change a
+        # field's text and, for a chain id, the width of the written line
+        if "\x00" in line[12:27] + line[76:78]:
+            raise PdbParseError("NUL character in a text field", lineno)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise PdbParseError("non-finite coordinate", lineno)
+
+        state = residue_state.get(chain_id)
+        raw_key = (resseq, icode)
+        if state is None or raw_key != state[0]:
+            if state is None:
+                number = resseq
+            else:
+                number = resseq if resseq > state[1] else state[1] + 1
+            state = (raw_key, number, resname)
+            residue_state[chain_id] = state
+
+        key = (chain_id, state[1], name)
+        if key in seen_atoms:
+            continue
+        seen_atoms.add(key)
+        rows_of_chain.setdefault(chain_id, []).append(
+            (x, y, z, name, element, chain_id, state[1], state[2], serial)
+        )
+
+    rows = [row for chain_rows in rows_of_chain.values() for row in chain_rows]
+    if not rows:
+        raise EmptyStructureError("no ATOM records survived filtering")
+    x, y, z, name, element, chain, resnum, resname, serial = zip(*rows)
+    return ComplexStructure(
+        np.column_stack([x, y, z]), name, element, chain, resnum, resname, serial
+    )

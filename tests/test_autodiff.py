@@ -74,6 +74,15 @@ def test_matmul_transpose(rng):
     check_op(lambda x, y: (x @ y).sum() + (y.T @ x.T).sum(), [a, b])
 
 
+@pytest.mark.parametrize("left, right", [
+    ((5,), (5, 2)), ((4, 5), (5,)), ((5,), (5,)), ((3, 4, 5), (5, 2)),
+    ((4, 5), (2, 5, 3)),
+])
+def test_matmul_rejects_operands_that_are_not_matrices(left, right):
+    with pytest.raises(ValueError, match="2-D operands"):
+        Tensor(np.ones(left)) @ Tensor(np.ones(right))
+
+
 def test_affine(rng):
     x = rng.normal(size=(6, 4))
     w = rng.normal(size=(4, 3))

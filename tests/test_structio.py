@@ -26,6 +26,7 @@ from equiref.structio import (
     write_pdb,
 )
 
+import oracles
 from conftest import (
     COLUMNS,
     build_structure,
@@ -169,13 +170,83 @@ class TestParsePdb:
         with pytest.raises(PdbParseError, match="line 2"):
             parse_pdb(good + "\n" + bad)
 
-    @pytest.mark.parametrize("column", [13, 17, 21, 77])
+    @pytest.mark.parametrize("column", [12, 13, 17, 19, 21, 26, 76, 77])
     def test_nul_in_text_field_rejected(self, column):
         good = pdb_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0)
         bad = pdb_line(2, "CA", "ALA", "A", 2, 1.0, 0.0, 0.0)
         bad = bad[:column] + "\x00" + bad[column + 1:]
-        with pytest.raises(PdbParseError, match="line 2"):
+        with pytest.raises(PdbParseError, match="line 2: NUL"):
             parse_pdb(good + "\n" + bad)
+
+    @pytest.mark.parametrize("column", [11, 27, 78])
+    def test_nul_outside_text_fields_accepted(self, column):
+        line = pdb_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0).ljust(80)
+        s = parse_pdb(line[:column] + "\x00" + line[column + 1:])
+        assert s.name.tolist() == ["CA"]
+
+    def test_trailing_nul_decisions_use_the_line_length(self):
+        """A NUL is a character: it is not blank, it keeps an element field
+        from reading as H, and it fails only a record the filters keep."""
+        kept = pdb_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0)
+        hydrogen = pdb_line(2, "H", "ALA", "A", 1, 0.0, 0.0, 0.0, element="H")
+        altloc_b = pdb_line(3, "CB", "ALA", "A", 1, 0.0, 0.0, 0.0, altloc="B")
+        # a nameless record of altloc B is named NUL, so it is dropped
+        nul_name = altloc_b[:12] + "\x00" * 4 + altloc_b[16:]
+        assert parse_pdb("\n".join([kept, nul_name])).num_atoms == 1
+        # "H" followed by a NUL is no hydrogen: the record is kept and fails
+        with pytest.raises(PdbParseError, match="line 2: NUL"):
+            parse_pdb("\n".join([kept, hydrogen[:77] + "\x00"]))
+        # a NUL past column 78 is no part of the element field
+        assert parse_pdb("\n".join([kept, hydrogen + "\x00"])).num_atoms == 1
+
+    def test_element_field_counts_only_when_whole(self):
+        line = pdb_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0, element="H")
+        with pytest.raises(EmptyStructureError):
+            parse_pdb(line)
+        # a record of 77 columns has no element field: the name gives it
+        assert parse_pdb(line[:77]).element.tolist() == ["C"]
+        assert parse_pdb(line[:76] + "H").element.tolist() == ["C"]
+
+    def test_checks_within_a_line_run_in_order(self):
+        """Length, name and numbers fail any record; NUL characters and
+        non-finite coordinates fail only one the filters keep."""
+        good = pdb_line(1, "CA", "ALA", "A", 1, 0.0, 0.0, 0.0)
+        line = pdb_line(2, "CA", "ALA", "A", 2, 0.0, 0.0, 0.0)
+        nan = line[:30] + "     nan" + line[38:]
+        bad = line[:30] + "     bad" + line[38:]
+        unnamed = line[:12] + "    " + line[16:]
+        altloc_b = line[:16] + "B" + line[17:]
+
+        def failure(record):
+            with pytest.raises(PdbParseError) as exc:
+                parse_pdb(good + "\n" + record)
+            assert exc.value.line_number == 2
+            return str(exc.value).split(": ", 1)[1]
+
+        assert failure(nan) == "non-finite coordinate"
+        assert failure(nan[:21] + "\x00" + nan[22:]) == "NUL character in a text field"
+        assert failure(bad[:16] + "B" + bad[17:]).startswith("malformed ATOM fields")
+        assert failure(unnamed[:30] + "     bad" + unnamed[38:]) == "empty atom name"
+        assert failure(unnamed[:40]) == "ATOM record shorter than coordinate fields"
+        dropped = altloc_b[:21] + "\x00" + altloc_b[22:30] + "     nan" + altloc_b[38:]
+        assert parse_pdb(good + "\n" + dropped).num_atoms == 1
+
+    def test_numeric_fields_read_as_python_reads_them(self):
+        line = pdb_line(7, "CA", "ALA", "A", 12, 0.0, 0.0, 0.0)
+        odd = line[:6] + " 1_0 " + line[11:22] + "\uff11\uff12 " + line[26:30]
+        odd += "  -0.000" + "   1e2  " + "\t-1.5\xa0  " + line[54:]
+        s = parse_pdb(odd)
+        assert (s.serial[0], s.resnum[0]) == (10, 12)
+        assert s.coords[0].tolist() == [0.0, 100.0, -1.5]
+        assert math.copysign(1.0, s.coords[0, 0]) == -1.0
+        assert math.copysign(1.0, parse_pdb(line).coords[0, 0]) == 1.0
+        # a serial that int() rejects reads as 0
+        assert parse_pdb(line[:6] + "  0x1" + line[11:]).serial.tolist() == [0]
+        # eight digits and no '.' is a number too, for float()
+        assert parse_pdb(line[:30] + "12345678" + line[38:]).coords[0, 0] == 12345678.0
+        for resseq in ("   -", "    ", " 1 2", "1-2 "):
+            with pytest.raises(PdbParseError, match="invalid literal for int"):
+                parse_pdb(line[:22] + resseq + line[26:])
 
     def test_empty_after_filtering(self):
         text = pdb_line(1, "O", "HOH", "A", 1, 0.0, 0.0, 0.0, record="HETATM")
@@ -295,6 +366,22 @@ class TestMatchAtoms:
             match_atoms(native, decoy).pairs
         )
 
+    def test_repeated_native_key_matches_its_last_row(self):
+        native = build_structure([
+            ("A", 1, "GLY", "CA", (0.0, 0.0, 0.0)),
+            ("A", 1, "GLY", "CA", (1.0, 0.0, 0.0)),
+            ("A", 1, "GLY", "N", (2.0, 0.0, 0.0)),
+        ])
+        decoy = build_structure([
+            ("A", 1, "GLY", "N", (0.0, 0.0, 0.0)),
+            ("A", 1, "GLY", "CA", (1.0, 0.0, 0.0)),
+            ("A", 2, "GLY", "CA", (2.0, 0.0, 0.0)),
+        ])
+        corr = match_atoms(decoy, native)
+        assert corr.pairs.dtype == np.intp
+        assert corr.pairs.tolist() == [[0, 2], [1, 1]]
+        assert corr.matched_ca.tolist() == [[1, 1]]
+
     def test_no_overlap(self):
         decoy = make_complex(n_res_a=3, n_res_b=2)
         native = make_complex(n_res_a=3, n_res_b=2)
@@ -402,16 +489,37 @@ def test_parse_write_parse_identity(two_chain_complex):
     assert_same_columns(once, twice)
 
 
+# Text that a numeric field may hold besides its canonical digits: Python's
+# int() and float() accept some of it (whitespace, '_', full-width digits,
+# exponents, nan) and reject the rest.
+ODD_NUMBERS = ("nan", "-inf", "NaN", "1e999", "1e3", "1_0", "\uff11\uff12", "+7", "-0",
+               "-.5", "\t1.5", "1.5\xa0", "0x1", "1.2.3", "\ufffd", "1 23.456",
+               "1-23.456", "- 12.000", "0012.500", "-000.000", "12345678", "-", "")
+ODD_CHARACTERS = "\t\xa0\ufffd\uff19_e#x?\x00 -.0"
+NUMERIC_FIELDS = ((6, 11), (22, 26), (30, 38), (38, 46), (46, 54))
+
+
 @st.composite
 def pdb_text(draw):
     """ATOM, HETATM, MODEL and ENDMDL records: interleaved chains, altlocs,
-    hydrogens and insertion codes, some lines cut short or with one column
-    overwritten by a character no numeric field accepts, NUL included."""
+    hydrogens and insertion codes, some MODEL records without a number,
+    and repeats of earlier lines. Some ATOM lines are damaged: cut short
+    (some only past column 54), grown past 80 columns, one column
+    overwritten by an odd character, a numeric field rewritten as text
+    that Python's int() and float() read differently, or a NUL written at
+    any column up to one past the end. Lines end in LF or CRLF."""
     lines = []
-    for _ in range(draw(st.integers(0, 16))):
-        record = draw(st.sampled_from(("ATOM",) * 6 + ("HETATM", "MODEL", "ENDMDL")))
+    calm = draw(st.sampled_from((7, 24, 96)))  # 6 in calm + 1 lines are damaged
+    for _ in range(draw(st.integers(0, 24))):
+        record = draw(st.sampled_from(
+            ("ATOM",) * 6 + ("HETATM", "MODEL", "ENDMDL", "again")))
+        if record == "again":  # an earlier line once more: duplicates, refolds
+            lines.append(draw(st.sampled_from(lines)) if lines else "ENDMDL")
+            continue
         if record == "MODEL":
-            lines.append(f"MODEL     {draw(st.integers(1, 3)):>4d}")
+            lines.append(draw(st.sampled_from(
+                [f"MODEL     {number:>4d}" for number in (1, 2, 3)]
+                + ["MODEL", "MODEL     ", "MODEL     x"])))
             continue
         if record == "ENDMDL":
             lines.append("ENDMDL")
@@ -419,24 +527,38 @@ def pdb_text(draw):
         x, y, z = (draw(st.integers(-999_999, 9_999_999)) / 1000 for _ in range(3))
         line = pdb_line(
             draw(st.integers(-9999, 99999)),
-            draw(st.sampled_from(("N", "CA", "C", "O", "CB", "OXT", "H", "1HB"))),
-            draw(st.sampled_from(("ALA", "GLY", "SER"))),
+            draw(st.sampled_from(("N", "CA", "C", "O", "CB", "CG1", "CG2", "OXT") * 4
+                                 + ("H", "1HB", "HD21", "1 H ", "\xa0CA", ""))),
+            draw(st.sampled_from(("ALA", "GLY", "SER", "SEP", " A "))),
             draw(st.sampled_from("AB ")),
             draw(st.sampled_from((-3, 1, 2, 9999, 9999))),
             x, y, z,
-            altloc=draw(st.sampled_from(" AB")),
+            altloc=draw(st.sampled_from("  AB")),
             icode=draw(st.sampled_from("  A")),
-            element=draw(st.sampled_from((None, "", "C", "H", "D"))),
+            element=draw(st.sampled_from((None, "", "C", "H", "D", "h", " d", "\xa0H"))),
             record=record,
         )
-        damage = draw(st.integers(0, 19))
+        damage = draw(st.integers(0, calm))
         if damage == 0:
             line = line[:draw(st.integers(0, len(line)))]
         elif damage == 1:
-            at = draw(st.integers(0, len(line) - 1))
-            line = line[:at] + draw(st.sampled_from("#x?\x00")) + line[at + 1:]
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.sampled_from(ODD_CHARACTERS)) + line[at + 1:]
+        elif damage == 2:
+            start, stop = draw(st.sampled_from(NUMERIC_FIELDS))
+            text = draw(st.sampled_from(ODD_NUMBERS))[:stop - start]
+            line = line[:start] + text.rjust(stop - start) + line[stop:]
+        elif damage == 3:
+            line += draw(st.text(st.sampled_from(" xH\x00"), min_size=1, max_size=8))
+            line = line.ljust(draw(st.integers(len(line), 90)))
+        elif damage == 4:  # often at the edges of the fields the check reads
+            at = draw(st.sampled_from((11, 12, 16, 26, 27, 76, 77, 78))
+                      | st.integers(0, len(line)))
+            line = line[:at].ljust(at) + "\x00" + line[at + 1:]
+        elif damage == 5:
+            line = line[:draw(st.integers(54, len(line)))]
         lines.append(line)
-    return "\n".join(lines)
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -451,6 +573,29 @@ def test_parse_write_round_trip_property(text):
     except FormatOverflowError:
         return
     assert_same_columns(parse_pdb(written), structure)
+
+
+def parse_outcome(parse, source):
+    """Every column with its dtype and bytes, or the error's class, line
+    number and message."""
+    try:
+        structure = parse(source)
+    except PdbParseError as exc:
+        return type(exc), exc.line_number, str(exc)
+    except EmptyStructureError as exc:
+        return type(exc), str(exc)
+    return [(column, getattr(structure, column).dtype.str,
+             getattr(structure, column).shape, getattr(structure, column).tobytes())
+            for column in COLUMNS]
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(text=pdb_text())
+def test_parse_pdb_matches_the_line_oracle(text):
+    """The column-wise parser gives the line-by-line oracle's columns,
+    bitwise and with its dtypes, or its error, line number and message."""
+    assert parse_outcome(parse_pdb, text) == parse_outcome(
+        oracles.parse_pdb_lines, text.splitlines())
 
 
 def grid_pairs(a, b, cutoff):
