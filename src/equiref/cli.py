@@ -1,14 +1,15 @@
 """Command-line entry points: refine, score, evaluate, train.
 
 Exit codes are stable API:
-  0 success, 2 input parse/format error or a file that cannot be read or
-  written, 3 weights mismatch, 4 no atom overlap, 5 undefined interface
-  metric, 6 missing file or empty evaluation input, 7 training divergence,
-  8 empty dataset or no supervised example.
-Commands raise; ``main`` turns an error into its exit code through the one
-table ``EXIT_CODES``. A command returns a code itself only where no error
-type decides it. Diagnostics go to stderr; data is written only to the
-requested files.
+  0 success, 2 input parse/format error, a file that cannot be read or
+  written or a run that does not fit in memory, 3 weights mismatch, 4 no
+  atom overlap, 5 undefined interface metric, 6 missing file or empty
+  evaluation input, 7 training divergence, 8 empty dataset or no
+  supervised example.
+
+Commands return nothing or raise; ``main`` alone prints the error, as one
+``error:`` line on stderr, and takes its code from the one table
+``EXIT_CODES``. Data is written only to the requested files.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     DivergenceError,
     EquirefError,
     LossUndefinedError,
+    MissingInputError,
     NoInterfaceError,
     NoOverlapError,
     PdbParseError,
@@ -64,27 +66,24 @@ EXIT_DIVERGED = 7
 EXIT_EMPTY_DATASET = 8
 
 # The exit code of an error is that of the first class in its MRO listed
-# here; every EquirefError and OSError has one.
+# here; ``main`` catches exactly the types listed.
 EXIT_CODES: dict[type[BaseException], int] = {
     WeightsFormatError: EXIT_WEIGHTS,
     NoOverlapError: EXIT_NO_OVERLAP,
     NoInterfaceError: EXIT_NO_INTERFACE,
     UndefinedMetricError: EXIT_NO_INTERFACE,
+    MissingInputError: EXIT_MISSING_INPUT,
     LossUndefinedError: EXIT_EMPTY_DATASET,
     DivergenceError: EXIT_DIVERGED,
     EquirefError: EXIT_PARSE,
     OSError: EXIT_PARSE,
+    MemoryError: EXIT_PARSE,
 }
 
 
 def exit_code(error: type[BaseException]) -> int:
     """The exit code ``EXIT_CODES`` gives an error type."""
     return next(EXIT_CODES[cls] for cls in error.__mro__ if cls in EXIT_CODES)
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 # Config keys that set the ModelConfig field of the same name.
@@ -143,12 +142,12 @@ def _check_output_dirs(*paths) -> None:
             raise NotADirectoryError(f"cannot write {path}: {parent} is not a directory")
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(args) -> None:
     _check_output_dirs(args.output, args.report)
     try:
         params, config = load_weights(Path(args.weights).read_bytes())
     except OSError as exc:
-        return _fail(EXIT_WEIGHTS, f"cannot read weights: {exc}")
+        raise WeightsFormatError(f"cannot read weights: {exc}") from None
     except WeightsFormatError as exc:
         exc.args = (f"{args.weights}: {exc}",)
         raise
@@ -181,13 +180,11 @@ def cmd_refine(args) -> int:
         "per_residue": per_residue,
     }
     Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
-    return EXIT_OK
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     report = score_pair(parse_pdb_file(args.decoy), parse_pdb_file(args.native))
     Path(args.report).write_text(report.to_json() + "\n")
-    return EXIT_OK
 
 
 @contextmanager
@@ -232,23 +229,20 @@ def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
     return max(1, min(requested or cpus, tasks, cpus))
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     _check_output_dirs(args.summary, args.details)
     try:
         with open(args.scores, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
-        return _fail(EXIT_MISSING_INPUT, f"cannot read scores CSV: {exc}")
+        raise MissingInputError(f"cannot read scores CSV: {exc}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
-        return _fail(EXIT_PARSE, f"cannot parse scores CSV {args.scores}: {exc}")
+        raise EquirefError(f"cannot parse scores CSV {args.scores}: {exc}") from None
     if not rows:
-        return _fail(EXIT_MISSING_INPUT, "no targets in scores CSV")
+        raise MissingInputError("no targets in scores CSV")
     required = {"target", "decoy", "predicted_score"}
     if not required.issubset(rows[0]):
-        return _fail(
-            EXIT_MISSING_INPUT,
-            f"scores CSV must have columns {sorted(required)}",
-        )
+        raise MissingInputError(f"scores CSV must have columns {sorted(required)}")
 
     natives = Path(args.natives)
     decoys = Path(args.decoys)
@@ -264,24 +258,22 @@ def cmd_evaluate(args) -> int:
         except (TypeError, ValueError):
             score = math.nan
         if not math.isfinite(score):
-            return _fail(
-                EXIT_PARSE,
+            raise EquirefError(
                 f"scores CSV row {number} ({target}, {decoy_id}): predicted_score "
-                f"{row['predicted_score']!r} is not a finite number",
+                f"{row['predicted_score']!r} is not a finite number"
             )
         first = row_of.setdefault((target, decoy_id), number)
         if first != number:
-            return _fail(
-                EXIT_PARSE,
+            raise EquirefError(
                 f"scores CSV rows {first} and {number} both list "
-                f"({target}, {decoy_id})",
+                f"({target}, {decoy_id})"
             )
         native_path = natives / f"{target}.pdb"
         decoy_path = decoys / f"{decoy_id}.pdb"
         if not os.path.exists(native_path):
-            return _fail(EXIT_MISSING_INPUT, f"missing native file {native_path}")
+            raise MissingInputError(f"missing native file {native_path}")
         if not os.path.exists(decoy_path):
-            return _fail(EXIT_MISSING_INPUT, f"missing decoy file {decoy_path}")
+            raise MissingInputError(f"missing decoy file {decoy_path}")
         groups.setdefault(target, (str(native_path), []))[1].append(
             (decoy_id, str(decoy_path))
         )
@@ -322,7 +314,6 @@ def cmd_evaluate(args) -> int:
     Path(args.summary).write_text("\n".join(lines) + "\n")
     if args.details:
         Path(args.details).write_text(reports_to_csv(results))
-    return EXIT_OK
 
 
 def _collect_pairs(directory: Path) -> list[tuple[str, Path, Path]]:
@@ -335,7 +326,7 @@ def _collect_pairs(directory: Path) -> list[tuple[str, Path, Path]]:
     return pairs
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     run, config = read_config(args.config)
     log_path = Path(args.log) if args.log else Path(str(args.out_weights) + ".log")
     _check_output_dirs(args.out_weights, log_path)
@@ -343,7 +334,7 @@ def cmd_train(args) -> int:
     val_pairs = _collect_pairs(Path(args.val_dir)) if args.val_dir is not None else []
     for directory, pairs in ((args.train_dir, train_pairs), (args.val_dir, val_pairs)):
         if directory is not None and not pairs:
-            return _fail(EXIT_EMPTY_DATASET, f"no *_decoy.pdb pairs in {directory}")
+            raise LossUndefinedError(f"no *_decoy.pdb pairs in {directory}")
 
     def build(pairs):
         examples = []
@@ -379,7 +370,6 @@ def cmd_train(args) -> int:
         raise
     save(result, {"best_epoch": result.best_epoch,
                   "best_val_rmsd": result.best_val_rmsd})
-    return EXIT_OK
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -446,11 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; print an error it raises and return its exit code.
+    numpy's floating-point warnings are off, as in ``train_loop``."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (EquirefError, OSError) as exc:
-        return _fail(exit_code(type(exc)), str(exc))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exit_code(type(exc))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Exception hierarchy shared across the package.
 
-CLI exit codes are mapped from these types by ``equiref.cli.EXIT_CODES``;
+``equiref.cli.EXIT_CODES`` alone maps these types to the CLI's exit codes;
 library callers catch them directly.
 """
 
 
 class EquirefError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; raised as itself
+    for a malformed input no subclass names, such as a bad scores-CSV row."""
 
 
 class PdbParseError(EquirefError):
@@ -68,7 +69,13 @@ class WeightsTruncatedError(WeightsFormatError):
 
 
 class LossUndefinedError(EquirefError):
-    """A loss term was requested with an empty supervision set."""
+    """A loss term was requested with an empty supervision set, or a
+    dataset holds no examples at all."""
+
+
+class MissingInputError(EquirefError):
+    """An evaluation input is missing: a scores CSV that cannot be read,
+    holds no rows or lacks a column, or a structure file it names."""
 
 
 class NoInterfaceError(EquirefError):

@@ -37,7 +37,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .structio import (
-    BACKBONE_ATOMS,
     AtomCorrespondence,
     ComplexStructure,
     _atom_matcher,
@@ -117,12 +116,9 @@ def contacts(structure: ComplexStructure) -> set[ContactPair]:
     return {tuple(sorted((keys[p], keys[q]))) for p, q in zip(lo.tolist(), hi.tolist())}
 
 
-def _residues_in(structure: ComplexStructure, reference: ComplexStructure) -> np.ndarray:
-    """Residue ordinal in ``reference`` of each residue of ``structure`` with
-    the same (chain, resnum) key; -1 where ``reference`` has none."""
-    ordinal = {key: i for i, key in enumerate(_residue_keys(reference))}
-    return np.array([ordinal.get(key, -1) for key in _residue_keys(structure)],
-                    dtype=np.intp)
+def _residue_ordinals(structure: ComplexStructure) -> dict[ResidueKey, int]:
+    """Residue ordinal of each (chain, resnum) key of ``structure``."""
+    return {key: i for i, key in enumerate(_residue_keys(structure))}
 
 
 def _contact_fractions(
@@ -130,10 +126,13 @@ def _contact_fractions(
     decoy_contacts: np.ndarray,
     native: ComplexStructure,
     native_contacts: np.ndarray,
+    native_ordinal: dict[ResidueKey, int],
 ) -> tuple[float, float]:
-    """Fnat and Fnonnat from the residue-pair codes of each structure."""
+    """Fnat and Fnonnat from the residue-pair codes of each structure;
+    ``native_ordinal`` is ``_residue_ordinals(native)``."""
     lo, hi = np.divmod(decoy_contacts, decoy.num_residues)
-    in_native = _residues_in(decoy, native)
+    in_native = np.array([native_ordinal.get(key, -1) for key in _residue_keys(decoy)],
+                         dtype=np.intp)
     lo, hi = in_native[lo], in_native[hi]
     both = (lo >= 0) & (hi >= 0)
     lo, hi = lo[both], hi[both]
@@ -156,19 +155,8 @@ def fnat_fnonnat(
     return _contact_fractions(
         decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
         native, _cross_chain_residue_pairs(native, CONTACT_CUTOFF)[0],
+        _residue_ordinals(native),
     )
-
-
-def _matched_backbone(
-    decoy: ComplexStructure,
-    native: ComplexStructure,
-    correspondence: AtomCorrespondence,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(decoy row, native row) pairs, decoy coordinates and native
-    coordinates of the matched backbone atoms, in correspondence order."""
-    pairs = correspondence.pairs
-    pairs = pairs[np.isin(decoy.name[pairs[:, 0]], BACKBONE_ATOMS)]
-    return pairs, decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
 
 
 def irmsd(
@@ -197,9 +185,9 @@ def _interface_rmsd(
         raise NoInterfaceError("interface RMSD requires at least two chains")
     if correspondence is None:
         correspondence = match_atoms(decoy, native)
-    pairs, mobile, target = _matched_backbone(decoy, native, correspondence)
-    in_interface = interface[native.residue[pairs[:, 1]]]
-    mobile, target = mobile[in_interface], target[in_interface]
+    pairs = correspondence.backbone
+    pairs = pairs[interface[native.residue[pairs[:, 1]]]]
+    mobile, target = decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
     if mobile.shape[0] < 3:
         raise UndefinedMetricError(
             f"only {mobile.shape[0]} matched interface backbone atoms"
@@ -230,7 +218,8 @@ def lrmsd(
         (-np.count_nonzero(residue_chain == chain_id), chain_id)
         for chain_id in native.chain_ids
     )[1]
-    pairs, mobile, target = _matched_backbone(decoy, native, correspondence)
+    pairs = correspondence.backbone
+    mobile, target = decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
     receptor = decoy.chain[pairs[:, 0]] == receptor_id
     n_receptor = int(receptor.sum())
     if n_receptor < 3:
@@ -421,19 +410,21 @@ def score_decoys(
 
     The native's 5 A contacts and 10 A interface residues come from one
     pair search at 10 A, before the first decoy: its contacts are the pairs
-    under 5 A. The native's (chain, resnum, name) atom index, which
-    ``match_atoms`` reads, is built once then too. Each decoy then takes
-    one search at 5 A. Decoys are taken from ``decoys`` one at a time as
-    reports are requested, so a lazy iterable keeps one decoy alive. Each
-    report and each error is the one ``score_pair`` gives for that decoy.
+    under 5 A. The native's atom index and backbone mask, which
+    ``match_atoms`` reads, and its residue index are built once then too.
+    Each decoy then takes one search at 5 A. Decoys are taken from
+    ``decoys`` one at a time as reports are requested, so a lazy iterable
+    keeps one decoy alive. Each report and each error is the one
+    ``score_pair`` gives for that decoy.
     """
     native_contacts, interface = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
     match = _atom_matcher(native)
+    native_ordinal = _residue_ordinals(native)
     for decoy in decoys:
         correspondence = match(decoy)
         fnat, fnonnat = _contact_fractions(
             decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
-            native, native_contacts,
+            native, native_contacts, native_ordinal,
         )
         irmsd_value = _interface_rmsd(decoy, native, correspondence, interface)
         lrmsd_value = lrmsd(decoy, native, correspondence)

@@ -149,11 +149,13 @@ class AtomCorrespondence:
 
     ``pairs`` is an (m, 2) array of (decoy row, native row) in decoy row
     order; the matching key is exactly (chain, resnum, name).
-    ``matched_ca`` holds the pairs of CA atoms.
+    ``matched_ca`` holds the pairs of CA atoms and ``backbone`` those of
+    the BACKBONE_ATOMS, both in the same order.
     """
 
     pairs: np.ndarray       # (m, 2) intp
     matched_ca: np.ndarray  # (c, 2) intp
+    backbone: np.ndarray    # (b, 2) intp
 
 
 # ATOM records are read up to column 78, the end of the element symbol; a
@@ -501,13 +503,16 @@ def _atom_matcher(
 ) -> Callable[[ComplexStructure], AtomCorrespondence]:
     """``match_atoms(decoy, native)`` as a function of the decoy.
 
-    The native's (chain, resnum, name) -> row index is built once, so many
-    decoys of one native share it; a repeated key keeps its last row.
+    The native's (chain, resnum, name) -> row index and its CA and backbone
+    masks are built once, so many decoys of one native share them; a
+    repeated key keeps its last row. A matched pair shares its atom name.
     """
     native_row = dict(zip(
         zip(native.chain.tolist(), native.resnum.tolist(), native.name.tolist()),
         range(native.num_atoms),
     ))
+    is_ca = native.name == "CA"
+    is_backbone = np.isin(native.name, BACKBONE_ATOMS)
 
     def match(decoy: ComplexStructure) -> AtomCorrespondence:
         keys = zip(decoy.chain.tolist(), decoy.resnum.tolist(), decoy.name.tolist())
@@ -517,9 +522,8 @@ def _atom_matcher(
         if not matched.size:
             raise NoOverlapError("no atoms share a (chain, residue, name) key")
         pairs = np.column_stack([matched, rows[matched]])
-        return AtomCorrespondence(
-            pairs=pairs, matched_ca=pairs[decoy.name[matched] == "CA"]
-        )
+        return AtomCorrespondence(pairs=pairs, matched_ca=pairs[is_ca[pairs[:, 1]]],
+                                  backbone=pairs[is_backbone[pairs[:, 1]]])
 
     return match
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from equiref import errors
+from equiref import cli, errors
 from equiref.cli import (
     ABLATIONS,
     EXIT_CODES,
@@ -25,6 +25,7 @@ from equiref.cli import (
     EXIT_PARSE,
     EXIT_WEIGHTS,
     MODEL_KEYS,
+    build_parser,
     exit_code,
     main,
     read_config,
@@ -1322,8 +1323,106 @@ class TestExitCodes:
             errors.NoOverlapError, errors.NoInterfaceError,
             errors.UndefinedMetricError, errors.LossUndefinedError,
             errors.PdbParseError, errors.SurfaceOverrideError, FileNotFoundError,
-            errors.DivergenceError,
-        )] == [3, 3, 4, 5, 5, 8, 2, 2, 2, 7]
+            errors.DivergenceError, errors.MissingInputError, MemoryError,
+        )] == [3, 3, 4, 5, 5, 8, 2, 2, 2, 7, 6, 2]
+
+    def test_every_failure_code_comes_from_the_table(self):
+        constants = {value for name, value in vars(cli).items()
+                     if name.startswith("EXIT_") and name != "EXIT_CODES"}
+        assert constants - {EXIT_OK} == set(EXIT_CODES.values())
+
+    @pytest.mark.parametrize("site, code, message", [
+        ("unreadable_weights", EXIT_WEIGHTS, "cannot read weights: "),
+        ("unreadable_scores", EXIT_MISSING_INPUT, "cannot read scores CSV: "),
+        ("undecodable_scores", EXIT_PARSE, "cannot parse scores CSV "),
+        ("no_rows", EXIT_MISSING_INPUT, "no targets in scores CSV"),
+        ("no_score_column", EXIT_MISSING_INPUT, "scores CSV must have columns "),
+        ("bad_score", EXIT_PARSE, "row 2 (t0, t0_d1): predicted_score 'x'"),
+        ("duplicate_row", EXIT_PARSE, "rows 1 and 3 both list (t0, t0_d0)"),
+        ("missing_native", EXIT_MISSING_INPUT, "missing native file "),
+        ("missing_decoy", EXIT_MISSING_INPUT, "missing decoy file "),
+        ("no_train_pairs", EXIT_EMPTY_DATASET, "no *_decoy.pdb pairs in "),
+    ])
+    def test_commands_raise_and_the_table_picks_the_code(self, tmp_path, rng,
+                                                         capsys, site, code,
+                                                         message):
+        # a command returns nothing; its failure is an error whose type
+        # alone gives the exit code, and nothing is printed before main
+        if site == "unreadable_weights":
+            args = successful_run(tmp_path, rng, "refine")
+            args[args.index("--weights") + 1] = str(tmp_path / "none.weights")
+        elif site == "no_train_pairs":
+            args = successful_run(tmp_path, rng, "train")
+            args[args.index("--train-dir") + 1] = str(tmp_path)
+        else:
+            args = successful_run(tmp_path, rng, "evaluate")
+            scores = Path(args[args.index("--scores") + 1])
+            natives = Path(args[args.index("--natives") + 1])
+            decoys = Path(args[args.index("--decoys") + 1])
+            header, *rows = scores.read_text().splitlines()
+            if site == "unreadable_scores":
+                scores.unlink()
+            elif site == "undecodable_scores":
+                scores.write_bytes(b"target,decoy,predicted_score\nt\xff,x,1\n")
+            elif site == "missing_native":
+                (natives / "t0.pdb").unlink()
+            elif site == "missing_decoy":
+                (decoys / "t0_d1.pdb").unlink()
+            else:
+                scores.write_text({
+                    "no_rows": header,
+                    "no_score_column": "target,decoy\nt0,t0_d0",
+                    "bad_score": "\n".join([header, rows[0], "t0,t0_d1,x"]),
+                    "duplicate_row": "\n".join([header, *rows, "t0,t0_d0,0.5"]),
+                }[site] + "\n")
+        parsed = build_parser().parse_args(args)
+        with pytest.raises(tuple(EXIT_CODES)) as info:
+            parsed.func(parsed)
+        assert exit_code(info.type) == code
+        assert message in str(info.value)
+        assert capsys.readouterr().err == ""
+        assert main(args) == code
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_run_too_large_for_memory_exits_2(self, tmp_path, rng):
+        # the first parameter block, 39 x 10**13 float64 values (2.8 PiB),
+        # is larger than a process's address space (128 TiB on x86-64
+        # Linux), so its allocation fails at once whatever the overcommit
+        # policy, before any memory is touched
+        train_dir = training_fixture(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIG, "hidden_dim": 10**13}))
+        run = subprocess.run(
+            [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
+             "--train-dir", str(train_dir), "--out-weights", str(tmp_path / "w")],
+            env=child_env(PYTHONWARNINGS="default"), capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_PARSE
+        assert run.stderr.startswith("error: ")
+        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+        assert not (tmp_path / "w").exists()
+
+    def test_overflowing_refine_prints_only_the_error_line(self, tmp_path):
+        # the coordinate gate's bias overflows sums inside the first pass
+        # and moves atoms beyond what a PDB field holds; the unwritable
+        # coordinate is the one report, with no numpy warning before it
+        config = ModelConfig(num_layers=1, hidden_dim=8)
+        params = init_params(config)
+        params["layers.0.coord_mlp.b2"][...] = 1e308
+        weights = tmp_path / "overflow.weights"
+        weights.write_bytes(save_weights(params, config))
+        source = tmp_path / "input.pdb"
+        source.write_text(write_pdb(make_complex()))
+        run = subprocess.run(
+            [sys.executable, "-m", "equiref.cli", "refine", "--input", str(source),
+             "--weights", str(weights), "--output", str(tmp_path / "o.pdb"),
+             "--report", str(tmp_path / "r.json")],
+            env=child_env(PYTHONWARNINGS="default"), capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_PARSE
+        assert run.stderr.startswith("error: ") and "coordinate" in run.stderr
+        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+        assert not (tmp_path / "o.pdb").exists()
 
     @pytest.mark.parametrize("command, option", [
         ("refine", "--output"), ("refine", "--report"), ("score", "--report"),

@@ -1,4 +1,5 @@
-"""The README's configuration defaults, constants and library example hold."""
+"""The README's configuration defaults, constants, exit codes and library
+example hold."""
 
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from equiref import model
+from equiref import cli, model
 from equiref.cli import read_config
 from equiref.structio import write_pdb
 
@@ -45,3 +46,16 @@ def test_edge_block_matches_code():
     text = README.read_text(encoding="utf-8")
     quoted = re.search(r"`model\.EDGE_BLOCK`\s+\(([\d,]+)\)", text).group(1)
     assert int(quoted.replace(",", "")) == model.EDGE_BLOCK
+
+
+def exit_codes_listed(text: str, start: str) -> set[int]:
+    """The codes named in the paragraph of ``text`` that begins with ``start``."""
+    paragraph = text[text.index(start):].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"\b(\d) [a-z]", paragraph)}
+
+
+def test_exit_codes_are_documented_alike():
+    in_docstring = exit_codes_listed(cli.__doc__, "Exit codes are stable API:")
+    in_readme = exit_codes_listed(README.read_text(encoding="utf-8"),
+                                  "Exit codes are stable:")
+    assert in_docstring == in_readme == {cli.EXIT_OK} | set(cli.EXIT_CODES.values())
