@@ -14,13 +14,13 @@ the same graph is therefore not supported.
 A node's backward hands each parent either a dense gradient of the
 parent's shape or a row contribution ``(rows, values)``, meaning
 ``grad[rows] += values`` for a slice or an array of distinct row indices;
-``slice_rows`` and ``gather_rows`` use the latter, so a block that reads a
-few rows of a large tensor costs time in its rows only. A first dense
-gradient becomes the parent's ``grad`` as it is, although it may be shared
-(``__add__`` hands the same array to both parents) or a view (``concat``
-hands back views of its gradient); such an array is never written. The
-walk adds later contributions into a buffer that it owns: one it allocated,
-or a copy it made on the first write.
+``slice_rows``, ``gather_rows`` and ``edge_affine`` use the latter, so a
+block that reads a few rows of a large tensor costs time in its rows only.
+A first dense gradient becomes the parent's ``grad`` as it is, although it
+may be shared (``__add__`` hands the same array to both parents) or a view
+(``concat`` hands back views of its gradient); such an array is never
+written. The walk adds later contributions into a buffer that it owns:
+one it allocated, or a copy it made on the first write.
 
 ``checkpoint(fn, inputs)`` records all of ``fn`` as one tape node: the
 forward runs under ``no_grad()``, and the backward runs ``fn`` again with
@@ -45,7 +45,7 @@ import numpy as np
 
 Array = np.ndarray
 
-LAYER_NORM_EPS = 1e-5  # added to each row's variance in ``layer_norm``
+LAYER_NORM_EPS = 1e-5  # added to each row's variance in ``layer_norm_leaky_relu``
 
 
 def _as_array(value) -> Array:
@@ -283,23 +283,6 @@ class Tensor:
         )
         return Tensor(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
-    def leaky_relu(self, slope: float):
-        """``max(x, slope * x)``, which is the leaky ReLU for 0 <= slope < 1.
-
-        For such a slope an output is positive exactly where its input is,
-        so the backward reads its 1-or-slope factors off the output.
-        """
-        out_data = self.data * slope
-        np.maximum(self.data, out_data, out=out_data)
-
-        def backward(g):
-            scale = (out_data > 0).astype(np.float64)
-            np.maximum(scale, slope, out=scale)
-            scale *= g
-            return (scale,)
-
-        return Tensor(out_data, (self,), backward)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -332,22 +315,24 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return Tensor(x.data[start:stop], (x,), lambda g: ((slice(start, stop), g),))
 
 
-def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows by integer index; repeated rows accumulate gradient.
+def _row_sums(index: np.ndarray, count: int, g: Array):
+    """The row contribution of ``x[index]`` to an ``x`` of ``count`` rows.
 
-    The backward sums the gradient of each distinct row in index order
-    with one ``bincount`` and hands back only those rows.
+    Sums the gradient of each distinct row in index order with one
+    ``bincount`` and hands back only those rows.
     """
+    rows, inverse = np.unique(index % count, return_inverse=True)
+    width = math.prod(g.shape[1:])
+    flat = (inverse[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=g.ravel(), minlength=rows.size * width)
+    return rows, sums.reshape((rows.size,) + g.shape[1:])
+
+
+def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Select rows by integer index; repeated rows accumulate gradient."""
     index = np.asarray(index, dtype=np.intp)
-
-    def backward(g):
-        rows, inverse = np.unique(index % len(x.data), return_inverse=True)
-        width = math.prod(g.shape[1:])
-        flat = (inverse[:, None] * width + np.arange(width)).ravel()
-        sums = np.bincount(flat, weights=g.ravel(), minlength=rows.size * width)
-        return ((rows, sums.reshape((rows.size,) + g.shape[1:])),)
-
-    return Tensor(x.data[index], (x,), backward)
+    return Tensor(np.take(x.data, index, axis=0), (x,),
+                  lambda g: (_row_sums(index, len(x.data), g),))
 
 
 def repeat_rows(x: Tensor, k: int) -> Tensor:
@@ -381,37 +366,90 @@ def row_norm(x: Tensor) -> Tensor:
     return Tensor(norms, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Feature-wise normalization per row with learnable gain and offset.
+def edge_affine(
+    features: Array,
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    src: Tensor,
+    dst: Tensor,
+    index: np.ndarray,
+) -> Tensor:
+    """``[features, x] @ weight + bias + src[r // k] + dst[index[r]]`` per row r.
 
-    Row means are products with a column of ``1/d`` (or ``gain/d``): BLAS
-    runs them faster than numpy's reductions over short rows.
+    With ``k = rows / len(src)``, each ``src`` row is added to a run of
+    ``k`` output rows through a broadcast ``(len(src), k, out)`` view, and
+    each ``dst`` row to the rows that index it. ``features`` is a constant
+    and gets no gradient; that of ``x`` reads only the rows of ``weight``
+    after the features' rows.
+    """
+    width = features.shape[1]
+    index = np.asarray(index, dtype=np.intp)
+    joined = np.concatenate([features, x.data], axis=1)
+    out = joined @ weight.data
+    out += bias.data
+    blocks = len(src.data)
+    grouped = out.reshape(blocks, -1, out.shape[1])
+    grouped += src.data[:, None, :]
+    out += np.take(dst.data, index, axis=0)
+
+    def backward(g):
+        return (
+            g @ weight.data[width:].T,
+            joined.T @ g,
+            g.sum(axis=0),
+            g.reshape(grouped.shape).sum(axis=1),
+            _row_sums(index, len(dst.data), g),
+        )
+
+    return Tensor(out, (x, weight, bias, src, dst), backward)
+
+
+def layer_norm_leaky_relu(x: Tensor, gain: Tensor, bias: Tensor, slope: float) -> Tensor:
+    """``max(y, slope * y)`` of a row-wise layer norm ``y``, for 0 <= slope < 1.
+
+    Row means are products with a column of ``1/d``, which BLAS runs faster
+    than numpy's reductions over short rows; the variance is a row-wise dot
+    product, with no squared copy. Gain, bias and activation are written in
+    place into one output, under ``no_grad()`` the centred input itself.
+    An output is positive exactly where ``y`` is, so the backward reads its
+    1-or-slope factors off the output.
     """
     d = x.data.shape[1]
-    column = np.full((d, 1), 1.0 / d)
-    xhat = x.data - x.data @ column
-    var = np.square(xhat) @ column
+    xhat = x.data - x.data @ np.full((d, 1), 1.0 / d)
+    var = np.einsum("ij,ij->i", xhat, xhat)[:, None]
+    var *= 1.0 / d
     var += LAYER_NORM_EPS
     inv = 1.0 / np.sqrt(var)
     xhat *= inv
-    out_data = xhat * gain.data
-    out_data += bias.data
+    if _taping:
+        out = xhat * gain.data
+    else:
+        out = xhat
+        out *= gain.data
+    out += bias.data
+    np.maximum(out, out * slope, out=out)
 
     def backward(g):
-        # gx = inv * (g_xhat - mean(g_xhat) - xhat * mean(g_xhat * xhat))
-        # with g_xhat = g * gain and both means over the feature axis
+        # g_y = g * (1 or slope); with g_xhat = g_y * gain and both means
+        # over the feature axis,
+        # gx = inv * (g_xhat - mean(g_xhat) - xhat * mean(g_y * gain * xhat))
+        g_y = (out > 0).astype(np.float64)
+        np.maximum(g_y, slope, out=g_y)
+        g_y *= g
         gain_column = gain.data[:, None] / d
-        g_xhat = g * gain.data
-        g_times_xhat = g * xhat
+        g_times_xhat = g_y * xhat
         gain_grad = g_times_xhat.sum(axis=0)
-        mean_g_xhat = g @ gain_column
+        bias_grad = g_y.sum(axis=0)
+        mean_g_xhat = g_y @ gain_column
         np.multiply(xhat, g_times_xhat @ gain_column, out=g_times_xhat)
-        g_xhat -= mean_g_xhat
-        g_xhat -= g_times_xhat
-        g_xhat *= inv
-        return (g_xhat, gain_grad, g.sum(axis=0))
+        g_y *= gain.data
+        g_y -= mean_g_xhat
+        g_y -= g_times_xhat
+        g_y *= inv
+        return (g_y, gain_grad, bias_grad)
 
-    return Tensor(out_data, (x, gain, bias), backward)
+    return Tensor(out, (x, gain, bias), backward)
 
 
 def softmax_rows(x: Tensor) -> Tensor:

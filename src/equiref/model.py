@@ -20,6 +20,13 @@ h_i and h_j rows multiply the node embeddings once per layer, each edge
 row reads its two node products by index, and only the edge-feature and
 squared-distance rows run per edge. The per-edge concatenation of width
 2d + E + 1 is never built; ``msg_mlp.w1`` keeps that shape and row order.
+The MLP's output layer is linear too and feeds only the coordinate gate's
+first layer and the per-node mean message, so it is folded into both: an
+edge's gate reads the message MLP's hidden layer through ``w2 @ cw1``, and
+the mean message is the mean hidden layer times ``w2``. No per-edge
+message is formed. One ``autodiff.edge_affine`` op forms the message
+MLP's pre-activation, and every MLP's layer norm and leaky ReLU are one
+``autodiff.layer_norm_leaky_relu`` op.
 
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
@@ -38,7 +45,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,9 +54,10 @@ from .autodiff import (
     affine,
     checkpoint,
     concat,
+    edge_affine,
     gather_rows,
     group_mean,
-    layer_norm,
+    layer_norm_leaky_relu,
     no_grad,
     repeat_rows,
     row_norm,
@@ -68,8 +76,9 @@ from .featurize import GRANULARITIES, ComplexGraph, feature_widths
 WEIGHTS_MAGIC = b"EGRW"
 WEIGHTS_VERSION = 1
 # Edge rows per block of a layer's edge pass: per-edge temporaries of this
-# many rows stay cache-sized, and 1,024 to 2,048 rows ran fastest.
-EDGE_BLOCK = 2048
+# many rows stay cache-sized. With the fused edge ops, 1,024 rows ran
+# faster than 512 or 2,048.
+EDGE_BLOCK = 1024
 LEAKY_SLOPE = 0.01   # negative-side slope of every MLP's leaky ReLU
 NORM_CONSTANT = 1.0  # added to each edge length in the radial update
 
@@ -165,15 +174,27 @@ class RefinementResult:
     ca_node_indices: np.ndarray  # node indices carrying the scores
 
 
-def _mlp_shapes(in_dim: int, hidden: int, out_dim: int) -> list[tuple[str, tuple]]:
+def _mlp_shapes(prefix: str, in_dim: int, hidden: int, out_dim: int) -> list[tuple[str, tuple]]:
     return [
-        ("w1", (in_dim, hidden)),
-        ("b1", (hidden,)),
-        ("ln_gain", (hidden,)),
-        ("ln_bias", (hidden,)),
-        ("w2", (hidden, out_dim)),
-        ("b2", (out_dim,)),
+        (prefix + "w1", (in_dim, hidden)),
+        (prefix + "b1", (hidden,)),
+        (prefix + "ln_gain", (hidden,)),
+        (prefix + "ln_bias", (hidden,)),
+        (prefix + "w2", (hidden, out_dim)),
+        (prefix + "b2", (out_dim,)),
     ]
+
+
+def _layer_shapes(config: ModelConfig) -> list[tuple[str, tuple]]:
+    """Name within the layer -> shape, for the blocks of one layer."""
+    d = config.hidden_dim
+    return (
+        _mlp_shapes("msg_mlp.", 2 * d + config.edge_feat_dim + 1, d, d)
+        + _mlp_shapes("coord_mlp.", d, d, 1)
+        + [(f"{scope}.{proj}", (d, d)) for scope in ("attn_global", "attn_local")
+           for proj in ("wq", "wk", "wv")]
+        + _mlp_shapes("node_mlp.", 4 * d, d, d)
+    )
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
@@ -183,30 +204,20 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
         "embed.weight": (config.node_feat_dim, d),
         "embed.bias": (d,),
     }
-    msg_in = 2 * d + config.edge_feat_dim + 1
-    for layer in range(config.num_layers):
-        prefix = f"layers.{layer}."
-        for name, shape in _mlp_shapes(msg_in, d, d):
-            shapes[prefix + "msg_mlp." + name] = shape
-        for name, shape in _mlp_shapes(d, d, 1):
-            shapes[prefix + "coord_mlp." + name] = shape
-        for scope in ("attn_global", "attn_local"):
-            for proj in ("wq", "wk", "wv"):
-                shapes[f"{prefix}{scope}.{proj}"] = (d, d)
-        for name, shape in _mlp_shapes(4 * d, d, d):
-            shapes[prefix + "node_mlp." + name] = shape
+    layer = _layer_shapes(config)
+    for index in range(config.num_layers):
+        shapes.update((f"layers.{index}.{name}", shape) for name, shape in layer)
     shapes["coord_skip_raw"] = ()
     shapes["node_skip_raw"] = ()
-    for name, shape in _mlp_shapes(d, d, 1):
-        shapes["qa_head." + name] = shape
+    shapes.update(_mlp_shapes("qa_head.", d, d, 1))
     return shapes
 
 
 def _block_count(config: ModelConfig) -> int:
-    """len(parameter_shapes(config)), without listing every layer's blocks."""
-    one, two = (len(parameter_shapes(replace(config, num_layers=layers)))
-                for layers in (1, 2))
-    return one + (config.num_layers - 1) * (two - one)
+    """len(parameter_shapes(config)), without listing every layer's blocks:
+    the embedding's two, each layer's, the two skip strengths and the QA
+    head's."""
+    return 4 + config.num_layers * len(_layer_shapes(config)) + len(_mlp_shapes("", 1, 1, 1))
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -218,10 +229,14 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
 
     The final layer of every coordinate-gate MLP starts at zero so a fresh
     model moves no coordinates; both skip strengths start at 0.5 (raw 0).
+    A block with more bytes than an array can hold raises MemoryError.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(config).items():
+        if math.prod(shape) > np.iinfo(np.intp).max // 8:
+            raise MemoryError(f"parameter block {name} of shape {shape} is too large "
+                              "for an array")
         if name.endswith(("ln_gain",)):
             params[name] = np.ones(shape, dtype=np.float64)
         elif name.endswith(("ln_bias",)):
@@ -245,15 +260,15 @@ def _wrap(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: Tensor(value) for name, value in params.items()}
 
 
+def _activate(pre: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
+    """An MLP's hidden layer from its first layer's output: layer norm, leaky ReLU."""
+    return layer_norm_leaky_relu(pre, leaves[prefix + "ln_gain"],
+                                 leaves[prefix + "ln_bias"], LEAKY_SLOPE)
+
+
 def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
-    return _mlp_tail(affine(x, leaves[prefix + "w1"], leaves[prefix + "b1"]),
-                     leaves, prefix)
-
-
-def _mlp_tail(hidden: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
-    """An MLP from its first layer's output on: layer norm, leaky ReLU, w2."""
-    hidden = layer_norm(hidden, leaves[prefix + "ln_gain"], leaves[prefix + "ln_bias"])
-    hidden = hidden.leaky_relu(LEAKY_SLOPE)
+    hidden = _activate(affine(x, leaves[prefix + "w1"], leaves[prefix + "b1"]),
+                       leaves, prefix)
     return affine(hidden, leaves[prefix + "w2"], leaves[prefix + "b2"])
 
 
@@ -304,39 +319,49 @@ def _layer(
 ) -> tuple[Tensor, Tensor]:
     n, k = neighbors.shape
     d = h.data.shape[1]
+    msg, gate_mlp = prefix + "msg_mlp.", prefix + "coord_mlp."
 
     # the h_i and h_j rows of the message MLP's w1, applied once per node
-    w1 = leaves[prefix + "msg_mlp.w1"]
+    w1 = leaves[msg + "w1"]
     h_src = h @ slice_rows(w1, 0, d)
     h_dst = h @ slice_rows(w1, d, 2 * d)
     w1_edge = slice_rows(w1, 2 * d, w1.data.shape[0])
 
+    # The message MLP ends in the affine map (w2, b2) and the gate MLP
+    # starts with (cw1, cb1), with nothing nonlinear between them, so the
+    # gate's first layer reads the message MLP's hidden layer a through
+    # w2 @ cw1 and b2 @ cw1 + cb1. The per-node mean message is
+    # group_mean(a) @ w2 + b2, as the mean is linear too.
+    w2, b2 = leaves[msg + "w2"], leaves[msg + "b2"]
+    cw1 = leaves[gate_mlp + "w1"]
+    gate_weight = w2 @ cw1
+    gate_bias = (cw1.T * b2).sum(axis=1) + leaves[gate_mlp + "b1"]
+
     # The edge pass runs over blocks of whole nodes: a node's update needs
     # only its own k edge rows, so every per-edge temporary stays at about
     # EDGE_BLOCK rows. A block yields its nodes' coordinate shift and mean
-    # message.
+    # hidden message.
     step = max(1, EDGE_BLOCK // k)
-    shifts, messages = [], []
+    shifts, hiddens = [], []
     for start in range(0, n, step):
         stop = min(start + step, n)
         # edge row i*k + s carries the message from j = neighbors[i, s] to i
         nbrs = neighbors[start:stop].ravel()
         diff = repeat_rows(slice_rows(x, start, stop), k) - gather_rows(x, nbrs)
         sqdist = (diff * diff).sum(axis=1, keepdims=True)
-        edges = concat([
-            Tensor(edge_features[start * k:stop * k]),  # a constant: no parents
-            sqdist,
-        ], axis=1)
-        hidden = (affine(edges, w1_edge, leaves[prefix + "msg_mlp.b1"])
-                  + repeat_rows(slice_rows(h_src, start, stop), k)
-                  + gather_rows(h_dst, nbrs))
-        message = _mlp_tail(hidden, leaves, prefix + "msg_mlp.")
-        gate = _mlp(message, leaves, prefix + "coord_mlp.")  # (rows, 1)
+        hidden = _activate(
+            edge_affine(edge_features[start * k:stop * k], sqdist, w1_edge,
+                        leaves[msg + "b1"], slice_rows(h_src, start, stop),
+                        h_dst, nbrs),
+            leaves, msg,
+        )
+        gate_hidden = _activate(affine(hidden, gate_weight, gate_bias), leaves, gate_mlp)
+        gate = affine(gate_hidden, leaves[gate_mlp + "w2"], leaves[gate_mlp + "b2"])
         radial = diff / (row_norm(diff) + NORM_CONSTANT)
         shifts.append(group_mean(radial * gate, k))
-        messages.append(group_mean(message, k))
+        hiddens.append(group_mean(hidden, k))
     x_new = coord_skip * x0 + (1.0 - coord_skip) * x + concat(shifts, axis=0)
-    m_agg = concat(messages, axis=0)
+    m_agg = affine(concat(hiddens, axis=0), w2, b2)
 
     if config.attention_enabled:
         attn = _linear_attention(

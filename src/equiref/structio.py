@@ -455,7 +455,7 @@ def _format_coordinate(value: float) -> str:
     text = f"{value:8.3f}"
     if len(text) != 8:
         raise FormatOverflowError(
-            f"coordinate {value:.3f} does not fit the 8-column PDB field"
+            f"coordinate {value:.6g} does not fit the 8-column PDB field"
         )
     return text
 

@@ -5,8 +5,10 @@ they share no code path with the package's vectorized implementations.
 The loss oracles compute the training loss and its coordinate and score
 gradients in closed form with numpy, without the autodiff tape. The
 attention oracle is the quadratic form of the model's linear-time global
-attention, and the message oracle builds the edge-message MLP's input
-row by row, as EGNN writes it, before its first layer. The PDB oracle
+attention, the message oracle builds the edge-message MLP's input row by
+row, as EGNN writes it, before its first layer, and the edge-pass oracle
+runs the message and coordinate-gate MLPs on it one after the other, each
+with both of its layers. The PDB oracle
 reads ATOM records one line at a time, each field through Python's own
 ``int()``, ``float()`` and ``str`` methods.
 """
@@ -15,7 +17,9 @@ import math
 
 import numpy as np
 
+from equiref.autodiff import LAYER_NORM_EPS
 from equiref.errors import EmptyStructureError, LossUndefinedError, PdbParseError
+from equiref.model import LEAKY_SLOPE
 from equiref.structio import ComplexStructure
 from equiref.train import HUBER_DELTA
 
@@ -96,6 +100,30 @@ def message_preactivation(h, x, edge_features, neighbors, w1, b1):
     sqdist = (diff * diff).sum(axis=1, keepdims=True)
     edges = np.concatenate([h[i], h[j], edge_features, sqdist], axis=1)
     return edges @ w1 + b1
+
+
+def mlp_tail(pre, params, prefix):
+    """An MLP from its first layer's output on: layer norm, leaky ReLU, w2."""
+    centred = pre - pre.mean(axis=1, keepdims=True)
+    scale = np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    y = centred / scale * params[prefix + "ln_gain"] + params[prefix + "ln_bias"]
+    hidden = np.where(y > 0, y, LEAKY_SLOPE * y)
+    return hidden @ params[prefix + "w2"] + params[prefix + "b2"]
+
+
+def unfused_edge_pass(h, x, edge_features, neighbors, params, prefix):
+    """Per-edge message and coordinate gate of one layer, MLP by MLP.
+
+    The message MLP runs on the concatenated edge input through its output
+    layer ``w2``, and the gate MLP reads that message. Returns the
+    ``(n*k, d)`` messages and the ``(n*k, 1)`` gates.
+    """
+    msg, gate = prefix + "msg_mlp.", prefix + "coord_mlp."
+    pre = message_preactivation(h, x, edge_features, neighbors,
+                                params[msg + "w1"], params[msg + "b1"])
+    message = mlp_tail(pre, params, msg)
+    return message, mlp_tail(message @ params[gate + "w1"] + params[gate + "b1"],
+                             params, gate)
 
 
 def superposed_rmsd_by_trace(mobile, target):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from equiref.autodiff import (
+    LAYER_NORM_EPS,
     Tensor,
     affine,
     checkpoint,
     concat,
+    edge_affine,
     gather_rows,
     group_mean,
-    layer_norm,
+    layer_norm_leaky_relu,
     no_grad,
     repeat_rows,
     row_norm,
@@ -100,11 +102,6 @@ def test_elementwise_chain(rng):
     check_op(lambda x: (x.sigmoid() * x).sum(), [a])
 
 
-def test_leaky_relu(rng):
-    a = rng.normal(size=(5, 5)) + 0.05  # keep away from the kink
-    check_op(lambda x: (x.leaky_relu(0.01) * 3.0).sum(), [a])
-
-
 def test_concat(rng):
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(3, 4))
@@ -164,11 +161,82 @@ def test_row_norm_zero_row_safe():
     np.testing.assert_allclose(t.grad[0], 0.0)
 
 
-def test_layer_norm(rng):
+def layer_norm_reference(x, gain, bias, slope):
+    centred = x - x.mean(axis=1, keepdims=True)
+    scale = np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    y = centred / scale * gain + bias
+    return np.maximum(y, slope * y)
+
+
+def test_layer_norm_leaky_relu(rng):
     x = rng.normal(size=(5, 6))
     g = rng.normal(size=(6,)) + 1.0
     b = rng.normal(size=(6,))
-    check_op(lambda t, u, v: (layer_norm(t, u, v) ** 3).sum(), [x, g, b], rel=1e-5)
+
+    def build(t, u, v):
+        # the linear term keeps every gradient entry away from 0: the cube
+        # alone gives a column of small outputs a gradient near 0
+        out = layer_norm_leaky_relu(t, u, v, 0.01)
+        return (out ** 3).sum() + out.sum()
+
+    check_op(build, [x, g, b], rel=1e-5)
+
+
+def test_layer_norm_leaky_relu_slope(rng):
+    # a linear read-out sees the activation's two slopes; the bias keeps
+    # every pre-activation away from the kink
+    x = rng.normal(size=(5, 5))
+    g = np.ones(5)
+    b = np.where(rng.random(5) < 0.5, -3.0, 3.0)
+    out = layer_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.2).data
+    np.testing.assert_allclose(out, layer_norm_reference(x, g, b, 0.2), rtol=1e-12)
+    assert (out < 0).any() and (out > 0).any()
+    check_op(lambda t, u, v: (layer_norm_leaky_relu(t, u, v, 0.01) * 3.0).sum(),
+             [x, g, b])
+
+
+def test_layer_norm_leaky_relu_same_without_tape(rng):
+    # under no_grad() the op writes into the centred input instead of a
+    # new array; the values are the same bits
+    x, g, b = rng.normal(size=(7, 6)), rng.normal(size=6), rng.normal(size=6)
+    taped = layer_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.01).data
+    with no_grad():
+        untaped = layer_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.01).data
+    np.testing.assert_array_equal(untaped, taped)
+
+
+def edge_affine_reference(features, x, weight, bias, src, dst, index):
+    k = len(index) // len(src)
+    joined = np.concatenate([features, x], axis=1)
+    return joined @ weight + bias + np.repeat(src, k, axis=0) + dst[index]
+
+
+def test_edge_affine(rng):
+    # 3 source rows of k = 4 edge rows each; the destination rows repeat
+    features = rng.normal(size=(12, 3))
+    x, w, b = rng.normal(size=(12, 1)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    src, dst = rng.normal(size=(3, 5)), rng.normal(size=(6, 5))
+    index = rng.integers(0, 6, size=12)
+    out = edge_affine(features, *map(Tensor, (x, w, b, src, dst)), index)
+    np.testing.assert_allclose(
+        out.data, edge_affine_reference(features, x, w, b, src, dst, index), rtol=1e-12)
+    check_op(lambda *t: (edge_affine(features, *t, index) ** 2).sum(),
+             [x, w, b, src, dst])
+
+
+def test_edge_affine_differentiates_no_constant(rng):
+    # the features enter as an array and are no parent of the output: the
+    # backward reads only the weight rows after theirs
+    features = rng.normal(size=(6, 4))
+    leaves = [Tensor(rng.normal(size=shape))
+              for shape in ((6, 1), (5, 3), (3,), (2, 3), (4, 3))]
+    out = edge_affine(features, *leaves, [0, 1, 1, 3, 2, 0])
+    assert out._parents == tuple(leaves)
+    g = rng.normal(size=out.shape)
+    contributions = out._backward(g)
+    np.testing.assert_array_equal(contributions[0], g @ leaves[1].data[4:].T)
+    (out * Tensor(g)).sum().backward()
+    assert all(leaf.grad is not None for leaf in leaves)
 
 
 def test_softmax_rows(rng):
@@ -227,20 +295,22 @@ def test_backward_consumes_the_tape(rng):
     a = Tensor(rng.normal(size=(4, 3)))
     w = Tensor(rng.normal(size=(3, 2)))
     hidden = a @ w
-    activated = hidden.leaky_relu(0.01)
+    activated = hidden.sigmoid()
     out = (activated * hidden).sum()
     out.backward()
     for node in (hidden, activated, out):
         assert node.grad is None
         assert node._parents == () and node._backward is None
-    expected = 2 * np.where(hidden.data > 0, hidden.data, 0.01 * hidden.data)
+    s = activated.data
+    expected = s + hidden.data * s * (1 - s)
     np.testing.assert_allclose(w.grad, a.data.T @ expected, rtol=1e-12)
     np.testing.assert_allclose(a.grad, expected @ w.data.T, rtol=1e-12)
 
 
 def _two_outputs(x, y, w):
-    hidden = affine(x, w, y.sum(axis=0)).leaky_relu(0.01)
-    return layer_norm(hidden, y.sum(axis=0), y.mean(axis=0)), gather_rows(hidden * x, [2, 0, 2])
+    hidden = affine(x, w, y.sum(axis=0)).sigmoid()
+    return (layer_norm_leaky_relu(hidden, y.sum(axis=0), y.mean(axis=0), 0.01),
+            gather_rows(hidden * x, [2, 0, 2]))
 
 
 def test_checkpoint_matches_the_unwrapped_function(rng):

@@ -1402,6 +1402,24 @@ class TestExitCodes:
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
         assert not (tmp_path / "w").exists()
 
+    def test_run_beyond_any_array_size_exits_2(self, tmp_path, rng):
+        # the first parameter block, 39 x 10**18 float64 values, has more
+        # bytes than numpy's array size type holds, so numpy refuses it with
+        # a ValueError before any allocation is tried
+        train_dir = training_fixture(tmp_path, rng)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**BASE_CONFIG, "hidden_dim": 10**18,
+                                      "max_epochs": 1}))
+        run = subprocess.run(
+            [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
+             "--train-dir", str(train_dir), "--out-weights", str(tmp_path / "w")],
+            env=child_env(PYTHONWARNINGS="default"), capture_output=True, text=True,
+        )
+        assert run.returncode == EXIT_PARSE
+        assert run.stderr.startswith("error: ") and "embed.weight" in run.stderr
+        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+        assert not (tmp_path / "w").exists()
+
     def test_overflowing_refine_prints_only_the_error_line(self, tmp_path):
         # the coordinate gate's bias overflows sums inside the first pass
         # and moves atoms beyond what a PDB field holds; the unwritable
@@ -1422,6 +1440,7 @@ class TestExitCodes:
         assert run.returncode == EXIT_PARSE
         assert run.stderr.startswith("error: ") and "coordinate" in run.stderr
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+        assert len(run.stderr) < 100  # the huge coordinate in short form
         assert not (tmp_path / "o.pdb").exists()
 
     @pytest.mark.parametrize("command, option", [

@@ -31,7 +31,7 @@ from equiref.model import (
 from equiref.train import backward
 
 from conftest import make_complex, random_rotation, rewrite_header
-from oracles import message_preactivation, quadratic_attention
+from oracles import message_preactivation, quadratic_attention, unfused_edge_pass
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
 
@@ -255,38 +255,47 @@ class TestLayer:
     def test_split_message_layer_matches_concatenated_input(self, rng, monkeypatch,
                                                             config):
         # The layer applies the message MLP's first layer as node products
-        # read by edge plus the edge rows; the oracle multiplies the whole
-        # edge input. A second run feeds the oracle's pre-activation to the
-        # rest of the layer, which the two runs then share.
+        # read by edge plus the edge rows, and folds the MLP's output layer
+        # into the gate MLP's first layer and into the mean message. The
+        # oracle multiplies the whole edge input and runs both MLPs in full
+        # on every edge.
         graph = random_graph(rng, n=30, d_f=config.node_feat_dim,
                              d_e=config.edge_feat_dim)
         params = randomize(init_params(config, 0), rng, scale=0.2)
         x, h, f_emb = self._state(rng, params, graph)
-        prefix = "layers.0.msg_mlp."
-        expected = message_preactivation(h, x, graph.edge_features, graph.neighbors,
-                                         params[prefix + "w1"], params[prefix + "b1"])
+        prefix = "layers.0."
+        pre = message_preactivation(h, x, graph.edge_features, graph.neighbors,
+                                    params[prefix + "msg_mlp.w1"],
+                                    params[prefix + "msg_mlp.b1"])
+        message, gate = unfused_edge_pass(h, x, graph.edge_features, graph.neighbors,
+                                          params, prefix)
+        n, k = graph.neighbors.shape
+        diff = np.repeat(x, k, axis=0) - x[graph.neighbors.ravel()]
+        radial = diff / (np.linalg.norm(diff, axis=1, keepdims=True) + model.NORM_CONSTANT)
+        skip = 1.0 / (1.0 + np.exp(-params["coord_skip_raw"]))
+        x_ref = (skip * graph.coords + (1.0 - skip) * x
+                 + (radial * gate).reshape(n, k, 3).mean(axis=1))
+
+        seen = {}
+        activate, mlp = model._activate, model._mlp
+
+        def recording_activate(pre_activation, leaves, name):
+            seen.setdefault(name, pre_activation.data)
+            return activate(pre_activation, leaves, name)
+
+        def recording_mlp(inputs, leaves, name):
+            seen[name] = inputs.data
+            return mlp(inputs, leaves, name)
+
+        monkeypatch.setattr(model, "_activate", recording_activate)
+        monkeypatch.setattr(model, "_mlp", recording_mlp)
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
-        tail = model._mlp_tail
-
-        def run(pre_activation=None):
-            seen = {}
-
-            def recording_tail(hidden, leaves, name):
-                if name == prefix:
-                    seen["hidden"] = hidden.data
-                    if pre_activation is not None:
-                        hidden = Tensor(pre_activation)
-                seen[name] = tail(hidden, leaves, name)
-                return seen[name]
-
-            monkeypatch.setattr(model, "_mlp_tail", recording_tail)
-            x_new, h_new = layer_step(graph, params, config, 0, x, h, f_emb)
-            return seen["hidden"], seen[prefix].data, x_new, h_new
-
-        hidden, message, x_new, h_new = run()
-        _, message_ref, x_ref, h_ref = run(expected)
-        for actual, reference in ((hidden, expected), (message, message_ref),
-                                  (x_new, x_ref), (h_new, h_ref)):
+        x_new, _ = layer_step(graph, params, config, 0, x, h, f_emb)
+        d = config.hidden_dim
+        m_agg = seen[prefix + "node_mlp."][:, d:2 * d]
+        for actual, reference in ((seen[prefix + "msg_mlp."], pre),
+                                  (m_agg, message.reshape(n, k, d).mean(axis=1)),
+                                  (x_new, x_ref)):
             np.testing.assert_allclose(actual, reference, rtol=1e-12,
                                        atol=1e-12 * np.abs(reference).max())
 
@@ -469,10 +478,11 @@ class TestTape:
 
     def test_graph_arrays_are_constants(self, rng, monkeypatch):
         # one parentless coordinate tensor is both the first layer's input
-        # and the skip anchor, and each edge block wraps its own rows of
-        # the edge features, so no taped tensor holds all n*k of them; the
-        # layers run unwrapped, as the backward pass re-runs them, so that
-        # their edge blocks are on the tape
+        # and the skip anchor, and the edge features enter each edge block
+        # as a constant array, so no taped tensor holds any of their rows
+        # and the backward computes no gradient for them; the layers run
+        # unwrapped, as the backward pass re-runs them, so that their edge
+        # blocks are on the tape
         graph, params = self._case(rng)
         monkeypatch.setattr(model, "EDGE_BLOCK", 7 * graph.neighbors.shape[1])
         monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
@@ -482,7 +492,10 @@ class TestTape:
                   if not node._parents and node.shape == graph.coords.shape]
         assert len(coords) == 1
         np.testing.assert_array_equal(coords[0].data, graph.coords)
-        assert all(node.shape != graph.edge_features.shape for node in nodes)
+        assert not any(np.shares_memory(node.data, graph.edge_features)
+                       for node in nodes)
+        assert all(node.data.ndim < 2 or node.shape[1] != graph.edge_features.shape[1]
+                   for node in nodes)
 
     @pytest.mark.parametrize("config", [ModelConfig(num_layers=2, hidden_dim=6),
                                         ModelConfig(num_layers=1)],
@@ -501,6 +514,23 @@ class TestTape:
         assert any(node.shape == (graph.neighbors.size, config.hidden_dim)
                    for node in nodes)  # the edge pass is on the tape
         assert all(node.data.ndim < 2 or node.shape[1] != width for node in nodes)
+
+    @pytest.mark.parametrize("config", [ModelConfig(num_layers=1, hidden_dim=6),
+                                        ModelConfig(num_layers=1)],
+                             ids=["small", "default"])
+    def test_edge_block_tapes_few_wide_tensors(self, rng, monkeypatch, config):
+        # an edge block tapes the message MLP's pre-activation and hidden
+        # layer and the gate MLP's two; no summand, gathered copy or
+        # per-edge message is a tensor of its own
+        graph = random_graph(rng, n=30, d_f=config.node_feat_dim,
+                             d_e=config.edge_feat_dim)
+        params = randomize(init_params(config, 0), rng)
+        monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
+        monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
+        fp = forward_pass(graph, params, config)
+        wide = [node for node in tape_nodes(fp.coords, fp.embeddings, fp.qa)
+                if node.shape == (graph.neighbors.size, config.hidden_dim)]
+        assert 0 < len(wide) <= 5
 
     def test_tape_does_not_grow_with_edge_blocks(self, rng, monkeypatch):
         # a layer is one checkpoint node after the forward pass: its edge
@@ -697,7 +727,14 @@ class TestWeightsContainer:
         blob = container({"config": {"num_layers": 100000}, "blocks": []})
         with pytest.raises(WeightsShapeError, match="lists 0 blocks"):
             load_container(blob)
-        assert max(listed) <= 2  # the 100000 layers were never listed
+        assert listed == []  # the blocks are counted, not listed
+
+    @pytest.mark.parametrize("config", [
+        SMALL, ModelConfig(), ModelConfig(num_layers=3, hidden_dim=5, granularity="c-alpha",
+                                          include_surface=False, include_geometric=False),
+    ], ids=["small", "default", "c_alpha"])
+    def test_block_count_matches_the_shape_table(self, config):
+        assert model._block_count(config) == len(parameter_shapes(config))
 
     def test_blocks_sharing_bytes_are_rejected(self):
         def repeat_first_block(header):
