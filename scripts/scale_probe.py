@@ -14,7 +14,7 @@ interpreter, numpy and the stage's parsed inputs. Stages, with the default ``Mod
     parse            ``structio.parse_pdb_file`` of the decoy
     build_knn_graph  the decoy's graph (saved for the next stage)
     forward          the no_grad ``model.forward`` on that graph
-    score_pair       ``metrics.score_pair(decoy, native)``
+    score_pair       ``metrics.score_pair(decoy, metrics.Reference(native))``
     backward         one ``train.backward`` step at the training size,
                      after ``make_training_example`` (not timed)
 
@@ -75,8 +75,8 @@ def run_stage(stage: str, directory: Path) -> dict:
         call, args = model.forward, (graph, model.init_params(config, seed=0), config)
     elif stage in ("score_pair", "backward"):
         native = structio.parse_pdb_file(directory / "native.pdb")
-        if stage == "score_pair":
-            call, args = metrics.score_pair, (decoy, native)
+        if stage == "score_pair":  # the timed call also builds the Reference
+            call, args = lambda: metrics.score_pair(decoy, metrics.Reference(native)), ()
         else:
             example = train.make_training_example(decoy, native, config)
             call, args = train.backward, (example, model.init_params(config, seed=0), config)

@@ -3,10 +3,10 @@
 from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
 from .metrics import (
     QualityReport,
+    Reference,
     dockq,
     lddt_ca,
     quality_class,
-    score_decoys,
     score_pair,
 )
 from .model import (
@@ -18,6 +18,7 @@ from .model import (
     save_weights,
 )
 from .structio import (
+    AtomIndex,
     ComplexStructure,
     kabsch_superpose,
     match_atoms,
@@ -30,10 +31,12 @@ from .train import TrainingExample, make_training_example, train_loop
 __version__ = "0.1.0"
 
 __all__ = [
+    "AtomIndex",
     "ComplexGraph",
     "ComplexStructure",
     "ModelConfig",
     "QualityReport",
+    "Reference",
     "RefinementResult",
     "TrainingExample",
     "build_knn_graph",
@@ -50,7 +53,6 @@ __all__ = [
     "parse_pdb_file",
     "quality_class",
     "save_weights",
-    "score_decoys",
     "score_pair",
     "train_loop",
     "write_pdb",

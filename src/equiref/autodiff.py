@@ -186,9 +186,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Tensor(-self.data, (self,), lambda g: (-g,))
-
     def __sub__(self, other):
         other = as_tensor(other)
         return Tensor(
@@ -223,9 +220,6 @@ class Tensor:
                              other.data.shape),
             ),
         )
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     def __pow__(self, exponent: float):
         if not np.isscalar(exponent):

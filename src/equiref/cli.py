@@ -44,12 +44,12 @@ from .metrics import (
     REPORT_SCHEMA_VERSION,
     DecoyScore,
     RankingInput,
+    Reference,
     format_mean_std,
     format_triple,
     hit_rate,
     ranking_loss,
     reports_to_csv,
-    score_decoys,
     score_pair,
 )
 from .model import ModelConfig, forward, load_weights, save_weights
@@ -183,7 +183,8 @@ def cmd_refine(args) -> None:
 
 
 def cmd_score(args) -> None:
-    report = score_pair(parse_pdb_file(args.decoy), parse_pdb_file(args.native))
+    report = score_pair(parse_pdb_file(args.decoy),
+                        Reference(parse_pdb_file(args.native)))
     Path(args.report).write_text(report.to_json() + "\n")
 
 
@@ -200,23 +201,23 @@ def _naming(target: str, decoy_id: str):
         ) from None
 
 
-def _score_task(target: str, decoy_id: str, reports):
-    """Read and score the next decoy of ``reports``; an error names it."""
+def _score_task(target: str, decoy_id: str, path: str, ref: Reference):
+    """Read one decoy and score it against ``ref``; an error names it."""
     with _naming(target, decoy_id):
-        return next(reports)
+        return score_pair(parse_pdb_file(path), ref)
 
 
 def _score_target(task) -> list:
     """Reports of one target's decoys, in the order given.
 
-    The native is read once; the decoys are read one at a time. An
-    unreadable native is named with the target's first decoy.
+    The native is read and its ``Reference`` built once; the decoys are
+    read one at a time. An unreadable native is named with the target's
+    first decoy.
     """
     target, native_path, decoys = task
     with _naming(target, decoys[0][0]):
-        native = parse_pdb_file(native_path)
-    reports = score_decoys((parse_pdb_file(path) for _, path in decoys), native)
-    return [_score_task(target, decoy_id, reports) for decoy_id, _ in decoys]
+        ref = Reference(parse_pdb_file(native_path))
+    return [_score_task(target, decoy_id, path, ref) for decoy_id, path in decoys]
 
 
 def worker_count(requested: int, tasks: int, cpus: int | None) -> int:

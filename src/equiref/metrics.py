@@ -9,15 +9,23 @@ standard DockQ/CAPRI and LDDT parameterizations: 5 A heavy-atom contacts,
 These cutoffs, the radius and the thresholds are fixed conventions, held
 in the module constants below; no function takes them as parameters.
 
+A ``Reference`` holds what scoring reads of a native, built once however
+many decoys it scores: its contacts and interface, its residue ordinals,
+its ``structio.AtomIndex`` and its LRMSD receptor. Each metric is one
+function, and ``score_pair(decoy, ref)`` calls them: ``fnat_fnonnat`` and
+``irmsd``/``lrmsd`` read the reference, and ``lddt_ca`` reads only the
+native and the atom correspondence, so training needs no reference.
+
 Contacts and interfaces come from ``structio.close_pair_blocks``, a cell
 grid that tests only atom pairs from neighbouring cells. One search over
 every pair of chains gives a structure's residue pairs under 5 A as
 numpy residue-pair codes, and a mask of its residues within the search
 cutoff of another chain: a search at 10 A thus gives a native's contacts
-and its interface at once. LDDT reads its CA-pair distances from
-``structio.squared_distance_blocks``, the dense kernel, a block of rows at
-a time. Both return ``dx*dx + dy*dy + dz*dz`` bitwise alike, so a
-contact set does not depend on the search.
+and its interface at once, and a decoy takes one search at 5 A. LDDT
+reads its CA-pair distances from ``structio.squared_distance_blocks``,
+the dense kernel, a block of rows at a time. Both return
+``dx*dx + dy*dy + dz*dz`` bitwise alike, so a contact set does not depend
+on the search.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import csv
 import io
 import json
 import math
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +45,8 @@ from .errors import (
 )
 from .structio import (
     AtomCorrespondence,
+    AtomIndex,
     ComplexStructure,
-    _atom_matcher,
     close_pair_blocks,
     kabsch_superpose,
     match_atoms,
@@ -57,7 +64,6 @@ CLASS_MEDIUM = 0.49
 CLASS_HIGH = 0.80
 
 ResidueKey = tuple[str, int]
-ContactPair = tuple[ResidueKey, ResidueKey]
 
 REPORT_SCHEMA_VERSION = 1
 CSV_FIELDS = (
@@ -103,42 +109,47 @@ def _residue_keys(structure: ComplexStructure) -> list[ResidueKey]:
     return list(zip(structure.chain[starts].tolist(), structure.resnum[starts].tolist()))
 
 
-def contacts(structure: ComplexStructure) -> set[ContactPair]:
-    """Cross-chain residue pairs with any heavy-atom pair within 5 A.
+class Reference:
+    """What scoring reads of a native, built once however many decoys it
+    scores.
 
-    Raises NoInterfaceError for single-chain structures.
+    ``contacts`` holds the codes of the native's residue pairs under
+    CONTACT_CUTOFF and ``interface`` masks its residues within
+    INTERFACE_CUTOFF of another chain; one pair search at INTERFACE_CUTOFF
+    gives both. ``ordinal`` is the residue ordinal of each (chain, resnum)
+    key, ``index`` the native's ``AtomIndex`` and ``receptor`` the LRMSD
+    receptor: the chain with the most residues, ties going to the smallest
+    chain id. A single-chain native builds; the interface metrics then
+    raise NoInterfaceError.
     """
-    if structure.num_chains < 2:
-        raise NoInterfaceError("contacts require at least two chains")
-    codes, _ = _cross_chain_residue_pairs(structure, CONTACT_CUTOFF)
-    keys = _residue_keys(structure)
-    lo, hi = np.divmod(codes, structure.num_residues)
-    return {tuple(sorted((keys[p], keys[q]))) for p, q in zip(lo.tolist(), hi.tolist())}
+
+    def __init__(self, native: ComplexStructure):
+        self.native = native
+        self.contacts, self.interface = _cross_chain_residue_pairs(
+            native, INTERFACE_CUTOFF)
+        self.ordinal = {key: i for i, key in enumerate(_residue_keys(native))}
+        self.index = AtomIndex(native)
+        residue_chain = native.chain[native.residue_starts]
+        self.receptor = min(
+            (-np.count_nonzero(residue_chain == chain_id), chain_id)
+            for chain_id in native.chain_ids
+        )[1]
 
 
-def _residue_ordinals(structure: ComplexStructure) -> dict[ResidueKey, int]:
-    """Residue ordinal of each (chain, resnum) key of ``structure``."""
-    return {key: i for i, key in enumerate(_residue_keys(structure))}
-
-
-def _contact_fractions(
-    decoy: ComplexStructure,
-    decoy_contacts: np.ndarray,
-    native: ComplexStructure,
-    native_contacts: np.ndarray,
-    native_ordinal: dict[ResidueKey, int],
-) -> tuple[float, float]:
-    """Fnat and Fnonnat from the residue-pair codes of each structure;
-    ``native_ordinal`` is ``_residue_ordinals(native)``."""
+def fnat_fnonnat(decoy: ComplexStructure, ref: Reference) -> tuple[float, float]:
+    """Fraction of native contacts recovered, and of decoy contacts that
+    are non-native. The decoy's contacts take one pair search at
+    CONTACT_CUTOFF. Empty contact sets contribute 0 by convention."""
+    decoy_contacts, _ = _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)
     lo, hi = np.divmod(decoy_contacts, decoy.num_residues)
-    in_native = np.array([native_ordinal.get(key, -1) for key in _residue_keys(decoy)],
+    in_native = np.array([ref.ordinal.get(key, -1) for key in _residue_keys(decoy)],
                          dtype=np.intp)
     lo, hi = in_native[lo], in_native[hi]
     both = (lo >= 0) & (hi >= 0)
     lo, hi = lo[both], hi[both]
-    codes = np.minimum(lo, hi) * native.num_residues + np.maximum(lo, hi)
-    shared = int(np.isin(codes, native_contacts).sum())
-    fnat = shared / native_contacts.size if native_contacts.size else 0.0
+    codes = np.minimum(lo, hi) * ref.native.num_residues + np.maximum(lo, hi)
+    shared = int(np.isin(codes, ref.contacts).sum())
+    fnat = shared / ref.contacts.size if ref.contacts.size else 0.0
     fnonnat = (
         (decoy_contacts.size - shared) / decoy_contacts.size
         if decoy_contacts.size
@@ -147,22 +158,8 @@ def _contact_fractions(
     return fnat, fnonnat
 
 
-def fnat_fnonnat(
-    decoy: ComplexStructure, native: ComplexStructure
-) -> tuple[float, float]:
-    """Fraction of native contacts recovered, and of decoy contacts that
-    are non-native. Empty contact sets contribute 0 by convention."""
-    return _contact_fractions(
-        decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
-        native, _cross_chain_residue_pairs(native, CONTACT_CUTOFF)[0],
-        _residue_ordinals(native),
-    )
-
-
 def irmsd(
-    decoy: ComplexStructure,
-    native: ComplexStructure,
-    correspondence: AtomCorrespondence | None = None,
+    decoy: ComplexStructure, ref: Reference, correspondence: AtomCorrespondence
 ) -> float:
     """Backbone RMSD over the native interface region after superposition.
 
@@ -170,23 +167,11 @@ def irmsd(
     within 10 A; the decoy is superposed onto the native over the matched
     interface backbone atoms and the residual deviation is returned.
     """
-    _, interface = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
-    return _interface_rmsd(decoy, native, correspondence, interface)
-
-
-def _interface_rmsd(
-    decoy: ComplexStructure,
-    native: ComplexStructure,
-    correspondence: AtomCorrespondence | None,
-    interface: np.ndarray,
-) -> float:
-    """``irmsd`` over the native residues that ``interface`` masks."""
+    native = ref.native
     if native.num_chains < 2:
         raise NoInterfaceError("interface RMSD requires at least two chains")
-    if correspondence is None:
-        correspondence = match_atoms(decoy, native)
     pairs = correspondence.backbone
-    pairs = pairs[interface[native.residue[pairs[:, 1]]]]
+    pairs = pairs[ref.interface[native.residue[pairs[:, 1]]]]
     mobile, target = decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
     if mobile.shape[0] < 3:
         raise UndefinedMetricError(
@@ -200,27 +185,18 @@ def _interface_rmsd(
 
 
 def lrmsd(
-    decoy: ComplexStructure,
-    native: ComplexStructure,
-    correspondence: AtomCorrespondence | None = None,
+    decoy: ComplexStructure, ref: Reference, correspondence: AtomCorrespondence
 ) -> float:
     """Ligand backbone RMSD after superposing on the receptor backbone.
 
-    The receptor is the native chain with the most residues, ties going to
-    the smallest chain id; every other chain is ligand.
+    The receptor is ``ref.receptor``; every other chain is ligand.
     """
+    native = ref.native
     if native.num_chains < 2:
         raise NoInterfaceError("ligand RMSD requires at least two chains")
-    if correspondence is None:
-        correspondence = match_atoms(decoy, native)
-    residue_chain = native.chain[native.residue_starts]
-    receptor_id = min(
-        (-np.count_nonzero(residue_chain == chain_id), chain_id)
-        for chain_id in native.chain_ids
-    )[1]
     pairs = correspondence.backbone
     mobile, target = decoy.coords[pairs[:, 0]], native.coords[pairs[:, 1]]
-    receptor = decoy.chain[pairs[:, 0]] == receptor_id
+    receptor = decoy.chain[pairs[:, 0]] == ref.receptor
     n_receptor = int(receptor.sum())
     if n_receptor < 3:
         raise UndefinedMetricError(
@@ -251,7 +227,7 @@ def dockq(fnat: float, lrmsd_value: float, irmsd_value: float) -> float:
 def lddt_ca(
     decoy: ComplexStructure,
     native: ComplexStructure,
-    correspondence: AtomCorrespondence | None = None,
+    correspondence: AtomCorrespondence,
 ) -> tuple[np.ndarray, float]:
     """Superposition-free per-residue distance-preservation score.
 
@@ -264,8 +240,6 @@ def lddt_ca(
     Returns (per-residue scores aligned with ``correspondence.matched_ca``,
     global mean).
     """
-    if correspondence is None:
-        correspondence = match_atoms(decoy, native)
     matched = correspondence.matched_ca
     m = len(matched)
     if m < 2:
@@ -398,56 +372,38 @@ class QualityReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def score_pair(decoy: ComplexStructure, native: ComplexStructure) -> QualityReport:
-    """Full quality report for a decoy against its reference structure."""
-    return next(score_decoys([decoy], native))
+def score_pair(decoy: ComplexStructure, ref: Reference) -> QualityReport:
+    """Full quality report for a decoy against its reference.
 
-
-def score_decoys(
-    decoys: Iterable[ComplexStructure], native: ComplexStructure
-) -> Iterator[QualityReport]:
-    """Full quality report of each decoy against one reference structure.
-
-    The native's 5 A contacts and 10 A interface residues come from one
-    pair search at 10 A, before the first decoy: its contacts are the pairs
-    under 5 A. The native's atom index and backbone mask, which
-    ``match_atoms`` reads, and its residue index are built once then too.
-    Each decoy then takes one search at 5 A. Decoys are taken from
-    ``decoys`` one at a time as reports are requested, so a lazy iterable
-    keeps one decoy alive. Each report and each error is the one
-    ``score_pair`` gives for that decoy.
+    The decoy takes one atom match and one pair search at CONTACT_CUTOFF;
+    the native's passes are those ``ref`` holds. A decoy that shares no
+    atom key with the native raises NoOverlapError before any interface
+    metric is tried.
     """
-    native_contacts, interface = _cross_chain_residue_pairs(native, INTERFACE_CUTOFF)
-    match = _atom_matcher(native)
-    native_ordinal = _residue_ordinals(native)
-    for decoy in decoys:
-        correspondence = match(decoy)
-        fnat, fnonnat = _contact_fractions(
-            decoy, _cross_chain_residue_pairs(decoy, CONTACT_CUTOFF)[0],
-            native, native_contacts, native_ordinal,
+    correspondence = match_atoms(decoy, ref.index)
+    fnat, fnonnat = fnat_fnonnat(decoy, ref)
+    irmsd_value = irmsd(decoy, ref, correspondence)
+    lrmsd_value = lrmsd(decoy, ref, correspondence)
+    dockq_value = dockq(fnat, lrmsd_value, irmsd_value)
+    scores, lddt_global = lddt_ca(decoy, ref.native, correspondence)
+    rows = correspondence.matched_ca[:, 0]
+    per_residue = [
+        {"chain": chain, "residue": number,
+         "lddt": None if math.isnan(value) else value}
+        for chain, number, value in zip(
+            decoy.chain[rows].tolist(), decoy.resnum[rows].tolist(), scores
         )
-        irmsd_value = _interface_rmsd(decoy, native, correspondence, interface)
-        lrmsd_value = lrmsd(decoy, native, correspondence)
-        dockq_value = dockq(fnat, lrmsd_value, irmsd_value)
-        scores, lddt_global = lddt_ca(decoy, native, correspondence)
-        rows = correspondence.matched_ca[:, 0]
-        per_residue = [
-            {"chain": chain, "residue": number,
-             "lddt": None if math.isnan(value) else value}
-            for chain, number, value in zip(
-                decoy.chain[rows].tolist(), decoy.resnum[rows].tolist(), scores
-            )
-        ]
-        yield QualityReport(
-            fnat=fnat,
-            fnonnat=fnonnat,
-            irmsd=irmsd_value,
-            lrmsd=lrmsd_value,
-            dockq=dockq_value,
-            lddt_ca_global=lddt_global,
-            per_residue_lddt=per_residue,
-            quality_class=quality_class(dockq_value),
-        )
+    ]
+    return QualityReport(
+        fnat=fnat,
+        fnonnat=fnonnat,
+        irmsd=irmsd_value,
+        lrmsd=lrmsd_value,
+        dockq=dockq_value,
+        lddt_ca_global=lddt_global,
+        per_residue_lddt=per_residue,
+        quality_class=quality_class(dockq_value),
+    )
 
 
 def reports_to_csv(rows: list[tuple[str, str, QualityReport]]) -> str:

@@ -220,10 +220,6 @@ def _block_count(config: ModelConfig) -> int:
     return 4 + config.num_layers * len(_layer_shapes(config)) + len(_mlp_shapes("", 1, 1, 1))
 
 
-def parameter_count(config: ModelConfig) -> int:
-    return sum(int(np.prod(shape)) for shape in parameter_shapes(config).values())
-
-
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Variance-scaled uniform initialization, deterministic in the seed.
 

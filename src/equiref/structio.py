@@ -30,8 +30,10 @@ right-justified, as ``write_pdb`` writes them) is read from its digit
 codes, and any other goes through ``int`` or ``float`` itself.
 
 The module also establishes atom correspondence between a decoy and its
-reference structure, computes Kabsch superpositions, and builds local
-backbone coordinate frames used by edge featurization.
+reference structure (``match_atoms`` reads an ``AtomIndex`` of the native,
+built once however many decoys it scores), computes Kabsch
+superpositions, and builds local backbone coordinate frames used by edge
+featurization.
 
 Two pair searches hand out the package's atom-pair distances, both in
 blocks of at most ``PAIR_CHUNK`` pairs, so memory stays bounded at any
@@ -51,7 +53,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -498,44 +500,35 @@ def write_pdb(structure: ComplexStructure) -> str:
     return "\n".join(out) + "\n"
 
 
-def _atom_matcher(
-    native: ComplexStructure,
-) -> Callable[[ComplexStructure], AtomCorrespondence]:
-    """``match_atoms(decoy, native)`` as a function of the decoy.
+class AtomIndex:
+    """A native's row of each (chain, resnum, name) key, and its CA and
+    backbone masks, built once for ``match_atoms`` to read for each decoy.
+    A repeated key keeps its last row."""
 
-    The native's (chain, resnum, name) -> row index and its CA and backbone
-    masks are built once, so many decoys of one native share them; a
-    repeated key keeps its last row. A matched pair shares its atom name.
-    """
-    native_row = dict(zip(
-        zip(native.chain.tolist(), native.resnum.tolist(), native.name.tolist()),
-        range(native.num_atoms),
-    ))
-    is_ca = native.name == "CA"
-    is_backbone = np.isin(native.name, BACKBONE_ATOMS)
-
-    def match(decoy: ComplexStructure) -> AtomCorrespondence:
-        keys = zip(decoy.chain.tolist(), decoy.resnum.tolist(), decoy.name.tolist())
-        rows = np.fromiter(map(native_row.get, keys, itertools.repeat(-1)),
-                           dtype=np.intp, count=decoy.num_atoms)
-        matched = np.flatnonzero(rows >= 0)
-        if not matched.size:
-            raise NoOverlapError("no atoms share a (chain, residue, name) key")
-        pairs = np.column_stack([matched, rows[matched]])
-        return AtomCorrespondence(pairs=pairs, matched_ca=pairs[is_ca[pairs[:, 1]]],
-                                  backbone=pairs[is_backbone[pairs[:, 1]]])
-
-    return match
+    def __init__(self, native: ComplexStructure):
+        self.row = dict(zip(
+            zip(native.chain.tolist(), native.resnum.tolist(), native.name.tolist()),
+            range(native.num_atoms),
+        ))
+        self.is_ca = native.name == "CA"
+        self.is_backbone = np.isin(native.name, BACKBONE_ATOMS)
 
 
-def match_atoms(
-    decoy: ComplexStructure, native: ComplexStructure
-) -> AtomCorrespondence:
-    """Pair atoms sharing the (chain, resnum, name) key.
+def match_atoms(decoy: ComplexStructure, index: AtomIndex) -> AtomCorrespondence:
+    """Pair the decoy's atoms with the native rows of ``index`` that share
+    their (chain, resnum, name) key.
 
     Raises NoOverlapError when no atom matches.
     """
-    return _atom_matcher(native)(decoy)
+    keys = zip(decoy.chain.tolist(), decoy.resnum.tolist(), decoy.name.tolist())
+    rows = np.fromiter(map(index.row.get, keys, itertools.repeat(-1)),
+                       dtype=np.intp, count=decoy.num_atoms)
+    matched = np.flatnonzero(rows >= 0)
+    if not matched.size:
+        raise NoOverlapError("no atoms share a (chain, residue, name) key")
+    pairs = np.column_stack([matched, rows[matched]])
+    return AtomCorrespondence(pairs=pairs, matched_ca=pairs[index.is_ca[pairs[:, 1]]],
+                              backbone=pairs[index.is_backbone[pairs[:, 1]]])
 
 
 def kabsch_superpose(

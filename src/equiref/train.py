@@ -28,6 +28,7 @@ from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
 from .metrics import lddt_ca
 from .model import ModelConfig, check_field_types, forward_pass, init_params
 from .structio import (
+    AtomIndex,
     ComplexStructure,
     kabsch_superpose,
     match_atoms,
@@ -98,7 +99,7 @@ def make_training_example(
     distance-based LDDT labels are unaffected by the alignment. Atoms and
     residues without a reference stay unsupervised.
     """
-    correspondence = match_atoms(decoy, native)
+    correspondence = match_atoms(decoy, AtomIndex(native))
     native_coords_all = native.coords
     ca = correspondence.matched_ca
     if len(ca) >= 3:

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from equiref.metrics import Reference
 from equiref.structio import ComplexStructure
 
 RESIDUE_CYCLE = ("ALA", "GLY", "SER", "LEU", "VAL", "THR", "LYS", "ASP")
@@ -84,6 +85,15 @@ def replace_columns(structure, **columns):
 def take_rows(structure, rows):
     """Structure made of the selected rows of ``structure``."""
     return ComplexStructure(**{key: getattr(structure, key)[rows] for key in COLUMNS})
+
+
+def reference_contacts(structure):
+    """The contact codes of ``Reference(structure)`` decoded into the set of
+    ``oracles.contacts_bruteforce``: sorted pairs of (chain, resnum) keys."""
+    starts = structure.residue_starts
+    keys = list(zip(structure.chain[starts].tolist(), structure.resnum[starts].tolist()))
+    lo, hi = np.divmod(Reference(structure).contacts, structure.num_residues)
+    return {tuple(sorted((keys[p], keys[q]))) for p, q in zip(lo.tolist(), hi.tolist())}
 
 
 def make_chain(chain_id, backbone, first_index=1, resnames=None):

@@ -16,6 +16,7 @@ from equiref.featurize import build_knn_graph, knn_edges
 from equiref.metrics import (
     DecoyScore,
     RankingInput,
+    Reference,
     dockq,
     format_mean_std,
     format_triple,
@@ -25,7 +26,7 @@ from equiref.metrics import (
     score_pair,
 )
 from equiref.model import ModelConfig, _linear_attention, forward, init_params
-from equiref.structio import match_atoms, parse_pdb, write_pdb
+from equiref.structio import AtomIndex, match_atoms, parse_pdb, write_pdb
 from equiref.train import (
     backward,
     example_loss,
@@ -176,7 +177,7 @@ def test_criterion_05_lddt_oracle_equivalence(rng):
     """Vectorized LDDT equals exhaustive enumeration, float-for-float."""
     for _ in range(50):
         decoy, native = _random_ca_pair(rng)
-        corr = match_atoms(decoy, native)
+        corr = match_atoms(decoy, AtomIndex(native))
         scores, mean = lddt_ca(decoy, native, corr)
         decoy_ca = [decoy.coords[d] for d, _ in corr.matched_ca]
         native_ca = [native.coords[n] for _, n in corr.matched_ca]
@@ -191,6 +192,13 @@ def test_criterion_06_metric_rigid_motion_invariance(rng):
     """Metric suite is stable under rigid motions of the inputs."""
     from equiref.metrics import fnat_fnonnat, irmsd, lrmsd
 
+    def metrics_of(decoy, native):
+        ref = Reference(native)
+        corr = match_atoms(decoy, ref.index)
+        return (fnat_fnonnat(decoy, ref)[0], score_pair(decoy, ref).dockq,
+                lddt_ca(decoy, native, corr)[1], irmsd(decoy, ref, corr),
+                lrmsd(decoy, ref, corr))
+
     for _ in range(50):
         native = make_complex(
             n_res_a=int(rng.integers(4, 7)), n_res_b=int(rng.integers(3, 6))
@@ -199,25 +207,22 @@ def test_criterion_06_metric_rigid_motion_invariance(rng):
             native.coords
             + rng.normal(scale=0.6, size=(native.num_atoms, 3))
         )
-        base_fnat, _ = fnat_fnonnat(decoy, native)
-        base_dockq = score_pair(decoy, native).dockq
-        _, base_lddt = lddt_ca(decoy, native)
-        base_irmsd = irmsd(decoy, native)
-        base_lrmsd = lrmsd(decoy, native)
+        base_fnat, base_dockq, base_lddt, base_irmsd, base_lrmsd = metrics_of(
+            decoy, native)
 
         rot = random_rotation(rng, proper=True)
         shift = rng.normal(scale=20.0, size=3)
         decoy_m = transform_structure(decoy, rot, shift)
         native_m = transform_structure(native, rot, shift)
 
-        moved_fnat, _ = fnat_fnonnat(decoy_m, native_m)
+        moved_fnat, moved_dockq, moved_lddt, _, _ = metrics_of(decoy_m, native_m)
         assert abs(moved_fnat - base_fnat) < 1e-9
-        assert abs(score_pair(decoy_m, native_m).dockq - base_dockq) < 1e-9
-        _, moved_lddt = lddt_ca(decoy_m, native_m)
+        assert abs(moved_dockq - base_dockq) < 1e-9
         assert abs(moved_lddt - base_lddt) < 1e-9
         # decoy-only motion: superposed metrics unchanged
-        assert abs(irmsd(decoy_m, native) - base_irmsd) < 1e-6
-        assert abs(lrmsd(decoy_m, native) - base_lrmsd) < 1e-6
+        _, _, _, moved_irmsd, moved_lrmsd = metrics_of(decoy_m, native)
+        assert abs(moved_irmsd - base_irmsd) < 1e-6
+        assert abs(moved_lrmsd - base_lrmsd) < 1e-6
     report(6, "50 pairs: fnat/dockq/lddt to 1e-9, irmsd/lrmsd to 1e-6")
 
 

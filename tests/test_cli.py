@@ -31,7 +31,7 @@ from equiref.cli import (
     read_config,
     worker_count,
 )
-from equiref.metrics import format_mean_std, reports_to_csv, score_pair
+from equiref.metrics import Reference, format_mean_std, reports_to_csv, score_pair
 from equiref.model import (
     ModelConfig,
     init_params,
@@ -422,7 +422,7 @@ class TestScore:
         assert code == EXIT_OK
         payload = json.loads(report_path.read_text())
         expected = score_pair(
-            parse_pdb_file(decoy_pdb), parse_pdb_file(input_pdb)
+            parse_pdb_file(decoy_pdb), Reference(parse_pdb_file(input_pdb))
         )
         assert payload["dockq"] == expected.dockq
         assert payload["irmsd"] == expected.irmsd
@@ -758,7 +758,7 @@ class TestEvaluate:
         for row in rows:
             target, decoy_id, _ = row.split(",")
             report = score_pair(parse_pdb_file(decoys / f"{decoy_id}.pdb"),
-                                parse_pdb_file(natives / f"{target}.pdb"))
+                                Reference(parse_pdb_file(natives / f"{target}.pdb")))
             expected.append((target, decoy_id, report))
         assert details.read_bytes() == reports_to_csv(expected).encode()
 

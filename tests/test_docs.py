@@ -1,12 +1,16 @@
-"""The README's configuration defaults, constants, exit codes and library
-example hold."""
+"""The README's configuration defaults, constants, exit codes, names and
+library example hold."""
 
+import ast
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import equiref
 from equiref import cli, model
 from equiref.cli import read_config
 from equiref.structio import write_pdb
@@ -59,3 +63,28 @@ def test_exit_codes_are_documented_alike():
     in_readme = exit_codes_listed(README.read_text(encoding="utf-8"),
                                   "Exit codes are stable:")
     assert in_docstring == in_readme == {cli.EXIT_OK} | set(cli.EXIT_CODES.values())
+
+
+def test_module_names_resolve():
+    """Each backticked ``module.name`` (or ``equiref.module.name``) of a
+    package module names an attribute of that module."""
+    modules = {info.name for info in pkgutil.iter_modules(equiref.__path__)}
+    found = [
+        (module, name)
+        for module, name in re.findall(r"`(?:equiref\.)?(\w+)\.(\w+)[`(]",
+                                       README.read_text(encoding="utf-8"))
+        if module in modules
+    ]
+    assert len(found) >= 12
+    missing = [f"{module}.{name}" for module, name in found
+               if not hasattr(importlib.import_module(f"equiref.{module}"), name)]
+    assert missing == []
+
+
+def test_library_example_imports_public_names():
+    tree = ast.parse(fenced_block("## Library", "python"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "equiref"
+                for alias in node.names]
+    assert imported
+    assert set(imported) <= set(equiref.__all__)

@@ -24,11 +24,11 @@ from equiref.featurize import (
     read_surface_file,
     surface_proximity,
 )
-from equiref.metrics import contacts
 from equiref.model import ModelConfig
 from conftest import (
     build_structure,
     random_rotation,
+    reference_contacts,
     replace_columns,
     transform_structure,
 )
@@ -439,7 +439,7 @@ def test_tied_lattice_matches_brute_force(structure, k, chunk):
     with mock.patch.object(structio, "PAIR_CHUNK", chunk):
         neighbors = knn_edges(structure.coords, k)
         values = surface_proximity(structure)
-        found = contacts(structure)
+        found = reference_contacts(structure)
     assert neighbors.tolist() == brute_force_neighbors(structure.coords, k)
     expected = []
     for _, rows in structure.chain_slices():

@@ -14,7 +14,7 @@ from equiref.metrics import (
     INTERFACE_CUTOFF,
     DecoyScore,
     RankingInput,
-    contacts,
+    Reference,
     dockq,
     fnat_fnonnat,
     format_triple,
@@ -25,14 +25,14 @@ from equiref.metrics import (
     quality_class,
     ranking_loss,
     reports_to_csv,
-    score_decoys,
     score_pair,
 )
-from equiref.structio import match_atoms
+from equiref.structio import AtomIndex, match_atoms
 
 from conftest import (
     build_structure,
     random_rotation,
+    reference_contacts,
     replace_columns,
     take_rows,
     transform_structure,
@@ -51,19 +51,35 @@ def paired_chains(contact_flags, spacing=20.0, contact_gap=3.0, far_gap=100.0):
     return build_structure(a_rows + b_rows)
 
 
+def correspondence_of(decoy, native):
+    return match_atoms(decoy, AtomIndex(native))
+
+
+def lddt_of(decoy, native):
+    return lddt_ca(decoy, native, correspondence_of(decoy, native))
+
+
+def superposed(metric, decoy, native):
+    """``irmsd`` or ``lrmsd`` of a decoy against a fresh reference."""
+    ref = Reference(native)
+    return metric(decoy, ref, match_atoms(decoy, ref.index))
+
+
 class TestContacts:
     def test_far_apart_chains_have_no_contacts(self):
         s = paired_chains([False, False])
-        assert contacts(s) == set()
+        assert reference_contacts(s) == set()
 
     def test_single_close_pair(self):
         s = paired_chains([True])
-        assert contacts(s) == {(("A", 1), ("B", 1))}
+        assert reference_contacts(s) == {(("A", 1), ("B", 1))}
 
     def test_single_chain_raises(self):
         s = build_structure([("A", 1, "GLY", "CA", (0.0, 0.0, 0.0))])
+        ref = Reference(s)  # builds, with no contacts
+        assert ref.contacts.size == 0
         with pytest.raises(NoInterfaceError):
-            contacts(s)
+            irmsd(s, ref, match_atoms(s, ref.index))
 
     def test_three_chain_fixture_matches_bruteforce(self, rng):
         rows = []
@@ -72,30 +88,30 @@ class TestContacts:
                 coord = rng.normal(scale=3.0, size=3) + [offset, i * 2.5, 0.0]
                 rows.append((chain_id, i + 1, "GLY", "CA", coord))
         s = build_structure(rows)
-        assert contacts(s) == contacts_bruteforce(s)
+        assert reference_contacts(s) == contacts_bruteforce(s)
 
 
 class TestFnat:
     def test_identical(self):
         s = paired_chains([True, True, False])
-        assert fnat_fnonnat(s, s) == (1.0, 0.0)
+        assert fnat_fnonnat(s, Reference(s)) == (1.0, 0.0)
 
     def test_disjoint(self):
         native = paired_chains([True, True, False, False])
         decoy = paired_chains([False, False, True, True])
-        assert fnat_fnonnat(decoy, native) == (0.0, 1.0)
+        assert fnat_fnonnat(decoy, Reference(native)) == (0.0, 1.0)
 
     def test_partial_overlap(self):
         native = paired_chains([True, True, True, True, False])
         decoy = paired_chains([True, True, False, False, True])
-        fnat, fnonnat = fnat_fnonnat(decoy, native)
+        fnat, fnonnat = fnat_fnonnat(decoy, Reference(native))
         assert fnat == pytest.approx(0.5)
         assert fnonnat == pytest.approx(1.0 / 3.0)
 
     def test_empty_conventions(self):
         native = paired_chains([False, False])
         decoy = paired_chains([True, False])
-        fnat, fnonnat = fnat_fnonnat(decoy, native)
+        fnat, fnonnat = fnat_fnonnat(decoy, Reference(native))
         assert fnat == 0.0
         assert fnonnat == 1.0  # all decoy contacts are non-native
 
@@ -115,18 +131,18 @@ class TestFnat:
             len(decoy_set & native_set) / len(native_set),
             len(decoy_set - native_set) / len(decoy_set),
         )
-        assert fnat_fnonnat(decoy, native) == expected
+        assert fnat_fnonnat(decoy, Reference(native)) == expected
         assert expected == (2 / 3, 2 / 4)
 
 
 class TestInterfaceRmsd:
     def test_identical_is_zero(self, two_chain_complex):
-        assert irmsd(two_chain_complex, two_chain_complex) < 1e-10
+        assert superposed(irmsd, two_chain_complex, two_chain_complex) < 1e-10
 
     def test_rigid_transform_is_zero(self, two_chain_complex, rng):
         rot = random_rotation(rng)
         moved = transform_structure(two_chain_complex, rot, np.array([4.0, -2.0, 9.0]))
-        assert irmsd(moved, two_chain_complex) < 1e-9
+        assert superposed(irmsd, moved, two_chain_complex) < 1e-9
 
     def test_displaced_residue_matches_trace_oracle(self, two_chain_complex):
         coords = two_chain_complex.coords.copy()
@@ -134,7 +150,7 @@ class TestInterfaceRmsd:
         n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         coords[n_a:n_a + 4] += np.array([0.0, 0.0, 2.0])
         decoy = two_chain_complex.with_coords(coords)
-        value = irmsd(decoy, two_chain_complex)
+        value = superposed(irmsd, decoy, two_chain_complex)
 
         # interface backbone atoms picked by exhaustive scans, in atom order
         interface = {
@@ -156,19 +172,19 @@ class TestInterfaceRmsd:
     def test_no_interface(self):
         native = paired_chains([False, False, False])
         with pytest.raises(UndefinedMetricError):
-            irmsd(native, native)
+            superposed(irmsd, native, native)
 
 
 class TestLigandRmsd:
     def test_identical_is_zero(self, two_chain_complex):
-        assert lrmsd(two_chain_complex, two_chain_complex) < 1e-10
+        assert superposed(lrmsd, two_chain_complex, two_chain_complex) < 1e-10
 
     def test_pure_ligand_translation(self, two_chain_complex):
         coords = two_chain_complex.coords.copy()
         n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         coords[n_a:] += np.array([0.0, 4.0, 0.0])  # chain B is the ligand
         decoy = two_chain_complex.with_coords(coords)
-        assert lrmsd(decoy, two_chain_complex) == pytest.approx(4.0, abs=1e-9)
+        assert superposed(lrmsd, decoy, two_chain_complex) == pytest.approx(4.0, abs=1e-9)
 
     def test_rotated_ligand_matches_two_step_oracle(self, two_chain_complex, rng):
         coords = two_chain_complex.coords.copy()
@@ -177,7 +193,7 @@ class TestLigandRmsd:
         center = coords[n_a:].mean(axis=0)
         coords[n_a:] = (coords[n_a:] - center) @ rot.T + center
         decoy = two_chain_complex.with_coords(coords)
-        value = lrmsd(decoy, two_chain_complex)
+        value = superposed(lrmsd, decoy, two_chain_complex)
 
         # independent two-step check: receptor is untouched so the optimal
         # receptor alignment is the identity; deviation is the raw ligand RMSD
@@ -223,14 +239,14 @@ class TestDockq:
 
 class TestLddt:
     def test_identical_scores_one(self, two_chain_complex):
-        scores, mean = lddt_ca(two_chain_complex, two_chain_complex)
+        scores, mean = lddt_of(two_chain_complex, two_chain_complex)
         np.testing.assert_array_equal(scores[~np.isnan(scores)], 1.0)
         assert mean == 1.0
 
     def test_rigid_motion_of_decoy_only(self, two_chain_complex, rng):
         rot = random_rotation(rng)
         decoy = transform_structure(two_chain_complex, rot, np.array([3.0, 1.0, -8.0]))
-        scores, mean = lddt_ca(decoy, two_chain_complex)
+        scores, mean = lddt_of(decoy, two_chain_complex)
         np.testing.assert_allclose(scores, 1.0, atol=1e-9)
         assert mean == pytest.approx(1.0, abs=1e-9)
 
@@ -238,7 +254,7 @@ class TestLddt:
         coords = two_chain_complex.coords
         scramble = rng.normal(scale=500.0, size=coords.shape)
         decoy = two_chain_complex.with_coords(coords + scramble)
-        scores, mean = lddt_ca(decoy, two_chain_complex)
+        scores, mean = lddt_of(decoy, two_chain_complex)
         assert mean < 0.05
 
     def test_displaced_ca_matches_bruteforce_exactly(self, two_chain_complex):
@@ -246,7 +262,7 @@ class TestLddt:
         ca_rows = np.flatnonzero(two_chain_complex.name == "CA")
         coords[ca_rows[1]] += np.array([0.0, 1.5, 0.0])
         decoy = two_chain_complex.with_coords(coords)
-        corr = match_atoms(decoy, two_chain_complex)
+        corr = correspondence_of(decoy, two_chain_complex)
         scores, mean = lddt_ca(decoy, two_chain_complex, corr)
 
         decoy_ca = [decoy.coords[d] for d, _ in corr.matched_ca]
@@ -259,7 +275,7 @@ class TestLddt:
     def test_requires_two_matched_ca(self):
         s = build_structure([("A", 1, "GLY", "CA", (0.0, 0.0, 0.0))])
         with pytest.raises(UndefinedMetricError):
-            lddt_ca(s, s)
+            lddt_of(s, s)
 
 
 @st.composite
@@ -299,8 +315,8 @@ def native_and_decoy(draw):
 @given(pair=native_and_decoy())
 def test_contacts_and_lddt_match_oracles(pair):
     native, decoy = pair
-    assert contacts(native) == contacts_bruteforce(native)
-    assert contacts(decoy) == contacts_bruteforce(decoy)
+    assert reference_contacts(native) == contacts_bruteforce(native)
+    assert reference_contacts(decoy) == contacts_bruteforce(decoy)
 
     decoy_ca = list(decoy.coords[decoy.name == "CA"])
     native_ca = list(native.coords[native.name == "CA"])
@@ -309,9 +325,9 @@ def test_contacts_and_lddt_match_oracles(pair):
         expected_scores, expected_mean = lddt_bruteforce(decoy_ca, native_ca)
     if math.isnan(expected_mean):
         with pytest.raises(UndefinedMetricError):
-            lddt_ca(decoy, native)
+            lddt_of(decoy, native)
         return
-    scores, mean = lddt_ca(decoy, native)
+    scores, mean = lddt_of(decoy, native)
     assert len(scores) == len(expected_scores)
     for got, want in zip(scores, expected_scores):
         assert got == want or (math.isnan(got) and math.isnan(want))
@@ -326,7 +342,7 @@ def test_lddt_small_pair_chunks_match_oracle(rng):
     native = build_structure(rows)
     decoy = native.with_coords(decoy_ca)
     with mock.patch.object(structio, "PAIR_CHUNK", 4 * 45 + 7):
-        scores, mean = lddt_ca(decoy, native)
+        scores, mean = lddt_of(decoy, native)
     expected_scores, expected_mean = lddt_bruteforce(list(decoy_ca), list(native_ca))
     assert scores.tolist() == expected_scores
     assert mean == expected_mean
@@ -417,7 +433,7 @@ class TestRankingLoss:
 
 class TestScorePair:
     def test_identical_pair_report(self, two_chain_complex):
-        report = score_pair(two_chain_complex, two_chain_complex)
+        report = score_pair(two_chain_complex, Reference(two_chain_complex))
         assert report.dockq == pytest.approx(1.0, abs=1e-9)
         assert report.quality_class == "high"
         assert report.lddt_ca_global == pytest.approx(1.0)
@@ -428,7 +444,7 @@ class TestScorePair:
         n_a = int(np.count_nonzero(two_chain_complex.chain == "A"))
         coords[n_a:] += np.array([100.0, 0.0, 0.0])
         decoy = two_chain_complex.with_coords(coords)
-        report = score_pair(decoy, two_chain_complex)
+        report = score_pair(decoy, Reference(two_chain_complex))
         assert report.fnat == 0.0
         assert report.quality_class == "incorrect"
 
@@ -437,13 +453,13 @@ class TestScorePair:
             scale=0.7, size=(two_chain_complex.num_atoms, 3)
         )
         decoy = two_chain_complex.with_coords(coords)
-        report = score_pair(decoy, two_chain_complex)
+        report = score_pair(decoy, Reference(two_chain_complex))
         assert abs(report.dockq - dockq(report.fnat, report.lrmsd, report.irmsd)) < 1e-12
 
     def test_json_and_csv_round(self, two_chain_complex):
         import json
 
-        report = score_pair(two_chain_complex, two_chain_complex)
+        report = score_pair(two_chain_complex, Reference(two_chain_complex))
         payload = json.loads(report.to_json())
         assert payload["schema_version"] == 1
         assert payload["quality_class"] == "high"
@@ -468,63 +484,55 @@ def raised(call):
     raise AssertionError("no error raised")
 
 
-def composed(decoy, native):
-    """Report values from the public metric functions, each doing its own
-    native passes: the reference for the shared-pass path."""
-    correspondence = match_atoms(decoy, native)
-    fnat, fnonnat = fnat_fnonnat(decoy, native)
-    return (fnat, fnonnat, irmsd(decoy, native, correspondence),
-            lrmsd(decoy, native, correspondence),
-            lddt_ca(decoy, native, correspondence)[1])
+def composed(decoy, ref):
+    """Report values from the metric functions called one by one."""
+    correspondence = match_atoms(decoy, ref.index)
+    fnat, fnonnat = fnat_fnonnat(decoy, ref)
+    return (fnat, fnonnat, irmsd(decoy, ref, correspondence),
+            lrmsd(decoy, ref, correspondence),
+            lddt_ca(decoy, ref.native, correspondence)[1])
+
+
+def values(report):
+    return (report.fnat, report.fnonnat, report.irmsd, report.lrmsd,
+            report.lddt_ca_global)
 
 
 class TestScoreDecoys:
+    """Many decoys of one native share one ``Reference``."""
+
     def test_reports_match_score_pair(self, two_chain_complex, rng):
         decoys = jittered_decoys(two_chain_complex, rng)
         coords = two_chain_complex.coords.copy()
         coords[two_chain_complex.chain == "B"] += np.array([100.0, 0.0, 0.0])
         decoys.append(two_chain_complex.with_coords(coords))
-        reports = list(score_decoys(decoys, two_chain_complex))
+        ref = Reference(two_chain_complex)
+        reports = [score_pair(d, ref) for d in decoys]
         assert [r.to_json() for r in reports] == [
-            score_pair(d, two_chain_complex).to_json() for d in decoys
+            score_pair(d, Reference(two_chain_complex)).to_json() for d in decoys
         ]
-        assert [
-            (r.fnat, r.fnonnat, r.irmsd, r.lrmsd, r.lddt_ca_global) for r in reports
-        ] == [composed(d, two_chain_complex) for d in decoys]
+        assert [values(r) for r in reports] == [
+            composed(d, Reference(two_chain_complex)) for d in decoys
+        ]
 
     def test_one_pair_search_per_structure(self, two_chain_complex, rng):
         """The native's contacts and interface come from one 10 A search,
         each decoy's contacts from one 5 A search, and the reports are the
-        ones the separate public passes give."""
+        ones a reference built for each decoy gives."""
         decoys = jittered_decoys(two_chain_complex, rng)
         with mock.patch.object(
             metrics, "close_pair_blocks", wraps=structio.close_pair_blocks
         ) as search:
-            reports = list(score_decoys(decoys, two_chain_complex))
+            ref = Reference(two_chain_complex)
+            reports = [score_pair(d, ref) for d in decoys]
         cutoffs = [call.args[2] for call in search.call_args_list]
         assert cutoffs == [INTERFACE_CUTOFF] + [CONTACT_CUTOFF] * len(decoys)
-        assert [
-            (r.fnat, r.fnonnat, r.irmsd, r.lrmsd, r.lddt_ca_global) for r in reports
-        ] == [composed(d, two_chain_complex) for d in decoys]
-        assert [r.to_json() for r in reports] == [
-            score_pair(d, two_chain_complex).to_json() for d in decoys
+        assert [values(r) for r in reports] == [
+            composed(d, Reference(two_chain_complex)) for d in decoys
         ]
-
-    def test_reads_one_decoy_per_report(self, two_chain_complex, rng):
-        decoys = jittered_decoys(two_chain_complex, rng)
-        pulled = []
-
-        def source():
-            for decoy in decoys:
-                pulled.append(decoy)
-                yield decoy
-
-        reports = score_decoys(source(), two_chain_complex)
-        assert pulled == []
-        for count in range(1, len(decoys) + 1):
-            next(reports)
-            assert len(pulled) == count
-        assert list(reports) == []
+        assert [r.to_json() for r in reports] == [
+            score_pair(d, Reference(two_chain_complex)).to_json() for d in decoys
+        ]
 
     @pytest.mark.parametrize("case, error", [
         ("single_chain_native", NoInterfaceError),
@@ -542,14 +550,13 @@ class TestScoreDecoys:
             bad = replace_columns(good, chain=np.where(good.chain == "A", "X", "Y"))
         elif case == "no_interface":
             bad = replace_columns(good, chain=np.where(good.chain == "A", "Y", "B"))
-        expected = raised(lambda: score_pair(bad, native))
+        ref = Reference(native)  # built once, also for a single-chain native
+        expected = raised(lambda: score_pair(bad, Reference(native)))
         assert expected[0] is error
-        assert raised(lambda: composed(bad, native)) == expected
-        decoys = [bad] if case.startswith("single_chain_native") else [good, bad]
-        reports = score_decoys(decoys, native)
-        for _ in decoys[:-1]:
-            next(reports)
-        assert raised(lambda: next(reports)) == expected
+        assert raised(lambda: composed(bad, Reference(native))) == expected
+        if not case.startswith("single_chain_native"):
+            score_pair(good, ref)
+        assert raised(lambda: score_pair(bad, ref)) == expected
 
 
 class TestRigidMotionInvariance:
@@ -558,13 +565,13 @@ class TestRigidMotionInvariance:
             scale=0.5, size=(two_chain_complex.num_atoms, 3)
         )
         decoy = two_chain_complex.with_coords(coords)
-        base = score_pair(decoy, two_chain_complex)
+        base = score_pair(decoy, Reference(two_chain_complex))
         for _ in range(3):
             rot = random_rotation(rng)
             shift = rng.normal(scale=12.0, size=3)
             decoy_m = transform_structure(decoy, rot, shift)
             native_m = transform_structure(two_chain_complex, rot, shift)
-            report = score_pair(decoy_m, native_m)
+            report = score_pair(decoy_m, Reference(native_m))
             assert report.fnat == pytest.approx(base.fnat, abs=1e-9)
             assert report.dockq == pytest.approx(base.dockq, abs=1e-9)
             assert report.lddt_ca_global == pytest.approx(
@@ -576,15 +583,15 @@ class TestRigidMotionInvariance:
             scale=0.5, size=(two_chain_complex.num_atoms, 3)
         )
         decoy = two_chain_complex.with_coords(coords)
-        base_i = irmsd(decoy, two_chain_complex)
-        base_l = lrmsd(decoy, two_chain_complex)
+        base_i = superposed(irmsd, decoy, two_chain_complex)
+        base_l = superposed(lrmsd, decoy, two_chain_complex)
         for _ in range(3):
             rot = random_rotation(rng)
             shift = rng.normal(scale=12.0, size=3)
             decoy_m = transform_structure(decoy, rot, shift)
-            assert irmsd(decoy_m, two_chain_complex) == pytest.approx(
+            assert superposed(irmsd, decoy_m, two_chain_complex) == pytest.approx(
                 base_i, abs=1e-6
             )
-            assert lrmsd(decoy_m, two_chain_complex) == pytest.approx(
+            assert superposed(lrmsd, decoy_m, two_chain_complex) == pytest.approx(
                 base_l, abs=1e-6
             )

@@ -16,6 +16,7 @@ from equiref.errors import (
     PdbParseError,
 )
 from equiref.structio import (
+    AtomIndex,
     build_residue_frames,
     close_pair_blocks,
     kabsch_superpose,
@@ -336,7 +337,7 @@ class TestWritePdb:
 
 class TestMatchAtoms:
     def test_identical_structures(self, two_chain_complex):
-        corr = match_atoms(two_chain_complex, two_chain_complex)
+        corr = match_atoms(two_chain_complex, AtomIndex(two_chain_complex))
         assert len(corr.pairs) == two_chain_complex.num_atoms
         assert corr.pairs.shape == (two_chain_complex.num_atoms, 2)
         assert all(d == n for d, n in corr.pairs)
@@ -345,7 +346,7 @@ class TestMatchAtoms:
     def test_missing_residue_unmatched(self):
         decoy = make_complex(n_res_a=4, n_res_b=3)
         native = make_complex(n_res_a=3, n_res_b=3)
-        corr = match_atoms(decoy, native)
+        corr = match_atoms(decoy, AtomIndex(native))
         assert len(corr.pairs) == decoy.num_atoms - 4  # one residue of 4 atoms
 
     def test_chain_mismatch(self):
@@ -355,15 +356,15 @@ class TestMatchAtoms:
             native, chain=np.where(native.chain == "B", "C", native.chain)
         )
         native = parse_pdb(write_pdb(native))
-        corr = match_atoms(decoy, native)
+        corr = match_atoms(decoy, AtomIndex(native))
         assert len(corr.pairs) == 12  # chain A only: 3 residues x 4 atoms
         assert all(decoy.chain[d] == "A" for d, _ in corr.pairs)
 
     def test_symmetric_cardinality(self):
         decoy = make_complex(n_res_a=5, n_res_b=2)
         native = make_complex(n_res_a=3, n_res_b=4)
-        assert len(match_atoms(decoy, native).pairs) == len(
-            match_atoms(native, decoy).pairs
+        assert len(match_atoms(decoy, AtomIndex(native)).pairs) == len(
+            match_atoms(native, AtomIndex(decoy)).pairs
         )
 
     def test_repeated_native_key_matches_its_last_row(self):
@@ -377,7 +378,7 @@ class TestMatchAtoms:
             ("A", 1, "GLY", "CA", (1.0, 0.0, 0.0)),
             ("A", 2, "GLY", "CA", (2.0, 0.0, 0.0)),
         ])
-        corr = match_atoms(decoy, native)
+        corr = match_atoms(decoy, AtomIndex(native))
         assert corr.pairs.dtype == np.intp
         assert corr.pairs.tolist() == [[0, 2], [1, 1]]
         assert corr.matched_ca.tolist() == [[1, 1]]
@@ -390,7 +391,7 @@ class TestMatchAtoms:
         )
         native = parse_pdb(write_pdb(native))
         with pytest.raises(NoOverlapError):
-            match_atoms(decoy, native)
+            match_atoms(decoy, AtomIndex(native))
 
 
 class TestKabsch:
