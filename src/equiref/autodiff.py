@@ -13,9 +13,11 @@ the same graph is therefore not supported.
 
 A node's backward hands each parent either a dense gradient of the
 parent's shape or a row contribution ``(rows, values)``, meaning
-``grad[rows] += values`` for a slice or an array of distinct row indices;
-``slice_rows``, ``gather_rows`` and ``edge_affine`` use the latter, so a
-block that reads a few rows of a large tensor costs time in its rows only.
+``grad[rows] += values`` for a slice or an array of distinct row indices,
+or a list of such contributions; ``slice_rows``, ``gather_rows`` and
+``edge_affine`` hand back rows, so a block that reads a few rows of a
+large tensor costs time in its rows only, and ``checkpoint`` hands back
+lists.
 A first dense gradient becomes the parent's ``grad`` as it is, although it
 may be shared (``__add__`` hands the same array to both parents) or a view
 (``concat`` hands back views of its gradient); such an array is never
@@ -26,7 +28,11 @@ one it allocated, or a copy it made on the first write.
 forward runs under ``no_grad()``, and the backward runs ``fn`` again with
 the tape on, from fresh leaves holding the inputs' data, and walks that
 short tape at once. The live tape then holds only what the checkpoints
-keep (their inputs and outputs) plus the parts left outside them.
+keep (their inputs and outputs) plus the parts left outside them. A fresh
+leaf does not gather its row contributions into a gradient of its own
+size: the checkpoint hands them to its input as they came, beside the sum
+of the dense ones. Many checkpoints over the rows of one large input then
+cost time and memory in their rows, not one full-size gradient each.
 
 Inside ``with no_grad():`` new tensors record no parents and no backward
 closure, so the same model code runs without a tape and each intermediate
@@ -83,13 +89,22 @@ def no_grad():
     return _taping_mode(False)
 
 
-def _accumulate(tensor: Tensor, contribution, owned: set[int]) -> None:
-    """Add one dense or row contribution into ``tensor.grad``.
+def _accumulate(tensor: Tensor, contribution, owned: set[int],
+                rows_of: dict[int, list] | None = None) -> None:
+    """Add one dense or row contribution, or a list of them, into ``tensor.grad``.
 
     ``owned`` holds the ids of tensors whose ``grad`` buffer this walk
-    allocated or copied; only those are written in place.
+    allocated or copied; only those are written in place. A row
+    contribution to a tensor keyed in ``rows_of`` is appended to its list
+    there instead.
     """
-    if isinstance(contribution, tuple):
+    if isinstance(contribution, list):
+        for part in contribution:
+            _accumulate(tensor, part, owned, rows_of)
+    elif isinstance(contribution, tuple):
+        if rows_of is not None and id(tensor) in rows_of:
+            rows_of[id(tensor)].append(contribution)
+            return
         rows, values = contribution
         if tensor.grad is None:
             tensor.grad = np.zeros_like(tensor.data)
@@ -106,11 +121,12 @@ def _accumulate(tensor: Tensor, contribution, owned: set[int]) -> None:
         owned.add(id(tensor))
 
 
-def _backprop(outputs, grads) -> None:
+def _backprop(outputs, grads, rows_of: dict[int, list] | None = None) -> None:
     """Seed each output with its gradient and walk the tape back to the leaves.
 
     Every interior node reached is consumed: it ends with no ``grad``, no
-    parents and no backward closure.
+    parents and no backward closure. Row contributions to the tensors keyed
+    in ``rows_of`` are collected there, not added into their ``grad``.
     """
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -129,7 +145,7 @@ def _backprop(outputs, grads) -> None:
                 stack.append((parent, False))
     owned: set[int] = set()
     for out, grad in zip(outputs, grads):
-        _accumulate(out, grad, owned)
+        _accumulate(out, grad, owned, rows_of)
     while order:
         node = order.pop()
         if not node._parents:
@@ -137,7 +153,7 @@ def _backprop(outputs, grads) -> None:
         if node._backward is not None and node.grad is not None:
             for parent, contribution in zip(node._parents, node._backward(node.grad)):
                 if contribution is not None:
-                    _accumulate(parent, contribution, owned)
+                    _accumulate(parent, contribution, owned, rows_of)
         owned.discard(id(node))
         node.grad, node._parents, node._backward = None, (), None
 
@@ -282,14 +298,21 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """x @ weight + bias for row-major inputs; bias has shape (out,)."""
-    out_data = x.data @ weight.data
+def affine(x: Tensor | Array, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias for row-major inputs; bias has shape (out,).
+
+    ``x`` may be an array: a constant, which gets no gradient.
+    """
+    constant = not isinstance(x, Tensor)
+    data = _as_array(x) if constant else x.data
+    out_data = data @ weight.data
     out_data += bias.data
+    if constant:
+        return Tensor(out_data, (weight, bias), lambda g: (data.T @ g, g.sum(axis=0)))
     return Tensor(
         out_data,
         (x, weight, bias),
-        lambda g: (g @ weight.data.T, x.data.T @ g, g.sum(axis=0)),
+        lambda g: (g @ weight.data.T, data.T @ g, g.sum(axis=0)),
     )
 
 
@@ -466,8 +489,9 @@ def checkpoint(fn, inputs):
     else it reads enters as a constant. The forward keeps no tape inside
     ``fn``. The backward runs ``fn`` again with the tape on, from fresh
     leaves holding the inputs' data, seeds the outputs' gradients into that
-    tape, walks it, and hands the leaves' gradients to ``inputs``. Each
-    output is a view of one packed array the node holds. Under
+    tape, walks it, and hands each input what its leaf received: the sum
+    of the dense contributions, then each row contribution as it came.
+    Each output is a view of one packed array the node holds. Under
     ``no_grad()`` this is ``fn(*inputs)``.
     """
     if not _taping:
@@ -486,9 +510,13 @@ def checkpoint(fn, inputs):
         leaves = [Tensor(t.data) for t in inputs]
         with _taping_mode(True):
             again = fn(*leaves)
+        rows_of = {id(leaf): [] for leaf in leaves}
         _backprop((again,) if single else tuple(again),
-                  [g[a:b].reshape(shape) for (a, b), shape in zip(segments, shapes)])
-        return tuple(leaf.grad for leaf in leaves)
+                  [g[a:b].reshape(shape) for (a, b), shape in zip(segments, shapes)],
+                  rows_of)
+        received = [([] if leaf.grad is None else [leaf.grad]) + rows_of[id(leaf)]
+                    for leaf in leaves]
+        return tuple(parts or None for parts in received)
 
     node = Tensor(packed, inputs, backward)
 

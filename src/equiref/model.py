@@ -28,6 +28,15 @@ message is formed. One ``autodiff.edge_affine`` op forms the message
 MLP's pre-activation, and every MLP's layer norm and leaky ReLU are one
 ``autodiff.layer_norm_leaky_relu`` op.
 
+A layer's edge pass runs over blocks of whole nodes, and each block is one
+``autodiff.checkpoint``: it reads the coordinates and the per-node message
+products by rows, and keeps only its nodes' coordinate shift and mean
+hidden message. The node update (skip mix, mean message, both attentions,
+node MLP, node skip) is one more. The backward pass re-runs one of them
+at a time and walks its tape at once, so training holds the tape of one
+edge block plus O(n d) per layer. Under ``no_grad()`` the checkpoints are
+plain calls.
+
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
 settings from it. The input feature widths are not settings: they follow
@@ -300,95 +309,133 @@ def _window_attention(
     return concat(blocks, axis=0)
 
 
-def _layer(
-    x: Tensor,
-    h: Tensor,
-    x0: Tensor,
-    f_emb: Tensor,
-    edge_features: np.ndarray,
-    neighbors: np.ndarray,
-    leaves: dict[str, Tensor],
-    prefix: str,
-    config: ModelConfig,
-    coord_skip: Tensor,
-    node_skip: Tensor,
-) -> tuple[Tensor, Tensor]:
-    n, k = neighbors.shape
-    d = h.data.shape[1]
-    msg, gate_mlp = prefix + "msg_mlp.", prefix + "coord_mlp."
+def _checkpoint(fn, tensors: dict[str, Tensor]):
+    """``fn(tensors)`` under ``autodiff.checkpoint``, reading its inputs by name."""
+    names = tuple(tensors)
+    return checkpoint(lambda *values: fn(dict(zip(names, values))), tensors.values())
 
-    # the h_i and h_j rows of the message MLP's w1, applied once per node
-    w1 = leaves[msg + "w1"]
-    h_src = h @ slice_rows(w1, 0, d)
-    h_dst = h @ slice_rows(w1, d, 2 * d)
-    w1_edge = slice_rows(w1, 2 * d, w1.data.shape[0])
 
-    # The message MLP ends in the affine map (w2, b2) and the gate MLP
-    # starts with (cw1, cb1), with nothing nonlinear between them, so the
-    # gate's first layer reads the message MLP's hidden layer a through
-    # w2 @ cw1 and b2 @ cw1 + cb1. The per-node mean message is
-    # group_mean(a) @ w2 + b2, as the mean is linear too.
-    w2, b2 = leaves[msg + "w2"], leaves[msg + "b2"]
-    cw1 = leaves[gate_mlp + "w1"]
-    gate_weight = w2 @ cw1
-    gate_bias = (cw1.T * b2).sum(axis=1) + leaves[gate_mlp + "b1"]
+def _edge_block(t: dict[str, Tensor], edge_features: np.ndarray,
+                neighbors: np.ndarray, start: int, stop: int) -> tuple[Tensor, Tensor]:
+    """The coordinate shift and mean hidden message of nodes ``start:stop``.
 
-    # The edge pass runs over blocks of whole nodes: a node's update needs
-    # only its own k edge rows, so every per-edge temporary stays at about
-    # EDGE_BLOCK rows. A block yields its nodes' coordinate shift and mean
-    # hidden message.
-    step = max(1, EDGE_BLOCK // k)
-    shifts, hiddens = [], []
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        # edge row i*k + s carries the message from j = neighbors[i, s] to i
-        nbrs = neighbors[start:stop].ravel()
-        diff = repeat_rows(slice_rows(x, start, stop), k) - gather_rows(x, nbrs)
-        sqdist = (diff * diff).sum(axis=1, keepdims=True)
-        hidden = _activate(
-            edge_affine(edge_features[start * k:stop * k], sqdist, w1_edge,
-                        leaves[msg + "b1"], slice_rows(h_src, start, stop),
-                        h_dst, nbrs),
-            leaves, msg,
-        )
-        gate_hidden = _activate(affine(hidden, gate_weight, gate_bias), leaves, gate_mlp)
-        gate = affine(gate_hidden, leaves[gate_mlp + "w2"], leaves[gate_mlp + "b2"])
-        radial = diff / (row_norm(diff) + NORM_CONSTANT)
-        shifts.append(group_mean(radial * gate, k))
-        hiddens.append(group_mean(hidden, k))
-    x_new = coord_skip * x0 + (1.0 - coord_skip) * x + concat(shifts, axis=0)
-    m_agg = affine(concat(hiddens, axis=0), w2, b2)
+    A node's update needs only its own k edge rows, and edge row i*k + s
+    carries the message from j = neighbors[i, s] to i. The block reads
+    ``x``, ``h_src`` and ``h_dst`` only by rows.
+    """
+    k = neighbors.shape[1]
+    nbrs = neighbors[start:stop].ravel()
+    x = t["x"]
+    diff = repeat_rows(slice_rows(x, start, stop), k) - gather_rows(x, nbrs)
+    sqdist = (diff * diff).sum(axis=1, keepdims=True)
+    hidden = _activate(
+        edge_affine(edge_features[start * k:stop * k], sqdist, t["msg_mlp.w1_edge"],
+                    t["msg_mlp.b1"], slice_rows(t["h_src"], start, stop), t["h_dst"],
+                    nbrs),
+        t, "msg_mlp.",
+    )
+    gate = _mlp(hidden, t, "coord_mlp.")
+    radial = diff / (row_norm(diff) + NORM_CONSTANT)
+    return group_mean(radial * gate, k), group_mean(hidden, k)
+
+
+def _node_update(t: dict[str, Tensor], blocks: int, x0: np.ndarray,
+                 config: ModelConfig) -> tuple[Tensor, Tensor]:
+    """A layer's new coordinates and embeddings from its edge blocks' outputs."""
+    shift = concat([t[f"block{i}.shift"] for i in range(blocks)], axis=0)
+    mean_hidden = concat([t[f"block{i}.hidden"] for i in range(blocks)], axis=0)
+    coord_skip, node_skip, h = t["coord_skip"], t["node_skip"], t["h"]
+    x_new = coord_skip * x0 + (1.0 - coord_skip) * t["x"] + shift
+    m_agg = affine(mean_hidden, t["msg_mlp.w2"], t["msg_mlp.b2"])
 
     if config.attention_enabled:
         attn = _linear_attention(
-            h,
-            leaves[prefix + "attn_global.wq"],
-            leaves[prefix + "attn_global.wk"],
-            leaves[prefix + "attn_global.wv"],
+            h, t["attn_global.wq"], t["attn_global.wk"], t["attn_global.wv"],
         ) + _window_attention(
-            h,
-            leaves[prefix + "attn_local.wq"],
-            leaves[prefix + "attn_local.wk"],
-            leaves[prefix + "attn_local.wv"],
+            h, t["attn_local.wq"], t["attn_local.wk"], t["attn_local.wv"],
             config.window_size,
         )
     else:
         attn = Tensor(np.zeros_like(h.data))
 
-    update = _mlp(concat([h, m_agg, attn, f_emb], axis=1), leaves, prefix + "node_mlp.")
+    update = _mlp(concat([h, m_agg, attn, t["f_emb"]], axis=1), t, "node_mlp.")
     h_new = node_skip * update + (1.0 - node_skip) * h
     return x_new, h_new
+
+
+def _layer(
+    x: Tensor,
+    h: Tensor,
+    f_emb: Tensor,
+    graph: ComplexGraph,
+    leaves: dict[str, Tensor],
+    config: ModelConfig,
+    coord_skip: Tensor,
+    node_skip: Tensor,
+) -> tuple[Tensor, Tensor]:
+    """One layer: an ``autodiff.checkpoint`` per edge block, then one for
+    the node update, whose skip anchor is the graph's coordinates.
+    ``leaves`` holds the layer's parameters by their names within the
+    layer."""
+    n, k = graph.neighbors.shape
+    d = h.data.shape[1]
+
+    # the h_i and h_j rows of the message MLP's w1, applied once per node
+    w1 = leaves["msg_mlp.w1"]
+    h_src = h @ slice_rows(w1, 0, d)
+    h_dst = h @ slice_rows(w1, d, 2 * d)
+
+    # The message MLP ends in the affine map (w2, b2) and the gate MLP
+    # starts with (cw1, cb1), with nothing nonlinear between them, so the
+    # gate's first layer reads the message MLP's hidden layer a through
+    # w2 @ cw1 and b2 @ cw1 + cb1: an edge block's "coord_mlp.w1" and
+    # "coord_mlp.b1". The per-node mean message is group_mean(a) @ w2 + b2,
+    # as the mean is linear too.
+    w2, b2 = leaves["msg_mlp.w2"], leaves["msg_mlp.b2"]
+    cw1 = leaves["coord_mlp.w1"]
+    block_inputs = {
+        "x": x, "h_src": h_src, "h_dst": h_dst,
+        "msg_mlp.w1_edge": slice_rows(w1, 2 * d, w1.data.shape[0]),
+        "coord_mlp.w1": w2 @ cw1,
+        "coord_mlp.b1": (cw1.T * b2).sum(axis=1) + leaves["coord_mlp.b1"],
+        **{name: leaves[name] for name in (
+            "msg_mlp.b1", "msg_mlp.ln_gain", "msg_mlp.ln_bias", "coord_mlp.ln_gain",
+            "coord_mlp.ln_bias", "coord_mlp.w2", "coord_mlp.b2")},
+    }
+
+    # The edge pass runs over blocks of whole nodes, so every per-edge
+    # temporary stays at about EDGE_BLOCK rows, and so does the tape that
+    # the backward pass rebuilds for one block.
+    step = max(1, EDGE_BLOCK // k)
+    starts = range(0, n, step)
+    outputs = {}
+    for block, start in enumerate(starts):
+        stop = min(start + step, n)
+        outputs[f"block{block}.shift"], outputs[f"block{block}.hidden"] = _checkpoint(
+            lambda t, start=start, stop=stop: _edge_block(
+                t, graph.edge_features, graph.neighbors, start, stop),
+            block_inputs,
+        )
+
+    update_inputs = {"x": x, "h": h, "f_emb": f_emb, "coord_skip": coord_skip,
+                     "node_skip": node_skip, "msg_mlp.w2": w2, "msg_mlp.b2": b2,
+                     **{name: leaf for name, leaf in leaves.items()
+                        if name.startswith(("attn_", "node_mlp."))},
+                     **outputs}
+    return _checkpoint(lambda t: _node_update(t, len(starts), graph.coords, config),
+                       update_inputs)
 
 
 @dataclass
 class ForwardPass:
     """Forward outputs and the parameter leaves their tape leads back to.
 
-    Outside ``no_grad()`` the outputs carry the tape: each layer is one
-    checkpoint node holding its inputs and packed outputs, and only the
-    input embedding, the two skip strengths and the QA head are taped op
-    by op. The layers' edge blocks are taped again one layer at a time
-    during the backward pass.
+    Outside ``no_grad()`` the outputs carry the tape. Per layer it holds a
+    checkpoint node for each edge block and one for the node update, each
+    keeping its inputs and packed outputs, and the layer's per-node
+    message products taped op by op: O(n d) per layer and no edge rows.
+    The input embedding, the two skip strengths and the QA head are taped
+    op by op too. The backward pass tapes one checkpoint again at a time.
     """
 
     coords: Tensor      # (n, 3) refined coordinates
@@ -417,39 +464,31 @@ def forward_pass(
 
     The outputs carry the autodiff tape back to ``leaves`` unless the call
     runs inside ``no_grad()``; ``train.backward`` differentiates through it.
-    Each layer runs inside ``autodiff.checkpoint``: its inputs are the
-    coordinates, the embeddings, ``f_emb``, the two skip strengths and the
-    layer's own parameter leaves, and the backward pass re-runs it, so a
-    backward holds the tape of one layer at a time. Gradients then differ
-    from a pass taped op by op only in the last bits, where contributions
-    to the shared leaves add up in another order. Under ``no_grad()`` the
-    layers run directly. The graph's arrays enter as constants: the one
-    coordinate tensor is both the first layer's input and every layer's
-    skip anchor.
+    Each edge block of a layer runs inside ``autodiff.checkpoint``, and so
+    does the node update after them; the backward pass re-runs one of them
+    at a time and walks its tape at once, so a backward holds the tape of
+    one edge block, or of one node update, plus O(n d) per layer. An edge
+    block hands the rows it read of the coordinates and the per-node
+    message products back as row contributions. Gradients differ from a
+    pass taped op by op only in the last bits, where contributions to the
+    shared leaves add up in another order. Under ``no_grad()`` the
+    checkpoints are plain calls. The graph's arrays enter as constants:
+    the node features feed the embedding as an array, the coordinates are
+    the first layer's input tensor and, as an array, every layer's skip
+    anchor.
     """
     check_widths(graph, config)
     leaves = _wrap(params)
-    x0 = Tensor(graph.coords)
-    f_emb = affine(
-        Tensor(graph.node_features), leaves["embed.weight"], leaves["embed.bias"]
-    )
+    f_emb = affine(graph.node_features, leaves["embed.weight"], leaves["embed.bias"])
     coord_skip = leaves["coord_skip_raw"].sigmoid()
     node_skip = leaves["node_skip_raw"].sigmoid()
 
-    x, h = x0, f_emb
+    x, h = Tensor(graph.coords), f_emb
     for layer in range(config.num_layers):
         prefix = f"layers.{layer}."
-        names = [name for name in leaves if name.startswith(prefix)]
-
-        def run(x, h, f_emb, coord_skip, node_skip, *blocks, prefix=prefix, names=names):
-            return _layer(
-                x, h, x0, f_emb, graph.edge_features, graph.neighbors,
-                dict(zip(names, blocks)), prefix, config, coord_skip, node_skip,
-            )
-
-        x, h = checkpoint(
-            run, (x, h, f_emb, coord_skip, node_skip, *(leaves[name] for name in names))
-        )
+        layer_leaves = {name[len(prefix):]: leaf for name, leaf in leaves.items()
+                        if name.startswith(prefix)}
+        x, h = _layer(x, h, f_emb, graph, layer_leaves, config, coord_skip, node_skip)
     qa = _mlp(h, leaves, "qa_head.").sigmoid()
     return ForwardPass(coords=x, embeddings=h, qa=qa, leaves=leaves)
 

@@ -22,12 +22,13 @@ records). Chains come in order of first appearance, and each chain keeps
 its atoms in file order, so interleaved chains are regrouped. A residue
 takes its name from its first atom. Insertion codes fold into the residue
 numbers, so that they strictly increase within a chain. The parse works
-on columns, not lines: the ATOM records become one array of code points,
-a row per record, and the checks, filters, residue numbers and
-de-duplication are array operations over it. A numeric field's value is
-the one Python's ``int`` or ``float`` gives: a canonical field (digits
-right-justified, as ``write_pdb`` writes them) is read from its digit
-codes, and any other goes through ``int`` or ``float`` itself.
+on columns, not lines: the columns it reads of the ATOM records become
+arrays of code points, a row per record, and the checks, filters,
+residue numbers and de-duplication are array operations over them. A
+numeric field's value is the one Python's ``int`` or ``float`` gives: a
+canonical field (digits right-justified, as ``write_pdb`` writes them) is
+read from its digit codes, and any other goes through ``int`` or
+``float`` itself.
 
 The module also establishes atom correspondence between a decoy and its
 reference structure (``match_atoms`` reads an ``AtomIndex`` of the native,
@@ -52,6 +53,7 @@ import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -160,11 +162,13 @@ class AtomCorrespondence:
     backbone: np.ndarray    # (b, 2) intp
 
 
-# ATOM records are read up to column 78, the end of the element symbol; a
-# record must reach column 54, the end of z. Numeric fields are (start,
-# stop, decimals), 0-based and end-exclusive: serial, resSeq, x, y and z.
-_READ_WIDTH = 78
+# ATOM records are read in columns 6-53, serial number to z, and 76-77,
+# the element symbol; a record must reach column 54, the end of z. Numeric
+# fields are (start, stop, decimals), 0-based and end-exclusive: serial,
+# resSeq, x, y and z.
+_FIRST_READ = 6
 _SHORTEST_ATOM = 54
+_ELEMENT_COLUMNS = (76, 78)
 _NUMBER_FIELDS = ((6, 11, 0), (22, 26, 0), (30, 38, 3), (38, 46, 3), (46, 54, 3))
 
 
@@ -207,7 +211,7 @@ def _number_layout() -> tuple[list[int], list[slice], np.ndarray, np.ndarray,
             if not is_point:
                 exponent -= 1
                 places[field, len(columns)] = 10.0 ** exponent
-            columns.append(start + j)
+            columns.append(start - _FIRST_READ + j)
             lead.append(j < whole - 1)
             point.append(is_point)
             after.append(0 < j < whole)
@@ -216,8 +220,8 @@ def _number_layout() -> tuple[list[int], list[slice], np.ndarray, np.ndarray,
 
 def _numbers(codes: np.ndarray, long: np.ndarray) -> tuple[list[np.ndarray], list[dict]]:
     """Each numeric field of the records ``codes`` (one row of code points
-    each), and the ValueError of each field that its conversion rejects,
-    by record.
+    each, from column ``_FIRST_READ``), and the ValueError of each field
+    that its conversion rejects, by record.
 
     A field in canonical form is read from its digit codes: its digits as
     one integer over 10**decimals round to the double that ``float`` gives.
@@ -246,12 +250,23 @@ def _numbers(codes: np.ndarray, long: np.ndarray) -> tuple[list[np.ndarray], lis
         bad = {}
         for i in np.flatnonzero(long & ~ok[field].all(axis=0)).tolist():
             try:
-                value[i] = convert(_text(codes[i, start:stop].tolist()))
+                value[i] = convert(_text(
+                    codes[i, start - _FIRST_READ:stop - _FIRST_READ].tolist()))
             except ValueError as exc:
                 bad[i] = exc
         results.append(value)
         errors.append(bad)
     return results, errors
+
+
+def _code_points(records: list[str], start: int, stop: int) -> np.ndarray:
+    """Columns ``start:stop`` of each record as one row of code points, zero
+    past the record's end; a NUL in the record is a zero too, so only the
+    record's length tells the two apart."""
+    width = stop - start
+    text = np.fromiter(map(operator.itemgetter(slice(start, stop)), records),
+                       dtype=f"U{width}", count=len(records))
+    return text.view(np.uint32).reshape(len(records), width)
 
 
 def _packed(*columns: np.ndarray) -> np.ndarray:
@@ -337,10 +352,10 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
     if not rows.size:
         raise EmptyStructureError("no ATOM records survived filtering")
     records = list(map(lines.__getitem__, rows.tolist()))
-    # One row of code points per record, zero past its end; a NUL in the
-    # record is a zero too, so only the record's length tells the two apart.
-    codes = np.array(records, dtype=f"U{_READ_WIDTH}").view(np.uint32)
-    codes = codes.reshape(rows.size, _READ_WIDTH)
+    # only the columns read become code points: serial number to z, and
+    # the element symbol
+    codes = _code_points(records, _FIRST_READ, _SHORTEST_ATOM)
+    element_codes = _code_points(records, *_ELEMENT_COLUMNS)
     length = np.fromiter(map(len, records), dtype=np.intp, count=rows.size)
     long = length >= _SHORTEST_ATOM
     (serial, resseq, *xyz), bad = _numbers(codes, long)
@@ -351,25 +366,25 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
         malformed[list(errors)] = True
 
     # Columns 12-26: atom name, altloc, residue name, chain id, resSeq, iCode.
-    fields = np.ascontiguousarray(codes.T[12:27])
+    fields = np.ascontiguousarray(codes.T[12 - _FIRST_READ:27 - _FIRST_READ])
     # Names and elements: one Python evaluation per distinct combination
     # of the atom-name columns and the element columns of a long record.
-    has_element = length >= 78
-    element = [(column + 1) * has_element for column in codes.T[76:78]]
+    has_element = length >= _ELEMENT_COLUMNS[1]
+    element = [(column + 1) * has_element for column in element_codes.T]
     atom_kind, representatives = _distinct(
         _packed(*fields[:3]), _packed(fields[3], *element))
     names, elements = [], []
     for row in representatives.tolist():
         raw_name = _text(fields[:4, row].tolist())
-        symbol = _text(codes[row, 76:78].tolist()) if has_element[row] else ""
+        symbol = _text(element_codes[row].tolist()) if has_element[row] else ""
         symbol = symbol.strip().upper()
         names.append(raw_name.strip())
         elements.append(symbol or _element_from_name(raw_name))
     named = np.array([bool(name) for name in names])[atom_kind]
     dropped = ((fields[4] != ord(" ")) & (fields[4] != ord("A"))
                | np.array([_is_hydrogen(e) for e in elements])[atom_kind])
-    has_nul = ((fields == 0).any(axis=0) | (codes[:, 76] == 0) & (length > 76)
-               | (codes[:, 77] == 0) & (length > 77))
+    has_nul = ((fields == 0).any(axis=0) | ((element_codes == 0)
+               & (length[:, None] > np.arange(*_ELEMENT_COLUMNS))).any(axis=1))
     finite = np.isfinite(coords).all(axis=1)
     failed = ~long | ~named | malformed | (has_nul | ~finite) & ~dropped
     if failed.any():

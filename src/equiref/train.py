@@ -162,17 +162,6 @@ def _loss_tensor(example: TrainingExample, fp, config: ModelConfig) -> Tensor:
     return loss
 
 
-def example_loss(
-    example: TrainingExample,
-    params: dict[str, np.ndarray],
-    config: ModelConfig,
-) -> float:
-    """Total loss value for one example; no tape is built."""
-    with no_grad():
-        fp = forward_pass(example.graph, params, config)
-        return float(_loss_tensor(example, fp, config).data)
-
-
 def backward(
     example: TrainingExample,
     params: dict[str, np.ndarray],

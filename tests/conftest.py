@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,17 @@ def random_rotation(rng, proper=True):
 def transform_structure(structure, rotation, translation):
     coords = structure.coords @ rotation.T + translation
     return structure.with_coords(coords)
+
+
+def traced_peak(fn, *args):
+    """The peak of the memory traced while ``fn(*args)`` runs, in bytes;
+    numpy registers its array buffers with ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def rewrite_header(blob, edit):

@@ -29,7 +29,6 @@ from equiref.model import ModelConfig, _linear_attention, forward, init_params
 from equiref.structio import AtomIndex, match_atoms, parse_pdb, write_pdb
 from equiref.train import (
     backward,
-    example_loss,
     make_training_example,
     train_loop,
     validation_rmsd,
@@ -43,7 +42,7 @@ from conftest import (
 )
 from oracles import lddt_bruteforce, quadratic_attention
 from test_model import on_arrays, random_graph, randomize, transform_graph
-from test_train import synthetic_example
+from test_train import loss_value, synthetic_example
 
 
 def report(number: int, detail: str) -> None:
@@ -121,9 +120,9 @@ def test_criterion_03_gradient_oracle():
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + step
-            up = example_loss(example, params, config)
+            up = loss_value(example, params, config)
             flat_p[i] = orig - step
-            down = example_loss(example, params, config)
+            down = loss_value(example, params, config)
             flat_p[i] = orig
             flat_fd[i] = (up - down) / (2 * step)
         rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(analytic) + 1e-8)

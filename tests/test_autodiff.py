@@ -20,6 +20,8 @@ from equiref.autodiff import (
     softmax_rows,
 )
 
+from conftest import traced_peak
+
 
 def finite_difference(fn, arrays, which, step=1e-6):
     """Central-difference gradient of scalar fn w.r.t. arrays[which]."""
@@ -313,6 +315,20 @@ def _two_outputs(x, y, w):
             gather_rows(hidden * x, [2, 0, 2]))
 
 
+def test_affine_of_an_array_is_constant(rng):
+    a = rng.normal(size=(5, 3))
+    w, b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=2))
+    out = affine(a, w, b)
+    assert out._parents == (w, b)
+    (out * out).sum().backward()
+    x, w_taped, b_taped = Tensor(a), Tensor(w.data), Tensor(b.data)
+    taped = affine(x, w_taped, b_taped)
+    (taped * taped).sum().backward()
+    np.testing.assert_array_equal(out.data, taped.data)
+    np.testing.assert_array_equal(w.grad, w_taped.grad)
+    np.testing.assert_array_equal(b.grad, b_taped.grad)
+
+
 def test_checkpoint_matches_the_unwrapped_function(rng):
     a = rng.normal(size=(4, 3))
     w = rng.normal(size=(3, 3))
@@ -361,6 +377,37 @@ def test_checkpoint_under_no_grad_calls_fn(rng):
     assert calls == [a]
     np.testing.assert_array_equal(first.data, a.data * 2.0)
     assert first._parents == () and second._parents == ()
+
+
+def test_checkpoints_over_rows_hand_back_row_contributions(rng):
+    # each checkpoint reads a few rows of one large input, as the model's
+    # edge blocks read the coordinates and the per-node message products:
+    # it hands those rows back as they came, so the backward pass adds
+    # them into one gradient of the input's size and allocates no such
+    # array per checkpoint
+    n, d, rows = 40_000, 8, 1_000
+    data = rng.normal(size=(n, d))
+    weights = rng.normal(size=(rows, d))
+    index = rng.integers(n, size=(n // rows, rows))
+
+    def block(t, start):
+        return slice_rows(t, start, start + rows) ** 2 + gather_rows(t, index[start // rows])
+
+    def loss(wrap, x):
+        return sum(((wrap(lambda t, start=start: block(t, start), (x,)) * Tensor(weights)).sum()
+                    for start in range(0, n, rows)), Tensor(0.0))
+
+    x = Tensor(data)
+    node = checkpoint(lambda t: block(t, 0), (x,))._parents[0]  # under the output view
+    (handed,) = node._backward(np.ones_like(node.data))
+    assert isinstance(handed, list)
+    assert all(isinstance(part, tuple) and len(part[1]) <= rows for part in handed)
+    out = loss(checkpoint, x)
+    peak = traced_peak(out.backward)
+    assert peak < 1.5 * data.nbytes
+    plain = Tensor(data)
+    loss(lambda fn, inputs: fn(*inputs), plain).backward()
+    np.testing.assert_allclose(x.grad, plain.grad, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("rows", [

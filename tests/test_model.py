@@ -1,7 +1,6 @@
 import json
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from equiref.model import (
 )
 from equiref.train import backward
 
-from conftest import make_complex, random_rotation, rewrite_header
+from conftest import make_complex, random_rotation, rewrite_header, traced_peak
 from oracles import message_preactivation, quadratic_attention, unfused_edge_pass
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
@@ -80,11 +79,12 @@ def layer_step(graph, params, config, layer, x, h, f_emb):
     """One layer on explicit state arrays; the anchor is the graph's."""
     with no_grad():
         leaves = {name: Tensor(value) for name, value in params.items()}
+        prefix = f"layers.{layer}."
         x_new, h_new = model._layer(
-            Tensor(x), Tensor(h), Tensor(graph.coords), Tensor(f_emb),
-            graph.edge_features, graph.neighbors,
-            leaves, f"layers.{layer}.", config,
-            leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
+            Tensor(x), Tensor(h), Tensor(f_emb), graph,
+            {name[len(prefix):]: leaf for name, leaf in leaves.items()
+             if name.startswith(prefix)},
+            config, leaves["coord_skip_raw"].sigmoid(), leaves["node_skip_raw"].sigmoid(),
         )
     return x_new.data, h_new.data
 
@@ -292,8 +292,8 @@ class TestLayer:
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
         x_new, _ = layer_step(graph, params, config, 0, x, h, f_emb)
         d = config.hidden_dim
-        m_agg = seen[prefix + "node_mlp."][:, d:2 * d]
-        for actual, reference in ((seen[prefix + "msg_mlp."], pre),
+        m_agg = seen["node_mlp."][:, d:2 * d]  # a layer names its leaves without prefix
+        for actual, reference in ((seen["msg_mlp."], pre),
                                   (m_agg, message.reshape(n, k, d).mean(axis=1)),
                                   (x_new, x_ref)):
             np.testing.assert_allclose(actual, reference, rtol=1e-12,
@@ -477,12 +477,12 @@ class TestTape:
         assert all(leaf.grad is not None for leaf in fp.leaves.values())
 
     def test_graph_arrays_are_constants(self, rng, monkeypatch):
-        # one parentless coordinate tensor is both the first layer's input
-        # and the skip anchor, and the edge features enter each edge block
-        # as a constant array, so no taped tensor holds any of their rows
-        # and the backward computes no gradient for them; the layers run
-        # unwrapped, as the backward pass re-runs them, so that their edge
-        # blocks are on the tape
+        # the node and edge features enter as constant arrays, so no taped
+        # tensor holds any of their rows and the backward computes no
+        # gradient for them; every parentless coordinate tensor is the
+        # graph's own array (the first layer's input and, in each layer's
+        # skip mix, the anchor). The checkpoints run unwrapped, as the
+        # backward pass re-runs them, so that their ops are on the tape
         graph, params = self._case(rng)
         monkeypatch.setattr(model, "EDGE_BLOCK", 7 * graph.neighbors.shape[1])
         monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
@@ -490,12 +490,26 @@ class TestTape:
         nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
         coords = [node for node in nodes
                   if not node._parents and node.shape == graph.coords.shape]
-        assert len(coords) == 1
-        np.testing.assert_array_equal(coords[0].data, graph.coords)
-        assert not any(np.shares_memory(node.data, graph.edge_features)
+        assert coords and all(np.shares_memory(node.data, graph.coords) for node in coords)
+        for features in (graph.node_features, graph.edge_features):
+            assert not any(np.shares_memory(node.data, features) for node in nodes)
+            assert all(node.data.ndim < 2 or node.shape[1] != features.shape[1]
                        for node in nodes)
-        assert all(node.data.ndim < 2 or node.shape[1] != graph.edge_features.shape[1]
-                   for node in nodes)
+
+    def test_constant_inputs_get_no_gradient(self, rng):
+        # the embedding reads the node features as an array, so the backward
+        # forms no (n, d_f) gradient for them, and the skip anchor is no
+        # checkpoint input: the first layer's input is the one parentless
+        # coordinate tensor on the tape
+        graph, params = self._case(rng)
+        fp = forward_pass(graph, params, SMALL)
+        nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
+        coords = [node for node in nodes
+                  if not node._parents and node.shape == graph.coords.shape]
+        assert len(coords) == 1
+        (fp.coords.sum() + fp.qa.sum()).backward()
+        assert not any(node.grad is not None and node.shape == graph.node_features.shape
+                       for node in nodes)
 
     @pytest.mark.parametrize("config", [ModelConfig(num_layers=2, hidden_dim=6),
                                         ModelConfig(num_layers=1)],
@@ -532,16 +546,20 @@ class TestTape:
                 if node.shape == (graph.neighbors.size, config.hidden_dim)]
         assert 0 < len(wide) <= 5
 
-    def test_tape_does_not_grow_with_edge_blocks(self, rng, monkeypatch):
-        # a layer is one checkpoint node after the forward pass: its edge
-        # blocks are taped only while the backward pass re-runs it
+    def test_tape_holds_no_edge_rows(self, rng, monkeypatch):
+        # after the forward pass each edge block is one checkpoint node that
+        # keeps its nodes' outputs: the blocks' edge rows are taped only
+        # while the backward pass re-runs them, one block at a time
         graph, params = self._case(rng)
-        sizes = []
-        for block in (2 * graph.neighbors.shape[1], graph.neighbors.size):
+        n, k = graph.neighbors.shape
+        for block in (2 * k, graph.neighbors.size):
             monkeypatch.setattr(model, "EDGE_BLOCK", block)
+            step = block // k
+            edge_rows = {min(step, n - start) * k for start in range(0, n, step)}
             fp = forward_pass(graph, params, SMALL)
-            sizes.append(len(tape_nodes(fp.coords, fp.embeddings, fp.qa)))
-        assert sizes[0] == sizes[1]
+            nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
+            assert all(node.data.ndim == 0 or len(node.data) not in edge_rows
+                       for node in nodes)
 
     def test_backward_keeps_only_exact_leaf_grads(self, rng):
         graph, params = self._case(rng)
@@ -641,13 +659,20 @@ class TestEdgeBlocks:
         graph = random_graph(rng, n=1000, d_f=config.node_feat_dim,
                              d_e=config.edge_feat_dim)
         params = randomize(init_params(config, 0), rng, scale=0.2)
-        tracemalloc.start()
-        try:
-            forward(graph, params, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2 ** 20
+        assert traced_peak(forward, graph, params, config) < 20 * 2 ** 20
+
+    def test_training_memory_is_one_block(self, rng):
+        # The backward pass re-tapes one edge block, or one node update, at
+        # a time and walks it at once. At 1,000 nodes (k = 20, d = 64) a
+        # backward that re-taped the whole layer before walking it peaked
+        # at 85 MB in numpy allocations, one taping a block at a time at
+        # 20 MB. Bound: 40 MB.
+        from test_train import synthetic_example
+
+        config = ModelConfig(num_layers=1)
+        example = synthetic_example(rng, n=1000, config=config)
+        params = randomize(init_params(config, 0), rng, scale=0.2)
+        assert traced_peak(backward, example, params, config) < 40 * 2 ** 20
 
 
 class TestWeightsContainer:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from equiref.autodiff import no_grad
 from equiref.errors import ConfigError, LossUndefinedError
 from equiref.model import ModelConfig, forward, forward_pass, init_params
 from equiref.train import (
@@ -11,10 +12,10 @@ from equiref.train import (
     OptimizerState,
     RunConfig,
     TrainingExample,
+    _loss_tensor,
     adamw_step,
     backward,
     clip_gradients,
-    example_loss,
     make_training_example,
     train_loop,
     validation_rmsd,
@@ -26,6 +27,13 @@ from oracles import huber, psr_loss, qa_loss, total_loss
 # Feature widths (27, 2): the narrowest combination the featurizer produces.
 TINY = ModelConfig(num_layers=2, hidden_dim=6, granularity="c-alpha",
                    include_surface=False, include_geometric=False)
+
+
+def loss_value(example, params, config):
+    """The total loss of ``example`` from a forward pass that builds no tape."""
+    with no_grad():
+        fp = forward_pass(example.graph, params, config)
+        return float(_loss_tensor(example, fp, config).data)
 
 
 def synthetic_example(rng, n=10, config=TINY, residual_scale=0.4,
@@ -195,7 +203,7 @@ class TestBackward:
         params = randomize(init_params(TINY, 0), rng)
         fp = forward_pass(example.graph, params, TINY)
         expected = total_loss(example, fp.coords.data, fp.qa.data[:, 0], TINY)
-        assert example_loss(example, params, TINY) == pytest.approx(
+        assert loss_value(example, params, TINY) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -229,9 +237,9 @@ class TestBackward:
             for i in range(flat_p.size):
                 orig = flat_p[i]
                 flat_p[i] = orig + step
-                up = example_loss(example, params, TINY)
+                up = loss_value(example, params, TINY)
                 flat_p[i] = orig - step
-                down = example_loss(example, params, TINY)
+                down = loss_value(example, params, TINY)
                 flat_p[i] = orig
                 flat_fd[i] = (up - down) / (2 * step)
             rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(analytic) + 1e-8)
@@ -277,7 +285,7 @@ class TestBackward:
 
         example = synthetic_example(rng, residual_scale=0.15)
         params = randomize(init_params(TINY, 0), rng, scale=0.2)
-        base = example_loss(example, params, TINY)
+        base = loss_value(example, params, TINY)
         for _ in range(3):
             rot = random_rotation(rng)
             shift = rng.normal(scale=10.0, size=3)
@@ -289,7 +297,7 @@ class TestBackward:
                 lddt_nodes=example.lddt_nodes,
                 lddt_targets=example.lddt_targets,
             )
-            value = example_loss(moved_example, params, TINY)
+            value = loss_value(moved_example, params, TINY)
             assert value == pytest.approx(base, abs=1e-9)
 
 
