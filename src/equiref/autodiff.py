@@ -237,16 +237,6 @@ class Tensor:
             ),
         )
 
-    def __pow__(self, exponent: float):
-        if not np.isscalar(exponent):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-        return Tensor(
-            out_data,
-            (self,),
-            lambda g: (g * exponent * self.data ** (exponent - 1),),
-        )
-
     def __matmul__(self, other):
         """Matrix product of two 2-D operands; any other shape raises
         ValueError, because the backward pass assumes matrices."""

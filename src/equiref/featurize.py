@@ -5,27 +5,20 @@ node and edge feature blocks, computes the chain-local surface-proximity
 approximation, and applies training-time Gaussian coordinate corruption.
 The graph settings (granularity, k and the two feature ablation flags)
 are read from a ``model.ModelConfig``, which also checks them.
-The k-NN search and the surface proximity read their atom-pair distances
-from ``structio.squared_distance_blocks``, the dense distance kernel, a
-block of rows at a time. They stay dense rather than use the cell grid of
-``structio.close_pair_blocks``: within one chain of a few thousand atoms,
-most atoms are candidates at 10 A, and a grid count of the surface's
-neighbours then takes as long as the dense scan.
+The k-NN search and the surface proximity take their atom pairs from the
+cell grid of ``structio.close_pair_blocks``, a block at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GraphTooSmallError, SurfaceOverrideError
-from .structio import (
-    ComplexStructure,
-    build_residue_frames,
-    squared_distance_blocks,
-)
+from .errors import EquirefError, GraphTooSmallError, SurfaceOverrideError
+from .structio import ComplexStructure, build_residue_frames, close_pair_blocks
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -106,32 +99,69 @@ def feature_widths(config: ModelConfig) -> tuple[int, int]:
             PAIR_WIDTH + geometric)
 
 
+def _k_nearest(i, j, d2, k):
+    """The rows of ``i`` with at least k candidates ``(j, d2)``, grouped by
+    row in ascending ``i``, and their k nearest. The candidates fill a
+    table padded with inf; a partial sort picks k of each row, and a row
+    whose ties straddle the k-th place, where the partial sort may have
+    kept a higher index, is sorted in full instead."""
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    count = np.diff(starts, append=i.size)
+    full = count >= k
+    keep = np.repeat(full, count)
+    table_row = np.repeat(np.cumsum(full) - 1, count)[keep]
+    column = (np.arange(i.size) - np.repeat(starts, count))[keep]
+    shape = (np.count_nonzero(full), count[full].max(initial=k))
+    dist = np.full(shape, np.inf)
+    dist[table_row, column] = d2[keep]
+    index = np.zeros(shape, dtype=np.intp)
+    index[table_row, column] = j[keep]
+    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    near = np.take_along_axis(dist, part, axis=1)
+    part = np.take_along_axis(index, part, axis=1)
+    block = np.take_along_axis(part, np.lexsort((part, near)), axis=1)
+    # exactly k values at or below the k-th one: the choice is unique
+    ambiguous = np.count_nonzero(dist <= near.max(axis=1)[:, None], axis=1) != k
+    if ambiguous.any():
+        tied = index[ambiguous]
+        order = np.lexsort((tied, dist[ambiguous]))[:, :k]
+        block[ambiguous] = np.take_along_axis(tied, order, axis=1)
+    return i[starts[full]], block
+
+
 def knn_edges(coords: np.ndarray, k: int) -> np.ndarray:
     """(n, min(k, n-1)) table whose row i lists the nearest other nodes of i.
 
     Neighbors are ordered by ascending distance with ties broken by lower
-    node index. Each row's k candidates come from a partial sort; a row
-    whose ties straddle the k-th place, where the partial sort may have
-    kept a higher index, is sorted in full instead.
+    node index. The first radius query holds k + 1 nodes at the bounding
+    box's mean density (the box's span if it is flat); rows short of k
+    candidates are searched again at twice the radius, since every node
+    outside it is farther than every candidate. Each block is ranked as
+    it arrives. Raises EquirefError when a coordinate is not finite or the
+    squared span overflows, where no radius is sure to reach.
     """
     n = coords.shape[0]
     k = min(k, n - 1)
     neighbors = np.empty((n, max(k, 0)), dtype=np.intp)
     if k <= 0:
         return neighbors
-    for start, d2 in squared_distance_blocks(coords, coords):
-        rows = np.arange(d2.shape[0])
-        d2[rows, rows + start] = np.inf
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        near = np.take_along_axis(d2, part, axis=1)
-        order = np.lexsort((part, near))
-        block = np.take_along_axis(part, order, axis=1)
-        # exactly k values at or below the k-th one: the choice is unique
-        ambiguous = np.count_nonzero(d2 <= near.max(axis=1)[:, None], axis=1) != k
-        if ambiguous.any():
-            full = np.argsort(d2[ambiguous], axis=1, kind="stable")
-            block[ambiguous] = full[:, :k]
-        neighbors[start:start + d2.shape[0]] = block
+    # Python floats overflow to inf, and inf - inf is NaN, without a warning
+    extent = [hi - lo for hi, lo in zip(coords.max(axis=0).tolist(),
+                                        coords.min(axis=0).tolist())]
+    if not (np.isfinite(coords).all() and math.isfinite(sum(e * e for e in extent))):
+        raise EquirefError("graph coordinates are not finite or lie too far apart")
+    radius = ((3 * (k + 1) * math.prod(extent) / (4 * math.pi * n)) ** (1 / 3)
+              or max(math.hypot(*extent), 1.0))
+    rows = np.arange(n)
+    while rows.size:
+        short = np.ones(rows.size, dtype=bool)
+        for i, j, d2 in close_pair_blocks(coords[rows], coords, radius):
+            other = rows[i] != j
+            found, block = _k_nearest(i[other], j[other], d2[other], k)
+            short[found] = False
+            neighbors[rows[found]] = block
+        rows = rows[short]
+        radius *= 2
     return neighbors
 
 
@@ -143,12 +173,12 @@ def surface_proximity(structure: ComplexStructure) -> np.ndarray:
     1 - min(1, c / 64) with c the number of same-chain atoms within 10 A.
     """
     values = np.empty(structure.num_atoms, dtype=np.float64)
+    cutoff = float(np.nextafter(SURFACE_RADIUS, np.inf))  # the grid tests d2 < cutoff**2
     for _, rows in structure.chain_slices():
         pts = structure.coords[rows]
-        counts = np.empty(pts.shape[0], dtype=np.int64)
-        for start, d2 in squared_distance_blocks(pts, pts):
-            within = np.count_nonzero(d2 <= SURFACE_RADIUS ** 2, axis=1)
-            counts[start:start + d2.shape[0]] = within - 1  # exclude self
+        counts = np.full(pts.shape[0], -1, dtype=np.int64)  # exclude self
+        for i, _, d2 in close_pair_blocks(pts, pts, cutoff):
+            counts += np.bincount(i[d2 <= SURFACE_RADIUS ** 2], minlength=pts.shape[0])
         values[rows] = 1.0 - np.minimum(1.0, counts / SURFACE_MAX_NEIGHBORS)
     return values
 

@@ -16,16 +16,14 @@ function, and ``score_pair(decoy, ref)`` calls them: ``fnat_fnonnat`` and
 ``irmsd``/``lrmsd`` read the reference, and ``lddt_ca`` reads only the
 native and the atom correspondence, so training needs no reference.
 
-Contacts and interfaces come from ``structio.close_pair_blocks``, a cell
-grid that tests only atom pairs from neighbouring cells. One search over
-every pair of chains gives a structure's residue pairs under 5 A as
-numpy residue-pair codes, and a mask of its residues within the search
-cutoff of another chain: a search at 10 A thus gives a native's contacts
-and its interface at once, and a decoy takes one search at 5 A. LDDT
-reads its CA-pair distances from ``structio.squared_distance_blocks``,
-the dense kernel, a block of rows at a time. Both return
-``dx*dx + dy*dy + dz*dz`` bitwise alike, so a contact set does not depend
-on the search.
+Atom pairs come from ``structio.close_pair_blocks``, a cell grid that
+tests only atom pairs from neighbouring cells. One search over every pair
+of chains gives a structure's residue pairs under 5 A as numpy
+residue-pair codes, and a mask of its residues within the search cutoff
+of another chain: a search at 10 A thus gives a native's contacts and its
+interface at once, and a decoy takes one search at 5 A. LDDT takes one
+15 A search over the matched native CA atoms, and the decoy distances of
+only those pairs.
 """
 
 from __future__ import annotations
@@ -47,10 +45,10 @@ from .structio import (
     AtomCorrespondence,
     AtomIndex,
     ComplexStructure,
+    _squared_distances,
     close_pair_blocks,
     kabsch_superpose,
     match_atoms,
-    squared_distance_blocks,
 )
 
 CONTACT_CUTOFF = 5.0
@@ -244,26 +242,22 @@ def lddt_ca(
     m = len(matched)
     if m < 2:
         raise UndefinedMetricError(f"need >= 2 matched CA atoms, got {m}")
-    decoy_ca = decoy.coords[matched[:, 0]]
     native_ca = native.coords[matched[:, 1]]
-    scores = np.empty(m, dtype=np.float64)
-    for (start, d2_decoy), (_, d2_native) in zip(
-        squared_distance_blocks(decoy_ca, decoy_ca),
-        squared_distance_blocks(native_ca, native_ca),
-    ):
-        rows = np.arange(d2_native.shape[0])
+    decoy_axes = np.ascontiguousarray(decoy.coords[matched[:, 0]].T)
+    n_pairs = np.zeros(m, dtype=np.intp)
+    kept = np.zeros((len(LDDT_THRESHOLDS), m), dtype=np.intp)
+    for i, j, d2_native in close_pair_blocks(native_ca, native_ca, LDDT_RADIUS):
         d_native = np.sqrt(d2_native)
-        include = d_native < LDDT_RADIUS
-        include[rows, rows + start] = False
+        include = (d_native < LDDT_RADIUS) & (i != j)
+        i, j, d_native = i[include], j[include], d_native[include]
+        d2_decoy = _squared_distances(lambda k: (decoy_axes[k].take(i), decoy_axes[k].take(j)))
         error = np.abs(np.sqrt(d2_decoy) - d_native)
-        n_pairs = include.sum(axis=1)
-        per_row = np.maximum(n_pairs, 1)
-        total = sum(
-            ((error < t) & include).sum(axis=1) / per_row for t in LDDT_THRESHOLDS
-        )
-        scores[start:start + rows.shape[0]] = np.where(
-            n_pairs > 0, total / len(LDDT_THRESHOLDS), np.nan
-        )
+        n_pairs += np.bincount(i, minlength=m)
+        for count, t in zip(kept, LDDT_THRESHOLDS):
+            count += np.bincount(i[error < t], minlength=m)
+    per_row = np.maximum(n_pairs, 1)
+    total = sum(count / per_row for count in kept)
+    scores = np.where(n_pairs > 0, total / len(LDDT_THRESHOLDS), np.nan)
     defined = scores[~np.isnan(scores)]
     if defined.size == 0:
         raise UndefinedMetricError("no residue has a qualifying CA pair")
@@ -375,10 +369,10 @@ class QualityReport:
 def score_pair(decoy: ComplexStructure, ref: Reference) -> QualityReport:
     """Full quality report for a decoy against its reference.
 
-    The decoy takes one atom match and one pair search at CONTACT_CUTOFF;
-    the native's passes are those ``ref`` holds. A decoy that shares no
-    atom key with the native raises NoOverlapError before any interface
-    metric is tried.
+    The decoy takes one atom match, one pair search at CONTACT_CUTOFF and
+    one over its matched native CA atoms at LDDT_RADIUS; the native's
+    passes are those ``ref`` holds. A decoy that shares no atom key with
+    the native raises NoOverlapError before any interface metric is tried.
     """
     correspondence = match_atoms(decoy, ref.index)
     fnat, fnonnat = fnat_fnonnat(decoy, ref)

@@ -36,15 +36,14 @@ built once however many decoys it scores), computes Kabsch
 superpositions, and builds local backbone coordinate frames used by edge
 featurization.
 
-Two pair searches hand out the package's atom-pair distances, both in
-blocks of at most ``PAIR_CHUNK`` pairs, so memory stays bounded at any
-size, and both as ``dx*dx + dy*dy + dz*dz``, added in that order by one
-helper. ``squared_distance_blocks`` is the dense scan of every row pair:
-the k-NN graph, the surface proximity and LDDT read it.
+One pair search hands out the package's atom-pair distances:
 ``close_pair_blocks`` is a radius query on a cell grid (cell lists; Allen
-& Tildesley, *Computer Simulation of Liquids*, 1987): it tests only pairs
-from neighbouring cells and yields the pairs under the cutoff, the same
-set the dense scan finds. The contact and interface sets read it.
+& Tildesley, *Computer Simulation of Liquids*, 1987). It tests only pairs
+from neighbouring cells, in blocks of at most ``PAIR_CHUNK // 4``
+candidates, so memory stays bounded at any size, and yields the pairs
+under the cutoff with their ``dx*dx + dy*dy + dz*dz``, added in that
+order by one helper. The contact and interface sets, the k-NN graph, the
+surface proximity and LDDT read it.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ from .errors import (
 )
 
 BACKBONE_ATOMS = ("N", "CA", "C", "O")
-# Pairwise distances are computed for blocks of rows with about this many
-# (row, column) pairs each, which bounds the working memory of the dense
-# distance passes; every row is independent, so results do not depend on it.
+# The pair search tests its candidate pairs in blocks of at most
+# PAIR_CHUNK // 4, which bounds its working memory; a block holds whole
+# rows and every row is independent, so results do not depend on it.
 PAIR_CHUNK = 2 ** 18
 
 
@@ -607,24 +606,6 @@ def _squared_distances(coordinates) -> np.ndarray:
     return d2
 
 
-def squared_distance_blocks(
-    a: np.ndarray, b: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Squared distances from the rows of ``a`` to every row of ``b``.
-
-    Yields (start, d2) for consecutive row blocks of ``a``, each with at
-    most PAIR_CHUNK pairs (and at least one row): ``d2[r, j]`` is
-    dx*dx + dy*dy + dz*dz between ``a[start + r]`` and ``b[j]``, added in
-    that order, which is bitwise the sum over the squared difference
-    vector. Every block is a new array that the caller may modify.
-    """
-    b_axes = np.ascontiguousarray(b.T)
-    chunk = max(1, PAIR_CHUNK // max(b.shape[0], 1))
-    for start in range(0, a.shape[0], chunk):
-        rows = a[start:start + chunk]
-        yield start, _squared_distances(lambda k: (rows[:, k, None], b_axes[k]))
-
-
 # Cell edges exceed the cutoff by this factor, which is far above the
 # rounding of the binning, so a pair whose computed d2 is under the cutoff
 # never lies two cells apart on an axis. A grid has at most 2**20 cells
@@ -639,15 +620,15 @@ def close_pair_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Row pairs of ``a`` and ``b`` closer than ``cutoff``, from a cell grid.
 
-    Yields (i, j, d2) for blocks of candidate pairs: ``d2`` is the squared
-    distance between ``a[i]`` and ``b[j]``, bitwise as
-    ``squared_distance_blocks`` gives it, and every pair with
-    ``d2 < cutoff * cutoff`` appears exactly once over all blocks. Only
-    pairs from the 3 x 3 x 3 cells around a row of ``a`` are tested, and a
-    block holds at most PAIR_CHUNK // 4 candidates (and at least one row of
-    ``a``), so a block takes no more memory than a dense one. A row with a
-    non-finite coordinate is closer to nothing. Coordinates are assumed to
-    differ by less than the float64 range.
+    Yields (i, j, d2) for blocks of candidate pairs: ``d2`` is
+    ``dx*dx + dy*dy + dz*dz`` between ``a[i]`` and ``b[j]``, added in that
+    order, and every pair with ``d2 < cutoff * cutoff`` appears exactly
+    once over all blocks. Only pairs from the 3 x 3 x 3 cells around a row
+    of ``a`` are tested. A block holds the pairs of whole rows of ``a``, in
+    ascending order of ``i``, from at most PAIR_CHUNK // 4 candidates (and
+    at least one row). A row with a non-finite coordinate is closer to
+    nothing. Coordinates are assumed to differ by less than the float64
+    range.
     """
     limit = cutoff * cutoff
     keep_a = np.flatnonzero(np.isfinite(a).all(axis=1))
@@ -670,6 +651,7 @@ def close_pair_blocks(
     order = np.argsort(key_b, kind="stable")
     sorted_keys = key_b[order]
     b_axes = np.ascontiguousarray(b[order].T)
+    b_rows = keep_b[order]
     # The three cells along z around (x + dx, y + dy, z) hold consecutive
     # keys, so each of the nine (dx, dy) columns is one run of sorted b.
     columns = np.array([(dx * dims[1] + dy) * dims[2]
@@ -679,20 +661,23 @@ def close_pair_blocks(
     count = np.searchsorted(sorted_keys, centre + 1, side="right") - first
     per_row = count.sum(axis=1)
     rows = np.flatnonzero(per_row)
-    first, count = first[rows], count[rows]
-    bounds = np.concatenate(([0], np.cumsum(per_row[rows])))
+    first, count, per_row = first[rows], count[rows], per_row[rows]
+    bounds = np.concatenate(([0], np.cumsum(per_row)))
     a_axes = np.ascontiguousarray(a[rows].T)
+    a_rows = keep_a[rows]
     budget = max(1, PAIR_CHUNK // 4)
     lo = 0
     while lo < rows.size:
         hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + budget, "right")) - 1)
         runs = count[lo:hi].ravel()
-        i = np.repeat(np.arange(lo, hi).repeat(9), runs)
         j = np.arange(bounds[lo], bounds[hi])
         j -= np.repeat(np.cumsum(runs) - runs + bounds[lo] - first[lo:hi].ravel(), runs)
-        d2 = _squared_distances(lambda k: (a_axes[k].take(i), b_axes[k].take(j)))
+        d2 = _squared_distances(
+            lambda k: (a_axes[k, lo:hi].repeat(per_row[lo:hi]), b_axes[k].take(j)))
         close = d2 < limit
-        yield keep_a[rows[i[close]]], keep_b[order[j[close]]], d2[close]
+        # every row has a candidate, so each row's close count is one sum
+        close_per_row = np.add.reduceat(close, bounds[lo:hi] - bounds[lo])
+        yield a_rows[lo:hi].repeat(close_per_row), b_rows[j[close]], d2[close]
         lo = hi
 
 

@@ -10,7 +10,8 @@ row, as EGNN writes it, before its first layer, and the edge-pass oracle
 runs the message and coordinate-gate MLPs on it one after the other, each
 with both of its layers. The PDB oracle
 reads ATOM records one line at a time, each field through Python's own
-``int()``, ``float()`` and ``str`` methods.
+``int()``, ``float()`` and ``str`` methods. The dense distance kernel
+scans every row pair, the reference for the cell-grid pair search.
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from equiref.autodiff import LAYER_NORM_EPS
 from equiref.errors import EmptyStructureError, LossUndefinedError, PdbParseError
 from equiref.model import LEAKY_SLOPE
-from equiref.structio import ComplexStructure
+from equiref.structio import PAIR_CHUNK, ComplexStructure, _squared_distances
 from equiref.train import HUBER_DELTA
 
 LDDT_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -31,6 +32,22 @@ def pair_distance(a, b):
     dy = a[1] - b[1]
     dz = a[2] - b[2]
     return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def squared_distance_blocks(a, b):
+    """Squared distances from the rows of ``a`` to every row of ``b``.
+
+    Yields (start, d2) for consecutive row blocks of ``a``, each with at
+    most PAIR_CHUNK pairs (and at least one row): ``d2[r, j]`` is
+    dx*dx + dy*dy + dz*dz between ``a[start + r]`` and ``b[j]``, added in
+    that order, which is bitwise the sum over the squared difference
+    vector.
+    """
+    b_axes = np.ascontiguousarray(b.T)
+    chunk = max(1, PAIR_CHUNK // max(b.shape[0], 1))
+    for start in range(0, a.shape[0], chunk):
+        rows = a[start:start + chunk]
+        yield start, _squared_distances(lambda k: (rows[:, k, None], b_axes[k]))
 
 
 def lddt_bruteforce(decoy_ca, native_ca, radius=15.0, thresholds=LDDT_THRESHOLDS):

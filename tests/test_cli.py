@@ -1420,10 +1420,13 @@ class TestExitCodes:
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
         assert not (tmp_path / "w").exists()
 
-    def test_overflowing_refine_prints_only_the_error_line(self, tmp_path):
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_overflowing_refine_prints_only_the_error_line(self, tmp_path, iterations):
         # the coordinate gate's bias overflows sums inside the first pass
         # and moves atoms beyond what a PDB field holds; the unwritable
-        # coordinate is the one report, with no numpy warning before it
+        # coordinate is the one report, with no numpy warning before it. A
+        # second pass builds its graph on those coordinates, whose squared
+        # span overflows; the graph refuses them instead of searching on
         config = ModelConfig(num_layers=1, hidden_dim=8)
         params = init_params(config)
         params["layers.0.coord_mlp.b2"][...] = 1e308
@@ -1434,8 +1437,9 @@ class TestExitCodes:
         run = subprocess.run(
             [sys.executable, "-m", "equiref.cli", "refine", "--input", str(source),
              "--weights", str(weights), "--output", str(tmp_path / "o.pdb"),
-             "--report", str(tmp_path / "r.json")],
+             "--report", str(tmp_path / "r.json"), "--iterations", str(iterations)],
             env=child_env(PYTHONWARNINGS="default"), capture_output=True, text=True,
+            timeout=120,
         )
         assert run.returncode == EXIT_PARSE
         assert run.stderr.startswith("error: ") and "coordinate" in run.stderr

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiref import structio
-from equiref.errors import GraphTooSmallError, SurfaceOverrideError
+from equiref import featurize, structio
+from equiref.cli import EXIT_PARSE, exit_code
+from equiref.errors import EquirefError, GraphTooSmallError, SurfaceOverrideError
 from equiref.featurize import (
     ATOM_TYPES,
     GRANULARITIES,
@@ -30,6 +31,7 @@ from conftest import (
     random_rotation,
     reference_contacts,
     replace_columns,
+    traced_peak,
     transform_structure,
 )
 from oracles import contacts_bruteforce
@@ -100,6 +102,29 @@ class TestKnnGraph:
         s = build_structure(point_chain(np.zeros((1, 3))))
         with pytest.raises(GraphTooSmallError):
             build_knn_graph(s, ALL_ATOM)
+
+    @pytest.mark.parametrize("coords", [
+        [[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [2.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1e305, 0.0, 0.0], [0.0, 1e305, 0.0]],
+    ], ids=["nan", "1e305-apart"])
+    def test_unreachable_coordinates_raise_before_any_search(self, coords):
+        """A non-finite coordinate, or a span whose square overflows, leaves
+        no radius sure to reach k neighbours: the error (exit code 2) comes
+        before the first search, so the widening search cannot loop."""
+        searched = AssertionError("knn_edges searched")
+        with mock.patch.object(featurize, "close_pair_blocks", side_effect=searched):
+            with pytest.raises(EquirefError) as caught:
+                knn_edges(np.array(coords), 1)
+        assert exit_code(caught.type) == EXIT_PARSE
+        assert "coordinates" in str(caught.value)
+
+    def test_pair_searches_hold_one_block(self):
+        """On 3,000 coincident atoms every pair is a candidate, 9 million
+        in all; the k-NN ranking and the surface count hold one block of
+        them at a time."""
+        s = build_structure(point_chain(np.zeros((3000, 3))))
+        assert traced_peak(knn_edges, s.coords, 20) < 40 * 2 ** 20
+        assert traced_peak(surface_proximity, s) < 40 * 2 ** 20
 
 
 class TestWidths:

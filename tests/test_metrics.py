@@ -12,6 +12,7 @@ from equiref.errors import NoInterfaceError, NoOverlapError, UndefinedMetricErro
 from equiref.metrics import (
     CONTACT_CUTOFF,
     INTERFACE_CUTOFF,
+    LDDT_RADIUS,
     DecoyScore,
     RankingInput,
     Reference,
@@ -281,27 +282,36 @@ class TestLddt:
 @st.composite
 def native_and_decoy(draw):
     """2-3 chains of 1-4 residues with 1-4 backbone atoms each; about one
-    residue in four sits 80 A or more from every other atom. The decoy moves
-    every atom by up to 2 A per axis.
+    residue in four sits 80 A or more from every other atom, and about one
+    in four is a copy of the residue before it moved by 15 A, a signed
+    permutation of (9, 12, 0). The decoy moves every atom by up to 2 A per
+    axis.
 
     Coordinates are whole Angstroms, so squared distances are exact and
-    distances of exactly 5 A, and errors of exactly a threshold, occur.
+    distances of exactly 5 A and of exactly the 15 A LDDT radius, and
+    errors of exactly a threshold, occur.
     """
     rows = []
     isolated = 0
+    atoms = None
     for chain_id in "ABC"[: draw(st.integers(2, 3))]:
         for index in range(1, draw(st.integers(1, 4)) + 1):
-            center = np.array([draw(st.integers(-5, 5)) for _ in range(3)], float)
-            if draw(st.integers(0, 3)) == 0:
-                isolated += 1
-                center[0] += 100.0 * isolated
-            names = draw(st.lists(
-                st.sampled_from(("N", "CA", "C", "O")), min_size=1, max_size=4,
-                unique=True,
-            ))
-            for name in names:
-                coord = center + [draw(st.integers(-1, 1)) for _ in range(3)]
-                rows.append((chain_id, index, "GLY", name, coord))
+            if atoms is not None and draw(st.integers(0, 3)) == 0:
+                offset = np.array(draw(st.permutations((9.0, 12.0, 0.0))))
+                offset *= draw(st.sampled_from((1.0, -1.0)))
+                atoms = [(name, coord + offset) for name, coord in atoms]
+            else:
+                center = np.array([draw(st.integers(-5, 5)) for _ in range(3)], float)
+                if draw(st.integers(0, 3)) == 0:
+                    isolated += 1
+                    center[0] += 100.0 * isolated
+                names = draw(st.lists(
+                    st.sampled_from(("N", "CA", "C", "O")), min_size=1, max_size=4,
+                    unique=True,
+                ))
+                atoms = [(name, center + [draw(st.integers(-1, 1)) for _ in range(3)])
+                         for name in names]
+            rows.extend((chain_id, index, "GLY", name, coord) for name, coord in atoms)
     native = build_structure(rows)
     moves = draw(st.lists(
         st.integers(-2, 2), min_size=3 * native.num_atoms,
@@ -517,8 +527,9 @@ class TestScoreDecoys:
 
     def test_one_pair_search_per_structure(self, two_chain_complex, rng):
         """The native's contacts and interface come from one 10 A search,
-        each decoy's contacts from one 5 A search, and the reports are the
-        ones a reference built for each decoy gives."""
+        each decoy's contacts from one 5 A search and its LDDT from one
+        15 A search, and the reports are the ones a reference built for
+        each decoy gives."""
         decoys = jittered_decoys(two_chain_complex, rng)
         with mock.patch.object(
             metrics, "close_pair_blocks", wraps=structio.close_pair_blocks
@@ -526,7 +537,8 @@ class TestScoreDecoys:
             ref = Reference(two_chain_complex)
             reports = [score_pair(d, ref) for d in decoys]
         cutoffs = [call.args[2] for call in search.call_args_list]
-        assert cutoffs == [INTERFACE_CUTOFF] + [CONTACT_CUTOFF] * len(decoys)
+        assert cutoffs == ([INTERFACE_CUTOFF]
+                           + [CONTACT_CUTOFF, LDDT_RADIUS] * len(decoys))
         assert [values(r) for r in reports] == [
             composed(d, Reference(two_chain_complex)) for d in decoys
         ]

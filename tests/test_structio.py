@@ -23,7 +23,6 @@ from equiref.structio import (
     match_atoms,
     parse_pdb,
     parse_pdb_file,
-    squared_distance_blocks,
     write_pdb,
 )
 
@@ -613,7 +612,7 @@ def grid_pairs(a, b, cutoff):
 def kernel_pairs(a, b, cutoff):
     """(i, j, d2) of every pair with d2 < cutoff**2 in the dense kernel."""
     found = set()
-    for start, d2 in squared_distance_blocks(a, b):
+    for start, d2 in oracles.squared_distance_blocks(a, b):
         for i, j in zip(*np.nonzero(d2 < cutoff * cutoff)):
             found.add((start + int(i), int(j), float(d2[i, j])))
     return found
