@@ -13,26 +13,24 @@ the same graph is therefore not supported.
 
 A node's backward hands each parent either a dense gradient of the
 parent's shape or a row contribution ``(rows, values)``, meaning
-``grad[rows] += values`` for a slice or an array of distinct row indices,
-or a list of such contributions; ``slice_rows``, ``gather_rows`` and
-``edge_affine`` hand back rows, so a block that reads a few rows of a
-large tensor costs time in its rows only, and ``checkpoint`` hands back
-lists.
+``grad[rows] += values`` for a slice or an array of distinct row indices;
+``slice_rows``, ``gather_rows`` and ``edge_affine`` hand back rows, so a
+block that reads a few rows of a large tensor costs time in its rows only.
 A first dense gradient becomes the parent's ``grad`` as it is, although it
 may be shared (``__add__`` hands the same array to both parents) or a view
 (``concat`` hands back views of its gradient); such an array is never
-written. The walk adds later contributions into a buffer that it owns:
-one it allocated, or a copy it made on the first write.
+written. A walk adds later contributions into a buffer the tensor owns
+(``_owns_grad``): one a walk allocated, or a copy made on the first write.
 
 ``checkpoint(fn, inputs)`` records all of ``fn`` as one tape node: the
 forward runs under ``no_grad()``, and the backward runs ``fn`` again with
-the tape on, from fresh leaves holding the inputs' data, and walks that
-short tape at once. The live tape then holds only what the checkpoints
-keep (their inputs and outputs) plus the parts left outside them. A fresh
-leaf does not gather its row contributions into a gradient of its own
-size: the checkpoint hands them to its input as they came, beside the sum
-of the dense ones. Many checkpoints over the rows of one large input then
-cost time and memory in their rows, not one full-size gradient each.
+the tape on over the same input tensors and walks that short tape at once,
+down to the inputs and no further. The live tape then holds only what the
+checkpoints keep (their inputs and outputs) plus the parts left outside
+them. The rerun's contributions land straight in the inputs' gradients,
+under the same ownership rule as the outer walk's, so many checkpoints
+over the rows of one large input write their rows into one gradient of
+its size, not one full-size gradient each.
 
 Inside ``with no_grad():`` new tensors record no parents and no backward
 closure, so the same model code runs without a tape and each intermediate
@@ -89,47 +87,38 @@ def no_grad():
     return _taping_mode(False)
 
 
-def _accumulate(tensor: Tensor, contribution, owned: set[int],
-                rows_of: dict[int, list] | None = None) -> None:
-    """Add one dense or row contribution, or a list of them, into ``tensor.grad``.
+def _accumulate(tensor: Tensor, contribution) -> None:
+    """Add one dense or row contribution into ``tensor.grad``.
 
-    ``owned`` holds the ids of tensors whose ``grad`` buffer this walk
-    allocated or copied; only those are written in place. A row
-    contribution to a tensor keyed in ``rows_of`` is appended to its list
-    there instead.
+    Only a buffer the tensor owns is written in place; any other is copied
+    on the first write.
     """
-    if isinstance(contribution, list):
-        for part in contribution:
-            _accumulate(tensor, part, owned, rows_of)
-    elif isinstance(contribution, tuple):
-        if rows_of is not None and id(tensor) in rows_of:
-            rows_of[id(tensor)].append(contribution)
-            return
+    if isinstance(contribution, tuple):
         rows, values = contribution
         if tensor.grad is None:
             tensor.grad = np.zeros_like(tensor.data)
-        elif id(tensor) not in owned:
+        elif not tensor._owns_grad:
             tensor.grad = tensor.grad.copy()
-        owned.add(id(tensor))
+        tensor._owns_grad = True
         tensor.grad[rows] += values
     elif tensor.grad is None:
-        tensor.grad = contribution
-    elif id(tensor) in owned:
+        tensor.grad, tensor._owns_grad = contribution, False
+    elif tensor._owns_grad:
         tensor.grad += contribution
     else:
-        tensor.grad = tensor.grad + contribution
-        owned.add(id(tensor))
+        tensor.grad, tensor._owns_grad = tensor.grad + contribution, True
 
 
-def _backprop(outputs, grads, rows_of: dict[int, list] | None = None) -> None:
-    """Seed each output with its gradient and walk the tape back to the leaves.
+def _backprop(outputs, grads, inputs=()) -> None:
+    """Seed each output with its gradient and walk the tape back.
 
-    Every interior node reached is consumed: it ends with no ``grad``, no
-    parents and no backward closure. Row contributions to the tensors keyed
-    in ``rows_of`` are collected there, not added into their ``grad``.
+    The walk stops at ``inputs``: they gather their contributions in
+    ``grad`` but are neither expanded nor consumed. Every other interior
+    node reached is consumed: it ends with no ``grad``, no parents and no
+    backward closure. Leaves keep their gradients.
     """
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[int] = {id(t) for t in inputs}
     stack: list[tuple[Tensor, bool]] = [(out, False) for out in outputs]
     while stack:
         node, expanded = stack.pop()
@@ -143,9 +132,8 @@ def _backprop(outputs, grads, rows_of: dict[int, list] | None = None) -> None:
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    owned: set[int] = set()
     for out, grad in zip(outputs, grads):
-        _accumulate(out, grad, owned, rows_of)
+        _accumulate(out, grad)
     while order:
         node = order.pop()
         if not node._parents:
@@ -153,17 +141,17 @@ def _backprop(outputs, grads, rows_of: dict[int, list] | None = None) -> None:
         if node._backward is not None and node.grad is not None:
             for parent, contribution in zip(node._parents, node._backward(node.grad)):
                 if contribution is not None:
-                    _accumulate(parent, contribution, owned, rows_of)
-        owned.discard(id(node))
-        node.grad, node._parents, node._backward = None, (), None
+                    _accumulate(parent, contribution)
+        node.grad, node._owns_grad, node._parents, node._backward = None, False, (), None
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_owns_grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = _as_array(data)
         self.grad: Array | None = None
+        self._owns_grad = False  # a walk may write ``grad`` in place
         if not _taping:
             parents, backward = (), None
         self._parents: tuple[Tensor, ...] = parents
@@ -200,8 +188,6 @@ class Tensor:
         )
         return out
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = as_tensor(other)
         return Tensor(
@@ -222,8 +208,6 @@ class Tensor:
             lambda g: (_unbroadcast(g * other.data, self.data.shape),
                        _unbroadcast(g * self.data, other.data.shape)),
         )
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
@@ -477,10 +461,10 @@ def checkpoint(fn, inputs):
 
     ``fn`` takes Tensors and returns a Tensor or a tuple of Tensors; what
     else it reads enters as a constant. The forward keeps no tape inside
-    ``fn``. The backward runs ``fn`` again with the tape on, from fresh
-    leaves holding the inputs' data, seeds the outputs' gradients into that
-    tape, walks it, and hands each input what its leaf received: the sum
-    of the dense contributions, then each row contribution as it came.
+    ``fn``. The backward runs ``fn`` again with the tape on over the same
+    input tensors, seeds the outputs' gradients into that tape and walks it
+    down to the inputs, so every dense or row contribution lands straight
+    in an input's ``grad``; the node itself hands its parents nothing.
     Each output is a view of one packed array the node holds. Under
     ``no_grad()`` this is ``fn(*inputs)``.
     """
@@ -497,16 +481,12 @@ def checkpoint(fn, inputs):
     packed = np.concatenate([out.data.ravel() for out in outputs])
 
     def backward(g):
-        leaves = [Tensor(t.data) for t in inputs]
         with _taping_mode(True):
-            again = fn(*leaves)
-        rows_of = {id(leaf): [] for leaf in leaves}
+            again = fn(*inputs)
         _backprop((again,) if single else tuple(again),
                   [g[a:b].reshape(shape) for (a, b), shape in zip(segments, shapes)],
-                  rows_of)
-        received = [([] if leaf.grad is None else [leaf.grad]) + rows_of[id(leaf)]
-                    for leaf in leaves]
-        return tuple(parts or None for parts in received)
+                  inputs)
+        return (None,) * len(inputs)
 
     node = Tensor(packed, inputs, backward)
 

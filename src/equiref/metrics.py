@@ -49,6 +49,7 @@ from .structio import (
     close_pair_blocks,
     kabsch_superpose,
     match_atoms,
+    rmsd_without_superposition,
 )
 
 CONTACT_CUTOFF = 5.0
@@ -206,9 +207,8 @@ def lrmsd(
         rotation, translation, _ = kabsch_superpose(mobile[receptor], target[receptor])
     except AlignmentError as exc:
         raise UndefinedMetricError(str(exc)) from None
-    lig_moved = mobile[~receptor] @ rotation.T + translation
-    lig_target = target[~receptor]
-    return math.sqrt(float(((lig_moved - lig_target) ** 2).sum(axis=1).mean()))
+    return rmsd_without_superposition(mobile[~receptor] @ rotation.T + translation,
+                                      target[~receptor])
 
 
 def dockq(fnat: float, lrmsd_value: float, irmsd_value: float) -> float:

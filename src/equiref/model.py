@@ -33,9 +33,10 @@ A layer's edge pass runs over blocks of whole nodes, and each block is one
 products by rows, and keeps only its nodes' coordinate shift and mean
 hidden message. The node update (skip mix, mean message, both attentions,
 node MLP, node skip) is one more. The backward pass re-runs one of them
-at a time and walks its tape at once, so training holds the tape of one
-edge block plus O(n d) per layer. Under ``no_grad()`` the checkpoints are
-plain calls.
+at a time over its own input tensors and walks its tape at once down to
+them, so each block's rows and dense terms land straight in the inputs'
+gradients, and training holds the tape of one edge block plus O(n d) per
+layer. Under ``no_grad()`` the checkpoints are plain calls.
 
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
@@ -468,14 +469,14 @@ def forward_pass(
     does the node update after them; the backward pass re-runs one of them
     at a time and walks its tape at once, so a backward holds the tape of
     one edge block, or of one node update, plus O(n d) per layer. An edge
-    block hands the rows it read of the coordinates and the per-node
-    message products back as row contributions. Gradients differ from a
-    pass taped op by op only in the last bits, where contributions to the
-    shared leaves add up in another order. Under ``no_grad()`` the
-    checkpoints are plain calls. The graph's arrays enter as constants:
-    the node features feed the embedding as an array, the coordinates are
-    the first layer's input tensor and, as an array, every layer's skip
-    anchor.
+    block's rerun writes the rows it read of the coordinates and the
+    per-node message products straight into their gradients. Gradients
+    differ from a pass taped op by op only in the last bits, where
+    contributions to the shared leaves add up in another order. Under
+    ``no_grad()`` the checkpoints are plain calls. The graph's arrays enter
+    as constants: the node features feed the embedding as an array, the
+    coordinates are the first layer's input tensor and, as an array, every
+    layer's skip anchor.
     """
     check_widths(graph, config)
     leaves = _wrap(params)

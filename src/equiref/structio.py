@@ -575,8 +575,7 @@ def kabsch_superpose(
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     translation = ct - rotation @ cm
-    moved = mobile @ rotation.T + translation
-    rmsd = math.sqrt(float(((moved - target) ** 2).sum(axis=1).sum() / m))
+    rmsd = rmsd_without_superposition(mobile @ rotation.T + translation, target)
     return rotation, translation, rmsd
 
 

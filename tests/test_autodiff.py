@@ -359,8 +359,8 @@ def test_checkpoint_gradients(rng):
     w = rng.normal(size=(3, 4))
     check_op(lambda x, y: squared(checkpoint(lambda s, t: (s @ t).sigmoid(), (x, y))).sum(),
              [a, w])
-    check_op(lambda x, y: sum(squared(out).sum() for out in checkpoint(
-        lambda s, t: (slice_rows(s, 1, 4) @ t, s * 3.0), (x, y))), [a, w])
+    check_op(lambda x, y: sum((squared(out).sum() for out in checkpoint(
+        lambda s, t: (slice_rows(s, 1, 4) @ t, s * 3.0), (x, y))), Tensor(0.0)), [a, w])
 
 
 def test_checkpoint_backward_tapes_its_rerun_under_no_grad(rng):
@@ -387,12 +387,12 @@ def test_checkpoint_under_no_grad_calls_fn(rng):
     assert first._parents == () and second._parents == ()
 
 
-def test_checkpoints_over_rows_hand_back_row_contributions(rng):
+def test_checkpoints_over_rows_add_no_full_size_gradient_each(rng):
     # each checkpoint reads a few rows of one large input, as the model's
     # edge blocks read the coordinates and the per-node message products:
-    # it hands those rows back as they came, so the backward pass adds
-    # them into one gradient of the input's size and allocates no such
-    # array per checkpoint
+    # its rerun writes those rows straight into the input's gradient, so
+    # the backward pass allocates one array of the input's size, not one
+    # per checkpoint
     n, d, rows = 40_000, 8, 1_000
     data = rng.normal(size=(n, d))
     weights = rng.normal(size=(rows, d))
@@ -406,10 +406,6 @@ def test_checkpoints_over_rows_hand_back_row_contributions(rng):
                     for start in range(0, n, rows)), Tensor(0.0))
 
     x = Tensor(data)
-    node = checkpoint(lambda t: block(t, 0), (x,))._parents[0]  # under the output view
-    (handed,) = node._backward(np.ones_like(node.data))
-    assert isinstance(handed, list)
-    assert all(isinstance(part, tuple) and len(part[1]) <= rows for part in handed)
     out = loss(checkpoint, x)
     peak = traced_peak(out.backward)
     assert peak < 1.5 * data.nbytes
@@ -421,7 +417,8 @@ def test_checkpoints_over_rows_hand_back_row_contributions(rng):
 @pytest.mark.parametrize("rows", [
     lambda t: slice_rows(t, 1, 3),
     lambda t: gather_rows(t, [3, 1, 1, 0]),
-], ids=["slice_rows", "gather_rows"])
+    lambda t: checkpoint(lambda s: gather_rows(s, [3, 1, 1, 0]), (t,)),
+], ids=["slice_rows", "gather_rows", "checkpoint"])
 @pytest.mark.parametrize("shared_by", ["add", "concat"])
 @pytest.mark.parametrize("row_term_first", [True, False])
 def test_row_contribution_never_writes_a_shared_gradient(rng, rows, shared_by,
@@ -429,7 +426,8 @@ def test_row_contribution_never_writes_a_shared_gradient(rng, rows, shared_by,
     # ``__add__`` hands one array to both parents, and ``concat`` hands back
     # views of a gradient that ``__add__`` also handed to ``d``: a row
     # contribution added in place to ``a``'s gradient would change ``b``'s
-    # or ``d``'s
+    # or ``d``'s. A checkpoint's rerun writes its rows into ``a``'s gradient
+    # from a walk of its own, under the same ownership rule
     a0, b0, d0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(8, 3))
     w = Tensor(rng.normal(size=(4, 3) if shared_by == "add" else (8, 3)))
 
