@@ -16,11 +16,12 @@ parent's shape or a row contribution ``(rows, values)``, meaning
 ``grad[rows] += values`` for a slice or an array of distinct row indices;
 ``slice_rows``, ``gather_rows`` and ``edge_affine`` hand back rows, so a
 block that reads a few rows of a large tensor costs time in its rows only.
-A first dense gradient becomes the parent's ``grad`` as it is, although it
-may be shared (``__add__`` hands the same array to both parents) or a view
-(``concat`` hands back views of its gradient); such an array is never
-written. A walk adds later contributions into a buffer the tensor owns
-(``_owns_grad``): one a walk allocated, or a copy made on the first write.
+No backward hands two parents the same buffer or views of one buffer:
+``__add__`` gives its second parent a copy, ``concat`` a contiguous copy
+per part; ``checkpoint`` seeds its rerun's outputs with disjoint views of
+its own gradient, which it reads no more. So a tensor's first dense
+gradient becomes its ``grad`` as it is, no other tensor holds any of it,
+and later contributions are added into it in place.
 
 ``checkpoint(fn, inputs)`` records all of ``fn`` as one tape node: the
 forward runs under ``no_grad()``, and the backward runs ``fn`` again with
@@ -28,9 +29,9 @@ the tape on over the same input tensors and walks that short tape at once,
 down to the inputs and no further. The live tape then holds only what the
 checkpoints keep (their inputs and outputs) plus the parts left outside
 them. The rerun's contributions land straight in the inputs' gradients,
-under the same ownership rule as the outer walk's, so many checkpoints
-over the rows of one large input write their rows into one gradient of
-its size, not one full-size gradient each.
+added in place as in the outer walk, so many checkpoints over the rows of
+one large input write their rows into one gradient of its size, not one
+full-size gradient each.
 
 Inside ``with no_grad():`` new tensors record no parents and no backward
 closure, so the same model code runs without a tape and each intermediate
@@ -90,23 +91,18 @@ def no_grad():
 def _accumulate(tensor: Tensor, contribution) -> None:
     """Add one dense or row contribution into ``tensor.grad``.
 
-    Only a buffer the tensor owns is written in place; any other is copied
-    on the first write.
+    A first dense contribution becomes ``grad``; no other tensor holds it,
+    so later contributions are added into it in place.
     """
     if isinstance(contribution, tuple):
         rows, values = contribution
         if tensor.grad is None:
             tensor.grad = np.zeros_like(tensor.data)
-        elif not tensor._owns_grad:
-            tensor.grad = tensor.grad.copy()
-        tensor._owns_grad = True
         tensor.grad[rows] += values
     elif tensor.grad is None:
-        tensor.grad, tensor._owns_grad = contribution, False
-    elif tensor._owns_grad:
-        tensor.grad += contribution
+        tensor.grad = contribution
     else:
-        tensor.grad, tensor._owns_grad = tensor.grad + contribution, True
+        tensor.grad += contribution
 
 
 def _backprop(outputs, grads, inputs=()) -> None:
@@ -142,16 +138,15 @@ def _backprop(outputs, grads, inputs=()) -> None:
             for parent, contribution in zip(node._parents, node._backward(node.grad)):
                 if contribution is not None:
                     _accumulate(parent, contribution)
-        node.grad, node._owns_grad, node._parents, node._backward = None, False, (), None
+        node.grad, node._parents, node._backward = None, (), None
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_owns_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
         self.data = _as_array(data)
         self.grad: Array | None = None
-        self._owns_grad = False  # a walk may write ``grad`` in place
         if not _taping:
             parents, backward = (), None
         self._parents: tuple[Tensor, ...] = parents
@@ -180,13 +175,12 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(
+        return Tensor(
             self.data + other.data,
             (self, other),
             lambda g: (_unbroadcast(g, self.data.shape),
-                       _unbroadcast(g, other.data.shape)),
+                       _unbroadcast(g, other.data.shape).copy()),
         )
-        return out
 
     def __sub__(self, other):
         other = as_tensor(other)
@@ -296,7 +290,7 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        return tuple(np.split(g, offsets[1:-1], axis=axis))  # views of g
+        return tuple(part.copy() for part in np.split(g, offsets[1:-1], axis=axis))
 
     return Tensor(np.concatenate(datas, axis=axis), tuple(tensors), backward)
 
@@ -459,22 +453,20 @@ def softmax_rows(x: Tensor) -> Tensor:
 def checkpoint(fn, inputs):
     """``fn(*inputs)`` recorded as one tape node whose tape is rebuilt on demand.
 
-    ``fn`` takes Tensors and returns a Tensor or a tuple of Tensors; what
-    else it reads enters as a constant. The forward keeps no tape inside
-    ``fn``. The backward runs ``fn`` again with the tape on over the same
-    input tensors, seeds the outputs' gradients into that tape and walks it
-    down to the inputs, so every dense or row contribution lands straight
-    in an input's ``grad``; the node itself hands its parents nothing.
-    Each output is a view of one packed array the node holds. Under
+    ``fn`` takes Tensors and returns a tuple of Tensors; what else it reads
+    enters as a constant. The forward keeps no tape inside ``fn``. The
+    backward runs ``fn`` again with the tape on over the same input
+    tensors, seeds the outputs' gradients into that tape and walks it down
+    to the inputs, so every dense or row contribution lands straight in an
+    input's ``grad``; the node itself hands its parents nothing. Each
+    output is a view of one packed array the node holds. Under
     ``no_grad()`` this is ``fn(*inputs)``.
     """
     if not _taping:
         return fn(*inputs)
     inputs = tuple(inputs)
     with no_grad():
-        result = fn(*inputs)
-    single = isinstance(result, Tensor)
-    outputs = (result,) if single else tuple(result)
+        outputs = fn(*inputs)
     shapes = [out.data.shape for out in outputs]
     offsets = np.cumsum([0] + [out.data.size for out in outputs])
     segments = list(zip(offsets[:-1], offsets[1:]))
@@ -483,7 +475,7 @@ def checkpoint(fn, inputs):
     def backward(g):
         with _taping_mode(True):
             again = fn(*inputs)
-        _backprop((again,) if single else tuple(again),
+        _backprop(again,
                   [g[a:b].reshape(shape) for (a, b), shape in zip(segments, shapes)],
                   inputs)
         return (None,) * len(inputs)
@@ -494,5 +486,4 @@ def checkpoint(fn, inputs):
         return Tensor(packed[a:b].reshape(shape), (node,),
                       lambda g: ((slice(a, b), g.ravel()),))
 
-    views = tuple(view(a, b, shape) for (a, b), shape in zip(segments, shapes))
-    return views[0] if single else views
+    return tuple(view(a, b, shape) for (a, b), shape in zip(segments, shapes))

@@ -102,9 +102,8 @@ def feature_widths(config: ModelConfig) -> tuple[int, int]:
 def _k_nearest(i, j, d2, k):
     """The rows of ``i`` with at least k candidates ``(j, d2)``, grouped by
     row in ascending ``i``, and their k nearest. The candidates fill a
-    table padded with inf; a partial sort picks k of each row, and a row
-    whose ties straddle the k-th place, where the partial sort may have
-    kept a higher index, is sorted in full instead."""
+    table padded with inf, and one sort of each row by distance, then by
+    index, ranks them."""
     starts = np.flatnonzero(np.diff(i, prepend=-1))
     count = np.diff(starts, append=i.size)
     full = count >= k
@@ -116,16 +115,7 @@ def _k_nearest(i, j, d2, k):
     dist[table_row, column] = d2[keep]
     index = np.zeros(shape, dtype=np.intp)
     index[table_row, column] = j[keep]
-    part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    near = np.take_along_axis(dist, part, axis=1)
-    part = np.take_along_axis(index, part, axis=1)
-    block = np.take_along_axis(part, np.lexsort((part, near)), axis=1)
-    # exactly k values at or below the k-th one: the choice is unique
-    ambiguous = np.count_nonzero(dist <= near.max(axis=1)[:, None], axis=1) != k
-    if ambiguous.any():
-        tied = index[ambiguous]
-        order = np.lexsort((tied, dist[ambiguous]))[:, :k]
-        block[ambiguous] = np.take_along_axis(tied, order, axis=1)
+    block = np.take_along_axis(index, np.lexsort((index, dist))[:, :k], axis=1)
     return i[starts[full]], block
 
 

@@ -180,7 +180,7 @@ def irmsd(
         _, _, value = kabsch_superpose(mobile, target)
     except AlignmentError as exc:
         raise UndefinedMetricError(str(exc)) from None
-    return value
+    return _finite_rmsd(value)
 
 
 def lrmsd(
@@ -207,8 +207,15 @@ def lrmsd(
         rotation, translation, _ = kabsch_superpose(mobile[receptor], target[receptor])
     except AlignmentError as exc:
         raise UndefinedMetricError(str(exc)) from None
-    return rmsd_without_superposition(mobile[~receptor] @ rotation.T + translation,
-                                      target[~receptor])
+    return _finite_rmsd(rmsd_without_superposition(
+        mobile[~receptor] @ rotation.T + translation, target[~receptor]))
+
+
+def _finite_rmsd(value: float) -> float:
+    """``value``; an RMSD that overflowed raises UndefinedMetricError."""
+    if not math.isfinite(value):
+        raise UndefinedMetricError("coordinates too large: the RMSD overflows")
+    return value
 
 
 def dockq(fnat: float, lrmsd_value: float, irmsd_value: float) -> float:

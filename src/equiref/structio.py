@@ -554,8 +554,9 @@ def kabsch_superpose(
     (det = +1) such that ``rotation @ x + translation`` maps mobile points
     onto the target frame and rmsd is the minimum over rigid transforms.
 
-    Raises AlignmentError for fewer than 3 points or a (near-)collinear
-    point set, where the optimal rotation is not unique.
+    Raises AlignmentError for fewer than 3 points, for a (near-)collinear
+    point set, where the optimal rotation is not unique, and for
+    coordinates so large that their covariance overflows.
     """
     mobile = np.asarray(mobile, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -569,6 +570,8 @@ def kabsch_superpose(
     p = mobile - cm
     q = target - ct
     h = p.T @ q
+    if not np.isfinite(h).all():
+        raise AlignmentError("coordinates too large to superpose")
     u, s, vt = np.linalg.svd(h)
     if s[0] <= 0 or s[1] <= s[0] * 1e-9:
         raise AlignmentError("degenerate (collinear or coincident) point set")

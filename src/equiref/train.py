@@ -249,15 +249,19 @@ def validation_rmsd(
     aligned when examples are built. No tape is built.
     """
     _check_validation_set(examples)
-    values = []
-    for example in examples:
-        if example.matched_nodes.size == 0:
-            continue
-        with no_grad():
-            fp = forward_pass(example.graph, params, config)
-        refined = fp.coords.data[example.matched_nodes]
-        values.append(rmsd_without_superposition(refined, example.native_coords))
-    return float(np.mean(values))
+    with no_grad():
+        return _mean_rmsd(examples, lambda example: forward_pass(
+            example.graph, params, config).coords.data)
+
+
+def _mean_rmsd(examples: list[TrainingExample], coords_of) -> float:
+    """Mean RMSD of ``coords_of(example)`` at the matched nodes against the
+    reference coordinates, over the examples that have any."""
+    return float(np.mean([
+        rmsd_without_superposition(coords_of(example)[example.matched_nodes],
+                                   example.native_coords)
+        for example in examples if example.matched_nodes.size
+    ]))
 
 
 def _check_validation_set(examples: list[TrainingExample]) -> None:
@@ -313,14 +317,15 @@ def train_loop(
     corrupts every example's coordinates with the configured noise (a
     zero sigma disables the corruption) and applies one AdamW step per
     supervised example; an unsupervised one draws its noise and is
-    skipped. The best validation checkpoint among completed epochs is
-    returned with the optimizer state of the same step; training stops
-    when validation RMSD has not improved for ``patience`` epochs. A
-    non-finite loss or gradient aborts with DivergenceError carrying the
-    TrainResult so far. An epoch in which every example is skipped raises
-    LossUndefinedError, and so does a validation set without reference
-    coordinates, before the first step. Without ``val_examples`` the
-    training set is validated on.
+    skipped. The best validation checkpoint is returned with the optimizer
+    state of the same step; epoch 0 is the unrefined input, which the
+    initial parameters reproduce, so a run in which no epoch beats it
+    returns them. Training stops when validation RMSD has not improved for
+    ``patience`` epochs. A non-finite loss, gradient or validation RMSD
+    aborts with DivergenceError carrying the TrainResult so far. An epoch
+    in which every example is skipped raises LossUndefinedError, and so
+    does a validation set without reference coordinates, before the first
+    step. Without ``val_examples`` the training set is validated on.
     """
     run = RunConfig(**settings)
     if not train_examples:
@@ -329,7 +334,8 @@ def train_loop(
     _check_validation_set(val_examples)
     params = init_params(config, run.seed)
     state = OptimizerState()
-    result = TrainResult(copy.deepcopy(params), copy.deepcopy(state), [], 0, math.inf)
+    result = TrainResult(copy.deepcopy(params), copy.deepcopy(state), [], 0,
+                         _mean_rmsd(val_examples, lambda example: example.graph.coords))
 
     for epoch in range(1, run.max_epochs + 1):
         epoch_rng = np.random.default_rng([run.seed, epoch])
@@ -357,6 +363,8 @@ def train_loop(
             raise LossUndefinedError("every training example was skipped")
 
         val_rmsd = validation_rmsd(val_examples, params, config)
+        if not math.isfinite(val_rmsd):
+            raise DivergenceError(f"non-finite validation RMSD at epoch {epoch}", result)
         improved = val_rmsd < result.best_val_rmsd
         if improved:
             result.params = copy.deepcopy(params)

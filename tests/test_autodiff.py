@@ -19,6 +19,7 @@ from equiref.autodiff import (
     slice_rows,
     softmax_rows,
 )
+from equiref.train import clip_gradients
 
 from conftest import traced_peak
 
@@ -357,7 +358,7 @@ def test_checkpoint_matches_the_unwrapped_function(rng):
 def test_checkpoint_gradients(rng):
     a = rng.normal(size=(5, 3))
     w = rng.normal(size=(3, 4))
-    check_op(lambda x, y: squared(checkpoint(lambda s, t: (s @ t).sigmoid(), (x, y))).sum(),
+    check_op(lambda x, y: squared(checkpoint(lambda s, t: ((s @ t).sigmoid(),), (x, y))[0]).sum(),
              [a, w])
     check_op(lambda x, y: sum((squared(out).sum() for out in checkpoint(
         lambda s, t: (slice_rows(s, 1, 4) @ t, s * 3.0), (x, y))), Tensor(0.0)), [a, w])
@@ -366,7 +367,7 @@ def test_checkpoint_gradients(rng):
 def test_checkpoint_backward_tapes_its_rerun_under_no_grad(rng):
     a = rng.normal(size=(4, 3))
     x = Tensor(a)
-    out = checkpoint(lambda t: (t * t).sum(), (x,))
+    (out,) = checkpoint(lambda t: ((t * t).sum(),), (x,))
     with no_grad():
         out.backward()
     np.testing.assert_array_equal(x.grad, 2 * a)
@@ -399,10 +400,10 @@ def test_checkpoints_over_rows_add_no_full_size_gradient_each(rng):
     index = rng.integers(n, size=(n // rows, rows))
 
     def block(t, start):
-        return squared(slice_rows(t, start, start + rows)) + gather_rows(t, index[start // rows])
+        return (squared(slice_rows(t, start, start + rows)) + gather_rows(t, index[start // rows]),)
 
     def loss(wrap, x):
-        return sum(((wrap(lambda t, start=start: block(t, start), (x,)) * Tensor(weights)).sum()
+        return sum(((wrap(lambda t, start=start: block(t, start), (x,))[0] * Tensor(weights)).sum()
                     for start in range(0, n, rows)), Tensor(0.0))
 
     x = Tensor(data)
@@ -417,17 +418,17 @@ def test_checkpoints_over_rows_add_no_full_size_gradient_each(rng):
 @pytest.mark.parametrize("rows", [
     lambda t: slice_rows(t, 1, 3),
     lambda t: gather_rows(t, [3, 1, 1, 0]),
-    lambda t: checkpoint(lambda s: gather_rows(s, [3, 1, 1, 0]), (t,)),
+    lambda t: checkpoint(lambda s: (gather_rows(s, [3, 1, 1, 0]),), (t,))[0],
 ], ids=["slice_rows", "gather_rows", "checkpoint"])
 @pytest.mark.parametrize("shared_by", ["add", "concat"])
 @pytest.mark.parametrize("row_term_first", [True, False])
 def test_row_contribution_never_writes_a_shared_gradient(rng, rows, shared_by,
                                                          row_term_first):
-    # ``__add__`` hands one array to both parents, and ``concat`` hands back
-    # views of a gradient that ``__add__`` also handed to ``d``: a row
-    # contribution added in place to ``a``'s gradient would change ``b``'s
-    # or ``d``'s. A checkpoint's rerun writes its rows into ``a``'s gradient
-    # from a walk of its own, under the same ownership rule
+    # ``a``'s gradient comes from ``__add__`` or ``concat``, and a row
+    # contribution is added into it in place: had either op handed ``a`` a
+    # buffer it also handed to ``b`` or ``d``, the write would change theirs.
+    # A checkpoint's rerun writes its rows into ``a``'s gradient from a walk
+    # of its own
     a0, b0, d0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), rng.normal(size=(8, 3))
     w = Tensor(rng.normal(size=(4, 3) if shared_by == "add" else (8, 3)))
 
@@ -446,3 +447,64 @@ def test_row_contribution_never_writes_a_shared_gradient(rng, rows, shared_by,
         np.testing.assert_array_equal(leaves[1].grad, w.data[4:])
         np.testing.assert_array_equal(leaves[2].grad, w.data)
     check_op(loss, arrays)
+
+
+def test_summed_leaves_get_their_own_gradient_buffers(rng):
+    # ``clip_gradients`` scales each gradient in place: one buffer held by
+    # both leaves would be scaled twice
+    a, b = Tensor(rng.normal(size=(3, 2))), Tensor(rng.normal(size=(3, 2)))
+    w = rng.normal(size=(3, 2))
+    ((a + b) * Tensor(w)).sum().backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    grads = {"a": a.grad, "b": b.grad}
+    norm = clip_gradients(grads, 1.0)
+    np.testing.assert_allclose(norm, np.sqrt(2.0) * np.linalg.norm(w), rtol=1e-12)
+    for grad in grads.values():
+        np.testing.assert_allclose(grad, w / norm, rtol=1e-12)
+
+
+def _two_parent_ops():
+    rng = np.random.default_rng(11)
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    x, y = leaf(4, 3), leaf(4, 3)
+    return {
+        "add": x + y,
+        "add_itself": x + x,
+        "add_broadcast": x + leaf(3),
+        "add_to_broadcast": leaf(1, 3) + x,
+        "sub": x - y,
+        "mul": x * y,
+        "div": x / (y * y + 1.0),
+        "matmul": x @ leaf(3, 2),
+        "affine": affine(x, leaf(3, 2), leaf(2)),
+        "affine_constant": affine(x.data, leaf(3, 2), leaf(2)),
+        "concat_columns": concat([x, y, leaf(4, 1)], axis=1),
+        "concat_rows": concat([x, y], axis=0),
+        "edge_affine": edge_affine(rng.normal(size=(4, 2)), leaf(4, 1), leaf(3, 5), leaf(5),
+                                   leaf(2, 5), leaf(3, 5), [0, 2, 2, 1]),
+        "layer_norm_leaky_relu": layer_norm_leaky_relu(x, leaf(3), leaf(3), 0.01),
+    }
+
+
+def _buffer(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("op", list(_two_parent_ops()))
+def test_no_backward_hands_one_buffer_to_two_parents(op):
+    # a parent adopts its first dense gradient and adds later ones into it
+    # in place, so two parents must never hold memory in common; nor views
+    # of one buffer, which would keep all of it alive while either lives
+    out = _two_parent_ops()[op]
+    contributions = out._backward(np.ones_like(out.data))
+    arrays = [c[1] if isinstance(c, tuple) else c for c in contributions if c is not None]
+    assert len(arrays) == len(out._parents) >= 2
+    for i, first in enumerate(arrays):
+        for second in arrays[i + 1:]:
+            assert not np.shares_memory(first, second)
+            assert _buffer(first) is not _buffer(second)

@@ -376,7 +376,48 @@ class TestRefine:
         assert not (tmp / "o.pdb").exists()
 
 
+def overflowing_decoy(native_text: str, fields) -> str:
+    """``native_text`` with each coordinate ``(atom, axis)`` of ``fields``
+    set to its 8-column value: finite, but past what a distance can hold."""
+    lines = native_text.splitlines()
+    atoms = [i for i, line in enumerate(lines) if line.startswith("ATOM")]
+    for (atom, axis), value in fields.items():
+        row, column = atoms[atom % len(atoms)], 30 + 8 * axis
+        lines[row] = lines[row][:column] + value.rjust(8) + lines[row][column + 8:]
+    return "\n".join(lines) + "\n"
+
+
+# "-1.7e308" to "-1.0e150" and "1.0e150" to "1.7e308": each fits 8 columns
+OVERFLOWING_VALUES = st.builds(
+    lambda sign, exponent, tenths: f"{sign}{tenths / 10:.1f}e{exponent}",
+    st.sampled_from(["", "-"]), st.integers(150, 308), st.integers(10, 99),
+).filter(lambda text: abs(float(text)) <= 1.7e308)
+
+
+def reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
 class TestScore:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=st.dictionaries(st.tuples(st.integers(0, 10_000), st.integers(0, 2)),
+                                  OVERFLOWING_VALUES, min_size=1, max_size=12))
+    def test_overflowing_decoy_coordinates_exit_with_a_documented_code(
+            self, workdir, capsys, fields):
+        tmp, _, input_pdb, _ = workdir
+        decoy = tmp / "overflow.pdb"
+        decoy.write_text(overflowing_decoy(input_pdb.read_text(), fields))
+        report = tmp / "overflow.json"
+        report.unlink(missing_ok=True)
+        code = main(["score", "--decoy", str(decoy), "--native", str(input_pdb),
+                     "--report", str(report)])
+        assert code in (EXIT_OK, EXIT_NO_OVERLAP, EXIT_NO_INTERFACE)
+        assert report.exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            json.loads(report.read_text(), parse_constant=reject_constant)
+        assert (code == EXIT_OK) != capsys.readouterr().err.startswith("error: ")
+
     def test_identical_pair(self, workdir):
         tmp, structure, input_pdb, _ = workdir
         report = tmp / "score.json"
@@ -550,6 +591,18 @@ class TestEvaluate:
         detail_lines = details.read_text().strip().splitlines()
         assert detail_lines[0].startswith("target,decoy")
         assert len(detail_lines) == 1 + 6
+
+    def test_overflowing_decoy_exits_5(self, tmp_path, rng, capsys):
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng)
+        decoy = decoys / "t1_d1.pdb"
+        decoy.write_text(overflowing_decoy(decoy.read_text(), {(0, 0): "-1.7e308"}))
+        code = main([
+            "evaluate", "--scores", str(scores), "--natives", str(natives),
+            "--decoys", str(decoys), "--summary", str(tmp_path / "s.txt"),
+            "--workers", "1",
+        ])
+        assert code == EXIT_NO_INTERFACE
+        assert capsys.readouterr().err.startswith("error: target t1, decoy t1_d1: ")
 
     def test_worker_pool_matches_serial(self, tmp_path, rng):
         scores, natives, decoys = evaluation_fixture(tmp_path, rng)
@@ -1020,6 +1073,23 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: target far, decoy far: ")
         assert not out.exists()
 
+    def test_overflowing_decoy_exits_2_naming_the_pair(self, tmp_path, rng, capsys):
+        # the CA superposition fails, the pair trains in its own frame, and
+        # the graph build refuses the coordinates
+        train_dir = training_fixture(tmp_path, rng)
+        decoy = train_dir / "ex1_decoy.pdb"
+        decoy.write_text(overflowing_decoy(decoy.read_text(), {(0, 0): "-1.7e308"}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        out = tmp_path / "model.weights"
+        code = main([
+            "train", "--config", str(config), "--train-dir", str(train_dir),
+            "--out-weights", str(out),
+        ])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: target ex1, decoy ex1: ")
+        assert not out.exists()
+
     def test_optimizer_state_is_that_of_the_best_weights(self, tmp_path, rng):
         # a large step overshoots, so the best epoch is not the last
         train_dir = training_fixture(tmp_path, rng)
@@ -1106,6 +1176,29 @@ class TestTrain:
         header = json.dumps({"config": model.to_dict(), "seed": run.seed})
         log = (tmp_path / "model.weights.log").read_text()
         assert log == "\n".join([header] + exc.result.log_lines()) + "\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_after_an_epoch_worse_than_the_input_keeps_initial_weights(
+            self, tmp_path, rng):
+        # epoch 1 overshoots to a finite but huge validation RMSD: it is not
+        # the best, so the weights written on divergence are the initial ones
+        train_dir = training_fixture(tmp_path, rng, n_examples=3)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": 1e12, "max_epochs": 2,
+                                      "num_layers": 1, "hidden_dim": 8}))
+        out = tmp_path / "w"
+        code = main(["train", "--config", str(config), "--train-dir", str(train_dir),
+                     "--out-weights", str(out)])
+        assert code == EXIT_DIVERGED
+        records = [json.loads(line) for line in
+                   (tmp_path / "w.log").read_text().splitlines()[1:]]
+        assert [(r["epoch"], r["best"]) for r in records] == [(1, False)]
+        run, model = read_config(config)
+        params, _, extra, meta = load_container(out.read_bytes())
+        initial = init_params(model, run.seed)
+        assert params.keys() == initial.keys()
+        assert all(np.array_equal(params[k], initial[k]) for k in params)
+        assert meta == {"diverged": True} and extra["opt.step"] == 0
 
     def test_divergence_prints_only_the_error_line(self, tmp_path, rng):
         # the run overflows inside the network before the loop's checks

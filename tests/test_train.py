@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from equiref.autodiff import no_grad
-from equiref.errors import ConfigError, LossUndefinedError
+from equiref import train
+from equiref.errors import ConfigError, DivergenceError, LossUndefinedError
 from equiref.model import ModelConfig, forward, forward_pass, init_params
 from equiref.train import (
     ADAM_EPS,
@@ -435,9 +436,11 @@ class TestTrainLoop:
         result = train_loop(
             examples, examples, config, seed=3, max_epochs=6, patience=50
         )
-        rmsds = [rec.val_rmsd for rec in result.log]
+        # epoch 0 is the input, which the initial parameters reproduce
+        initial = validation_rmsd(examples, init_params(config, 3), config)
+        rmsds = [initial] + [rec.val_rmsd for rec in result.log]
         assert result.best_val_rmsd == pytest.approx(min(rmsds))
-        assert result.log[result.best_epoch - 1].val_rmsd == result.best_val_rmsd
+        assert rmsds[result.best_epoch] == result.best_val_rmsd
         recomputed = validation_rmsd(examples, result.params, config)
         assert recomputed == pytest.approx(result.best_val_rmsd, rel=1e-12)
 
@@ -451,6 +454,25 @@ class TestTrainLoop:
         assert trailing <= patience
         if len(result.log) < 40:
             assert trailing == patience
+
+    def test_an_epoch_that_does_not_beat_the_input_is_not_kept(self, tiny_dataset):
+        config, examples = tiny_dataset
+        result = train_loop(examples, examples, config, seed=3, max_epochs=1,
+                            learning_rate=10.0)
+        (record,) = result.log
+        initial = validation_rmsd(examples, init_params(config, 3), config)
+        assert record.val_rmsd > initial and not record.best
+        assert result.best_epoch == 0 and result.best_val_rmsd == initial
+        assert result.optimizer.step == 0
+        expected = init_params(config, 3)
+        assert all(np.array_equal(result.params[k], expected[k]) for k in expected)
+
+    def test_non_finite_validation_rmsd_diverges(self, tiny_dataset, monkeypatch):
+        config, examples = tiny_dataset
+        monkeypatch.setattr(train, "validation_rmsd", lambda *args: float("nan"))
+        with pytest.raises(DivergenceError, match="validation RMSD at epoch 1") as info:
+            train_loop(examples, examples, config, seed=3, max_epochs=2)
+        assert info.value.result.log == [] and info.value.result.best_epoch == 0
 
     def test_training_reduces_loss_and_rmsd(self, rng):
         config = ModelConfig(
