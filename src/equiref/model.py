@@ -32,11 +32,17 @@ A layer's edge pass runs over blocks of whole nodes, and each block is one
 ``autodiff.checkpoint``: it reads the coordinates and the per-node message
 products by rows, and keeps only its nodes' coordinate shift and mean
 hidden message. The node update (skip mix, mean message, both attentions,
-node MLP, node skip) is one more. The backward pass re-runs one of them
-at a time over its own input tensors and walks its tape at once down to
-them, so each block's rows and dense terms land straight in the inputs'
-gradients, and training holds the tape of one edge block plus O(n d) per
-layer. Under ``no_grad()`` the checkpoints are plain calls.
+node MLP, node skip) is one more. Only the global attention's d x d
+product K^T V reads all nodes at once; the rest of the node update runs
+over blocks of ``window_size`` rows, each one window of the local
+attention. The node MLP's first layer reads [h, m_agg, attention, f_emb]
+and is linear, so ``node_mlp.w1`` is split by rows like ``msg_mlp.w1``
+and that concatenation of width 4d is never built. The backward pass
+re-runs one checkpoint at a time over its own input tensors and walks its
+tape at once down to them, so each block's rows and dense terms land
+straight in the inputs' gradients, and training holds the tape of one
+edge block plus O(n d) per layer. Under ``no_grad()`` the checkpoints are
+plain calls, and a layer holds O(n d) plus one block of rows.
 
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
@@ -81,14 +87,10 @@ from .errors import (
     WeightsTruncatedError,
     WeightsVersionError,
 )
-from .featurize import GRANULARITIES, ComplexGraph, feature_widths
+from .featurize import EDGE_BLOCK, GRANULARITIES, ComplexGraph, feature_widths
 
 WEIGHTS_MAGIC = b"EGRW"
 WEIGHTS_VERSION = 1
-# Edge rows per block of a layer's edge pass: per-edge temporaries of this
-# many rows stay cache-sized. With the fused edge ops, 1,024 rows ran
-# faster than 512 or 2,048.
-EDGE_BLOCK = 1024
 LEAKY_SLOPE = 0.01   # negative-side slope of every MLP's leaky ReLU
 NORM_CONSTANT = 1.0  # added to each edge length in the radial update
 
@@ -278,36 +280,27 @@ def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
     return affine(hidden, leaves[prefix + "w2"], leaves[prefix + "b2"])
 
 
-def _linear_attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Global attention in its associativity-rearranged linear-time form."""
-    n = h.data.shape[0]
-    inv_sqrt = 1.0 / math.sqrt(n)
+def _attention_summary(h: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """The global attention's d x d product (K^T / sqrt(n)) V over all n rows."""
+    inv_sqrt = 1.0 / math.sqrt(h.data.shape[0])
+    k = h @ wk
+    v = h @ wv
+    return (k.T * inv_sqrt) @ v
+
+
+def _linear_attention(h: Tensor, wq: Tensor, summary: Tensor, n: int) -> Tensor:
+    """Global attention of the rows ``h`` over all n nodes, in its
+    associativity-rearranged linear-time form (Q / sqrt(n)) ``summary``."""
+    return ((h @ wq) * (1.0 / math.sqrt(n))) @ summary
+
+
+def _window_attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """Scaled dot-product attention among the rows of ``h``, one window."""
     q = h @ wq
     k = h @ wk
     v = h @ wv
-    return (q * inv_sqrt) @ ((k.T * inv_sqrt) @ v)
-
-
-def _window_attention(
-    h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, window: int
-) -> Tensor:
-    """Scaled dot-product attention inside consecutive index blocks."""
-    n, d = h.data.shape
-    q = h @ wq
-    k = h @ wk
-    v = h @ wv
-    scale = 1.0 / math.sqrt(d)
-    blocks = []
-    for start in range(0, n, window):
-        stop = min(start + window, n)
-        qb = slice_rows(q, start, stop)
-        kb = slice_rows(k, start, stop)
-        vb = slice_rows(v, start, stop)
-        weights = softmax_rows((qb @ kb.T) * scale)
-        blocks.append(weights @ vb)
-    if len(blocks) == 1:
-        return blocks[0]
-    return concat(blocks, axis=0)
+    weights = softmax_rows((q @ k.T) * (1.0 / math.sqrt(h.data.shape[1])))
+    return weights @ v
 
 
 def _checkpoint(fn, tensors: dict[str, Tensor]):
@@ -342,42 +335,48 @@ def _edge_block(t: dict[str, Tensor], edge_features: np.ndarray,
 
 def _node_update(t: dict[str, Tensor], blocks: int, x0: np.ndarray,
                  config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """A layer's new coordinates and embeddings from its edge blocks' outputs."""
+    """A layer's new coordinates and embeddings from its edge blocks' outputs.
+
+    Only the global attention's d x d summary reads all nodes at once; the
+    rest runs over blocks of ``config.window_size`` rows, each one window
+    of the local attention. The node MLP's first layer is split by the
+    rows of ``node_mlp.w1`` that multiply h, m_agg, the attention and
+    f_emb, so their concatenation is never built.
+    """
     shift = concat([t[f"block{i}.shift"] for i in range(blocks)], axis=0)
     mean_hidden = concat([t[f"block{i}.hidden"] for i in range(blocks)], axis=0)
     coord_skip, node_skip, h = t["coord_skip"], t["node_skip"], t["h"]
     x_new = coord_skip * x0 + (1.0 - coord_skip) * t["x"] + shift
-    m_agg = affine(mean_hidden, t["msg_mlp.w2"], t["msg_mlp.b2"])
 
+    n, d = h.data.shape
+    w1 = t["node_mlp.w1"]
+    w1_h, w1_m, w1_a, w1_f = (slice_rows(w1, i * d, (i + 1) * d) for i in range(4))
     if config.attention_enabled:
-        attn = _linear_attention(
-            h, t["attn_global.wq"], t["attn_global.wk"], t["attn_global.wv"],
-        ) + _window_attention(
-            h, t["attn_local.wq"], t["attn_local.wk"], t["attn_local.wv"],
-            config.window_size,
-        )
-    else:
-        attn = Tensor(np.zeros_like(h.data))
+        summary = _attention_summary(h, t["attn_global.wk"], t["attn_global.wv"])
+    keep = 1.0 - node_skip
+    rows = []
+    for start in range(0, n, config.window_size):
+        stop = min(start + config.window_size, n)
+        h_rows = slice_rows(h, start, stop)
+        m_agg = affine(slice_rows(mean_hidden, start, stop), t["msg_mlp.w2"],
+                       t["msg_mlp.b2"])
+        pre = (affine(h_rows, w1_h, t["node_mlp.b1"]) + m_agg @ w1_m
+               + slice_rows(t["f_emb"], start, stop) @ w1_f)
+        if config.attention_enabled:
+            attn = (_linear_attention(h_rows, t["attn_global.wq"], summary, n)
+                    + _window_attention(h_rows, t["attn_local.wq"], t["attn_local.wk"],
+                                        t["attn_local.wv"]))
+            pre = pre + attn @ w1_a
+        update = affine(_activate(pre, t, "node_mlp."), t["node_mlp.w2"],
+                        t["node_mlp.b2"])
+        rows.append(node_skip * update + keep * h_rows)
+    return x_new, concat(rows, axis=0)
 
-    update = _mlp(concat([h, m_agg, attn, t["f_emb"]], axis=1), t, "node_mlp.")
-    h_new = node_skip * update + (1.0 - node_skip) * h
-    return x_new, h_new
 
-
-def _layer(
-    x: Tensor,
-    h: Tensor,
-    f_emb: Tensor,
-    graph: ComplexGraph,
-    leaves: dict[str, Tensor],
-    config: ModelConfig,
-    coord_skip: Tensor,
-    node_skip: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """One layer: an ``autodiff.checkpoint`` per edge block, then one for
-    the node update, whose skip anchor is the graph's coordinates.
-    ``leaves`` holds the layer's parameters by their names within the
-    layer."""
+def _edge_pass(x: Tensor, h: Tensor, graph: ComplexGraph,
+               leaves: dict[str, Tensor]) -> dict[str, Tensor]:
+    """The outputs of a layer's edge blocks by name: ``block{i}.shift`` and
+    ``block{i}.hidden``, each block one ``autodiff.checkpoint``."""
     n, k = graph.neighbors.shape
     d = h.data.shape[1]
 
@@ -408,22 +407,41 @@ def _layer(
     # temporary stays at about EDGE_BLOCK rows, and so does the tape that
     # the backward pass rebuilds for one block.
     step = max(1, EDGE_BLOCK // k)
-    starts = range(0, n, step)
     outputs = {}
-    for block, start in enumerate(starts):
+    for block, start in enumerate(range(0, n, step)):
         stop = min(start + step, n)
         outputs[f"block{block}.shift"], outputs[f"block{block}.hidden"] = _checkpoint(
             lambda t, start=start, stop=stop: _edge_block(
                 t, graph.edge_features, graph.neighbors, start, stop),
             block_inputs,
         )
+    return outputs
 
+
+def _layer(
+    x: Tensor,
+    h: Tensor,
+    f_emb: Tensor,
+    graph: ComplexGraph,
+    leaves: dict[str, Tensor],
+    config: ModelConfig,
+    coord_skip: Tensor,
+    node_skip: Tensor,
+) -> tuple[Tensor, Tensor]:
+    """One layer: an ``autodiff.checkpoint`` per edge block, then one for
+    the node update, whose skip anchor is the graph's coordinates.
+    ``leaves`` holds the layer's parameters by their names within the
+    layer. The per-node message products live only in the edge pass, so
+    without a tape they are freed before the node update."""
+    outputs = _edge_pass(x, h, graph, leaves)
     update_inputs = {"x": x, "h": h, "f_emb": f_emb, "coord_skip": coord_skip,
-                     "node_skip": node_skip, "msg_mlp.w2": w2, "msg_mlp.b2": b2,
+                     "node_skip": node_skip, "msg_mlp.w2": leaves["msg_mlp.w2"],
+                     "msg_mlp.b2": leaves["msg_mlp.b2"],
                      **{name: leaf for name, leaf in leaves.items()
                         if name.startswith(("attn_", "node_mlp."))},
                      **outputs}
-    return _checkpoint(lambda t: _node_update(t, len(starts), graph.coords, config),
+    blocks = len(outputs) // 2  # a shift and a mean hidden message each
+    return _checkpoint(lambda t: _node_update(t, blocks, graph.coords, config),
                        update_inputs)
 
 
@@ -603,7 +621,7 @@ def load_container(
     shapes = parameter_shapes(config)
     params: dict[str, np.ndarray] = {}
     extra: dict[str, np.ndarray] = {}
-    body = data[header_end:]
+    body = memoryview(data)[header_end:]  # blocks are read from it, not copied twice
     declared = 0
     for block in header["blocks"]:
         name, shape, start = _block_entry(block)

@@ -554,9 +554,11 @@ def kabsch_superpose(
     (det = +1) such that ``rotation @ x + translation`` maps mobile points
     onto the target frame and rmsd is the minimum over rigid transforms.
 
-    Raises AlignmentError for fewer than 3 points, for a (near-)collinear
-    point set, where the optimal rotation is not unique, and for
-    coordinates so large that their covariance overflows.
+    Raises AlignmentError for fewer than 3 points; for a (near-)collinear
+    point set, where the optimal rotation is not unique, or one whose
+    spread float64 cannot resolve (a point far beyond the rest leaves the
+    covariance of rank one, as collinear points do); and for coordinates
+    so large that their covariance overflows.
     """
     mobile = np.asarray(mobile, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -574,7 +576,8 @@ def kabsch_superpose(
         raise AlignmentError("coordinates too large to superpose")
     u, s, vt = np.linalg.svd(h)
     if s[0] <= 0 or s[1] <= s[0] * 1e-9:
-        raise AlignmentError("degenerate (collinear or coincident) point set")
+        raise AlignmentError("no unique superposition: the points are (near-)collinear "
+                             "or coincident, or spread too widely to resolve")
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     translation = ct - rotation @ cm

@@ -11,7 +11,9 @@ runs the message and coordinate-gate MLPs on it one after the other, each
 with both of its layers. The PDB oracle
 reads ATOM records one line at a time, each field through Python's own
 ``int()``, ``float()`` and ``str`` methods. The dense distance kernel
-scans every row pair, the reference for the cell-grid pair search.
+scans every row pair, the reference for the cell-grid pair search. The
+edge-feature oracle builds every edge row in one pass over whole-length
+arrays, the reference for the graph build by blocks of centre nodes.
 """
 
 import math
@@ -20,8 +22,19 @@ import numpy as np
 
 from equiref.autodiff import LAYER_NORM_EPS
 from equiref.errors import EmptyStructureError, LossUndefinedError, PdbParseError
+from equiref.featurize import (
+    COVALENT_CUTOFF,
+    GEOMETRIC_WIDTH,
+    PAIR_WIDTH,
+    _rotations_to_quaternions,
+)
 from equiref.model import LEAKY_SLOPE
-from equiref.structio import PAIR_CHUNK, ComplexStructure, _squared_distances
+from equiref.structio import (
+    PAIR_CHUNK,
+    ComplexStructure,
+    _squared_distances,
+    build_residue_frames,
+)
 from equiref.train import HUBER_DELTA
 
 LDDT_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -48,6 +61,48 @@ def squared_distance_blocks(a, b):
     for start in range(0, a.shape[0], chunk):
         rows = a[start:start + chunk]
         yield start, _squared_distances(lambda k: (rows[:, k, None], b_axes[k]))
+
+
+def whole_edge_features(structure, node_atom_indices, neighbors, config):
+    """``featurize.edge_features`` with every per-edge array at full length."""
+    n, k = neighbors.shape
+    src = neighbors.ravel()
+    dst = np.repeat(np.arange(n), k)
+    atom_src = node_atom_indices[src]
+    atom_dst = node_atom_indices[dst]
+    num_edges = src.shape[0]
+    pair = np.empty((num_edges, PAIR_WIDTH), dtype=np.float64)
+    pair[:, 0] = structure.chain[atom_src] == structure.chain[atom_dst]
+    pair[:, 1] = np.sin((dst - src).astype(np.float64))
+    blocks = [pair]
+
+    disp = structure.coords[atom_src] - structure.coords[atom_dst]  # x_j - x_i
+    dist = np.sqrt((disp * disp).sum(axis=1))
+
+    if config.include_geometric:
+        _, rotations = build_residue_frames(structure)
+        geo = np.zeros((num_edges, GEOMETRIC_WIDTH), dtype=np.float64)
+        geo[:, 0] = dist / 10.0
+        safe = np.where(dist > 0, dist, 1.0)
+        unit = disp / safe[:, None]
+        r_dst = rotations[structure.residue[atom_dst]]
+        r_src = rotations[structure.residue[atom_src]]
+        geo[:, 1:4] = np.einsum("eji,ej->ei", r_dst, unit)
+        geo[:, 4:7] = np.einsum("eji,ej->ei", r_src, -unit)
+        rel = np.einsum("eji,ejk->eik", r_dst, r_src)  # R_i^T R_j
+        geo[:, 7:11] = _rotations_to_quaternions(rel)
+        geo[:, 11] = 1.0 / (1.0 + dist)
+        blocks.append(geo)
+
+    if config.granularity == "all-atom":
+        covalent = (
+            (pair[:, 0] > 0)
+            & (np.abs(structure.resnum[atom_src] - structure.resnum[atom_dst]) <= 1)
+            & (dist <= COVALENT_CUTOFF)
+        ).astype(np.float64)
+        blocks.append(covalent.reshape(-1, 1))
+
+    return np.concatenate(blocks, axis=1)
 
 
 def lddt_bruteforce(decoy_ca, native_ca, radius=15.0, thresholds=LDDT_THRESHOLDS):

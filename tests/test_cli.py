@@ -418,6 +418,19 @@ class TestScore:
             json.loads(report.read_text(), parse_constant=reject_constant)
         assert (code == EXIT_OK) != capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["1.0e150", "-5.0e200"])
+    def test_one_far_atom_is_not_called_collinear(self, workdir, capsys, value):
+        # one finite coordinate far beyond the rest leaves the superposition's
+        # covariance of rank one in float64, as collinear points would: the
+        # message holds for both causes, and the exit code stays 5
+        tmp, _, input_pdb, _ = workdir
+        decoy = tmp / "far.pdb"
+        decoy.write_text(overflowing_decoy(input_pdb.read_text(), {(0, 1): value}))
+        code = main(["score", "--decoy", str(decoy), "--native", str(input_pdb),
+                     "--report", str(tmp / "far.json")])
+        assert code == EXIT_NO_INTERFACE
+        assert "collinear or coincident, or spread too widely" in capsys.readouterr().err
+
     def test_identical_pair(self, workdir):
         tmp, structure, input_pdb, _ = workdir
         report = tmp / "score.json"

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import equiref
-from equiref import cli, model
+from equiref import cli, featurize, model
 from equiref.cli import read_config
 from equiref.structio import write_pdb
 
@@ -48,8 +48,8 @@ def test_library_example_runs(tmp_path, monkeypatch):
 
 def test_edge_block_matches_code():
     text = README.read_text(encoding="utf-8")
-    quoted = re.search(r"`model\.EDGE_BLOCK`\s+\(([\d,]+)\)", text).group(1)
-    assert int(quoted.replace(",", "")) == model.EDGE_BLOCK
+    quoted = re.search(r"`featurize\.EDGE_BLOCK`\s+\(([\d,]+)\)", text).group(1)
+    assert int(quoted.replace(",", "")) == featurize.EDGE_BLOCK == model.EDGE_BLOCK
 
 
 def exit_codes_listed(text: str, start: str) -> set[int]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiref import model
-from equiref.autodiff import Tensor, no_grad
+from equiref.autodiff import Tensor, concat, no_grad
 from equiref.errors import (
     ConfigError,
     WeightsFormatError,
@@ -73,6 +73,44 @@ def on_arrays(fn, *arrays, **kwargs):
     """``fn`` of Tensor inputs run on numpy arrays under no_grad()."""
     with no_grad():
         return fn(*map(Tensor, arrays), **kwargs).data
+
+
+def linear_attention(h, wq, wk, wv):
+    """The model's global attention of every row of ``h``."""
+    return model._linear_attention(h, wq, model._attention_summary(h, wk, wv),
+                                   len(h.data))
+
+
+def softmax_attention(h, wq, wk, wv):
+    """Scaled dot-product attention among all rows of ``h``, in numpy."""
+    q, k, v = h @ wq, h @ wk, h @ wv
+    scores = q @ k.T / np.sqrt(h.shape[1])
+    scores -= scores.max(axis=1, keepdims=True)
+    e = np.exp(scores)
+    return (e / e.sum(axis=1, keepdims=True)) @ v
+
+
+def node_update_windows(rng, monkeypatch, h, wq, wk, wv, window):
+    """(rows read, output) of each window attention call in one layer's
+    node update on embeddings ``h``, whose local attention weighs ``wq``,
+    ``wk`` and ``wv`` and whose windows hold ``window`` rows."""
+    n, d = h.shape
+    config = ModelConfig(num_layers=1, hidden_dim=d, window_size=window)
+    graph = random_graph(rng, n=n, d_f=config.node_feat_dim, d_e=config.edge_feat_dim)
+    params = randomize(init_params(config, 0), rng)
+    params.update({"layers.0.attn_local.wq": wq, "layers.0.attn_local.wk": wk,
+                   "layers.0.attn_local.wv": wv})
+    calls = []
+    attend = model._window_attention
+
+    def recording(rows, *weights):
+        out = attend(rows, *weights)
+        calls.append((rows.data, out.data))
+        return out
+
+    monkeypatch.setattr(model, "_window_attention", recording)
+    layer_step(graph, params, config, 0, graph.coords, h, rng.normal(size=h.shape))
+    return calls
 
 
 def layer_step(graph, params, config, layer, x, h, f_emb):
@@ -168,7 +206,7 @@ class TestLinearAttention:
             d = int(rng.integers(2, 65))
             h = rng.normal(size=(n, d))
             wq, wk, wv = (rng.normal(size=(d, d)) for _ in range(3))
-            lin = on_arrays(model._linear_attention, h, wq, wk, wv)
+            lin = on_arrays(linear_attention, h, wq, wk, wv)
             quad = quadratic_attention(h, wq, wk, wv)
             denom = np.abs(quad).max() + 1e-12
             assert np.abs(lin - quad).max() / denom < 1e-10
@@ -178,49 +216,45 @@ class TestLinearAttention:
         wq, wk, wv = (rng.normal(size=(6, 6)) for _ in range(3))
         q, k, v = h @ wq, h @ wk, h @ wv
         expected = q @ (k.T @ v)  # n = 1: the normalization cancels
-        out = on_arrays(model._linear_attention, h, wq, wk, wv)
+        out = on_arrays(linear_attention, h, wq, wk, wv)
         np.testing.assert_allclose(out, expected)
 
     def test_zero_embeddings(self, rng):
         wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-        out = on_arrays(model._linear_attention, np.zeros((7, 4)), wq, wk, wv)
+        out = on_arrays(linear_attention, np.zeros((7, 4)), wq, wk, wv)
         np.testing.assert_array_equal(out, 0.0)
 
 
 class TestWindowAttention:
-    def full_softmax(self, h, wq, wk, wv):
-        q, k, v = h @ wq, h @ wk, h @ wv
-        scores = q @ k.T / np.sqrt(h.shape[1])
-        scores -= scores.max(axis=1, keepdims=True)
-        e = np.exp(scores)
-        return (e / e.sum(axis=1, keepdims=True)) @ v
-
     def test_single_block_equals_full_attention(self, rng):
         h = rng.normal(size=(10, 6))
         wq, wk, wv = (rng.normal(size=(6, 6)) for _ in range(3))
-        out = on_arrays(model._window_attention, h, wq, wk, wv, window=128)
-        np.testing.assert_allclose(out, self.full_softmax(h, wq, wk, wv), atol=1e-12)
+        out = on_arrays(model._window_attention, h, wq, wk, wv)
+        np.testing.assert_allclose(out, softmax_attention(h, wq, wk, wv), atol=1e-12)
 
-    def test_blocks_are_independent(self, rng):
+    def test_blocks_are_independent(self, rng, monkeypatch):
+        # the node update hands the window attention consecutive windows of
+        # window_size rows, the last one short, and each sees only its own
         window = 8
-        h = rng.normal(size=(2 * window, 5))
+        h = rng.normal(size=(2 * window + 3, 5))
         wq, wk, wv = (rng.normal(size=(5, 5)) for _ in range(3))
-        base = on_arrays(model._window_attention, h, wq, wk, wv, window=window)
+        base = node_update_windows(rng, monkeypatch, h, wq, wk, wv, window)
+        for (rows, _), start in zip(base, range(0, len(h), window), strict=True):
+            np.testing.assert_array_equal(rows, h[start:start + window])
         h2 = h.copy()
-        h2[window:] = rng.normal(size=(window, 5))
-        out = on_arrays(model._window_attention, h2, wq, wk, wv, window=window)
-        np.testing.assert_array_equal(out[:window], base[:window])
-        assert not np.allclose(out[window:], base[window:])
+        h2[window:2 * window] = rng.normal(size=(window, 5))
+        out = node_update_windows(rng, monkeypatch, h2, wq, wk, wv, window)
+        np.testing.assert_array_equal(out[0][1], base[0][1])
+        assert not np.allclose(out[1][1], base[1][1])
+        np.testing.assert_array_equal(out[2][1], base[2][1])
 
-    def test_hand_sized_bruteforce(self, rng):
+    def test_hand_sized_bruteforce(self, rng, monkeypatch):
         h = rng.normal(size=(4, 2))
         wq, wk, wv = (rng.normal(size=(2, 2)) for _ in range(3))
-        out = on_arrays(model._window_attention, h, wq, wk, wv, window=2)
-        for block in (slice(0, 2), slice(2, 4)):
-            hb = h[block]
-            np.testing.assert_allclose(
-                out[block], self.full_softmax(hb, wq, wk, wv), atol=1e-12
-            )
+        calls = node_update_windows(rng, monkeypatch, h, wq, wk, wv, window=2)
+        for (_, out), block in zip(calls, (slice(0, 2), slice(2, 4)), strict=True):
+            np.testing.assert_allclose(out, softmax_attention(h[block], wq, wk, wv),
+                                       atol=1e-12)
 
 
 class TestLayer:
@@ -276,28 +310,68 @@ class TestLayer:
         x_ref = (skip * graph.coords + (1.0 - skip) * x
                  + (radial * gate).reshape(n, k, 3).mean(axis=1))
 
-        seen = {}
-        activate, mlp = model._activate, model._mlp
+        seen, m_agg_rows = {}, []
+        activate, affine = model._activate, model.affine
 
         def recording_activate(pre_activation, leaves, name):
             seen.setdefault(name, pre_activation.data)
             return activate(pre_activation, leaves, name)
 
-        def recording_mlp(inputs, leaves, name):
-            seen[name] = inputs.data
-            return mlp(inputs, leaves, name)
+        def recording_affine(inputs, weight, bias):
+            out = affine(inputs, weight, bias)
+            if weight.data is params[prefix + "msg_mlp.w2"]:  # m_agg, a block of rows
+                m_agg_rows.append(out.data)
+            return out
 
         monkeypatch.setattr(model, "_activate", recording_activate)
-        monkeypatch.setattr(model, "_mlp", recording_mlp)
+        monkeypatch.setattr(model, "affine", recording_affine)
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
         x_new, _ = layer_step(graph, params, config, 0, x, h, f_emb)
         d = config.hidden_dim
-        m_agg = seen["node_mlp."][:, d:2 * d]  # a layer names its leaves without prefix
+        m_agg = np.concatenate(m_agg_rows)
         for actual, reference in ((seen["msg_mlp."], pre),
                                   (m_agg, message.reshape(n, k, d).mean(axis=1)),
                                   (x_new, x_ref)):
             np.testing.assert_allclose(actual, reference, rtol=1e-12,
                                        atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("n, window, attention", [
+        (50, 16, True), (30, 30, True), (30, 64, True), (50, 16, False),
+    ], ids=["ragged", "one_window", "window_past_n", "no_attention"])
+    def test_split_node_update_matches_concatenated_input(self, rng, n, window,
+                                                          attention):
+        # The node update multiplies h, m_agg, the attention and f_emb each
+        # by its own rows of node_mlp.w1, a block of window_size rows at a
+        # time. The reference runs the node MLP on their concatenation over
+        # all rows at once.
+        config = ModelConfig(num_layers=1, hidden_dim=8, window_size=window,
+                             attention_enabled=attention)
+        params = randomize(init_params(config, 0), rng)
+        prefix = "layers.0."
+        inputs = {name[len(prefix):]: value for name, value in params.items()
+                  if name.startswith(prefix)}
+        d = config.hidden_dim
+        h, f_emb, mean_hidden = (rng.normal(size=(n, d)) for _ in range(3))
+        inputs.update({"x": rng.normal(size=(n, 3)), "h": h, "f_emb": f_emb,
+                       "coord_skip": np.array(0.3), "node_skip": np.array(0.6),
+                       "block0.shift": rng.normal(size=(n, 3)),
+                       "block0.hidden": mean_hidden})
+        attn = np.zeros((n, d))
+        if attention:
+            attn = on_arrays(linear_attention, h, *(inputs[f"attn_global.{proj}"]
+                                                    for proj in ("wq", "wk", "wv")))
+            local = [inputs[f"attn_local.{proj}"] for proj in ("wq", "wk", "wv")]
+            attn += np.concatenate([softmax_attention(h[start:start + window], *local)
+                                    for start in range(0, n, window)])
+        with no_grad():
+            t = {name: Tensor(value) for name, value in inputs.items()}
+            _, h_new = model._node_update(t, 1, rng.normal(size=(n, 3)), config)
+            m_agg = model.affine(t["block0.hidden"], t["msg_mlp.w2"], t["msg_mlp.b2"])
+            update = model._mlp(concat([t["h"], m_agg, Tensor(attn), t["f_emb"]]), t,
+                                "node_mlp.")
+        reference = 0.6 * update.data + 0.4 * h
+        np.testing.assert_allclose(h_new.data, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
 
     def test_single_layer_equivariance(self, rng):
         graph = random_graph(rng, n=16, d_f=SMALL.node_feat_dim,
@@ -661,6 +735,16 @@ class TestEdgeBlocks:
         params = randomize(init_params(config, 0), rng, scale=0.2)
         assert traced_peak(forward, graph, params, config) < 20 * 2 ** 20
 
+    def test_inference_memory_on_a_complex(self):
+        # 1,980 atoms, default model: with the node update over whole
+        # arrays (its node MLP input of width 4d included) the forward
+        # peaked at 14.8 MB in numpy allocations, over row blocks, with
+        # the message products freed before it, at 7.0 MB. Bound: 10 MB.
+        config = ModelConfig()
+        graph = build_knn_graph(make_complex(n_res_a=250, n_res_b=245), config)
+        params = randomize(init_params(config, 0), np.random.default_rng(0), scale=0.05)
+        assert traced_peak(forward, graph, params, config) < 10 * 2 ** 20
+
     def test_training_memory_is_one_block(self, rng):
         # The backward pass re-tapes one edge block, or one node update, at
         # a time and walks it at once. At 1,000 nodes (k = 20, d = 64) a
@@ -684,6 +768,14 @@ class TestWeightsContainer:
         assert set(loaded) == set(params)
         for k in params:
             np.testing.assert_array_equal(loaded[k], params[k])
+
+    def test_load_copies_each_block_once(self):
+        # the blocks are read through a view of the stream: the whole
+        # default container peaked at twice its size in numpy and bytes
+        # allocations when the data section was sliced out first
+        config = ModelConfig()
+        blob = save_weights(init_params(config, 0), config)
+        assert traced_peak(load_weights, blob) < 1.2 * len(blob)
 
     def test_bad_magic(self):
         blob = save_weights(init_params(SMALL, 0), SMALL)
