@@ -233,7 +233,8 @@ def worker_count(requested: int, tasks: int, cpus: int | None) -> int:
 def cmd_evaluate(args) -> None:
     _check_output_dirs(args.summary, args.details)
     try:
-        with open(args.scores, "r", encoding="utf-8", newline="") as fh:
+        # a spreadsheet's export may start with a byte-order mark
+        with open(args.scores, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise MissingInputError(f"cannot read scores CSV: {exc}") from None

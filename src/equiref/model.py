@@ -28,21 +28,23 @@ message is formed. One ``autodiff.edge_affine`` op forms the message
 MLP's pre-activation, and every MLP's layer norm and leaky ReLU are one
 ``autodiff.layer_norm_leaky_relu`` op.
 
-A layer's edge pass runs over blocks of whole nodes, and each block is one
-``autodiff.checkpoint``: it reads the coordinates and the per-node message
-products by rows, and keeps only its nodes' coordinate shift and mean
-hidden message. The node update (skip mix, mean message, both attentions,
-node MLP, node skip) is one more. Only the global attention's d x d
-product K^T V reads all nodes at once; the rest of the node update runs
-over blocks of ``window_size`` rows, each one window of the local
-attention. The node MLP's first layer reads [h, m_agg, attention, f_emb]
-and is linear, so ``node_mlp.w1`` is split by rows like ``msg_mlp.w1``
-and that concatenation of width 4d is never built. The backward pass
-re-runs one checkpoint at a time over its own input tensors and walks its
-tape at once down to them, so each block's rows and dense terms land
-straight in the inputs' gradients, and training holds the tape of one
-edge block plus O(n d) per layer. Under ``no_grad()`` the checkpoints are
-plain calls, and a layer holds O(n d) plus one block of rows.
+A layer runs over windows of ``window_size`` nodes, each one window of
+the local attention and one ``autodiff.checkpoint``. A window runs its
+nodes' edge work in blocks of at most ``EDGE_BLOCK // k`` whole nodes,
+reading the coordinates and the per-node message products by rows and
+keeping only each node's coordinate shift and mean hidden message. Then
+it runs the skip mix, the mean message, both attentions, the node MLP and
+the node skip on its rows. Only the global attention's d x d product
+K^T V reads all nodes at once; it is one more checkpoint per layer. The
+node MLP's first layer reads [h, m_agg, attention, f_emb] and is linear,
+so ``node_mlp.w1`` is split by rows like ``msg_mlp.w1`` and that
+concatenation of width 4d is never built. The backward pass re-runs one
+checkpoint at a time over its own input tensors and walks its tape at
+once down to them, so each window's rows and dense terms land straight in
+the inputs' gradients, and training holds the tape of one window (at most
+``window_size`` nodes, edge work in ``EDGE_BLOCK``-row blocks) plus
+O(n d) per layer. Under ``no_grad()`` the checkpoints are plain calls,
+and a layer holds O(n d) plus one window's rows.
 
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
@@ -60,8 +62,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -237,14 +240,27 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
 
     The final layer of every coordinate-gate MLP starts at zero so a fresh
     model moves no coordinates; both skip strengths start at 0.5 (raw 0).
-    A block with more bytes than an array can hold raises MemoryError.
+    A block with more bytes than an array can hold, or parameters with more
+    bytes than the machine's physical memory, raise MemoryError before any
+    block is listed in full.
     """
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
+    # every layer's blocks have the same shapes, so a one-layer model's
+    # blocks tell the size of any depth
+    one_layer = parameter_shapes(replace(config, num_layers=1))
+    for name, shape in one_layer.items():
         if math.prod(shape) > np.iinfo(np.intp).max // 8:
             raise MemoryError(f"parameter block {name} of shape {shape} is too large "
                               "for an array")
+    per_layer = sum(math.prod(shape) for _, shape in _layer_shapes(config))
+    size = 8 * (sum(map(math.prod, one_layer.values()))
+                + (config.num_layers - 1) * per_layer)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise MemoryError(f"the parameters take {size:,} bytes, more than this "
+                          f"machine's {memory:,} bytes of memory")
+    rng = np.random.default_rng(seed)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config).items():
         if name.endswith(("ln_gain",)):
             params[name] = np.ones(shape, dtype=np.float64)
         elif name.endswith(("ln_bias",)):
@@ -333,89 +349,41 @@ def _edge_block(t: dict[str, Tensor], edge_features: np.ndarray,
     return group_mean(radial * gate, k), group_mean(hidden, k)
 
 
-def _node_update(t: dict[str, Tensor], blocks: int, x0: np.ndarray,
-                 config: ModelConfig) -> tuple[Tensor, Tensor]:
-    """A layer's new coordinates and embeddings from its edge blocks' outputs.
+def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
+            start: int, stop: int) -> tuple[Tensor, Tensor]:
+    """The new coordinates and embeddings of nodes ``start:stop``, one
+    window of the local attention.
 
-    Only the global attention's d x d summary reads all nodes at once; the
-    rest runs over blocks of ``config.window_size`` rows, each one window
-    of the local attention. The node MLP's first layer is split by the
-    rows of ``node_mlp.w1`` that multiply h, m_agg, the attention and
-    f_emb, so their concatenation is never built.
+    The edge work runs in blocks of at most ``EDGE_BLOCK // k`` whole
+    nodes, and only their shifts and mean hidden messages are joined. The
+    node MLP's first layer is applied by the rows of ``node_mlp.w1`` that
+    multiply h, m_agg, the attention and f_emb, so their concatenation is
+    never built; the global attention reads all n nodes only through
+    ``t["summary"]``.
     """
-    shift = concat([t[f"block{i}.shift"] for i in range(blocks)], axis=0)
-    mean_hidden = concat([t[f"block{i}.hidden"] for i in range(blocks)], axis=0)
-    coord_skip, node_skip, h = t["coord_skip"], t["node_skip"], t["h"]
-    x_new = coord_skip * x0 + (1.0 - coord_skip) * t["x"] + shift
+    step = max(1, EDGE_BLOCK // graph.neighbors.shape[1])
+    blocks = [_edge_block(t, graph.edge_features, graph.neighbors, a, min(a + step, stop))
+              for a in range(start, stop, step)]
+    shift, mean_hidden = (concat(list(parts), axis=0) for parts in zip(*blocks))
+    coord_skip, node_skip = t["coord_skip"], t["node_skip"]
+    x_new = (coord_skip * graph.coords[start:stop]
+             + (1.0 - coord_skip) * slice_rows(t["x"], start, stop) + shift)
 
+    h = t["h"]
     n, d = h.data.shape
     w1 = t["node_mlp.w1"]
     w1_h, w1_m, w1_a, w1_f = (slice_rows(w1, i * d, (i + 1) * d) for i in range(4))
+    h_rows = slice_rows(h, start, stop)
+    m_agg = affine(mean_hidden, t["msg_mlp.w2"], t["msg_mlp.b2"])
+    pre = (affine(h_rows, w1_h, t["node_mlp.b1"]) + m_agg @ w1_m
+           + slice_rows(t["f_emb"], start, stop) @ w1_f)
     if config.attention_enabled:
-        summary = _attention_summary(h, t["attn_global.wk"], t["attn_global.wv"])
-    keep = 1.0 - node_skip
-    rows = []
-    for start in range(0, n, config.window_size):
-        stop = min(start + config.window_size, n)
-        h_rows = slice_rows(h, start, stop)
-        m_agg = affine(slice_rows(mean_hidden, start, stop), t["msg_mlp.w2"],
-                       t["msg_mlp.b2"])
-        pre = (affine(h_rows, w1_h, t["node_mlp.b1"]) + m_agg @ w1_m
-               + slice_rows(t["f_emb"], start, stop) @ w1_f)
-        if config.attention_enabled:
-            attn = (_linear_attention(h_rows, t["attn_global.wq"], summary, n)
-                    + _window_attention(h_rows, t["attn_local.wq"], t["attn_local.wk"],
-                                        t["attn_local.wv"]))
-            pre = pre + attn @ w1_a
-        update = affine(_activate(pre, t, "node_mlp."), t["node_mlp.w2"],
-                        t["node_mlp.b2"])
-        rows.append(node_skip * update + keep * h_rows)
-    return x_new, concat(rows, axis=0)
-
-
-def _edge_pass(x: Tensor, h: Tensor, graph: ComplexGraph,
-               leaves: dict[str, Tensor]) -> dict[str, Tensor]:
-    """The outputs of a layer's edge blocks by name: ``block{i}.shift`` and
-    ``block{i}.hidden``, each block one ``autodiff.checkpoint``."""
-    n, k = graph.neighbors.shape
-    d = h.data.shape[1]
-
-    # the h_i and h_j rows of the message MLP's w1, applied once per node
-    w1 = leaves["msg_mlp.w1"]
-    h_src = h @ slice_rows(w1, 0, d)
-    h_dst = h @ slice_rows(w1, d, 2 * d)
-
-    # The message MLP ends in the affine map (w2, b2) and the gate MLP
-    # starts with (cw1, cb1), with nothing nonlinear between them, so the
-    # gate's first layer reads the message MLP's hidden layer a through
-    # w2 @ cw1 and b2 @ cw1 + cb1: an edge block's "coord_mlp.w1" and
-    # "coord_mlp.b1". The per-node mean message is group_mean(a) @ w2 + b2,
-    # as the mean is linear too.
-    w2, b2 = leaves["msg_mlp.w2"], leaves["msg_mlp.b2"]
-    cw1 = leaves["coord_mlp.w1"]
-    block_inputs = {
-        "x": x, "h_src": h_src, "h_dst": h_dst,
-        "msg_mlp.w1_edge": slice_rows(w1, 2 * d, w1.data.shape[0]),
-        "coord_mlp.w1": w2 @ cw1,
-        "coord_mlp.b1": (cw1.T * b2).sum(axis=1) + leaves["coord_mlp.b1"],
-        **{name: leaves[name] for name in (
-            "msg_mlp.b1", "msg_mlp.ln_gain", "msg_mlp.ln_bias", "coord_mlp.ln_gain",
-            "coord_mlp.ln_bias", "coord_mlp.w2", "coord_mlp.b2")},
-    }
-
-    # The edge pass runs over blocks of whole nodes, so every per-edge
-    # temporary stays at about EDGE_BLOCK rows, and so does the tape that
-    # the backward pass rebuilds for one block.
-    step = max(1, EDGE_BLOCK // k)
-    outputs = {}
-    for block, start in enumerate(range(0, n, step)):
-        stop = min(start + step, n)
-        outputs[f"block{block}.shift"], outputs[f"block{block}.hidden"] = _checkpoint(
-            lambda t, start=start, stop=stop: _edge_block(
-                t, graph.edge_features, graph.neighbors, start, stop),
-            block_inputs,
-        )
-    return outputs
+        attn = (_linear_attention(h_rows, t["attn_global.wq"], t["summary"], n)
+                + _window_attention(h_rows, t["attn_local.wq"], t["attn_local.wk"],
+                                    t["attn_local.wv"]))
+        pre = pre + attn @ w1_a
+    update = affine(_activate(pre, t, "node_mlp."), t["node_mlp.w2"], t["node_mlp.b2"])
+    return x_new, node_skip * update + (1.0 - node_skip) * h_rows
 
 
 def _layer(
@@ -428,21 +396,44 @@ def _layer(
     coord_skip: Tensor,
     node_skip: Tensor,
 ) -> tuple[Tensor, Tensor]:
-    """One layer: an ``autodiff.checkpoint`` per edge block, then one for
-    the node update, whose skip anchor is the graph's coordinates.
-    ``leaves`` holds the layer's parameters by their names within the
-    layer. The per-node message products live only in the edge pass, so
-    without a tape they are freed before the node update."""
-    outputs = _edge_pass(x, h, graph, leaves)
-    update_inputs = {"x": x, "h": h, "f_emb": f_emb, "coord_skip": coord_skip,
-                     "node_skip": node_skip, "msg_mlp.w2": leaves["msg_mlp.w2"],
-                     "msg_mlp.b2": leaves["msg_mlp.b2"],
-                     **{name: leaf for name, leaf in leaves.items()
-                        if name.startswith(("attn_", "node_mlp."))},
-                     **outputs}
-    blocks = len(outputs) // 2  # a shift and a mean hidden message each
-    return _checkpoint(lambda t: _node_update(t, blocks, graph.coords, config),
-                       update_inputs)
+    """One layer: an ``autodiff.checkpoint`` per window of
+    ``config.window_size`` nodes, which runs the window's edge work and
+    node update, plus one for the global attention's d x d summary. The
+    windows' new coordinates and embeddings are joined once. A backward
+    re-tapes one window at a time (at most ``window_size`` nodes, edge work
+    in ``EDGE_BLOCK``-row blocks); the layer keeps O(n d): the per-node
+    message products, the checkpoints' outputs and their join. ``leaves``
+    holds the layer's parameters by their names within the layer."""
+    n, d = h.data.shape
+    w1 = leaves["msg_mlp.w1"]
+    # The message MLP ends in the affine map (w2, b2) and the gate MLP
+    # starts with (cw1, cb1), with nothing nonlinear between them, so the
+    # gate's first layer reads the message MLP's hidden layer a through
+    # w2 @ cw1 and b2 @ cw1 + cb1: a window's "coord_mlp.w1" and
+    # "coord_mlp.b1". The per-node mean message is group_mean(a) @ w2 + b2,
+    # as the mean is linear too.
+    w2, b2 = leaves["msg_mlp.w2"], leaves["msg_mlp.b2"]
+    cw1 = leaves["coord_mlp.w1"]
+    inputs = {
+        **leaves,
+        "x": x, "h": h, "f_emb": f_emb, "coord_skip": coord_skip, "node_skip": node_skip,
+        # the h_i and h_j rows of the message MLP's w1, applied once per node
+        "h_src": h @ slice_rows(w1, 0, d), "h_dst": h @ slice_rows(w1, d, 2 * d),
+        "msg_mlp.w1_edge": slice_rows(w1, 2 * d, w1.data.shape[0]),
+        "coord_mlp.w1": w2 @ cw1,
+        "coord_mlp.b1": (cw1.T * b2).sum(axis=1) + leaves["coord_mlp.b1"],
+    }
+    if config.attention_enabled:
+        (inputs["summary"],) = checkpoint(
+            lambda *a: (_attention_summary(*a),),
+            (h, leaves["attn_global.wk"], leaves["attn_global.wv"]))
+    windows = [
+        _checkpoint(lambda t, start=start: _window(
+            t, graph, config, start, min(start + config.window_size, n)), inputs)
+        for start in range(0, n, config.window_size)
+    ]
+    x_rows, h_rows = zip(*windows)
+    return concat(list(x_rows), axis=0), concat(list(h_rows), axis=0)
 
 
 @dataclass
@@ -450,11 +441,13 @@ class ForwardPass:
     """Forward outputs and the parameter leaves their tape leads back to.
 
     Outside ``no_grad()`` the outputs carry the tape. Per layer it holds a
-    checkpoint node for each edge block and one for the node update, each
-    keeping its inputs and packed outputs, and the layer's per-node
-    message products taped op by op: O(n d) per layer and no edge rows.
-    The input embedding, the two skip strengths and the QA head are taped
-    op by op too. The backward pass tapes one checkpoint again at a time.
+    checkpoint node for each window and one for the attention summary,
+    each keeping its inputs and packed outputs, the join of the windows'
+    rows, and the layer's per-node message products taped op by op:
+    O(n d) per layer and no edge rows. The input embedding, the two skip
+    strengths and the QA head are taped op by op too. The backward pass
+    tapes one checkpoint again at a time: at most one window of
+    ``window_size`` nodes, its edge work in ``EDGE_BLOCK``-row blocks.
     """
 
     coords: Tensor      # (n, 3) refined coordinates
@@ -483,11 +476,12 @@ def forward_pass(
 
     The outputs carry the autodiff tape back to ``leaves`` unless the call
     runs inside ``no_grad()``; ``train.backward`` differentiates through it.
-    Each edge block of a layer runs inside ``autodiff.checkpoint``, and so
-    does the node update after them; the backward pass re-runs one of them
+    Each window of a layer runs inside ``autodiff.checkpoint``, and so does
+    the global attention's summary; the backward pass re-runs one of them
     at a time and walks its tape at once, so a backward holds the tape of
-    one edge block, or of one node update, plus O(n d) per layer. An edge
-    block's rerun writes the rows it read of the coordinates and the
+    one window (at most ``window_size`` nodes, edge work in
+    ``EDGE_BLOCK``-row blocks) plus O(n d) per layer. A window's rerun
+    writes the rows it read of the coordinates, the embeddings and the
     per-node message products straight into their gradients. Gradients
     differ from a pass taped op by op only in the last bits, where
     contributions to the shared leaves add up in another order. Under

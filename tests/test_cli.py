@@ -1,10 +1,11 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,24 @@ class TestEvaluate:
         detail_lines = details.read_text().strip().splitlines()
         assert detail_lines[0].startswith("target,decoy")
         assert len(detail_lines) == 1 + 6
+
+    def test_scores_with_a_byte_order_mark(self, tmp_path, rng):
+        # spreadsheet exports often start with a UTF-8 byte-order mark,
+        # which must not become part of the first column's name
+        scores, natives, decoys = evaluation_fixture(tmp_path, rng)
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            marked = tmp_path / "marked.csv"
+            marked.write_bytes(prefix + scores.read_bytes())
+            details = tmp_path / "details.csv"
+            code = main([
+                "evaluate", "--scores", str(marked), "--natives", str(natives),
+                "--decoys", str(decoys), "--summary", str(tmp_path / "s.txt"),
+                "--details", str(details), "--workers", "1",
+            ])
+            assert code == EXIT_OK
+            outputs.append(((tmp_path / "s.txt").read_bytes(), details.read_bytes()))
+        assert outputs[1] == outputs[0]
 
     def test_overflowing_decoy_exits_5(self, tmp_path, rng, capsys):
         scores, natives, decoys = evaluation_fixture(tmp_path, rng)
@@ -1505,6 +1524,33 @@ class TestExitCodes:
         )
         assert run.returncode == EXIT_PARSE
         assert run.stderr.startswith("error: ")
+        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+        assert not (tmp_path / "w").exists()
+
+    def test_run_with_too_many_layers_exits_2(self, tmp_path, rng):
+        # 10**9 layers of parameters take far more bytes than a machine's
+        # memory, and listing their 2 * 10**10 blocks would itself exhaust
+        # it; the run refuses them from their size first. The child's
+        # address space is capped, so a run that tried anyway would fail
+        # there, with another message, instead of exhausting the host
+        train_dir = training_fixture(tmp_path, rng)
+        config = tmp_path / "config.json"
+        layers = 10**9
+        config.write_text(json.dumps({**BASE_CONFIG, "num_layers": layers}))
+        cap = 2**30
+        run = subprocess.run(
+            [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
+             "--train-dir", str(train_dir), "--out-weights", str(tmp_path / "w")],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        # the size of any depth from the arrays of one and two layers
+        _, model_config = read_config(config)
+        one, two = (sum(array.nbytes for array in init_params(
+            replace(model_config, num_layers=depth)).values()) for depth in (1, 2))
+        size = one + (layers - 1) * (two - one)
+        assert run.returncode == EXIT_PARSE
+        assert run.stderr.startswith(f"error: the parameters take {size:,} bytes")
         assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
         assert not (tmp_path / "w").exists()
 

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ class TestWindowAttention:
         np.testing.assert_allclose(out, softmax_attention(h, wq, wk, wv), atol=1e-12)
 
     def test_blocks_are_independent(self, rng, monkeypatch):
-        # the node update hands the window attention consecutive windows of
+        # a layer hands the window attention consecutive windows of
         # window_size rows, the last one short, and each sees only its own
         window = 8
         h = rng.normal(size=(2 * window + 3, 5))
@@ -338,12 +339,12 @@ class TestLayer:
     @pytest.mark.parametrize("n, window, attention", [
         (50, 16, True), (30, 30, True), (30, 64, True), (50, 16, False),
     ], ids=["ragged", "one_window", "window_past_n", "no_attention"])
-    def test_split_node_update_matches_concatenated_input(self, rng, n, window,
-                                                          attention):
-        # The node update multiplies h, m_agg, the attention and f_emb each
-        # by its own rows of node_mlp.w1, a block of window_size rows at a
-        # time. The reference runs the node MLP on their concatenation over
-        # all rows at once.
+    def test_split_node_update_matches_concatenated_input(self, rng, monkeypatch, n,
+                                                          window, attention):
+        # Each window multiplies h, m_agg, the attention and f_emb each by
+        # its own rows of node_mlp.w1. The reference runs the node MLP on
+        # their concatenation over all rows at once. The windows' edge
+        # blocks hand over given rows of the mean hidden message.
         config = ModelConfig(num_layers=1, hidden_dim=8, window_size=window,
                              attention_enabled=attention)
         params = randomize(init_params(config, 0), rng)
@@ -352,10 +353,9 @@ class TestLayer:
                   if name.startswith(prefix)}
         d = config.hidden_dim
         h, f_emb, mean_hidden = (rng.normal(size=(n, d)) for _ in range(3))
+        shift = rng.normal(size=(n, 3))
         inputs.update({"x": rng.normal(size=(n, 3)), "h": h, "f_emb": f_emb,
-                       "coord_skip": np.array(0.3), "node_skip": np.array(0.6),
-                       "block0.shift": rng.normal(size=(n, 3)),
-                       "block0.hidden": mean_hidden})
+                       "coord_skip": np.array(0.3), "node_skip": np.array(0.6)})
         attn = np.zeros((n, d))
         if attention:
             attn = on_arrays(linear_attention, h, *(inputs[f"attn_global.{proj}"]
@@ -363,15 +363,44 @@ class TestLayer:
             local = [inputs[f"attn_local.{proj}"] for proj in ("wq", "wk", "wv")]
             attn += np.concatenate([softmax_attention(h[start:start + window], *local)
                                     for start in range(0, n, window)])
+        graph = random_graph(rng, n=n, d_f=config.node_feat_dim, d_e=config.edge_feat_dim)
+        monkeypatch.setattr(model, "_edge_block", lambda t, edge_features, neighbors,
+                            start, stop: (Tensor(shift[start:stop]),
+                                          Tensor(mean_hidden[start:stop])))
         with no_grad():
             t = {name: Tensor(value) for name, value in inputs.items()}
-            _, h_new = model._node_update(t, 1, rng.normal(size=(n, 3)), config)
-            m_agg = model.affine(t["block0.hidden"], t["msg_mlp.w2"], t["msg_mlp.b2"])
+            t["summary"] = model._attention_summary(t["h"], t["attn_global.wk"],
+                                                    t["attn_global.wv"])
+            h_new = np.concatenate([
+                model._window(t, graph, config, start, min(start + window, n))[1].data
+                for start in range(0, n, window)])
+            m_agg = model.affine(Tensor(mean_hidden), t["msg_mlp.w2"], t["msg_mlp.b2"])
             update = model._mlp(concat([t["h"], m_agg, Tensor(attn), t["f_emb"]]), t,
                                 "node_mlp.")
         reference = 0.6 * update.data + 0.4 * h
-        np.testing.assert_allclose(h_new.data, reference, rtol=1e-12,
+        np.testing.assert_allclose(h_new, reference, rtol=1e-12,
                                    atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("n, window, attention", [
+        (50, 16, True), (50, 128, True), (50, 16, False),
+    ], ids=["ragged", "one_window", "no_attention"])
+    def test_one_checkpoint_per_window(self, rng, monkeypatch, n, window, attention):
+        # a layer checkpoints each window of window_size nodes, its edge
+        # work included, and the global attention's summary once
+        config = ModelConfig(num_layers=1, hidden_dim=8, window_size=window,
+                             attention_enabled=attention)
+        graph = random_graph(rng, n=n, d_f=config.node_feat_dim, d_e=config.edge_feat_dim)
+        params = randomize(init_params(config, 0), rng)
+        calls, checkpoint = [], model.checkpoint
+
+        def counting(fn, inputs):
+            calls.append(fn)
+            return checkpoint(fn, inputs)
+
+        monkeypatch.setattr(model, "EDGE_BLOCK", 7 * graph.neighbors.shape[1])
+        monkeypatch.setattr(model, "checkpoint", counting)
+        forward_pass(graph, params, config)
+        assert len(calls) == math.ceil(n / window) + attention
 
     def test_single_layer_equivariance(self, rng):
         graph = random_graph(rng, n=16, d_f=SMALL.node_feat_dim,
@@ -621,9 +650,9 @@ class TestTape:
         assert 0 < len(wide) <= 5
 
     def test_tape_holds_no_edge_rows(self, rng, monkeypatch):
-        # after the forward pass each edge block is one checkpoint node that
-        # keeps its nodes' outputs: the blocks' edge rows are taped only
-        # while the backward pass re-runs them, one block at a time
+        # after the forward pass each window is one checkpoint node that
+        # keeps its nodes' outputs: the edge rows of its blocks are taped
+        # only while the backward pass re-runs them, one window at a time
         graph, params = self._case(rng)
         n, k = graph.neighbors.shape
         for block in (2 * k, graph.neighbors.size):
@@ -678,42 +707,46 @@ class TestTape:
 
 
 class TestEdgeBlocks:
-    """The edge pass in node blocks equals one block that holds every node.
+    """The edge work in node blocks equals one block that holds a window.
 
     ``random_graph`` gives every node k = 20 neighbours once n > 20.
     """
 
-    # 7 nodes per block, so 50 nodes make 8 blocks, the last of 1 node;
-    # EDGE_BLOCK 1 gives every node a block of its own
-    BLOCKS = pytest.mark.parametrize("edge_block", [7 * 20 + 3, 1],
-                                     ids=["ragged", "one_node"])
+    # 7 nodes per block, so one window of 50 nodes makes 8 blocks, the
+    # last of 1 node; EDGE_BLOCK 1 gives every node a block of its own.
+    # Windows of 16 nodes split 50 nodes into windows of 16, 16, 16 and 2,
+    # and each window of 16 into blocks of 7, 7 and 2 nodes
+    BLOCKS = pytest.mark.parametrize("config, edge_block", [
+        (SMALL, 7 * 20 + 3), (SMALL, 1),
+        (replace(SMALL, window_size=16), 7 * 20 + 3), (replace(SMALL, window_size=16), 1),
+    ], ids=["ragged", "one_node", "windows_16", "windows_16_one_node"])
 
     @BLOCKS
-    def test_forward_bitwise(self, rng, monkeypatch, edge_block):
+    def test_forward_bitwise(self, rng, monkeypatch, config, edge_block):
         # the matrices are small enough that OpenBLAS multiplies them on
         # one thread, so the bitwise claim holds here at any thread setting
-        graph = random_graph(rng, n=50, d_f=SMALL.node_feat_dim,
-                             d_e=SMALL.edge_feat_dim)
-        params = randomize(init_params(SMALL, 0), rng)
+        graph = random_graph(rng, n=50, d_f=config.node_feat_dim,
+                             d_e=config.edge_feat_dim)
+        params = randomize(init_params(config, 0), rng)
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
-        whole = forward(graph, params, SMALL)
+        whole = forward(graph, params, config)
         monkeypatch.setattr(model, "EDGE_BLOCK", edge_block)
-        blocked = forward(graph, params, SMALL)
+        blocked = forward(graph, params, config)
         np.testing.assert_array_equal(blocked.refined_coords, whole.refined_coords)
         np.testing.assert_array_equal(blocked.embeddings, whole.embeddings)
         np.testing.assert_array_equal(blocked.predicted_lddt, whole.predicted_lddt)
 
     @BLOCKS
-    def test_gradients(self, rng, monkeypatch, edge_block):
+    def test_gradients(self, rng, monkeypatch, config, edge_block):
         # the blocks sum each weight gradient in another order
         from test_train import synthetic_example
 
-        example = synthetic_example(rng, n=50, config=SMALL)
-        params = randomize(init_params(SMALL, 0), rng)
+        example = synthetic_example(rng, n=50, config=config)
+        params = randomize(init_params(config, 0), rng)
         monkeypatch.setattr(model, "EDGE_BLOCK", example.graph.neighbors.size)
-        loss, grads = backward(example, params, SMALL)
+        loss, grads = backward(example, params, config)
         monkeypatch.setattr(model, "EDGE_BLOCK", edge_block)
-        blocked_loss, blocked = backward(example, params, SMALL)
+        blocked_loss, blocked = backward(example, params, config)
         assert blocked_loss == loss
         for name, grad in grads.items():
             np.testing.assert_allclose(blocked[name], grad, rtol=1e-12,
@@ -738,19 +771,20 @@ class TestEdgeBlocks:
     def test_inference_memory_on_a_complex(self):
         # 1,980 atoms, default model: with the node update over whole
         # arrays (its node MLP input of width 4d included) the forward
-        # peaked at 14.8 MB in numpy allocations, over row blocks, with
-        # the message products freed before it, at 7.0 MB. Bound: 10 MB.
+        # peaked at 14.8 MB in numpy allocations, over windows of rows at
+        # 7.0 MB. Bound: 10 MB.
         config = ModelConfig()
         graph = build_knn_graph(make_complex(n_res_a=250, n_res_b=245), config)
         params = randomize(init_params(config, 0), np.random.default_rng(0), scale=0.05)
         assert traced_peak(forward, graph, params, config) < 10 * 2 ** 20
 
     def test_training_memory_is_one_block(self, rng):
-        # The backward pass re-tapes one edge block, or one node update, at
-        # a time and walks it at once. At 1,000 nodes (k = 20, d = 64) a
-        # backward that re-taped the whole layer before walking it peaked
-        # at 85 MB in numpy allocations, one taping a block at a time at
-        # 20 MB. Bound: 40 MB.
+        # The backward pass re-tapes one window, its edge blocks and node
+        # update, at a time and walks it at once. At 1,000 nodes (k = 20,
+        # d = 64) a backward that re-taped the whole layer before walking
+        # it peaked at 85 MB in numpy allocations, one taping an edge block
+        # or the whole node update at a time at 21 MB, and one taping a
+        # window at a time at 17 MB. Bound: 40 MB.
         from test_train import synthetic_example
 
         config = ModelConfig(num_layers=1)
