@@ -21,7 +21,9 @@ No backward hands two parents the same buffer or views of one buffer:
 per part; ``checkpoint`` seeds its rerun's outputs with disjoint views of
 its own gradient, which it reads no more. So a tensor's first dense
 gradient becomes its ``grad`` as it is, no other tensor holds any of it,
-and later contributions are added into it in place.
+and later contributions are added into it in place. ``T`` hands a
+contiguous copy of its gradient's transpose, not a view, so a leaf read
+first through a transpose still gets a row-major ``grad``.
 
 ``checkpoint(fn, inputs)`` records all of ``fn`` as one tape node: the
 forward runs under ``no_grad()``, and the backward runs ``fn`` again with
@@ -234,7 +236,7 @@ class Tensor:
 
     @property
     def T(self):
-        return Tensor(self.data.T, (self,), lambda g: (g.T,))
+        return Tensor(self.data.T, (self,), lambda g: (np.ascontiguousarray(g.T),))
 
     def sum(self, axis=None, keepdims=False):
         out_data = self.data.sum(axis=axis, keepdims=keepdims)

@@ -176,7 +176,9 @@ def cmd_refine(args) -> None:
     ]
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "mean_predicted_lddt": float(result.predicted_lddt.mean()),
+        # no CA atom: no residue scores and no mean, null as in ``score``
+        "mean_predicted_lddt": (float(result.predicted_lddt.mean())
+                                if result.predicted_lddt.size else None),
         "per_residue": per_residue,
     }
     Path(args.report).write_text(json.dumps(report, indent=2) + "\n")

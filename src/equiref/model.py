@@ -28,23 +28,24 @@ message is formed. One ``autodiff.edge_affine`` op forms the message
 MLP's pre-activation, and every MLP's layer norm and leaky ReLU are one
 ``autodiff.layer_norm_leaky_relu`` op.
 
-A layer runs over windows of ``window_size`` nodes, each one window of
-the local attention and one ``autodiff.checkpoint``. A window runs its
-nodes' edge work in blocks of at most ``EDGE_BLOCK // k`` whole nodes,
-reading the coordinates and the per-node message products by rows and
-keeping only each node's coordinate shift and mean hidden message. Then
-it runs the skip mix, the mean message, both attentions, the node MLP and
-the node skip on its rows. Only the global attention's d x d product
-K^T V reads all nodes at once; it is one more checkpoint per layer. The
-node MLP's first layer reads [h, m_agg, attention, f_emb] and is linear,
-so ``node_mlp.w1`` is split by rows like ``msg_mlp.w1`` and that
-concatenation of width 4d is never built. The backward pass re-runs one
-checkpoint at a time over its own input tensors and walks its tape at
-once down to them, so each window's rows and dense terms land straight in
-the inputs' gradients, and training holds the tape of one window (at most
-``window_size`` nodes, edge work in ``EDGE_BLOCK``-row blocks) plus
-O(n d) per layer. Under ``no_grad()`` the checkpoints are plain calls,
-and a layer holds O(n d) plus one window's rows.
+A layer runs over windows of ``window_size`` nodes, each one window of the
+local attention and one ``autodiff.checkpoint``. A window runs its nodes'
+edge work in blocks of at most ``EDGE_BLOCK // k`` whole nodes, reading
+the coordinates and the per-node message products by rows and keeping only
+each node's coordinate shift and mean hidden message. Then it runs the
+skip mix, the mean message, the local attention, the node MLP and the node
+skip on its rows. The node MLP's first layer reads
+[h, m_agg, attention, f_emb] and is linear, so ``node_mlp.w1`` is split by
+rows like ``msg_mlp.w1``, and the global attention h @ M, with the d x d
+M = wq wk^T (h^T h) wv / n, folds into its h rows as w1_h + M w1_a: one
+more checkpoint per layer, the only one that reads all rows of h. The
+backward pass re-runs one checkpoint at a time over its own input tensors
+and walks its tape at once down to them, so each window's rows and dense
+terms land straight in the inputs' gradients, and training holds the tape
+of one window (at most ``window_size`` nodes, edge work in
+``EDGE_BLOCK``-row blocks) plus O(n d) per layer. Under ``no_grad()`` the
+checkpoints are plain calls, and a layer holds O(n d) plus one window's
+rows.
 
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
@@ -92,6 +93,9 @@ from .errors import (
 )
 from .featurize import EDGE_BLOCK, GRANULARITIES, ComplexGraph, feature_widths
 
+# bytes one parameter block holds at hidden_dim 1 (name, array, dict entry):
+# tracemalloc measured 116 MB for the 480,010 blocks of 20,000 layers
+_BLOCK_BYTES = 243
 WEIGHTS_MAGIC = b"EGRW"
 WEIGHTS_VERSION = 1
 LEAKY_SLOPE = 0.01   # negative-side slope of every MLP's leaky ReLU
@@ -241,8 +245,9 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     The final layer of every coordinate-gate MLP starts at zero so a fresh
     model moves no coordinates; both skip strengths start at 0.5 (raw 0).
     A block with more bytes than an array can hold, or parameters with more
-    bytes than the machine's physical memory, raise MemoryError before any
-    block is listed in full.
+    bytes or more blocks (at ``_BLOCK_BYTES`` each) than the machine's
+    physical memory holds, raise MemoryError before any block is listed in
+    full.
     """
     # every layer's blocks have the same shapes, so a one-layer model's
     # blocks tell the size of any depth
@@ -255,27 +260,21 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     size = 8 * (sum(map(math.prod, one_layer.values()))
                 + (config.num_layers - 1) * per_layer)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > memory:
-        raise MemoryError(f"the parameters take {size:,} bytes, more than this "
-                          f"machine's {memory:,} bytes of memory")
+    blocks = _block_count(config)
+    for need, what in ((size, f"take {size:,} bytes"), (blocks * _BLOCK_BYTES,
+                       f"have {blocks:,} blocks of about {_BLOCK_BYTES} bytes each")):
+        if need > memory:
+            raise MemoryError(f"the parameters {what}, more than this machine's "
+                              f"{memory:,} bytes of memory")
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in parameter_shapes(config).items():
-        if name.endswith(("ln_gain",)):
+        if name.endswith("ln_gain"):
             params[name] = np.ones(shape, dtype=np.float64)
-        elif name.endswith(("ln_bias",)):
+        elif name.endswith(("ln_bias", "_skip_raw", "coord_mlp.w2", "coord_mlp.b2")):
             params[name] = np.zeros(shape, dtype=np.float64)
-        elif name in ("coord_skip_raw", "node_skip_raw"):
-            params[name] = np.zeros(shape, dtype=np.float64)
-        elif "coord_mlp.w2" in name or "coord_mlp.b2" in name:
-            params[name] = np.zeros(shape, dtype=np.float64)
-        elif name.endswith((".w1", ".w2", ".wq", ".wk", ".wv", "weight")):
-            fan_in = shape[0]
-            bound = 1.0 / math.sqrt(fan_in)
-            params[name] = rng.uniform(-bound, bound, size=shape)
-        else:  # biases
-            fan_in = max(shape[0], 1) if shape else 1
-            bound = 1.0 / math.sqrt(fan_in)
+        else:  # a weight's or a bias's bound is set by its first dimension
+            bound = 1.0 / math.sqrt(max(shape[0], 1))
             params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
@@ -296,25 +295,15 @@ def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
     return affine(hidden, leaves[prefix + "w2"], leaves[prefix + "b2"])
 
 
-def _attention_summary(h: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """The global attention's d x d product (K^T / sqrt(n)) V over all n rows."""
-    inv_sqrt = 1.0 / math.sqrt(h.data.shape[0])
-    k = h @ wk
-    v = h @ wv
-    return (k.T * inv_sqrt) @ v
-
-
-def _linear_attention(h: Tensor, wq: Tensor, summary: Tensor, n: int) -> Tensor:
-    """Global attention of the rows ``h`` over all n nodes, in its
-    associativity-rearranged linear-time form (Q / sqrt(n)) ``summary``."""
-    return ((h @ wq) * (1.0 / math.sqrt(n))) @ summary
+def _global_attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """The d x d map M with ``h @ M`` the global linear attention of every
+    row of ``h``: (Q / sqrt(n)) (K^T / sqrt(n)) V = h (wq wk^T) (h^T h) wv / n."""
+    return (wq @ wk.T) @ (h.T @ h) @ wv * (1.0 / h.data.shape[0])
 
 
 def _window_attention(h: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     """Scaled dot-product attention among the rows of ``h``, one window."""
-    q = h @ wq
-    k = h @ wk
-    v = h @ wv
+    q, k, v = h @ wq, h @ wk, h @ wv
     weights = softmax_rows((q @ k.T) * (1.0 / math.sqrt(h.data.shape[1])))
     return weights @ v
 
@@ -358,8 +347,8 @@ def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
     nodes, and only their shifts and mean hidden messages are joined. The
     node MLP's first layer is applied by the rows of ``node_mlp.w1`` that
     multiply h, m_agg, the attention and f_emb, so their concatenation is
-    never built; the global attention reads all n nodes only through
-    ``t["summary"]``.
+    never built; the global attention is folded into the h rows, so a
+    window reads only its own rows.
     """
     step = max(1, EDGE_BLOCK // graph.neighbors.shape[1])
     blocks = [_edge_block(t, graph.edge_features, graph.neighbors, a, min(a + step, stop))
@@ -369,19 +358,14 @@ def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
     x_new = (coord_skip * graph.coords[start:stop]
              + (1.0 - coord_skip) * slice_rows(t["x"], start, stop) + shift)
 
-    h = t["h"]
-    n, d = h.data.shape
-    w1 = t["node_mlp.w1"]
-    w1_h, w1_m, w1_a, w1_f = (slice_rows(w1, i * d, (i + 1) * d) for i in range(4))
-    h_rows = slice_rows(h, start, stop)
+    h_rows = slice_rows(t["h"], start, stop)
     m_agg = affine(mean_hidden, t["msg_mlp.w2"], t["msg_mlp.b2"])
-    pre = (affine(h_rows, w1_h, t["node_mlp.b1"]) + m_agg @ w1_m
-           + slice_rows(t["f_emb"], start, stop) @ w1_f)
+    pre = (affine(h_rows, t["node_mlp.w1_h"], t["node_mlp.b1"]) + m_agg @ t["node_mlp.w1_m"]
+           + slice_rows(t["f_emb"], start, stop) @ t["node_mlp.w1_f"])
     if config.attention_enabled:
-        attn = (_linear_attention(h_rows, t["attn_global.wq"], t["summary"], n)
-                + _window_attention(h_rows, t["attn_local.wq"], t["attn_local.wk"],
-                                    t["attn_local.wv"]))
-        pre = pre + attn @ w1_a
+        local = _window_attention(h_rows, t["attn_local.wq"], t["attn_local.wk"],
+                                  t["attn_local.wv"])
+        pre = pre + local @ t["node_mlp.w1_a"]
     update = affine(_activate(pre, t, "node_mlp."), t["node_mlp.w2"], t["node_mlp.b2"])
     return x_new, node_skip * update + (1.0 - node_skip) * h_rows
 
@@ -398,12 +382,13 @@ def _layer(
 ) -> tuple[Tensor, Tensor]:
     """One layer: an ``autodiff.checkpoint`` per window of
     ``config.window_size`` nodes, which runs the window's edge work and
-    node update, plus one for the global attention's d x d summary. The
-    windows' new coordinates and embeddings are joined once. A backward
-    re-tapes one window at a time (at most ``window_size`` nodes, edge work
-    in ``EDGE_BLOCK``-row blocks); the layer keeps O(n d): the per-node
-    message products, the checkpoints' outputs and their join. ``leaves``
-    holds the layer's parameters by their names within the layer."""
+    node update, plus, with attention on, one that folds the global
+    attention into the node MLP's h rows. The windows' new coordinates and
+    embeddings are joined once. A backward re-tapes one window at a time
+    (at most ``window_size`` nodes, edge work in ``EDGE_BLOCK``-row
+    blocks); the layer keeps O(n d): the per-node message products, the
+    checkpoints' outputs and their join. ``leaves`` holds the layer's
+    parameters by their names within the layer."""
     n, d = h.data.shape
     w1 = leaves["msg_mlp.w1"]
     # The message MLP ends in the affine map (w2, b2) and the gate MLP
@@ -414,6 +399,15 @@ def _layer(
     # as the mean is linear too.
     w2, b2 = leaves["msg_mlp.w2"], leaves["msg_mlp.b2"]
     cw1 = leaves["coord_mlp.w1"]
+    w1_h, w1_m, w1_a, w1_f = (slice_rows(leaves["node_mlp.w1"], i * d, (i + 1) * d)
+                              for i in range(4))
+    if config.attention_enabled:
+        # the global attention h @ M meets the node MLP only through w1_a
+        (w1_h,) = checkpoint(
+            lambda h, wq, wk, wv, w1_h, w1_a: (
+                w1_h + _global_attention(h, wq, wk, wv) @ w1_a,),
+            (h, leaves["attn_global.wq"], leaves["attn_global.wk"],
+             leaves["attn_global.wv"], w1_h, w1_a))
     inputs = {
         **leaves,
         "x": x, "h": h, "f_emb": f_emb, "coord_skip": coord_skip, "node_skip": node_skip,
@@ -422,11 +416,9 @@ def _layer(
         "msg_mlp.w1_edge": slice_rows(w1, 2 * d, w1.data.shape[0]),
         "coord_mlp.w1": w2 @ cw1,
         "coord_mlp.b1": (cw1.T * b2).sum(axis=1) + leaves["coord_mlp.b1"],
+        "node_mlp.w1_h": w1_h, "node_mlp.w1_m": w1_m, "node_mlp.w1_a": w1_a,
+        "node_mlp.w1_f": w1_f,
     }
-    if config.attention_enabled:
-        (inputs["summary"],) = checkpoint(
-            lambda *a: (_attention_summary(*a),),
-            (h, leaves["attn_global.wk"], leaves["attn_global.wv"]))
     windows = [
         _checkpoint(lambda t, start=start: _window(
             t, graph, config, start, min(start + config.window_size, n)), inputs)
@@ -441,13 +433,14 @@ class ForwardPass:
     """Forward outputs and the parameter leaves their tape leads back to.
 
     Outside ``no_grad()`` the outputs carry the tape. Per layer it holds a
-    checkpoint node for each window and one for the attention summary,
-    each keeping its inputs and packed outputs, the join of the windows'
-    rows, and the layer's per-node message products taped op by op:
-    O(n d) per layer and no edge rows. The input embedding, the two skip
-    strengths and the QA head are taped op by op too. The backward pass
-    tapes one checkpoint again at a time: at most one window of
-    ``window_size`` nodes, its edge work in ``EDGE_BLOCK``-row blocks.
+    checkpoint node for each window and, with attention on, one for the global
+    attention folded into ``node_mlp.w1``'s h rows, each keeping its inputs
+    and packed outputs, the join of the windows' rows, and the layer's
+    per-node message products taped op by op: O(n d) per layer and no edge
+    rows. The input embedding, the two skip strengths and the QA head are
+    taped op by op too. The backward pass tapes one checkpoint again at a
+    time: at most one window of ``window_size`` nodes, its edge work in
+    ``EDGE_BLOCK``-row blocks.
     """
 
     coords: Tensor      # (n, 3) refined coordinates
@@ -477,18 +470,17 @@ def forward_pass(
     The outputs carry the autodiff tape back to ``leaves`` unless the call
     runs inside ``no_grad()``; ``train.backward`` differentiates through it.
     Each window of a layer runs inside ``autodiff.checkpoint``, and so does
-    the global attention's summary; the backward pass re-runs one of them
-    at a time and walks its tape at once, so a backward holds the tape of
-    one window (at most ``window_size`` nodes, edge work in
-    ``EDGE_BLOCK``-row blocks) plus O(n d) per layer. A window's rerun
-    writes the rows it read of the coordinates, the embeddings and the
-    per-node message products straight into their gradients. Gradients
-    differ from a pass taped op by op only in the last bits, where
-    contributions to the shared leaves add up in another order. Under
-    ``no_grad()`` the checkpoints are plain calls. The graph's arrays enter
-    as constants: the node features feed the embedding as an array, the
-    coordinates are the first layer's input tensor and, as an array, every
-    layer's skip anchor.
+    the fold of the global attention into the node MLP; the backward pass
+    re-runs one of them at a time and walks its tape at once, so a backward
+    holds the tape of one window (at most ``window_size`` nodes, edge work in
+    ``EDGE_BLOCK``-row blocks) plus O(n d) per layer. A window's rerun writes
+    the rows it read of the coordinates, the embeddings and the per-node
+    message products straight into their gradients. Gradients differ from a
+    pass taped op by op only in the last bits, where contributions to the
+    shared leaves add up in another order. Under ``no_grad()`` the checkpoints
+    are plain calls. The graph's arrays enter as constants: the node features
+    feed the embedding as an array, the coordinates are the first layer's
+    input tensor and, as an array, every layer's skip anchor.
     """
     check_widths(graph, config)
     leaves = _wrap(params)

@@ -358,6 +358,28 @@ class TestRefine:
         values = [r["predicted_lddt"] for r in payload["per_residue"]]
         assert np.all(np.isfinite(values + [payload["mean_predicted_lddt"]]))
 
+    def test_input_without_a_ca_atom_reports_a_null_mean(self, workdir):
+        # no residue gets a score, so the mean is undefined: null, as score
+        # writes an undefined LDDT, and no warning of an empty mean
+        tmp, structure, _, weights = workdir
+        source = tmp / "no_ca.pdb"
+        source.write_text(write_pdb(structure).replace(" CA ", " CX "))
+        report = tmp / "r.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "equiref.cli", "refine", "--input", str(source),
+             "--weights", str(weights), "--output", str(tmp / "o.pdb"),
+             "--report", str(report)],
+            env=child_env(PYTHONWARNINGS="default"), capture_output=True, text=True,
+        )
+        assert (run.returncode, run.stdout, run.stderr) == (EXIT_OK, "", "")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(report.read_text(), parse_constant=reject)
+        assert payload["mean_predicted_lddt"] is None
+        assert payload["per_residue"] == []
+
     def test_unwritable_residue_number_exits_2(self, workdir, capsys):
         # 9999 and 9999A fold to 9999 and 10000; the PDB field has 4 columns
         tmp, _, _, weights = workdir
@@ -1216,7 +1238,7 @@ class TestTrain:
         # the best, so the weights written on divergence are the initial ones
         train_dir = training_fixture(tmp_path, rng, n_examples=3)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"learning_rate": 1e12, "max_epochs": 2,
+        config.write_text(json.dumps({"learning_rate": 1e13, "max_epochs": 2,
                                       "num_layers": 1, "hidden_dim": 8}))
         out = tmp_path / "w"
         code = main(["train", "--config", str(config), "--train-dir", str(train_dir),
@@ -1238,7 +1260,7 @@ class TestTrain:
         # CLI runs in a child that prints them as a user would see them
         train_dir = training_fixture(tmp_path, rng, n_examples=3)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"learning_rate": 1e12, "max_epochs": 2,
+        config.write_text(json.dumps({"learning_rate": 1e13, "max_epochs": 2,
                                       "num_layers": 1, "hidden_dim": 8}))
         run = subprocess.run(
             [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
@@ -1529,30 +1551,44 @@ class TestExitCodes:
 
     def test_run_with_too_many_layers_exits_2(self, tmp_path, rng):
         # 10**9 layers of parameters take far more bytes than a machine's
-        # memory, and listing their 2 * 10**10 blocks would itself exhaust
-        # it; the run refuses them from their size first. The child's
-        # address space is capped, so a run that tried anyway would fail
-        # there, with another message, instead of exhausting the host
+        # memory, and listing their 2.4 * 10**10 blocks would itself exhaust
+        # it; the run refuses them from their size first. At hidden_dim 1,
+        # one layer per 4,000 bytes of memory (about 2,000,000 layers on an
+        # 8 GB machine) has floats that fit, but 24 blocks a layer, each a
+        # name, an array and a dict entry, do not; the run refuses them from
+        # their count. The child's address space is capped, so a run that
+        # tried anyway would fail there, with another message, instead of
+        # exhausting the host
         train_dir = training_fixture(tmp_path, rng)
-        config = tmp_path / "config.json"
-        layers = 10**9
-        config.write_text(json.dumps({**BASE_CONFIG, "num_layers": layers}))
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         cap = 2**30
-        run = subprocess.run(
-            [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
-             "--train-dir", str(train_dir), "--out-weights", str(tmp_path / "w")],
-            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        )
-        # the size of any depth from the arrays of one and two layers
-        _, model_config = read_config(config)
-        one, two = (sum(array.nbytes for array in init_params(
-            replace(model_config, num_layers=depth)).values()) for depth in (1, 2))
-        size = one + (layers - 1) * (two - one)
-        assert run.returncode == EXIT_PARSE
-        assert run.stderr.startswith(f"error: the parameters take {size:,} bytes")
-        assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
-        assert not (tmp_path / "w").exists()
+        for hidden_dim, layers in ((8, 10**9), (1, memory // 4000)):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({**BASE_CONFIG, "hidden_dim": hidden_dim,
+                                          "num_layers": layers}))
+            run = subprocess.run(
+                [sys.executable, "-m", "equiref.cli", "train", "--config", str(config),
+                 "--train-dir", str(train_dir), "--out-weights", str(tmp_path / "w")],
+                env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            )
+            # the size and block count of any depth from those of one and two
+            # layers
+            _, model_config = read_config(config)
+            (size_one, blocks_one), (size_two, blocks_two) = (
+                (sum(array.nbytes for array in params.values()), len(params))
+                for params in (init_params(replace(model_config, num_layers=depth))
+                               for depth in (1, 2)))
+            size = size_one + (layers - 1) * (size_two - size_one)
+            blocks = blocks_one + (layers - 1) * (blocks_two - blocks_one)
+            assert run.returncode == EXIT_PARSE
+            if hidden_dim == 8:
+                assert run.stderr.startswith(f"error: the parameters take {size:,} bytes")
+            else:
+                assert size <= memory
+                assert run.stderr.startswith(f"error: the parameters have {blocks:,} blocks")
+            assert run.stderr.count("\n") == 1 and run.stderr.endswith("\n")
+            assert not (tmp_path / "w").exists()
 
     def test_run_beyond_any_array_size_exits_2(self, tmp_path, rng):
         # the first parameter block, 39 x 10**18 float64 values, has more

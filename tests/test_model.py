@@ -78,8 +78,7 @@ def on_arrays(fn, *arrays, **kwargs):
 
 def linear_attention(h, wq, wk, wv):
     """The model's global attention of every row of ``h``."""
-    return model._linear_attention(h, wq, model._attention_summary(h, wk, wv),
-                                   len(h.data))
+    return h @ model._global_attention(h, wq, wk, wv)
 
 
 def softmax_attention(h, wq, wk, wv):
@@ -341,10 +340,11 @@ class TestLayer:
     ], ids=["ragged", "one_window", "window_past_n", "no_attention"])
     def test_split_node_update_matches_concatenated_input(self, rng, monkeypatch, n,
                                                           window, attention):
-        # Each window multiplies h, m_agg, the attention and f_emb each by
-        # its own rows of node_mlp.w1. The reference runs the node MLP on
-        # their concatenation over all rows at once. The windows' edge
-        # blocks hand over given rows of the mean hidden message.
+        # Each window multiplies h, m_agg, the local attention and f_emb
+        # each by its own rows of node_mlp.w1, the global attention folded
+        # into the h rows. The reference runs the node MLP on their
+        # concatenation over all rows at once. The windows' edge blocks
+        # hand over given rows of the mean hidden message.
         config = ModelConfig(num_layers=1, hidden_dim=8, window_size=window,
                              attention_enabled=attention)
         params = randomize(init_params(config, 0), rng)
@@ -354,8 +354,6 @@ class TestLayer:
         d = config.hidden_dim
         h, f_emb, mean_hidden = (rng.normal(size=(n, d)) for _ in range(3))
         shift = rng.normal(size=(n, 3))
-        inputs.update({"x": rng.normal(size=(n, 3)), "h": h, "f_emb": f_emb,
-                       "coord_skip": np.array(0.3), "node_skip": np.array(0.6)})
         attn = np.zeros((n, d))
         if attention:
             attn = on_arrays(linear_attention, h, *(inputs[f"attn_global.{proj}"]
@@ -367,17 +365,14 @@ class TestLayer:
         monkeypatch.setattr(model, "_edge_block", lambda t, edge_features, neighbors,
                             start, stop: (Tensor(shift[start:stop]),
                                           Tensor(mean_hidden[start:stop])))
+        _, h_new = layer_step(graph, params, config, 0, rng.normal(size=(n, 3)), h, f_emb)
         with no_grad():
             t = {name: Tensor(value) for name, value in inputs.items()}
-            t["summary"] = model._attention_summary(t["h"], t["attn_global.wk"],
-                                                    t["attn_global.wv"])
-            h_new = np.concatenate([
-                model._window(t, graph, config, start, min(start + window, n))[1].data
-                for start in range(0, n, window)])
             m_agg = model.affine(Tensor(mean_hidden), t["msg_mlp.w2"], t["msg_mlp.b2"])
-            update = model._mlp(concat([t["h"], m_agg, Tensor(attn), t["f_emb"]]), t,
+            update = model._mlp(concat([Tensor(h), m_agg, Tensor(attn), Tensor(f_emb)]), t,
                                 "node_mlp.")
-        reference = 0.6 * update.data + 0.4 * h
+        skip = 1.0 / (1.0 + np.exp(-params["node_skip_raw"]))
+        reference = skip * update.data + (1.0 - skip) * h
         np.testing.assert_allclose(h_new, reference, rtol=1e-12,
                                    atol=1e-12 * np.abs(reference).max())
 
@@ -386,7 +381,7 @@ class TestLayer:
     ], ids=["ragged", "one_window", "no_attention"])
     def test_one_checkpoint_per_window(self, rng, monkeypatch, n, window, attention):
         # a layer checkpoints each window of window_size nodes, its edge
-        # work included, and the global attention's summary once
+        # work included, and the fold of the global attention once
         config = ModelConfig(num_layers=1, hidden_dim=8, window_size=window,
                              attention_enabled=attention)
         graph = random_graph(rng, n=n, d_f=config.node_feat_dim, d_e=config.edge_feat_dim)

@@ -246,6 +246,18 @@ class TestBackward:
             rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(analytic) + 1e-8)
             assert rel < 1e-4, f"block {name}: {rel}"
 
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no_attention"])
+    def test_gradient_blocks_are_c_contiguous(self, rng, attention):
+        # the fold of the global attention reads attn_global.wk through a
+        # transpose first; its gradient must still be a row-major array
+        from test_model import randomize
+
+        config = replace(TINY, attention_enabled=attention)
+        example = synthetic_example(rng, n=10, config=config)
+        params = randomize(init_params(config, 0), rng)
+        _, grads = backward(example, params, config)
+        assert [name for name, grad in grads.items() if not grad.flags.c_contiguous] == []
+
     def test_loss_scales_linearly_with_weights(self, rng):
         from test_model import randomize
 
