@@ -250,13 +250,10 @@ def cmd_evaluate(args) -> None:
 
     natives = Path(args.natives)
     decoys = Path(args.decoys)
-    # Per target, in order of first appearance: native path and decoys.
-    groups: dict[str, tuple[str, list[tuple[str, str]]]] = {}
-    predicted = {}
-    row_of = {}
+    # (target, decoy) -> (row number, predicted score), in scores-CSV row order
+    table: dict[tuple[str, str], tuple[int, float]] = {}
     for number, row in enumerate(rows, start=1):
-        target = row["target"]
-        decoy_id = row["decoy"]
+        pair = target, decoy_id = row["target"], row["decoy"]
         try:
             score = float(row["predicted_score"])
         except (TypeError, ValueError):
@@ -266,24 +263,24 @@ def cmd_evaluate(args) -> None:
                 f"scores CSV row {number} ({target}, {decoy_id}): predicted_score "
                 f"{row['predicted_score']!r} is not a finite number"
             )
-        first = row_of.setdefault((target, decoy_id), number)
-        if first != number:
+        if pair in table:
             raise EquirefError(
-                f"scores CSV rows {first} and {number} both list "
+                f"scores CSV rows {table[pair][0]} and {number} both list "
                 f"({target}, {decoy_id})"
             )
-        native_path = natives / f"{target}.pdb"
-        decoy_path = decoys / f"{decoy_id}.pdb"
-        if not os.path.exists(native_path):
-            raise MissingInputError(f"missing native file {native_path}")
-        if not os.path.exists(decoy_path):
-            raise MissingInputError(f"missing decoy file {decoy_path}")
-        groups.setdefault(target, (str(native_path), []))[1].append(
-            (decoy_id, str(decoy_path))
-        )
-        predicted[(target, decoy_id)] = score
+        for kind, path in (("native", natives / f"{target}.pdb"),
+                           ("decoy", decoys / f"{decoy_id}.pdb")):
+            if not os.path.exists(path):
+                raise MissingInputError(f"missing {kind} file {path}")
+        table[pair] = number, score
 
-    tasks = [(target, native, group) for target, (native, group) in groups.items()]
+    # Each target's decoys, targets in order of first appearance.
+    groups: dict[str, list[str]] = {}
+    for target, decoy_id in table:
+        groups.setdefault(target, []).append(decoy_id)
+    tasks = [(target, str(natives / f"{target}.pdb"),
+              [(d, str(decoys / f"{d}.pdb")) for d in group])
+             for target, group in groups.items()]
     workers = worker_count(args.workers, len(tasks), os.cpu_count())
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -293,21 +290,14 @@ def cmd_evaluate(args) -> None:
             reports = list(pool.imap(_score_target, tasks))
     else:
         reports = [_score_target(task) for task in tasks]
-    report_of = {
-        (target, decoy_id): report
-        for (target, _, group), target_reports in zip(tasks, reports)
-        for (decoy_id, _), report in zip(group, target_reports)
-    }
-    # ``predicted`` holds the pairs in scores-CSV row order.
-    results = [(t, d, report_of[(t, d)]) for t, d in predicted]
-
-    by_target: dict[str, RankingInput] = {}
-    for target, decoy_id, report in results:
-        entry = by_target.setdefault(target, RankingInput(target))
-        entry.decoys.append(
-            DecoyScore(decoy_id, predicted[(target, decoy_id)], report.dockq)
-        )
-    targets = [by_target[t] for t in sorted(by_target)]
+    report_of = {(target, d): report
+                 for (target, group), target_reports in zip(groups.items(), reports)
+                 for d, report in zip(group, target_reports)}
+    targets = [
+        RankingInput(t, [DecoyScore(d, table[t, d][1], report_of[t, d].dockq)
+                         for d in groups[t]])
+        for t in sorted(groups)
+    ]
     per_target, summary = hit_rate(targets, top_n=args.top_n)
     losses = [ranking_loss(t) for t in targets]
 
@@ -317,7 +307,7 @@ def cmd_evaluate(args) -> None:
     lines.append(f"Summary\t{format_triple(summary)}\t{format_mean_std(losses)}")
     Path(args.summary).write_text("\n".join(lines) + "\n")
     if args.details:
-        Path(args.details).write_text(reports_to_csv(results))
+        Path(args.details).write_text(reports_to_csv([(*p, report_of[p]) for p in table]))
 
 
 def _collect_pairs(directory: Path) -> list[tuple[str, Path, Path]]:

@@ -347,7 +347,7 @@ def edge_features(
     n, k = neighbors.shape
     out = np.empty((n * k, feature_widths(config)[1]), dtype=np.float64)
     if config.include_geometric:
-        _, rotations = build_residue_frames(structure)
+        rotations = build_residue_frames(structure)
     step = max(1, EDGE_BLOCK // k)
     for start in range(0, n, step):
         stop = min(start + step, n)

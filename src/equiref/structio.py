@@ -33,8 +33,8 @@ read from its digit codes, and any other goes through ``int`` or
 The module also establishes atom correspondence between a decoy and its
 reference structure (``match_atoms`` reads an ``AtomIndex`` of the native,
 built once however many decoys it scores), computes Kabsch
-superpositions, and builds local backbone coordinate frames used by edge
-featurization.
+superpositions, and builds the rotations of the local backbone frames used
+by edge featurization.
 
 One pair search hands out the package's atom-pair distances:
 ``close_pair_blocks`` is a radius query on a cell grid (cell lists; Allen
@@ -48,6 +48,7 @@ surface proximity and LDDT read it.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import io
 import itertools
@@ -449,13 +450,18 @@ def parse_pdb(source: str | io.TextIOBase | Iterable[str]) -> ComplexStructure:
 
 
 def parse_pdb_file(path) -> ComplexStructure:
-    """``parse_pdb`` of a file; a parse error's message starts with the path."""
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        try:
-            return parse_pdb(fh)
-        except (PdbParseError, EmptyStructureError) as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
+    """``parse_pdb`` of a file; a parse error's message starts with the path.
+
+    A leading UTF-8 byte-order mark is skipped. Every other byte is read as
+    ASCII, a non-ASCII byte as one U+FFFD, so the columns never shift.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().removeprefix(codecs.BOM_UTF8).decode("ascii", "replace")
+    try:
+        return parse_pdb(text)
+    except (PdbParseError, EmptyStructureError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _format_atom_name(name: str) -> str:
@@ -686,19 +692,15 @@ def close_pair_blocks(
         lo = hi
 
 
-def build_residue_frames(
-    structure: ComplexStructure,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local backbone coordinate systems, one per residue.
+def build_residue_frames(structure: ComplexStructure) -> np.ndarray:
+    """Local backbone rotations, one per residue.
 
-    For residues with N, CA, and C atoms the origin is the CA position and
-    the rotation columns are e1 = unit(C-CA), e2 = unit component of N-CA
-    orthogonal to e1, and e3 = e1 x e2. Residues missing a backbone atom
-    (or with a degenerate backbone geometry) fall back to the residue
-    centroid with an identity rotation.
+    For residues with N, CA, and C atoms the rotation columns are
+    e1 = unit(C-CA), e2 = unit component of N-CA orthogonal to e1, and
+    e3 = e1 x e2. Residues missing a backbone atom (or with a degenerate
+    backbone geometry) get the identity rotation.
 
-    Returns (origins, rotations) with shapes (n_res, 3) and (n_res, 3, 3),
-    ordered as the structure's residues.
+    Returns an (n_res, 3, 3) array ordered as the structure's residues.
     """
     xyz = structure.coords
     rows = np.stack([structure.residue_rows(name) for name in ("N", "CA", "C")])
@@ -715,9 +717,4 @@ def build_residue_frames(
     e2 /= np.where(ok, norm2, 1.0)[:, None]
     rotations = np.stack([e1, e2, np.cross(e1, e2)], axis=2)
     rotations[~ok] = np.eye(3)
-
-    counts = np.diff([*structure.residue_starts.tolist(), structure.num_atoms])
-    centroids = np.add.reduceat(xyz, structure.residue_starts, axis=0)
-    centroids /= counts[:, None]
-    origins = np.where(ok[:, None], ca, centroids)
-    return origins, rotations
+    return rotations

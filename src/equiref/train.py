@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -277,14 +277,7 @@ class EpochRecord:
     best: bool
 
     def to_line(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "train_loss": self.train_loss,
-                "val_rmsd": self.val_rmsd,
-                "best": self.best,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass

@@ -80,7 +80,7 @@ def whole_edge_features(structure, node_atom_indices, neighbors, config):
     dist = np.sqrt((disp * disp).sum(axis=1))
 
     if config.include_geometric:
-        _, rotations = build_residue_frames(structure)
+        rotations = build_residue_frames(structure)
         geo = np.zeros((num_edges, GEOMETRIC_WIDTH), dtype=np.float64)
         geo[:, 0] = dist / 10.0
         safe = np.where(dist > 0, dist, 1.0)

@@ -705,10 +705,13 @@ class TestEvaluate:
         assert "row 2 (t0, t0_d1)" in capsys.readouterr().err
         assert not summary.exists()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_duplicate_pair_rejected(self, tmp_path, rng, capsys, workers):
+    @pytest.mark.parametrize("workers,first", [
+        pytest.param("1", 1, id="1"), pytest.param("2", 1, id="2"),
+        pytest.param("1", 2, id="1-second-row"), pytest.param("2", 2, id="2-second-row"),
+    ])
+    def test_duplicate_pair_rejected(self, tmp_path, rng, capsys, workers, first):
         scores, natives, decoys = evaluation_fixture(tmp_path, rng, n_targets=1)
-        scores.write_text(scores.read_text() + "t0,t0_d0,0.1\n")
+        scores.write_text(scores.read_text() + f"t0,t0_d{first - 1},0.1\n")
         summary = tmp_path / "s.txt"
         details = tmp_path / "d.csv"
         code = main([
@@ -717,7 +720,8 @@ class TestEvaluate:
             "--details", str(details), "--workers", workers,
         ])
         assert code == EXIT_PARSE
-        assert "rows 1 and 4 both list (t0, t0_d0)" in capsys.readouterr().err
+        assert (f"rows {first} and 4 both list (t0, t0_d{first - 1})"
+                in capsys.readouterr().err)
         assert not summary.exists()
         assert not details.exists()
 

@@ -266,6 +266,14 @@ class TestParsePdb:
             parse_pdb_file(path)
         assert str(exc.value) == f"{path}: no ATOM records survived filtering"
 
+    def test_file_byte_order_mark_is_skipped(self, tmp_path):
+        text = write_pdb(make_complex())
+        plain = tmp_path / "plain.pdb"
+        marked = tmp_path / "marked.pdb"
+        plain.write_text(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("ascii"))
+        assert_same_columns(parse_pdb_file(marked), parse_pdb_file(plain))
+
     def test_accepts_text_stream(self):
         text = pdb_line(1, "CA", "MET", "A", 1, 1.0, 2.0, 3.0)
         s = parse_pdb(io.StringIO(text))
@@ -449,35 +457,30 @@ class TestResidueFrames:
             ("A", 1, "GLY", "CA", (0.0, 0.0, 0.0)),
             ("A", 1, "GLY", "C", (1.5, 0.0, 0.0)),
         ])
-        origins, rotations = build_residue_frames(s)
-        np.testing.assert_allclose(origins[0], [0.0, 0.0, 0.0], atol=1e-12)
+        rotations = build_residue_frames(s)
         np.testing.assert_allclose(rotations[0], np.eye(3), atol=1e-12)
 
-    def test_missing_backbone_falls_back_to_centroid(self):
+    def test_missing_backbone_falls_back_to_identity(self):
         s = build_structure([
             ("A", 1, "GLY", "CA", (0.0, 0.0, 0.0)),
             ("A", 1, "GLY", "C", (2.0, 0.0, 0.0)),
         ])
-        origins, rotations = build_residue_frames(s)
-        np.testing.assert_allclose(origins[0], [1.0, 0.0, 0.0])
+        rotations = build_residue_frames(s)
         np.testing.assert_allclose(rotations[0], np.eye(3))
 
     def test_frames_rotate_with_structure(self, two_chain_complex, rng):
-        origins, rotations = build_residue_frames(two_chain_complex)
+        rotations = build_residue_frames(two_chain_complex)
         for _ in range(5):
             rot = random_rotation(rng)
             shift = rng.normal(scale=8.0, size=3)
             moved = transform_structure(two_chain_complex, rot, shift)
-            new_origins, new_rotations = build_residue_frames(moved)
-            np.testing.assert_allclose(
-                new_origins, origins @ rot.T + shift, atol=1e-9
-            )
+            new_rotations = build_residue_frames(moved)
             np.testing.assert_allclose(
                 new_rotations, np.einsum("ij,rjk->rik", rot, rotations), atol=1e-9
             )
 
     def test_frame_rotations_are_proper(self, two_chain_complex):
-        _, rotations = build_residue_frames(two_chain_complex)
+        rotations = build_residue_frames(two_chain_complex)
         for r in rotations:
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-10)
