@@ -18,8 +18,11 @@ interpreter, numpy and the stage's parsed inputs. Stages, with the default ``Mod
     backward         one ``train.backward`` step at the training size,
                      after ``make_training_example`` (not timed)
 
-Prints one JSON line per stage with its size, atoms, seconds and
-``peak_rss_mb`` (10^6 bytes, as perfbench counts). Nothing under
+Prints one JSON line per stage with its size, atoms, seconds,
+``peak_rss_mb`` (10^6 bytes, as perfbench counts) and ``minor_faults``:
+the minor page faults the process took during the stage call
+(``ru_minflt``), a count of fresh pages touched, e.g. by a heap that
+grows and is trimmed back again. Nothing under
 ``perfbench/`` is written; the inputs live in a temporary directory that
 is removed at the end.
 """
@@ -61,7 +64,8 @@ def write_inputs(directory: Path, size: gen.Size) -> int:
 
 
 def run_stage(stage: str, directory: Path) -> dict:
-    """One stage in this process: seconds of the stage call, and peak RSS."""
+    """One stage in this process: seconds and minor page faults of the stage
+    call, and peak RSS."""
     config = model.ModelConfig()
     if stage == "parse":
         call, args = structio.parse_pdb_file, (directory / "decoy.pdb",)
@@ -80,14 +84,17 @@ def run_stage(stage: str, directory: Path) -> dict:
         else:
             example = train.make_training_example(decoy, native, config)
             call, args = train.backward, (example, model.init_params(config, seed=0), config)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     result = call(*args)
     seconds = time.perf_counter() - start
+    minor_faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     if stage == "build_knn_graph":
         np.savez(directory / "graph.npz",
                  **{name: getattr(result, name) for name in GRAPH_FIELDS})
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-    return {"seconds": round(seconds, 3), "peak_rss_mb": round(peak_mb, 1)}
+    return {"seconds": round(seconds, 3), "peak_rss_mb": round(peak_mb, 1),
+            "minor_faults": minor_faults}
 
 
 def probe(sizes: list[tuple[str, gen.Size, tuple[str, ...]]]) -> list[dict]:

@@ -35,6 +35,13 @@ added in place as in the outer walk, so many checkpoints over the rows of
 one large input write their rows into one gradient of its size, not one
 full-size gradient each.
 
+``rms_norm_leaky_relu`` scales each row by its root mean square and takes
+no row mean, so it is a layer norm only of rows that are already centred
+(each row's mean is zero). That is its callers' contract: ``model``
+centres each MLP's first-layer weight and bias over their output columns,
+so the pre-activation arrives centred. Column sums of a backward (the
+bias gradients) are products with a row of ones.
+
 Inside ``with no_grad():`` new tensors record no parents and no backward
 closure, so the same model code runs without a tape and each intermediate
 is freed as soon as the code drops it; ``checkpoint`` then only calls
@@ -52,7 +59,7 @@ import numpy as np
 
 Array = np.ndarray
 
-LAYER_NORM_EPS = 1e-5  # added to each row's variance in ``layer_norm_leaky_relu``
+LAYER_NORM_EPS = 1e-5  # added to each row's mean square in ``rms_norm_leaky_relu``
 
 
 def _as_array(value) -> Array:
@@ -268,6 +275,12 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _column_sums(g: Array) -> Array:
+    """``g.sum(axis=0)`` as a product with a row of ones, which BLAS runs
+    faster than numpy's reduction over many short rows."""
+    return np.ones(len(g)) @ g
+
+
 def affine(x: Tensor | Array, weight: Tensor, bias: Tensor) -> Tensor:
     """x @ weight + bias for row-major inputs; bias has shape (out,).
 
@@ -278,11 +291,11 @@ def affine(x: Tensor | Array, weight: Tensor, bias: Tensor) -> Tensor:
     out_data = data @ weight.data
     out_data += bias.data
     if constant:
-        return Tensor(out_data, (weight, bias), lambda g: (data.T @ g, g.sum(axis=0)))
+        return Tensor(out_data, (weight, bias), lambda g: (data.T @ g, _column_sums(g)))
     return Tensor(
         out_data,
         (x, weight, bias),
-        lambda g: (g @ weight.data.T, data.T @ g, g.sum(axis=0)),
+        lambda g: (g @ weight.data.T, data.T @ g, _column_sums(g)),
     )
 
 
@@ -357,24 +370,23 @@ def edge_affine(
     features: Array,
     x: Tensor,
     weight: Tensor,
-    bias: Tensor,
     src: Tensor,
     dst: Tensor,
     index: np.ndarray,
 ) -> Tensor:
-    """``[features, x] @ weight + bias + src[r // k] + dst[index[r]]`` per row r.
+    """``[features, x] @ weight + src[r // k] + dst[index[r]]`` per row r.
 
     With ``k = rows / len(src)``, each ``src`` row is added to a run of
     ``k`` output rows through a broadcast ``(len(src), k, out)`` view, and
-    each ``dst`` row to the rows that index it. ``features`` is a constant
-    and gets no gradient; that of ``x`` reads only the rows of ``weight``
-    after the features' rows.
+    each ``dst`` row to the rows that index it; a bias enters through
+    ``src``, once per source row. ``features`` is a constant and gets no
+    gradient; that of ``x`` reads only the rows of ``weight`` after the
+    features' rows.
     """
     width = features.shape[1]
     index = np.asarray(index, dtype=np.intp)
     joined = np.concatenate([features, x.data], axis=1)
     out = joined @ weight.data
-    out += bias.data
     blocks = len(src.data)
     grouped = out.reshape(blocks, -1, out.shape[1])
     grouped += src.data[:, None, :]
@@ -384,55 +396,55 @@ def edge_affine(
         return (
             g @ weight.data[width:].T,
             joined.T @ g,
-            g.sum(axis=0),
             g.reshape(grouped.shape).sum(axis=1),
             _row_sums(index, len(dst.data), g),
         )
 
-    return Tensor(out, (x, weight, bias, src, dst), backward)
+    return Tensor(out, (x, weight, src, dst), backward)
 
 
-def layer_norm_leaky_relu(x: Tensor, gain: Tensor, bias: Tensor, slope: float) -> Tensor:
-    """``max(y, slope * y)`` of a row-wise layer norm ``y``, for 0 <= slope < 1.
+def rms_norm_leaky_relu(x: Tensor, gain: Tensor, bias: Tensor, slope: float) -> Tensor:
+    """``max(y, slope * y)`` of ``y = x / sqrt(mean(x^2) + eps) * gain + bias``
+    per row, for 0 <= slope < 1 and ``eps = LAYER_NORM_EPS``.
 
-    Row means are products with a column of ``1/d``, which BLAS runs faster
-    than numpy's reductions over short rows; the variance is a row-wise dot
-    product, with no squared copy. Gain, bias and activation are written in
-    place into one output, under ``no_grad()`` the centred input itself.
-    An output is positive exactly where ``y`` is, so the backward reads its
-    1-or-slope factors off the output.
+    The op takes no row means. On rows whose mean is zero it is the layer
+    norm, whose first step subtracts the row mean; the caller keeps that
+    contract by centring the rows it feeds in, e.g. through a weight and
+    bias centred over their output columns (``model`` centres every MLP's
+    first layer so). The value and the gradient are exact for any ``x``.
+    The mean square is a row-wise dot product, with no squared copy; the
+    scale, gain, bias and activation are written into one output, and an
+    output is positive exactly where ``y`` is, so the backward reads its
+    1-or-slope factors off the output. The backward reads ``x`` and the
+    row scales, not a stored normalised copy.
     """
-    d = x.data.shape[1]
-    xhat = x.data - x.data @ np.full((d, 1), 1.0 / d)
-    var = np.einsum("ij,ij->i", xhat, xhat)[:, None]
+    data = x.data
+    d = data.shape[1]
+    var = np.einsum("ij,ij->i", data, data)[:, None]
     var *= 1.0 / d
     var += LAYER_NORM_EPS
     inv = 1.0 / np.sqrt(var)
-    xhat *= inv
-    if _taping:
-        out = xhat * gain.data
-    else:
-        out = xhat
-        out *= gain.data
+    out = data * inv
+    out *= gain.data
     out += bias.data
     np.maximum(out, out * slope, out=out)
 
     def backward(g):
-        # g_y = g * (1 or slope); with g_xhat = g_y * gain and both means
-        # over the feature axis,
-        # gx = inv * (g_xhat - mean(g_xhat) - xhat * mean(g_y * gain * xhat))
+        # g_y = g * (1 or slope); with xhat = x * inv and g_xhat = g_y * gain,
+        # gx = inv * (g_xhat - xhat * mean(g_xhat * xhat)), the mean over
+        # the feature axis, and xhat * mean(g_xhat * xhat) =
+        # x * inv^2 * ((g_y * x) @ gain) / d
         g_y = (out > 0).astype(np.float64)
         np.maximum(g_y, slope, out=g_y)
         g_y *= g
-        gain_column = gain.data[:, None] / d
-        g_times_xhat = g_y * xhat
-        gain_grad = g_times_xhat.sum(axis=0)
-        bias_grad = g_y.sum(axis=0)
-        mean_g_xhat = g_y @ gain_column
-        np.multiply(xhat, g_times_xhat @ gain_column, out=g_times_xhat)
+        g_times_x = g_y * data
+        gain_grad = inv.ravel() @ g_times_x
+        bias_grad = _column_sums(g_y)
+        scale = g_times_x @ (gain.data[:, None] / d)
+        scale *= inv * inv
+        np.multiply(data, scale, out=g_times_x)
         g_y *= gain.data
-        g_y -= mean_g_xhat
-        g_y -= g_times_xhat
+        g_y -= g_times_x
         g_y *= inv
         return (g_y, gain_grad, bias_grad)
 

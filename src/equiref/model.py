@@ -21,20 +21,29 @@ row reads its two node products by index, and only the edge-feature and
 squared-distance rows run per edge. The per-edge concatenation of width
 2d + E + 1 is never built; ``msg_mlp.w1`` keeps that shape and row order.
 The MLP's output layer is linear too and feeds only the coordinate gate's
-first layer and the per-node mean message, so it is folded into both: an
-edge's gate reads the message MLP's hidden layer through ``w2 @ cw1``, and
-the mean message is the mean hidden layer times ``w2``. No per-edge
-message is formed. One ``autodiff.edge_affine`` op forms the message
-MLP's pre-activation, and every MLP's layer norm and leaky ReLU are one
-``autodiff.layer_norm_leaky_relu`` op.
+first layer and the node MLP's mean-message rows ``w1_m``, so it is
+folded into both: an edge's gate reads the message MLP's hidden layer
+through ``w2 @ cw1``, and the node MLP reads the mean hidden layer through
+``w2 @ w1_m``, with ``b2 @ w1_m`` joining its bias. No per-edge message
+and no mean message is formed. The message MLP's bias enters with the
+h_i product, once per node; one ``autodiff.edge_affine`` op forms the
+pre-activation.
+
+Every MLP's first-layer weight and bias are centred over their output
+columns once per layer, on the tape (the stored parameters are as they
+were), so each pre-activation row has mean zero: the layer norm then
+needs no row-mean pass and is one ``autodiff.rms_norm_leaky_relu`` op
+with the leaky ReLU. The splits and folds above are linear in the
+centred blocks, so what they make stays centred; the function and its
+gradients are those of the uncentred layer norm.
 
 A layer runs over windows of ``window_size`` nodes, each one window of the
 local attention and one ``autodiff.checkpoint``. A window runs its nodes'
 edge work in blocks of at most ``EDGE_BLOCK // k`` whole nodes, reading
 the coordinates and the per-node message products by rows and keeping only
 each node's coordinate shift and mean hidden message. Then it runs the
-skip mix, the mean message, the local attention, the node MLP and the node
-skip on its rows. The node MLP's first layer reads
+skip mix, the local attention, the node MLP and the node skip on its
+rows. The node MLP's first layer reads
 [h, m_agg, attention, f_emb] and is linear, so ``node_mlp.w1`` is split by
 rows like ``msg_mlp.w1``, and the global attention h @ M, with the d x d
 M = wq wk^T (h^T h) wv / n, folds into its h rows as w1_h + M w1_a: one
@@ -77,9 +86,9 @@ from .autodiff import (
     edge_affine,
     gather_rows,
     group_mean,
-    layer_norm_leaky_relu,
     no_grad,
     repeat_rows,
+    rms_norm_leaky_relu,
     row_norm,
     slice_rows,
     softmax_rows,
@@ -284,9 +293,18 @@ def _wrap(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
 
 
 def _activate(pre: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
-    """An MLP's hidden layer from its first layer's output: layer norm, leaky ReLU."""
-    return layer_norm_leaky_relu(pre, leaves[prefix + "ln_gain"],
-                                 leaves[prefix + "ln_bias"], LEAKY_SLOPE)
+    """An MLP's hidden layer from its first layer's centred output: layer
+    norm, leaky ReLU."""
+    return rms_norm_leaky_relu(pre, leaves[prefix + "ln_gain"],
+                               leaves[prefix + "ln_bias"], LEAKY_SLOPE)
+
+
+def _centred_first_layer(leaves: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
+    """The MLP's ``w1`` and ``b1`` under their names, each less its mean over
+    the output columns (the last axis), so the first layer's output rows
+    have mean zero."""
+    blocks = {prefix + name: leaves[prefix + name] for name in ("w1", "b1")}
+    return {name: w - w.mean(axis=-1, keepdims=True) for name, w in blocks.items()}
 
 
 def _mlp(x: Tensor, leaves: dict[str, Tensor], prefix: str) -> Tensor:
@@ -329,8 +347,7 @@ def _edge_block(t: dict[str, Tensor], edge_features: np.ndarray,
     sqdist = (diff * diff).sum(axis=1, keepdims=True)
     hidden = _activate(
         edge_affine(edge_features[start * k:stop * k], sqdist, t["msg_mlp.w1_edge"],
-                    t["msg_mlp.b1"], slice_rows(t["h_src"], start, stop), t["h_dst"],
-                    nbrs),
+                    slice_rows(t["h_src"], start, stop), t["h_dst"], nbrs),
         t, "msg_mlp.",
     )
     gate = _mlp(hidden, t, "coord_mlp.")
@@ -347,8 +364,9 @@ def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
     nodes, and only their shifts and mean hidden messages are joined. The
     node MLP's first layer is applied by the rows of ``node_mlp.w1`` that
     multiply h, m_agg, the attention and f_emb, so their concatenation is
-    never built; the global attention is folded into the h rows, so a
-    window reads only its own rows.
+    never built; the mean message is folded into the m_agg rows, which
+    read the mean hidden message, and the global attention into the h
+    rows, so a window reads only its own rows.
     """
     step = max(1, EDGE_BLOCK // graph.neighbors.shape[1])
     blocks = [_edge_block(t, graph.edge_features, graph.neighbors, a, min(a + step, stop))
@@ -359,8 +377,8 @@ def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
              + (1.0 - coord_skip) * slice_rows(t["x"], start, stop) + shift)
 
     h_rows = slice_rows(t["h"], start, stop)
-    m_agg = affine(mean_hidden, t["msg_mlp.w2"], t["msg_mlp.b2"])
-    pre = (affine(h_rows, t["node_mlp.w1_h"], t["node_mlp.b1"]) + m_agg @ t["node_mlp.w1_m"]
+    pre = (affine(h_rows, t["node_mlp.w1_h"], t["node_mlp.b1"])
+           + mean_hidden @ t["node_mlp.w1_m"]
            + slice_rows(t["f_emb"], start, stop) @ t["node_mlp.w1_f"])
     if config.attention_enabled:
         local = _window_attention(h_rows, t["attn_local.wq"], t["attn_local.wk"],
@@ -390,16 +408,23 @@ def _layer(
     checkpoints' outputs and their join. ``leaves`` holds the layer's
     parameters by their names within the layer."""
     n, d = h.data.shape
-    w1 = leaves["msg_mlp.w1"]
+    # Each MLP's first layer is centred over its output columns, so its
+    # rows arrive at the layer norm with mean zero; the splits and folds
+    # below are linear in the centred blocks and keep them centred.
+    msg, coord, node = (_centred_first_layer(leaves, prefix)
+                        for prefix in ("msg_mlp.", "coord_mlp.", "node_mlp."))
+    w1, b1 = msg["msg_mlp.w1"], msg["msg_mlp.b1"]
     # The message MLP ends in the affine map (w2, b2) and the gate MLP
     # starts with (cw1, cb1), with nothing nonlinear between them, so the
     # gate's first layer reads the message MLP's hidden layer a through
     # w2 @ cw1 and b2 @ cw1 + cb1: a window's "coord_mlp.w1" and
-    # "coord_mlp.b1". The per-node mean message is group_mean(a) @ w2 + b2,
-    # as the mean is linear too.
+    # "coord_mlp.b1". The per-node mean message group_mean(a) @ w2 + b2
+    # meets the node MLP only through its m rows w1_m, so it folds the
+    # same way: a window's "node_mlp.w1_m" reads the mean hidden layer
+    # through w2 @ w1_m, and b2 @ w1_m joins "node_mlp.b1".
     w2, b2 = leaves["msg_mlp.w2"], leaves["msg_mlp.b2"]
-    cw1 = leaves["coord_mlp.w1"]
-    w1_h, w1_m, w1_a, w1_f = (slice_rows(leaves["node_mlp.w1"], i * d, (i + 1) * d)
+    cw1 = coord["coord_mlp.w1"]
+    w1_h, w1_m, w1_a, w1_f = (slice_rows(node["node_mlp.w1"], i * d, (i + 1) * d)
                               for i in range(4))
     if config.attention_enabled:
         # the global attention h @ M meets the node MLP only through w1_a
@@ -411,13 +436,15 @@ def _layer(
     inputs = {
         **leaves,
         "x": x, "h": h, "f_emb": f_emb, "coord_skip": coord_skip, "node_skip": node_skip,
-        # the h_i and h_j rows of the message MLP's w1, applied once per node
-        "h_src": h @ slice_rows(w1, 0, d), "h_dst": h @ slice_rows(w1, d, 2 * d),
+        # the h_i and h_j rows of the message MLP's w1 and its bias, applied
+        # once per node
+        "h_src": affine(h, slice_rows(w1, 0, d), b1), "h_dst": h @ slice_rows(w1, d, 2 * d),
         "msg_mlp.w1_edge": slice_rows(w1, 2 * d, w1.data.shape[0]),
         "coord_mlp.w1": w2 @ cw1,
-        "coord_mlp.b1": (cw1.T * b2).sum(axis=1) + leaves["coord_mlp.b1"],
-        "node_mlp.w1_h": w1_h, "node_mlp.w1_m": w1_m, "node_mlp.w1_a": w1_a,
+        "coord_mlp.b1": (cw1.T * b2).sum(axis=1) + coord["coord_mlp.b1"],
+        "node_mlp.w1_h": w1_h, "node_mlp.w1_m": w2 @ w1_m, "node_mlp.w1_a": w1_a,
         "node_mlp.w1_f": w1_f,
+        "node_mlp.b1": (w1_m.T * b2).sum(axis=1) + node["node_mlp.b1"],
     }
     windows = [
         _checkpoint(lambda t, start=start: _window(
@@ -494,7 +521,8 @@ def forward_pass(
         layer_leaves = {name[len(prefix):]: leaf for name, leaf in leaves.items()
                         if name.startswith(prefix)}
         x, h = _layer(x, h, f_emb, graph, layer_leaves, config, coord_skip, node_skip)
-    qa = _mlp(h, leaves, "qa_head.").sigmoid()
+    qa_head = {**leaves, **_centred_first_layer(leaves, "qa_head.")}
+    qa = _mlp(h, qa_head, "qa_head.").sigmoid()
     return ForwardPass(coords=x, embeddings=h, qa=qa, leaves=leaves)
 
 

@@ -12,9 +12,9 @@ from equiref.autodiff import (
     edge_affine,
     gather_rows,
     group_mean,
-    layer_norm_leaky_relu,
     no_grad,
     repeat_rows,
+    rms_norm_leaky_relu,
     row_norm,
     slice_rows,
     softmax_rows,
@@ -172,6 +172,11 @@ def test_row_norm_zero_row_safe():
     np.testing.assert_allclose(t.grad[0], 0.0)
 
 
+def centred(x):
+    """``x`` with each row's mean taken out: the norm op's input contract."""
+    return x - x.mean(axis=1, keepdims=True)
+
+
 def layer_norm_reference(x, gain, bias, slope):
     centred = x - x.mean(axis=1, keepdims=True)
     scale = np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
@@ -180,14 +185,14 @@ def layer_norm_reference(x, gain, bias, slope):
 
 
 def test_layer_norm_leaky_relu(rng):
-    x = rng.normal(size=(5, 6))
+    x = centred(rng.normal(size=(5, 6)))
     g = rng.normal(size=(6,)) + 1.0
     b = rng.normal(size=(6,))
 
     def build(t, u, v):
         # the linear term keeps every gradient entry away from 0: the cube
         # alone gives a column of small outputs a gradient near 0
-        out = layer_norm_leaky_relu(t, u, v, 0.01)
+        out = rms_norm_leaky_relu(t, u, v, 0.01)
         return cubed(out).sum() + out.sum()
 
     check_op(build, [x, g, b], rel=1e-5)
@@ -196,43 +201,43 @@ def test_layer_norm_leaky_relu(rng):
 def test_layer_norm_leaky_relu_slope(rng):
     # a linear read-out sees the activation's two slopes; the bias keeps
     # every pre-activation away from the kink
-    x = rng.normal(size=(5, 5))
+    x = centred(rng.normal(size=(5, 5)))
     g = np.ones(5)
     b = np.where(rng.random(5) < 0.5, -3.0, 3.0)
-    out = layer_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.2).data
+    out = rms_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.2).data
     np.testing.assert_allclose(out, layer_norm_reference(x, g, b, 0.2), rtol=1e-12)
     assert (out < 0).any() and (out > 0).any()
-    check_op(lambda t, u, v: (layer_norm_leaky_relu(t, u, v, 0.01) * 3.0).sum(),
+    check_op(lambda t, u, v: (rms_norm_leaky_relu(t, u, v, 0.01) * 3.0).sum(),
              [x, g, b])
 
 
 def test_layer_norm_leaky_relu_same_without_tape(rng):
-    # under no_grad() the op writes into the centred input instead of a
-    # new array; the values are the same bits
-    x, g, b = rng.normal(size=(7, 6)), rng.normal(size=6), rng.normal(size=6)
-    taped = layer_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.01).data
+    # the op runs the same kernel with and without the tape; the values
+    # are the same bits
+    x, g, b = centred(rng.normal(size=(7, 6))), rng.normal(size=6), rng.normal(size=6)
+    taped = rms_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.01).data
     with no_grad():
-        untaped = layer_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.01).data
+        untaped = rms_norm_leaky_relu(Tensor(x), Tensor(g), Tensor(b), 0.01).data
     np.testing.assert_array_equal(untaped, taped)
 
 
-def edge_affine_reference(features, x, weight, bias, src, dst, index):
+def edge_affine_reference(features, x, weight, src, dst, index):
     k = len(index) // len(src)
     joined = np.concatenate([features, x], axis=1)
-    return joined @ weight + bias + np.repeat(src, k, axis=0) + dst[index]
+    return joined @ weight + np.repeat(src, k, axis=0) + dst[index]
 
 
 def test_edge_affine(rng):
     # 3 source rows of k = 4 edge rows each; the destination rows repeat
     features = rng.normal(size=(12, 3))
-    x, w, b = rng.normal(size=(12, 1)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    x, w = rng.normal(size=(12, 1)), rng.normal(size=(4, 5))
     src, dst = rng.normal(size=(3, 5)), rng.normal(size=(6, 5))
     index = rng.integers(0, 6, size=12)
-    out = edge_affine(features, *map(Tensor, (x, w, b, src, dst)), index)
+    out = edge_affine(features, *map(Tensor, (x, w, src, dst)), index)
     np.testing.assert_allclose(
-        out.data, edge_affine_reference(features, x, w, b, src, dst, index), rtol=1e-12)
+        out.data, edge_affine_reference(features, x, w, src, dst, index), rtol=1e-12)
     check_op(lambda *t: squared(edge_affine(features, *t, index)).sum(),
-             [x, w, b, src, dst])
+             [x, w, src, dst])
 
 
 def test_edge_affine_differentiates_no_constant(rng):
@@ -240,7 +245,7 @@ def test_edge_affine_differentiates_no_constant(rng):
     # backward reads only the weight rows after theirs
     features = rng.normal(size=(6, 4))
     leaves = [Tensor(rng.normal(size=shape))
-              for shape in ((6, 1), (5, 3), (3,), (2, 3), (4, 3))]
+              for shape in ((6, 1), (5, 3), (2, 3), (4, 3))]
     out = edge_affine(features, *leaves, [0, 1, 1, 3, 2, 0])
     assert out._parents == tuple(leaves)
     g = rng.normal(size=out.shape)
@@ -320,7 +325,7 @@ def test_backward_consumes_the_tape(rng):
 
 def _two_outputs(x, y, w):
     hidden = affine(x, w, y.sum(axis=0)).sigmoid()
-    return (layer_norm_leaky_relu(hidden, y.sum(axis=0), y.mean(axis=0), 0.01),
+    return (rms_norm_leaky_relu(hidden, y.sum(axis=0), y.mean(axis=0), 0.01),
             gather_rows(hidden * x, [2, 0, 2]))
 
 
@@ -483,9 +488,9 @@ def _two_parent_ops():
         "affine_constant": affine(x.data, leaf(3, 2), leaf(2)),
         "concat_columns": concat([x, y, leaf(4, 1)], axis=1),
         "concat_rows": concat([x, y], axis=0),
-        "edge_affine": edge_affine(rng.normal(size=(4, 2)), leaf(4, 1), leaf(3, 5), leaf(5),
+        "edge_affine": edge_affine(rng.normal(size=(4, 2)), leaf(4, 1), leaf(3, 5),
                                    leaf(2, 5), leaf(3, 5), [0, 2, 2, 1]),
-        "layer_norm_leaky_relu": layer_norm_leaky_relu(x, leaf(3), leaf(3), 0.01),
+        "layer_norm_leaky_relu": rms_norm_leaky_relu(x, leaf(3), leaf(3), 0.01),
     }
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equiref import model
-from equiref.autodiff import Tensor, concat, no_grad
+from equiref.autodiff import Tensor, no_grad
 from equiref.errors import (
     ConfigError,
     WeightsFormatError,
@@ -17,7 +17,7 @@ from equiref.errors import (
     WeightsTruncatedError,
     WeightsVersionError,
 )
-from equiref.featurize import build_knn_graph
+from equiref.featurize import GRANULARITIES, build_knn_graph
 from equiref.model import (
     ModelConfig,
     forward,
@@ -31,7 +31,7 @@ from equiref.model import (
 from equiref.train import backward
 
 from conftest import make_complex, random_rotation, rewrite_header, traced_peak
-from oracles import message_preactivation, quadratic_attention, unfused_edge_pass
+from oracles import message_preactivation, mlp_tail, quadratic_attention, unfused_edge_pass
 
 SMALL = ModelConfig(num_layers=2, hidden_dim=8)
 
@@ -288,11 +288,12 @@ class TestLayer:
                              ids=["small", "default"])
     def test_split_message_layer_matches_concatenated_input(self, rng, monkeypatch,
                                                             config):
-        # The layer applies the message MLP's first layer as node products
-        # read by edge plus the edge rows, and folds the MLP's output layer
-        # into the gate MLP's first layer and into the mean message. The
-        # oracle multiplies the whole edge input and runs both MLPs in full
-        # on every edge.
+        # The layer applies the message MLP's centred first layer as node
+        # products read by edge plus the edge rows, and folds the MLP's
+        # output layer into the gate MLP's first layer and into the node
+        # MLP's mean-message rows. The oracle multiplies the whole edge
+        # input with the raw weights and runs both MLPs in full on every
+        # edge.
         graph = random_graph(rng, n=30, d_f=config.node_feat_dim,
                              d_e=config.edge_feat_dim)
         params = randomize(init_params(config, 0), rng, scale=0.2)
@@ -310,27 +311,37 @@ class TestLayer:
         x_ref = (skip * graph.coords + (1.0 - skip) * x
                  + (radial * gate).reshape(n, k, 3).mean(axis=1))
 
-        seen, m_agg_rows = {}, []
-        activate, affine = model._activate, model.affine
+        seen, mean_hidden, folds = {}, [], []
+        activate, edge_block, window = model._activate, model._edge_block, model._window
 
         def recording_activate(pre_activation, leaves, name):
             seen.setdefault(name, pre_activation.data)
             return activate(pre_activation, leaves, name)
 
-        def recording_affine(inputs, weight, bias):
-            out = affine(inputs, weight, bias)
-            if weight.data is params[prefix + "msg_mlp.w2"]:  # m_agg, a block of rows
-                m_agg_rows.append(out.data)
-            return out
+        def recording_edge_block(*args):
+            shift, hidden = edge_block(*args)
+            mean_hidden.append(hidden.data)
+            return shift, hidden
+
+        def recording_window(t, *args):
+            folds.append((t["node_mlp.w1_m"].data, t["node_mlp.b1"].data))
+            return window(t, *args)
 
         monkeypatch.setattr(model, "_activate", recording_activate)
-        monkeypatch.setattr(model, "affine", recording_affine)
+        monkeypatch.setattr(model, "_edge_block", recording_edge_block)
+        monkeypatch.setattr(model, "_window", recording_window)
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
         x_new, _ = layer_step(graph, params, config, 0, x, h, f_emb)
         d = config.hidden_dim
-        m_agg = np.concatenate(m_agg_rows)
-        for actual, reference in ((seen["msg_mlp."], pre),
-                                  (m_agg, message.reshape(n, k, d).mean(axis=1)),
+        # the node MLP reads the mean message m through its rows w1_m and
+        # its bias b1, centred over the output columns; the fold reads the
+        # mean hidden layer instead
+        (w1_m_folded, b1_folded), = folds
+        m_rows = np.concatenate(mean_hidden) @ w1_m_folded + b1_folded
+        m_ref = (message.reshape(n, k, d).mean(axis=1)
+                 @ params[prefix + "node_mlp.w1"][d:2 * d] + params[prefix + "node_mlp.b1"])
+        for actual, reference in ((seen["msg_mlp."], pre - pre.mean(axis=1, keepdims=True)),
+                                  (m_rows, m_ref - m_ref.mean(axis=1, keepdims=True)),
                                   (x_new, x_ref)):
             np.testing.assert_allclose(actual, reference, rtol=1e-12,
                                        atol=1e-12 * np.abs(reference).max())
@@ -340,11 +351,13 @@ class TestLayer:
     ], ids=["ragged", "one_window", "window_past_n", "no_attention"])
     def test_split_node_update_matches_concatenated_input(self, rng, monkeypatch, n,
                                                           window, attention):
-        # Each window multiplies h, m_agg, the local attention and f_emb
-        # each by its own rows of node_mlp.w1, the global attention folded
-        # into the h rows. The reference runs the node MLP on their
-        # concatenation over all rows at once. The windows' edge blocks
-        # hand over given rows of the mean hidden message.
+        # Each window multiplies h, the mean hidden message, the local
+        # attention and f_emb each by its own rows of the centred
+        # node_mlp.w1, the mean message and the global attention folded in.
+        # The reference runs the node MLP with the raw weights and the true
+        # layer norm on their concatenation over all rows at once. The
+        # windows' edge blocks hand over given rows of the mean hidden
+        # message.
         config = ModelConfig(num_layers=1, hidden_dim=8, window_size=window,
                              attention_enabled=attention)
         params = randomize(init_params(config, 0), rng)
@@ -366,13 +379,12 @@ class TestLayer:
                             start, stop: (Tensor(shift[start:stop]),
                                           Tensor(mean_hidden[start:stop])))
         _, h_new = layer_step(graph, params, config, 0, rng.normal(size=(n, 3)), h, f_emb)
-        with no_grad():
-            t = {name: Tensor(value) for name, value in inputs.items()}
-            m_agg = model.affine(Tensor(mean_hidden), t["msg_mlp.w2"], t["msg_mlp.b2"])
-            update = model._mlp(concat([Tensor(h), m_agg, Tensor(attn), Tensor(f_emb)]), t,
-                                "node_mlp.")
+        m_agg = mean_hidden @ inputs["msg_mlp.w2"] + inputs["msg_mlp.b2"]
+        pre = (np.concatenate([h, m_agg, attn, f_emb], axis=1) @ inputs["node_mlp.w1"]
+               + inputs["node_mlp.b1"])
+        update = mlp_tail(pre, inputs, "node_mlp.")
         skip = 1.0 / (1.0 + np.exp(-params["node_skip_raw"]))
-        reference = skip * update.data + (1.0 - skip) * h
+        reference = skip * update + (1.0 - skip) * h
         np.testing.assert_allclose(h_new, reference, rtol=1e-12,
                                    atol=1e-12 * np.abs(reference).max())
 
@@ -413,6 +425,49 @@ class TestLayer:
         rel = np.abs(x_moved - expected).max() / np.abs(expected).max()
         assert rel < 1e-5
         np.testing.assert_allclose(h_moved, h_out, atol=1e-9)
+
+
+class TestCentring:
+    """Every MLP's first layer is centred over its output columns, so the
+    norm op sees rows of mean zero and is the layer norm of the raw MLP."""
+
+    @pytest.mark.parametrize("attention", [True, False], ids=["attention", "no_attention"])
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_norm_inputs_are_centred_rows(self, rng, monkeypatch, granularity, attention):
+        config = ModelConfig(num_layers=2, hidden_dim=8, window_size=16,
+                             granularity=granularity, attention_enabled=attention)
+        graph = random_graph(rng, n=40, d_f=config.node_feat_dim, d_e=config.edge_feat_dim)
+        params = randomize(init_params(config, 0), rng)
+        inputs, norm = [], model.rms_norm_leaky_relu
+
+        def recording(x, *args):
+            inputs.append(x.data)
+            return norm(x, *args)
+
+        monkeypatch.setattr(model, "rms_norm_leaky_relu", recording)
+        forward_pass(graph, params, config)
+        # windows of 16, 16 and 8 nodes, each one edge block: per layer and
+        # window the message, gate and node MLPs; the QA head once
+        assert len(inputs) == config.num_layers * 3 * 3 + 1
+        for rows in inputs:
+            rms = np.sqrt((rows * rows).mean(axis=1))
+            assert np.all(np.abs(rows.mean(axis=1)) <= 1e-12 * rms)
+
+    @pytest.mark.parametrize("prefix", ["qa_head.", "layers.0.node_mlp."])
+    def test_centred_mlp_matches_layer_norm_on_raw_weights(self, rng, prefix):
+        params = randomize(init_params(SMALL, 0), rng)
+        params[prefix + "w1"] += 1.0  # rows far from centred
+        params[prefix + "b1"] -= 2.0
+        leaves = {name: Tensor(value) for name, value in params.items()
+                  if name.startswith(prefix)}
+        w1, b1 = params[prefix + "w1"], params[prefix + "b1"]
+        x = rng.normal(size=(30, w1.shape[0]))
+        with no_grad():
+            centred = {**leaves, **model._centred_first_layer(leaves, prefix)}
+            out = model._mlp(Tensor(x), centred, prefix).data
+        reference = mlp_tail(x @ w1 + b1, params, prefix)
+        np.testing.assert_allclose(out, reference, rtol=1e-12,
+                                   atol=1e-12 * np.abs(reference).max())
 
 
 class TestForward:

@@ -29,3 +29,4 @@ def test_probe_reports_every_stage():
         assert row["atoms"] > 0
         assert row["seconds"] >= 0
         assert row["peak_rss_mb"] > 0
+        assert type(row["minor_faults"]) is int and row["minor_faults"] >= 0
