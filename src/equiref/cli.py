@@ -185,6 +185,7 @@ def cmd_refine(args) -> None:
 
 
 def cmd_score(args) -> None:
+    _check_output_dirs(args.report)
     report = score_pair(parse_pdb_file(args.decoy),
                         Reference(parse_pdb_file(args.native)))
     Path(args.report).write_text(report.to_json() + "\n")

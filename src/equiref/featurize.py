@@ -59,7 +59,9 @@ UNDEFINED_ANGLE = (0.0, 1.0)  # (sin, cos) of an angle that is not defined
 # Edge rows per block of the graph build and of a layer's edge pass
 # (``model`` imports it): a block holds ``EDGE_BLOCK // k`` whole centre
 # nodes, so per-edge temporaries of this many rows stay cache-sized. With
-# the model's fused edge ops, 1,024 rows ran faster than 512 or 2,048.
+# one ``autodiff.edge_block`` op per block, 1,024 rows ran faster than 512
+# or 2,048: a 977-node training step took 0.70-0.73 s against 0.76-0.86 s
+# and 0.76-0.77 s (1 BLAS thread, medians of two processes each).
 EDGE_BLOCK = 1024
 
 SURFACE_RADIUS = 10.0

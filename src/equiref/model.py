@@ -26,24 +26,26 @@ folded into both: an edge's gate reads the message MLP's hidden layer
 through ``w2 @ cw1``, and the node MLP reads the mean hidden layer through
 ``w2 @ w1_m``, with ``b2 @ w1_m`` joining its bias. No per-edge message
 and no mean message is formed. The message MLP's bias enters with the
-h_i product, once per node; one ``autodiff.edge_affine`` op forms the
-pre-activation.
+h_i product, once per node. A block's edge work (the message MLP's first
+layer and norm, the folded gate and the radial update) is one
+``autodiff.edge_block`` op with a hand-derived backward.
 
 Every MLP's first-layer weight and bias are centred over their output
 columns once per layer, on the tape (the stored parameters are as they
 were), so each pre-activation row has mean zero: the layer norm then
 needs no row-mean pass and is one ``autodiff.rms_norm_leaky_relu`` op
-with the leaky ReLU. The splits and folds above are linear in the
-centred blocks, so what they make stays centred; the function and its
-gradients are those of the uncentred layer norm.
+with the leaky ReLU (inside ``edge_block``, its kernels). The splits and
+folds above are linear in the centred blocks, so what they make stays
+centred; the function and its gradients are those of the uncentred layer
+norm.
 
 A layer runs over windows of ``window_size`` nodes, each one window of the
 local attention and one ``autodiff.checkpoint``. A window runs its nodes'
-edge work in blocks of at most ``EDGE_BLOCK // k`` whole nodes, reading
-the coordinates and the per-node message products by rows and keeping only
-each node's coordinate shift and mean hidden message. Then it runs the
-skip mix, the local attention, the node MLP and the node skip on its
-rows. The node MLP's first layer reads
+edge work in blocks of at most ``EDGE_BLOCK // k`` whole nodes, one
+``edge_block`` op each, reading the coordinates and the per-node message
+products by rows and keeping only each node's coordinate shift and mean
+hidden message. Then it runs the skip mix, the local attention, the node
+MLP and the node skip on its rows. The node MLP's first layer reads
 [h, m_agg, attention, f_emb] and is linear, so ``node_mlp.w1`` is split by
 rows like ``msg_mlp.w1``, and the global attention h @ M, with the d x d
 M = wq wk^T (h^T h) wv / n, folds into its h rows as w1_h + M w1_a: one
@@ -51,10 +53,10 @@ more checkpoint per layer, the only one that reads all rows of h. The
 backward pass re-runs one checkpoint at a time over its own input tensors
 and walks its tape at once down to them, so each window's rows and dense
 terms land straight in the inputs' gradients, and training holds the tape
-of one window (at most ``window_size`` nodes, edge work in
-``EDGE_BLOCK``-row blocks) plus O(n d) per layer. Under ``no_grad()`` the
-checkpoints are plain calls, and a layer holds O(n d) plus one window's
-rows.
+of one window (at most ``window_size`` nodes, one tape node per block of
+``EDGE_BLOCK`` edge rows, which keeps that block's rows) plus O(n d) per
+layer. Under ``no_grad()`` the checkpoints are plain calls, and a layer
+holds O(n d) plus one window's rows.
 
 ``ModelConfig`` is the one home of the model and graph settings, their
 defaults and their checks; ``featurize.build_knn_graph`` reads the graph
@@ -83,13 +85,9 @@ from .autodiff import (
     affine,
     checkpoint,
     concat,
-    edge_affine,
-    gather_rows,
-    group_mean,
+    edge_block,
     no_grad,
-    repeat_rows,
     rms_norm_leaky_relu,
-    row_norm,
     slice_rows,
     softmax_rows,
 )
@@ -334,25 +332,25 @@ def _checkpoint(fn, tensors: dict[str, Tensor]):
 
 def _edge_block(t: dict[str, Tensor], edge_features: np.ndarray,
                 neighbors: np.ndarray, start: int, stop: int) -> tuple[Tensor, Tensor]:
-    """The coordinate shift and mean hidden message of nodes ``start:stop``.
+    """The coordinate shift and mean hidden message of nodes ``start:stop``:
+    one ``autodiff.edge_block`` op.
 
     A node's update needs only its own k edge rows, and edge row i*k + s
-    carries the message from j = neighbors[i, s] to i. The block reads
-    ``x``, ``h_src`` and ``h_dst`` only by rows.
+    carries the message from j = neighbors[i, s] to i. The op runs the
+    message MLP's first layer from the node products ``h_src`` (with the
+    bias) and ``h_dst`` and the edge rows of ``msg_mlp.w1_edge``, its norm,
+    the gate MLP folded onto the hidden layer and the radial update, and
+    reads ``x``, ``h_src`` and ``h_dst`` only by rows.
     """
     k = neighbors.shape[1]
-    nbrs = neighbors[start:stop].ravel()
-    x = t["x"]
-    diff = repeat_rows(slice_rows(x, start, stop), k) - gather_rows(x, nbrs)
-    sqdist = (diff * diff).sum(axis=1, keepdims=True)
-    hidden = _activate(
-        edge_affine(edge_features[start * k:stop * k], sqdist, t["msg_mlp.w1_edge"],
-                    slice_rows(t["h_src"], start, stop), t["h_dst"], nbrs),
-        t, "msg_mlp.",
+    return edge_block(
+        edge_features[start * k:stop * k], t["x"], t["h_src"], t["h_dst"],
+        neighbors[start:stop], start,
+        (t["msg_mlp.w1_edge"], t["msg_mlp.ln_gain"], t["msg_mlp.ln_bias"]),
+        tuple(t["coord_mlp." + name]
+              for name in ("w1", "b1", "ln_gain", "ln_bias", "w2", "b2")),
+        LEAKY_SLOPE, NORM_CONSTANT,
     )
-    gate = _mlp(hidden, t, "coord_mlp.")
-    radial = diff / (row_norm(diff) + NORM_CONSTANT)
-    return group_mean(radial * gate, k), group_mean(hidden, k)
 
 
 def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
@@ -361,12 +359,13 @@ def _window(t: dict[str, Tensor], graph: ComplexGraph, config: ModelConfig,
     window of the local attention.
 
     The edge work runs in blocks of at most ``EDGE_BLOCK // k`` whole
-    nodes, and only their shifts and mean hidden messages are joined. The
-    node MLP's first layer is applied by the rows of ``node_mlp.w1`` that
-    multiply h, m_agg, the attention and f_emb, so their concatenation is
-    never built; the mean message is folded into the m_agg rows, which
-    read the mean hidden message, and the global attention into the h
-    rows, so a window reads only its own rows.
+    nodes, one ``_edge_block`` op each, and only their shifts and mean
+    hidden messages are joined. The node MLP's first layer is applied by
+    the rows of ``node_mlp.w1`` that multiply h, m_agg, the attention and
+    f_emb, so their concatenation is never built; the mean message is
+    folded into the m_agg rows, which read the mean hidden message, and
+    the global attention into the h rows, so a window reads only its own
+    rows.
     """
     step = max(1, EDGE_BLOCK // graph.neighbors.shape[1])
     blocks = [_edge_block(t, graph.edge_features, graph.neighbors, a, min(a + step, stop))
@@ -418,7 +417,7 @@ def _layer(
     # starts with (cw1, cb1), with nothing nonlinear between them, so the
     # gate's first layer reads the message MLP's hidden layer a through
     # w2 @ cw1 and b2 @ cw1 + cb1: a window's "coord_mlp.w1" and
-    # "coord_mlp.b1". The per-node mean message group_mean(a) @ w2 + b2
+    # "coord_mlp.b1". The per-node mean message mean(a) @ w2 + b2
     # meets the node MLP only through its m rows w1_m, so it folds the
     # same way: a window's "node_mlp.w1_m" reads the mean hidden layer
     # through w2 @ w1_m, and b2 @ w1_m joins "node_mlp.b1".
@@ -466,8 +465,10 @@ class ForwardPass:
     per-node message products taped op by op: O(n d) per layer and no edge
     rows. The input embedding, the two skip strengths and the QA head are
     taped op by op too. The backward pass tapes one checkpoint again at a
-    time: at most one window of ``window_size`` nodes, its edge work in
-    ``EDGE_BLOCK``-row blocks.
+    time: at most one window of ``window_size`` nodes, whose node update is
+    taped op by op and whose edge work is one ``autodiff.edge_block`` node
+    per block of at most ``EDGE_BLOCK`` edge rows, the block's rows held in
+    its backward.
     """
 
     coords: Tensor      # (n, 3) refined coordinates

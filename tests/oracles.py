@@ -8,7 +8,10 @@ attention oracle is the quadratic form of the model's linear-time global
 attention, the message oracle builds the edge-message MLP's input row by
 row, as EGNN writes it, before its first layer, and the edge-pass oracle
 runs the message and coordinate-gate MLPs on it one after the other, each
-with both of its layers. The PDB oracle
+with both of its layers. The taped edge block composes one edge block of
+small tape ops (row repeats, gathers, a row norm, an affine map over the
+edge rows and the node products, group means), each with a backward of
+its own: the reference for ``autodiff.edge_block``. The PDB oracle
 reads ATOM records one line at a time, each field through Python's own
 ``int()``, ``float()`` and ``str`` methods. The dense distance kernel
 scans every row pair, the reference for the cell-grid pair search. The
@@ -20,7 +23,16 @@ import math
 
 import numpy as np
 
-from equiref.autodiff import LAYER_NORM_EPS
+from equiref.autodiff import (
+    LAYER_NORM_EPS,
+    Tensor,
+    _row_plan,
+    _summed_rows,
+    affine,
+    gather_rows,
+    rms_norm_leaky_relu,
+    slice_rows,
+)
 from equiref.errors import EmptyStructureError, LossUndefinedError, PdbParseError
 from equiref.featurize import (
     COVALENT_CUTOFF,
@@ -28,7 +40,7 @@ from equiref.featurize import (
     PAIR_WIDTH,
     _rotations_to_quaternions,
 )
-from equiref.model import LEAKY_SLOPE
+from equiref.model import LEAKY_SLOPE, NORM_CONSTANT
 from equiref.structio import (
     PAIR_CHUNK,
     ComplexStructure,
@@ -196,6 +208,86 @@ def unfused_edge_pass(h, x, edge_features, neighbors, params, prefix):
     message = mlp_tail(pre, params, msg)
     return message, mlp_tail(message @ params[gate + "w1"] + params[gate + "b1"],
                              params, gate)
+
+
+def repeat_rows(x, k):
+    """Repeat each row ``k`` times in place: output row ``i*k + s`` is row i."""
+    n, d = x.data.shape
+    return Tensor(
+        np.repeat(x.data, k, axis=0),
+        (x,),
+        lambda g: (g.reshape(n, k, d).sum(axis=1),),
+    )
+
+
+def group_mean(x, k):
+    """Average runs of ``k`` rows: output row i is the mean of rows ``i*k + s``."""
+    rows, d = x.data.shape
+    return Tensor(
+        x.data.reshape(rows // k, k, d).mean(axis=1),
+        (x,),
+        lambda g: (np.repeat(g / k, k, axis=0),),
+    )
+
+
+def row_norm(x):
+    """Per-row Euclidean norm, shape (n, 1); zero rows get zero gradient."""
+    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+
+    def backward(g):
+        safe = np.where(norms > 0.0, norms, 1.0)
+        return (g * x.data / safe,)
+
+    return Tensor(norms, (x,), backward)
+
+
+def edge_affine(features, x, weight, src, dst, index):
+    """``[features, x] @ weight + src[r // k] + dst[index[r]]`` per row r.
+
+    With ``k = rows / len(src)``, each ``src`` row is added to a run of
+    ``k`` output rows, and each ``dst`` row to the rows that index it.
+    ``features`` is a constant and gets no gradient; that of ``x`` reads
+    only the rows of ``weight`` after the features' rows.
+    """
+    width = features.shape[1]
+    index = np.asarray(index, dtype=np.intp)
+    joined = np.concatenate([features, x.data], axis=1)
+    out = joined @ weight.data
+    blocks = len(src.data)
+    grouped = out.reshape(blocks, -1, out.shape[1])
+    grouped += src.data[:, None, :]
+    out += np.take(dst.data, index, axis=0)
+
+    def backward(g):
+        return (
+            g @ weight.data[width:].T,
+            joined.T @ g,
+            g.reshape(grouped.shape).sum(axis=1),
+            _summed_rows(_row_plan(index, len(dst.data)), g),
+        )
+
+    return Tensor(out, (x, weight, src, dst), backward)
+
+
+def taped_edge_block(t, edge_features, neighbors, start, stop):
+    """The coordinate shift and mean hidden message of nodes ``start:stop``
+    from the tensors ``t`` (named as ``model._window`` names them), one
+    small tape op at a time."""
+    k = neighbors.shape[1]
+    nbrs = neighbors[start:stop].ravel()
+    x = t["x"]
+    diff = repeat_rows(slice_rows(x, start, stop), k) - gather_rows(x, nbrs)
+    sqdist = (diff * diff).sum(axis=1, keepdims=True)
+    hidden = rms_norm_leaky_relu(
+        edge_affine(edge_features[start * k:stop * k], sqdist, t["msg_mlp.w1_edge"],
+                    slice_rows(t["h_src"], start, stop), t["h_dst"], nbrs),
+        t["msg_mlp.ln_gain"], t["msg_mlp.ln_bias"], LEAKY_SLOPE)
+    gate = affine(
+        rms_norm_leaky_relu(affine(hidden, t["coord_mlp.w1"], t["coord_mlp.b1"]),
+                            t["coord_mlp.ln_gain"], t["coord_mlp.ln_bias"], LEAKY_SLOPE),
+        t["coord_mlp.w2"], t["coord_mlp.b2"])
+    radial = diff / (row_norm(diff) + NORM_CONSTANT)
+    return group_mean(radial * gate, k), group_mean(hidden, k)
 
 
 def superposed_rmsd_by_trace(mobile, target):

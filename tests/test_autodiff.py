@@ -9,19 +9,18 @@ from equiref.autodiff import (
     affine,
     checkpoint,
     concat,
-    edge_affine,
+    edge_block,
     gather_rows,
-    group_mean,
     no_grad,
-    repeat_rows,
     rms_norm_leaky_relu,
-    row_norm,
     slice_rows,
     softmax_rows,
 )
+from equiref.model import LEAKY_SLOPE, NORM_CONSTANT
 from equiref.train import clip_gradients
 
 from conftest import traced_peak
+from oracles import edge_affine, group_mean, repeat_rows, row_norm, taped_edge_block
 
 
 def finite_difference(fn, arrays, which, step=1e-6):
@@ -253,6 +252,102 @@ def test_edge_affine_differentiates_no_constant(rng):
     np.testing.assert_array_equal(contributions[0], g @ leaves[1].data[4:].T)
     (out * Tensor(g)).sum().backward()
     assert all(leaf.grad is not None for leaf in leaves)
+
+
+EDGE_BLOCK_NAMES = ("x", "h_src", "h_dst", "msg_mlp.w1_edge", "msg_mlp.ln_gain",
+                    "msg_mlp.ln_bias", "coord_mlp.w1", "coord_mlp.b1", "coord_mlp.ln_gain",
+                    "coord_mlp.ln_bias", "coord_mlp.w2", "coord_mlp.b2")
+
+
+def edge_block_case(rng, n=13, k=4, d=5, width=3):
+    """Arrays for one edge block over ``n`` nodes with ``k`` neighbours each,
+    in ``EDGE_BLOCK_NAMES`` order, the edge features and the neighbours.
+    A node's neighbours repeat rows and may include the node itself."""
+    shapes = [(n, 3), (n, d), (n, d), (width + 1, d), (d,), (d,), (d, d), (d,), (d,), (d,),
+              (d, 1), (1,)]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    arrays[0] *= 3.0
+    arrays[4] += 1.0  # gains away from zero
+    arrays[8] += 1.0
+    return arrays, rng.normal(size=(n * k, width)), rng.integers(0, n, size=(n, k))
+
+
+def edge_block_of(features, neighbors, start, stop, *tensors):
+    """``autodiff.edge_block`` on nodes ``start:stop``, its tensors in
+    ``EDGE_BLOCK_NAMES`` order."""
+    k = neighbors.shape[1]
+    x, h_src, h_dst, weight, *rest = tensors
+    return edge_block(features[start * k:stop * k], x, h_src, h_dst, neighbors[start:stop],
+                      start, (weight, *rest[:2]), tuple(rest[2:]), LEAKY_SLOPE, NORM_CONSTANT)
+
+
+def test_edge_block_gradients(rng):
+    # a ragged block: nodes 3 to 7 of 13, whose neighbours repeat rows
+    arrays, features, neighbors = edge_block_case(rng)
+    w_shift, w_mean = Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=(5, 5)))
+
+    def build(*tensors):
+        shift, mean = edge_block_of(features, neighbors, 3, 8, *tensors)
+        return (shift * w_shift).sum() + (mean * w_mean).sum()
+
+    # as for the norm op: central differences of this loss carry about
+    # 1e-10 of noise, about 1e-6 of its smallest gradient entries
+    check_op(build, arrays, rel=1e-5)
+
+
+def test_edge_block_matches_taped_composition(rng):
+    # the values are the same bits as the composition of small tape ops;
+    # every gradient is within 1e-12 of its largest entry
+    arrays, features, neighbors = edge_block_case(rng, n=40, k=6, d=8)
+    weights = rng.normal(size=(9, 3)), rng.normal(size=(9, 8))
+    results = []
+    for block in (edge_block_of, lambda f, nb, a, b, *t: taped_edge_block(
+            dict(zip(EDGE_BLOCK_NAMES, t)), f, nb, a, b)):
+        tensors = [Tensor(a) for a in arrays]
+        shift, mean = block(features, neighbors, 30, 39, *tensors)
+        ((shift * Tensor(weights[0])).sum() + (mean * Tensor(weights[1])).sum()).backward()
+        results.append((shift.data, mean.data, [t.grad for t in tensors]))
+    (shift, mean, grads), (shift_ref, mean_ref, grads_ref) = results
+    np.testing.assert_array_equal(shift, shift_ref)
+    np.testing.assert_array_equal(mean, mean_ref)
+    for name, grad, ref in zip(EDGE_BLOCK_NAMES, grads, grads_ref):
+        np.testing.assert_allclose(grad, ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+def test_edge_block_zero_length_edge_is_finite(rng):
+    # coincident atoms make a zero-length edge: its radial vector is zero,
+    # and the gradients stay finite, as those of the taped composition
+    arrays, features, neighbors = edge_block_case(rng)
+    arrays[0][5] = arrays[0][4]
+    neighbors[4, 1] = 5
+    neighbors[5, 0] = 5  # a node its own neighbour
+    tensors = [Tensor(a) for a in arrays]
+    shift, mean = edge_block_of(features, neighbors, 4, 6, *tensors)
+    (shift.sum() + mean.sum()).backward()
+    assert np.all(np.isfinite(shift.data))
+    assert all(np.all(np.isfinite(t.grad)) for t in tensors)
+    reference = [Tensor(a) for a in arrays]
+    shift_ref, mean_ref = taped_edge_block(dict(zip(EDGE_BLOCK_NAMES, reference)), features,
+                                           neighbors, 4, 6)
+    (shift_ref.sum() + mean_ref.sum()).backward()
+    np.testing.assert_array_equal(shift.data, shift_ref.data)
+    for t, ref in zip(tensors, reference):
+        np.testing.assert_allclose(t.grad, ref.grad, rtol=0, atol=1e-12 * np.abs(ref.grad).max())
+
+
+def test_edge_block_same_without_tape(rng):
+    # one code path: without the tape the outputs are the same bits and
+    # keep no node
+    arrays, features, neighbors = edge_block_case(rng)
+    taped = edge_block_of(features, neighbors, 2, 9, *map(Tensor, arrays))
+    with no_grad():
+        untaped = edge_block_of(features, neighbors, 2, 9, *map(Tensor, arrays))
+    for out, ref in zip(untaped, taped):
+        np.testing.assert_array_equal(out.data, ref.data)
+        assert out._parents == ()
+    node, = {out._parents[0] for out in taped}
+    assert len(node._parents) == len(arrays) + 1  # x is a parent twice
 
 
 def test_softmax_rows(rng):
@@ -491,6 +586,10 @@ def _two_parent_ops():
         "edge_affine": edge_affine(rng.normal(size=(4, 2)), leaf(4, 1), leaf(3, 5),
                                    leaf(2, 5), leaf(3, 5), [0, 2, 2, 1]),
         "layer_norm_leaky_relu": rms_norm_leaky_relu(x, leaf(3), leaf(3), 0.01),
+        "edge_block": edge_block(rng.normal(size=(4, 2)), leaf(4, 3), leaf(4, 5), leaf(4, 5),
+                                 np.array([[0, 2], [3, 3]]), 1, (leaf(3, 5), leaf(5), leaf(5)),
+                                 (leaf(5, 5), leaf(5), leaf(5), leaf(5), leaf(5, 1), leaf(1)),
+                                 0.01, 1.0)[0]._parents[0],
     }
 
 

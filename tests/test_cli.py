@@ -1672,3 +1672,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and missing in err
         assert steps == []
         assert not any(path.exists() for path in outputs)
+
+    def test_score_checks_its_output_directory_first(self, tmp_path, rng, capsys,
+                                                     monkeypatch):
+        # as the other commands do, score refuses a report in a missing
+        # directory before it parses or scores anything
+        import equiref.cli as cli
+
+        args = successful_run(tmp_path, rng, "score")
+        parsed = []
+        monkeypatch.setattr(cli, "parse_pdb_file", parsed.append)
+        missing = tmp_path / "missing" / "r.json"
+        args[args.index("--report") + 1] = str(missing)
+        assert main(args) == EXIT_PARSE
+        assert parsed == []
+        assert capsys.readouterr().err == (
+            f"error: cannot write {missing}: {missing.parent} is not a directory\n")

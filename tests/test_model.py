@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equiref import model
+from equiref import autodiff, model
 from equiref.autodiff import Tensor, no_grad
 from equiref.errors import (
     ConfigError,
@@ -311,12 +311,14 @@ class TestLayer:
         x_ref = (skip * graph.coords + (1.0 - skip) * x
                  + (radial * gate).reshape(n, k, 3).mean(axis=1))
 
-        seen, mean_hidden, folds = {}, [], []
-        activate, edge_block, window = model._activate, model._edge_block, model._window
+        # the shared norm kernel sees the message MLP's pre-activation first:
+        # the layer has one window of one edge block
+        seen, mean_hidden, folds = [], [], []
+        norm, edge_block, window = autodiff._rms_norm_leaky_relu, model._edge_block, model._window
 
-        def recording_activate(pre_activation, leaves, name):
-            seen.setdefault(name, pre_activation.data)
-            return activate(pre_activation, leaves, name)
+        def recording_norm(pre_activation, *args):
+            seen.append(pre_activation)
+            return norm(pre_activation, *args)
 
         def recording_edge_block(*args):
             shift, hidden = edge_block(*args)
@@ -327,7 +329,7 @@ class TestLayer:
             folds.append((t["node_mlp.w1_m"].data, t["node_mlp.b1"].data))
             return window(t, *args)
 
-        monkeypatch.setattr(model, "_activate", recording_activate)
+        monkeypatch.setattr(autodiff, "_rms_norm_leaky_relu", recording_norm)
         monkeypatch.setattr(model, "_edge_block", recording_edge_block)
         monkeypatch.setattr(model, "_window", recording_window)
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
@@ -340,7 +342,7 @@ class TestLayer:
         m_rows = np.concatenate(mean_hidden) @ w1_m_folded + b1_folded
         m_ref = (message.reshape(n, k, d).mean(axis=1)
                  @ params[prefix + "node_mlp.w1"][d:2 * d] + params[prefix + "node_mlp.b1"])
-        for actual, reference in ((seen["msg_mlp."], pre - pre.mean(axis=1, keepdims=True)),
+        for actual, reference in ((seen[0], pre - pre.mean(axis=1, keepdims=True)),
                                   (m_rows, m_ref - m_ref.mean(axis=1, keepdims=True)),
                                   (x_new, x_ref)):
             np.testing.assert_allclose(actual, reference, rtol=1e-12,
@@ -438,13 +440,14 @@ class TestCentring:
                              granularity=granularity, attention_enabled=attention)
         graph = random_graph(rng, n=40, d_f=config.node_feat_dim, d_e=config.edge_feat_dim)
         params = randomize(init_params(config, 0), rng)
-        inputs, norm = [], model.rms_norm_leaky_relu
+        # every norm, the edge blocks' included, runs the shared kernel
+        inputs, norm = [], autodiff._rms_norm_leaky_relu
 
         def recording(x, *args):
-            inputs.append(x.data)
+            inputs.append(x)
             return norm(x, *args)
 
-        monkeypatch.setattr(model, "rms_norm_leaky_relu", recording)
+        monkeypatch.setattr(autodiff, "_rms_norm_leaky_relu", recording)
         forward_pass(graph, params, config)
         # windows of 16, 16 and 8 nodes, each one edge block: per layer and
         # window the message, gate and node MLPs; the QA head once
@@ -594,6 +597,20 @@ def tape_nodes(*outputs):
     return list(seen.values())
 
 
+def recorded_edge_blocks(monkeypatch):
+    """The tape nodes of the ``autodiff.edge_block`` ops the model runs,
+    appended to the returned list as they run."""
+    blocks, edge_block = [], model.edge_block
+
+    def recording(*args):
+        outputs = edge_block(*args)
+        blocks.append(outputs[0]._parents[0])
+        return outputs
+
+    monkeypatch.setattr(model, "edge_block", recording)
+    return blocks
+
+
 class TestTape:
     def _case(self, rng):
         graph = random_graph(rng, n=20, d_f=SMALL.node_feat_dim,
@@ -670,34 +687,38 @@ class TestTape:
     def test_no_concatenated_message_input(self, rng, monkeypatch, config):
         # the message MLP's first layer is split, so no taped tensor holds
         # the per-edge input [h_i, h_j, a_ij, |x_i - x_j|^2]; at d = 8 the
-        # node MLP's input of width 4d would have that width too
+        # node MLP's input of width 4d would have that width too. The edge
+        # pass is on the tape as its edge-block nodes
         graph = random_graph(rng, n=20, d_f=config.node_feat_dim,
                              d_e=config.edge_feat_dim)
         params = randomize(init_params(config, 0), rng)
         monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
+        blocks = recorded_edge_blocks(monkeypatch)
         fp = forward_pass(graph, params, config)
         width = 2 * config.hidden_dim + config.edge_feat_dim + 1
         nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
-        assert any(node.shape == (graph.neighbors.size, config.hidden_dim)
-                   for node in nodes)  # the edge pass is on the tape
+        assert blocks and {id(block) for block in blocks} <= {id(node) for node in nodes}
         assert all(node.data.ndim < 2 or node.shape[1] != width for node in nodes)
 
     @pytest.mark.parametrize("config", [ModelConfig(num_layers=1, hidden_dim=6),
                                         ModelConfig(num_layers=1)],
                              ids=["small", "default"])
     def test_edge_block_tapes_few_wide_tensors(self, rng, monkeypatch, config):
-        # an edge block tapes the message MLP's pre-activation and hidden
-        # layer and the gate MLP's two; no summand, gathered copy or
-        # per-edge message is a tensor of its own
+        # an edge block is one tape node: its edge rows live in its
+        # backward, and no tensor of edge rows (the pre-activations, the
+        # hidden layers, a gathered copy, a per-edge message) is on the tape
         graph = random_graph(rng, n=30, d_f=config.node_feat_dim,
                              d_e=config.edge_feat_dim)
         params = randomize(init_params(config, 0), rng)
         monkeypatch.setattr(model, "checkpoint", lambda fn, inputs: fn(*inputs))
         monkeypatch.setattr(model, "EDGE_BLOCK", graph.neighbors.size)
+        blocks = recorded_edge_blocks(monkeypatch)
         fp = forward_pass(graph, params, config)
-        wide = [node for node in tape_nodes(fp.coords, fp.embeddings, fp.qa)
-                if node.shape == (graph.neighbors.size, config.hidden_dim)]
-        assert 0 < len(wide) <= 5
+        nodes = tape_nodes(fp.coords, fp.embeddings, fp.qa)
+        assert len(blocks) == config.num_layers  # one window of one block
+        assert {id(block) for block in blocks} <= {id(node) for node in nodes}
+        assert all(node.data.ndim == 0 or len(node.data) != graph.neighbors.size
+                   for node in nodes)
 
     def test_tape_holds_no_edge_rows(self, rng, monkeypatch):
         # after the forward pass each window is one checkpoint node that
