@@ -14,7 +14,9 @@ interpreter, numpy and the stage's parsed inputs. Stages, with the default ``Mod
     parse            ``structio.parse_pdb_file`` of the decoy
     build_knn_graph  the decoy's graph (saved for the next stage)
     forward          the no_grad ``model.forward`` on that graph
-    score_pair       ``metrics.score_pair(decoy, metrics.Reference(native))``
+    reference        ``metrics.Reference(native)``: the native's passes
+    score_pair       ``metrics.score_pair(decoy, ref)`` with that Reference
+                     built before (not timed): the cost of one more decoy
     backward         one ``train.backward`` step at the training size,
                      after ``make_training_example`` (not timed)
 
@@ -47,7 +49,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-STAGES = ("parse", "build_knn_graph", "forward", "score_pair")
+STAGES = ("parse", "build_knn_graph", "forward", "reference", "score_pair")
 TRAIN_STAGES = ("backward",)
 SEED = 3
 GRAPH_FIELDS = ("coords", "node_features", "neighbors", "edge_features",
@@ -77,10 +79,12 @@ def run_stage(stage: str, directory: Path) -> dict:
         saved = np.load(directory / "graph.npz")
         graph = featurize.ComplexGraph(**{name: saved[name] for name in GRAPH_FIELDS})
         call, args = model.forward, (graph, model.init_params(config, seed=0), config)
-    elif stage in ("score_pair", "backward"):
+    elif stage in ("reference", "score_pair", "backward"):
         native = structio.parse_pdb_file(directory / "native.pdb")
-        if stage == "score_pair":  # the timed call also builds the Reference
-            call, args = lambda: metrics.score_pair(decoy, metrics.Reference(native)), ()
+        if stage == "reference":
+            call, args = metrics.Reference, (native,)
+        elif stage == "score_pair":
+            call, args = metrics.score_pair, (decoy, metrics.Reference(native))
         else:
             example = train.make_training_example(decoy, native, config)
             call, args = train.backward, (example, model.init_params(config, seed=0), config)

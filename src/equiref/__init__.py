@@ -6,6 +6,7 @@ from .metrics import (
     Reference,
     dockq,
     lddt_ca,
+    lddt_pairs,
     quality_class,
     score_pair,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "init_params",
     "kabsch_superpose",
     "lddt_ca",
+    "lddt_pairs",
     "load_weights",
     "make_training_example",
     "match_atoms",

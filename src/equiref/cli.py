@@ -205,13 +205,16 @@ def _naming(target: str, decoy_id: str):
 
 
 def _score_task(target: str, decoy_id: str, path: str, ref: Reference):
-    """Read one decoy and score it against ``ref``; an error names it."""
+    """Read one decoy and score it against ``ref``; an error names it. The
+    report keeps no per-residue LDDT: what a pool worker sends back is only
+    the values of the scores CSV."""
     with _naming(target, decoy_id):
-        return score_pair(parse_pdb_file(path), ref)
+        return replace(score_pair(parse_pdb_file(path), ref), per_residue_lddt=[])
 
 
 def _score_target(task) -> list:
-    """Reports of one target's decoys, in the order given.
+    """Reports of one target's decoys, in the order given, without their
+    per-residue LDDT.
 
     The native is read and its ``Reference`` built once; the decoys are
     read one at a time. An unreadable native is named with the target's

@@ -10,11 +10,13 @@ These cutoffs, the radius and the thresholds are fixed conventions, held
 in the module constants below; no function takes them as parameters.
 
 A ``Reference`` holds what scoring reads of a native, built once however
-many decoys it scores: its contacts and interface, its residue ordinals,
-its ``structio.AtomIndex`` and its LRMSD receptor. Each metric is one
-function, and ``score_pair(decoy, ref)`` calls them: ``fnat_fnonnat`` and
-``irmsd``/``lrmsd`` read the reference, and ``lddt_ca`` reads only the
-native and the atom correspondence, so training needs no reference.
+many decoys it scores: its contacts and interface, its LDDT pairs, its
+residue ordinals, its ``structio.AtomIndex`` and its LRMSD receptor. Each
+metric is one function, and ``score_pair(decoy, ref)`` calls them:
+``fnat_fnonnat`` and ``irmsd``/``lrmsd`` read the reference, and
+``lddt_ca`` reads only the native's LDDT pairs and the atom
+correspondence, so training needs no reference: it takes the pairs from
+``lddt_pairs(native)``.
 
 Atom pairs come from ``structio.close_pair_blocks``, a cell grid that
 tests only atom pairs from neighbouring cells. One search over every pair
@@ -22,8 +24,9 @@ of chains gives a structure's residue pairs under 5 A as numpy
 residue-pair codes, and a mask of its residues within the search cutoff
 of another chain: a search at 10 A thus gives a native's contacts and its
 interface at once, and a decoy takes one search at 5 A. LDDT takes one
-15 A search over the matched native CA atoms, and the decoy distances of
-only those pairs.
+15 A search over all of the native's CA atoms, once per native; a decoy
+keeps the pairs whose two ends it matches and computes its distances for
+those pairs only.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +112,31 @@ def _residue_keys(structure: ComplexStructure) -> list[ResidueKey]:
     return list(zip(structure.chain[starts].tolist(), structure.resnum[starts].tolist()))
 
 
+class LddtPairs(NamedTuple):
+    """A native's CA atom pairs closer than LDDT_RADIUS: the native rows
+    ``i < j`` of each pair and their ``distance``. ``num_atoms`` is the
+    native's row count."""
+
+    num_atoms: int
+    i: np.ndarray
+    j: np.ndarray
+    distance: np.ndarray
+
+
+def lddt_pairs(native: ComplexStructure) -> LddtPairs:
+    """The native's LDDT pairs, from one search at LDDT_RADIUS over all of
+    its CA atoms. A distance is ``sqrt(d2)`` of the search's ``d2``, so it
+    depends only on the pair's two coordinates."""
+    rows = np.flatnonzero(native.name == "CA")
+    ca = native.coords[rows]
+    blocks = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))]
+    for i, j, d2 in close_pair_blocks(ca, ca, LDDT_RADIUS):
+        distance = np.sqrt(d2)
+        keep = (distance < LDDT_RADIUS) & (i < j)
+        blocks.append((rows[i[keep]], rows[j[keep]], distance[keep]))
+    return LddtPairs(native.num_atoms, *map(np.concatenate, zip(*blocks)))
+
+
 class Reference:
     """What scoring reads of a native, built once however many decoys it
     scores.
@@ -115,7 +144,9 @@ class Reference:
     ``contacts`` holds the codes of the native's residue pairs under
     CONTACT_CUTOFF and ``interface`` masks its residues within
     INTERFACE_CUTOFF of another chain; one pair search at INTERFACE_CUTOFF
-    gives both. ``ordinal`` is the residue ordinal of each (chain, resnum)
+    gives both. ``lddt_pairs`` holds the native's CA pairs under
+    LDDT_RADIUS from one more search, which every decoy's ``lddt_ca``
+    reads. ``ordinal`` is the residue ordinal of each (chain, resnum)
     key, ``index`` the native's ``AtomIndex`` and ``receptor`` the LRMSD
     receptor: the chain with the most residues, ties going to the smallest
     chain id. A single-chain native builds; the interface metrics then
@@ -126,6 +157,7 @@ class Reference:
         self.native = native
         self.contacts, self.interface = _cross_chain_residue_pairs(
             native, INTERFACE_CUTOFF)
+        self.lddt_pairs = lddt_pairs(native)
         self.ordinal = {key: i for i, key in enumerate(_residue_keys(native))}
         self.index = AtomIndex(native)
         residue_chain = native.chain[native.residue_starts]
@@ -231,7 +263,7 @@ def dockq(fnat: float, lrmsd_value: float, irmsd_value: float) -> float:
 
 def lddt_ca(
     decoy: ComplexStructure,
-    native: ComplexStructure,
+    pairs: LddtPairs,
     correspondence: AtomCorrespondence,
 ) -> tuple[np.ndarray, float]:
     """Superposition-free per-residue distance-preservation score.
@@ -240,30 +272,36 @@ def lddt_ca(
     native distance is under 15 A and scores the fraction of pairs whose
     distance error stays below each threshold (0.5, 1, 2 and 4 A),
     averaged over thresholds. Residues with no qualifying pair get NaN and
-    are excluded from the global mean.
+    are excluded from the global mean. ``pairs`` are the native's
+    ``lddt_pairs``; of them the decoy keeps those whose two ends it
+    matches, and computes its distances for those pairs only. A native CA
+    that several decoy CAs match (a decoy that repeats a (chain, resnum,
+    name) key) is scored through the last of them; the others get NaN.
 
     Returns (per-residue scores aligned with ``correspondence.matched_ca``,
     global mean).
     """
+    if not isinstance(pairs, LddtPairs):
+        raise TypeError(
+            f"lddt_ca takes the native's lddt_pairs(native), got {type(pairs).__name__}")
     matched = correspondence.matched_ca
     m = len(matched)
     if m < 2:
         raise UndefinedMetricError(f"need >= 2 matched CA atoms, got {m}")
-    native_ca = native.coords[matched[:, 1]]
+    position = np.full(pairs.num_atoms, -1, dtype=np.intp)
+    np.maximum.at(position, matched[:, 1], np.arange(m))
+    i, j = position[pairs.i], position[pairs.j]
+    both = (i >= 0) & (j >= 0)
+    i, j, d_native = i[both], j[both], pairs.distance[both]
     decoy_axes = np.ascontiguousarray(decoy.coords[matched[:, 0]].T)
-    n_pairs = np.zeros(m, dtype=np.intp)
-    kept = np.zeros((len(LDDT_THRESHOLDS), m), dtype=np.intp)
-    for i, j, d2_native in close_pair_blocks(native_ca, native_ca, LDDT_RADIUS):
-        d_native = np.sqrt(d2_native)
-        include = (d_native < LDDT_RADIUS) & (i != j)
-        i, j, d_native = i[include], j[include], d_native[include]
-        d2_decoy = _squared_distances(lambda k: (decoy_axes[k].take(i), decoy_axes[k].take(j)))
-        error = np.abs(np.sqrt(d2_decoy) - d_native)
-        n_pairs += np.bincount(i, minlength=m)
-        for count, t in zip(kept, LDDT_THRESHOLDS):
-            count += np.bincount(i[error < t], minlength=m)
+    d2_decoy = _squared_distances(lambda k: (decoy_axes[k].take(i), decoy_axes[k].take(j)))
+    # a pair counts at both of its CAs
+    ends = np.concatenate([i, j])
+    error = np.tile(np.abs(np.sqrt(d2_decoy) - d_native), 2)
+    n_pairs = np.bincount(ends, minlength=m)
     per_row = np.maximum(n_pairs, 1)
-    total = sum(count / per_row for count in kept)
+    total = sum(np.bincount(ends[error < t], minlength=m) / per_row
+                for t in LDDT_THRESHOLDS)
     scores = np.where(n_pairs > 0, total / len(LDDT_THRESHOLDS), np.nan)
     defined = scores[~np.isnan(scores)]
     if defined.size == 0:
@@ -376,17 +414,17 @@ class QualityReport:
 def score_pair(decoy: ComplexStructure, ref: Reference) -> QualityReport:
     """Full quality report for a decoy against its reference.
 
-    The decoy takes one atom match, one pair search at CONTACT_CUTOFF and
-    one over its matched native CA atoms at LDDT_RADIUS; the native's
-    passes are those ``ref`` holds. A decoy that shares no atom key with
-    the native raises NoOverlapError before any interface metric is tried.
+    The decoy takes one atom match and one pair search at CONTACT_CUTOFF;
+    the native's passes, its LDDT pairs among them, are those ``ref``
+    holds. A decoy that shares no atom key with the native raises
+    NoOverlapError before any interface metric is tried.
     """
     correspondence = match_atoms(decoy, ref.index)
     fnat, fnonnat = fnat_fnonnat(decoy, ref)
     irmsd_value = irmsd(decoy, ref, correspondence)
     lrmsd_value = lrmsd(decoy, ref, correspondence)
     dockq_value = dockq(fnat, lrmsd_value, irmsd_value)
-    scores, lddt_global = lddt_ca(decoy, ref.native, correspondence)
+    scores, lddt_global = lddt_ca(decoy, ref.lddt_pairs, correspondence)
     rows = correspondence.matched_ca[:, 0]
     per_residue = [
         {"chain": chain, "residue": number,

@@ -25,7 +25,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .featurize import ComplexGraph, build_knn_graph, corrupt_coordinates
-from .metrics import lddt_ca
+from .metrics import lddt_ca, lddt_pairs
 from .model import ModelConfig, check_field_types, forward_pass, init_params
 from .structio import (
     AtomIndex,
@@ -121,7 +121,7 @@ def make_training_example(
     native_coords = native_coords_all[correspondence.pairs[matched, 1]]
 
     try:
-        labels, _ = lddt_ca(decoy, native, correspondence)
+        labels, _ = lddt_ca(decoy, lddt_pairs(native), correspondence)
     except UndefinedMetricError:
         labels = np.full(len(ca), np.nan)
     nodes = node_of_atom[ca[:, 0]]

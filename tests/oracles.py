@@ -15,8 +15,11 @@ its own: the reference for ``autodiff.edge_block``. The PDB oracle
 reads ATOM records one line at a time, each field through Python's own
 ``int()``, ``float()`` and ``str`` methods. The dense distance kernel
 scans every row pair, the reference for the cell-grid pair search. The
-edge-feature oracle builds every edge row in one pass over whole-length
-arrays, the reference for the graph build by blocks of centre nodes.
+per-decoy LDDT runs one 15 A search over each decoy's matched native CA
+atoms, the reference for ``metrics.lddt_ca``, which filters the pairs of
+one search over all of the native's CA atoms. The edge-feature oracle
+builds every edge row in one pass over whole-length arrays, the
+reference for the graph build by blocks of centre nodes.
 """
 
 import math
@@ -33,7 +36,12 @@ from equiref.autodiff import (
     rms_norm_leaky_relu,
     slice_rows,
 )
-from equiref.errors import EmptyStructureError, LossUndefinedError, PdbParseError
+from equiref.errors import (
+    EmptyStructureError,
+    LossUndefinedError,
+    PdbParseError,
+    UndefinedMetricError,
+)
 from equiref.featurize import (
     COVALENT_CUTOFF,
     GEOMETRIC_WIDTH,
@@ -46,6 +54,7 @@ from equiref.structio import (
     ComplexStructure,
     _squared_distances,
     build_residue_frames,
+    close_pair_blocks,
 )
 from equiref.train import HUBER_DELTA
 
@@ -145,6 +154,38 @@ def lddt_bruteforce(decoy_ca, native_ca, radius=15.0, thresholds=LDDT_THRESHOLDS
     # the final aggregation is not part of the enumeration being checked;
     # use the same reduction as the implementation so equality is exact
     return scores, float(np.mean(defined))
+
+
+def lddt_per_decoy_search(decoy, native, correspondence, radius=15.0,
+                          thresholds=LDDT_THRESHOLDS):
+    """Per-residue and global LDDT from one pair search over the decoy's
+    matched native CA atoms, both orders of each pair counted at its first
+    end. A native CA that two decoy CAs match appears twice, at distance 0."""
+    matched = correspondence.matched_ca
+    m = len(matched)
+    if m < 2:
+        raise UndefinedMetricError(f"need >= 2 matched CA atoms, got {m}")
+    native_ca = native.coords[matched[:, 1]]
+    decoy_axes = np.ascontiguousarray(decoy.coords[matched[:, 0]].T)
+    n_pairs = np.zeros(m, dtype=np.intp)
+    kept = np.zeros((len(thresholds), m), dtype=np.intp)
+    for i, j, d2_native in close_pair_blocks(native_ca, native_ca, radius):
+        d_native = np.sqrt(d2_native)
+        include = (d_native < radius) & (i != j)
+        i, j, d_native = i[include], j[include], d_native[include]
+        d2_decoy = _squared_distances(
+            lambda k: (decoy_axes[k].take(i), decoy_axes[k].take(j)))
+        error = np.abs(np.sqrt(d2_decoy) - d_native)
+        n_pairs += np.bincount(i, minlength=m)
+        for count, t in zip(kept, thresholds):
+            count += np.bincount(i[error < t], minlength=m)
+    per_row = np.maximum(n_pairs, 1)
+    total = sum(count / per_row for count in kept)
+    scores = np.where(n_pairs > 0, total / len(thresholds), np.nan)
+    defined = scores[~np.isnan(scores)]
+    if defined.size == 0:
+        raise UndefinedMetricError("no residue has a qualifying CA pair")
+    return scores, float(defined.mean())
 
 
 def contacts_bruteforce(structure, cutoff=5.0):

@@ -22,6 +22,7 @@ from equiref.metrics import (
     format_triple,
     hit_rate,
     lddt_ca,
+    lddt_pairs,
     ranking_loss,
     score_pair,
 )
@@ -185,7 +186,7 @@ def test_criterion_05_lddt_oracle_equivalence(rng):
     for _ in range(50):
         decoy, native = _random_ca_pair(rng)
         corr = match_atoms(decoy, AtomIndex(native))
-        scores, mean = lddt_ca(decoy, native, corr)
+        scores, mean = lddt_ca(decoy, lddt_pairs(native), corr)
         decoy_ca = [decoy.coords[d] for d, _ in corr.matched_ca]
         native_ca = [native.coords[n] for _, n in corr.matched_ca]
         oracle_scores, oracle_mean = lddt_bruteforce(decoy_ca, native_ca)
@@ -203,7 +204,7 @@ def test_criterion_06_metric_rigid_motion_invariance(rng):
         ref = Reference(native)
         corr = match_atoms(decoy, ref.index)
         return (fnat_fnonnat(decoy, ref)[0], score_pair(decoy, ref).dockq,
-                lddt_ca(decoy, native, corr)[1], irmsd(decoy, ref, corr),
+                lddt_ca(decoy, ref.lddt_pairs, corr)[1], irmsd(decoy, ref, corr),
                 lrmsd(decoy, ref, corr))
 
     for _ in range(50):

@@ -672,6 +672,22 @@ class TestEvaluate:
             outputs.append(summary.read_text())
         assert outputs[0] == outputs[1]
 
+    def test_task_sends_back_only_the_csv_scores(self, tmp_path, rng):
+        """A pool task returns one report per decoy, in task order, with the
+        full report's CSV values and no per-residue LDDT."""
+        _, natives, decoys = evaluation_fixture(tmp_path, rng, n_decoys=4)
+        order = ["t0_d2", "t0_d0", "t0_d3", "t0_d1"]
+        sent = cli._score_target(
+            ("t0", str(natives / "t0.pdb"),
+             [(d, str(decoys / f"{d}.pdb")) for d in order]))
+        ref = Reference(parse_pdb_file(natives / "t0.pdb"))
+        expected = [score_pair(parse_pdb_file(decoys / f"{d}.pdb"), ref) for d in order]
+        assert all(report.per_residue_lddt for report in expected)
+        assert sent == [replace(report, per_residue_lddt=[]) for report in expected]
+        rows = [("t0", d) for d in order]
+        assert (reports_to_csv([(*row, report) for row, report in zip(rows, sent)])
+                == reports_to_csv([(*row, report) for row, report in zip(rows, expected)]))
+
     def test_empty_csv(self, tmp_path):
         scores = tmp_path / "scores.csv"
         scores.write_text("target,decoy,predicted_score\n")

@@ -22,6 +22,7 @@ from equiref.metrics import (
     hit_rate,
     irmsd,
     lddt_ca,
+    lddt_pairs,
     lrmsd,
     quality_class,
     ranking_loss,
@@ -38,7 +39,12 @@ from conftest import (
     take_rows,
     transform_structure,
 )
-from oracles import contacts_bruteforce, lddt_bruteforce, superposed_rmsd_by_trace
+from oracles import (
+    contacts_bruteforce,
+    lddt_bruteforce,
+    lddt_per_decoy_search,
+    superposed_rmsd_by_trace,
+)
 
 
 def paired_chains(contact_flags, spacing=20.0, contact_gap=3.0, far_gap=100.0):
@@ -57,7 +63,7 @@ def correspondence_of(decoy, native):
 
 
 def lddt_of(decoy, native):
-    return lddt_ca(decoy, native, correspondence_of(decoy, native))
+    return lddt_ca(decoy, lddt_pairs(native), correspondence_of(decoy, native))
 
 
 def superposed(metric, decoy, native):
@@ -264,7 +270,7 @@ class TestLddt:
         coords[ca_rows[1]] += np.array([0.0, 1.5, 0.0])
         decoy = two_chain_complex.with_coords(coords)
         corr = correspondence_of(decoy, two_chain_complex)
-        scores, mean = lddt_ca(decoy, two_chain_complex, corr)
+        scores, mean = lddt_ca(decoy, lddt_pairs(two_chain_complex), corr)
 
         decoy_ca = [decoy.coords[d] for d, _ in corr.matched_ca]
         native_ca = [two_chain_complex.coords[n] for _, n in corr.matched_ca]
@@ -479,6 +485,93 @@ class TestScorePair:
         assert lines[1].split(",")[-1] == "high"
 
 
+@st.composite
+def partly_matched_pair(draw):
+    """A native of chains A and B, 2-8 residues each, with N and CA atoms
+    at whole-Angstrom points within 12 A of the origin, and a decoy that
+    moves every atom by up to 2 A per axis and then matches one of three
+    ways: ``trimmed`` drops 1-3 residues at the start of A and 0-3 at the
+    end of B, ``decoy_lacks`` drops the CA atoms of some native residues
+    and ``native_lacks`` those of some decoy residues from the native.
+    Whole Angstroms give distances of exactly the 15 A radius and errors
+    of exactly a threshold."""
+    rows = []
+    for chain_id in "AB":
+        for resnum in range(1, draw(st.integers(2, 8)) + 1):
+            ca = np.array([draw(st.integers(-12, 12)) for _ in range(3)], float)
+            rows += [(chain_id, resnum, "GLY", "N", ca + [1.0, 0.0, 0.0]),
+                     (chain_id, resnum, "GLY", "CA", ca)]
+    native = build_structure(rows)
+    moves = draw(st.lists(st.integers(-2, 2), min_size=3 * native.num_atoms,
+                          max_size=3 * native.num_atoms))
+    decoy = native.with_coords(native.coords + np.reshape(moves, (-1, 3)))
+    kind = draw(st.sampled_from(("trimmed", "decoy_lacks", "native_lacks")))
+    if kind == "trimmed":
+        a_end = int(np.count_nonzero(native.chain == "A")) // 2
+        b_end = int(native.resnum[-1])
+        first_a = draw(st.integers(2, min(4, a_end)))
+        last_b = b_end - draw(st.integers(0, min(3, b_end - 1)))
+        keep = np.where(native.chain == "A", native.resnum >= first_a,
+                        native.resnum <= last_b)
+        return native, take_rows(decoy, np.flatnonzero(keep))
+    ca_rows = np.flatnonzero(native.name == "CA")
+    dropped = draw(st.lists(st.sampled_from(ca_rows.tolist()), min_size=1,
+                            unique=True))
+    keep = np.setdiff1d(np.arange(native.num_atoms), dropped)
+    if kind == "decoy_lacks":
+        return native, take_rows(decoy, keep)
+    return take_rows(native, keep), decoy
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(pair=partly_matched_pair())
+def test_lddt_from_native_pairs_matches_per_decoy_search(pair):
+    """Filtering the native's pairs to the decoy's matched CA atoms gives the
+    per-residue and global LDDT of a search over those atoms, bit for bit."""
+    native, decoy = pair
+    corr = correspondence_of(decoy, native)
+    try:
+        expected_scores, expected_mean = lddt_per_decoy_search(decoy, native, corr)
+    except UndefinedMetricError as exc:
+        with pytest.raises(UndefinedMetricError, match=str(exc)):
+            lddt_ca(decoy, lddt_pairs(native), corr)
+        return
+    scores, mean = lddt_ca(decoy, lddt_pairs(native), corr)
+    assert scores.tobytes() == expected_scores.tobytes()
+    assert mean == expected_mean
+
+
+def test_lddt_of_a_native_structure_names_lddt_pairs(two_chain_complex):
+    """``lddt_ca`` takes a native's pairs; a native passed in their place is
+    a TypeError that names ``lddt_pairs``."""
+    native = two_chain_complex
+    with pytest.raises(TypeError, match=r"lddt_pairs\(native\)"):
+        lddt_ca(native, native, correspondence_of(native, native))
+
+
+def test_lddt_of_a_repeated_decoy_key_reads_its_last_row(two_chain_complex, rng):
+    """A native CA that two decoy CAs match is scored through the later of
+    them, as if the earlier were absent; the earlier scores NaN."""
+    native = two_chain_complex
+    decoy = jittered_decoys(native, rng, sigmas=(0.8,))[0]
+    ca = int(np.flatnonzero(decoy.name == "CA")[2])
+    rows = np.insert(np.arange(decoy.num_atoms), ca + 1, ca)
+    coords = decoy.coords[rows]
+    coords[ca + 1] += 0.7  # the repeat sits elsewhere
+    repeated = take_rows(decoy, rows).with_coords(coords)
+    without_first = take_rows(repeated, np.delete(np.arange(repeated.num_atoms), ca))
+    corr = correspondence_of(repeated, native)
+    first = int(np.flatnonzero(corr.matched_ca[:, 0] == ca)[0])
+    assert corr.matched_ca[first + 1].tolist() == [ca + 1, corr.matched_ca[first, 1]]
+
+    scores, mean = lddt_ca(repeated, lddt_pairs(native), corr)
+    expected_scores, expected_mean = lddt_per_decoy_search(
+        without_first, native, correspondence_of(without_first, native))
+    assert math.isnan(scores[first])
+    assert np.delete(scores, first).tobytes() == expected_scores.tobytes()
+    assert mean == expected_mean
+
+
 def jittered_decoys(native, rng, sigmas=(0.0, 0.3, 1.0, 2.5, 6.0)):
     return [
         native.with_coords(native.coords + rng.normal(scale=s, size=native.coords.shape))
@@ -500,7 +593,7 @@ def composed(decoy, ref):
     fnat, fnonnat = fnat_fnonnat(decoy, ref)
     return (fnat, fnonnat, irmsd(decoy, ref, correspondence),
             lrmsd(decoy, ref, correspondence),
-            lddt_ca(decoy, ref.native, correspondence)[1])
+            lddt_ca(decoy, ref.lddt_pairs, correspondence)[1])
 
 
 def values(report):
@@ -526,10 +619,10 @@ class TestScoreDecoys:
         ]
 
     def test_one_pair_search_per_structure(self, two_chain_complex, rng):
-        """The native's contacts and interface come from one 10 A search,
-        each decoy's contacts from one 5 A search and its LDDT from one
-        15 A search, and the reports are the ones a reference built for
-        each decoy gives."""
+        """The native's contacts and interface come from one 10 A search
+        and its LDDT pairs from one 15 A search, each decoy's contacts
+        from one 5 A search, and the reports are the ones a reference
+        built for each decoy gives."""
         decoys = jittered_decoys(two_chain_complex, rng)
         with mock.patch.object(
             metrics, "close_pair_blocks", wraps=structio.close_pair_blocks
@@ -537,8 +630,8 @@ class TestScoreDecoys:
             ref = Reference(two_chain_complex)
             reports = [score_pair(d, ref) for d in decoys]
         cutoffs = [call.args[2] for call in search.call_args_list]
-        assert cutoffs == ([INTERFACE_CUTOFF]
-                           + [CONTACT_CUTOFF, LDDT_RADIUS] * len(decoys))
+        assert cutoffs == ([INTERFACE_CUTOFF, LDDT_RADIUS]
+                           + [CONTACT_CUTOFF] * len(decoys))
         assert [values(r) for r in reports] == [
             composed(d, Reference(two_chain_complex)) for d in decoys
         ]

@@ -22,9 +22,9 @@ def test_probe_reports_every_stage():
     )
     rows = [json.loads(line) for line in run.stdout.splitlines()]
     assert [row["stage"] for row in rows] == [
-        "parse", "build_knn_graph", "forward", "score_pair", "backward"
+        "parse", "build_knn_graph", "forward", "reference", "score_pair", "backward"
     ]
-    assert [row["size"] for row in rows] == [[1, 1, 6]] * 4 + [[1, 1, 5]]
+    assert [row["size"] for row in rows] == [[1, 1, 6]] * 5 + [[1, 1, 5]]
     for row in rows:
         assert row["atoms"] > 0
         assert row["seconds"] >= 0
