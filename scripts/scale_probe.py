@@ -32,6 +32,7 @@ is removed at the end.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import resource
 import subprocess
@@ -52,8 +53,7 @@ import gen  # noqa: E402
 STAGES = ("parse", "build_knn_graph", "forward", "reference", "score_pair")
 TRAIN_STAGES = ("backward",)
 SEED = 3
-GRAPH_FIELDS = ("coords", "node_features", "neighbors", "edge_features",
-                "ca_mask", "node_atom_indices")
+GRAPH_FIELDS = tuple(field.name for field in dataclasses.fields(featurize.ComplexGraph))
 
 
 def write_inputs(directory: Path, size: gen.Size) -> int:

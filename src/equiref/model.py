@@ -76,7 +76,7 @@ import math
 import numbers
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -211,39 +211,37 @@ def _mlp_shapes(prefix: str, in_dim: int, hidden: int, out_dim: int) -> list[tup
     ]
 
 
-def _layer_shapes(config: ModelConfig) -> list[tuple[str, tuple]]:
-    """Name within the layer -> shape, for the blocks of one layer."""
+def _shape_table(config: ModelConfig) -> tuple[list, list, list]:
+    """(name, shape) of the blocks before the layers, of one layer (names
+    within the layer) and after the layers: the one list of the blocks."""
     d = config.hidden_dim
-    return (
+    before = [("embed.weight", (config.node_feat_dim, d)), ("embed.bias", (d,))]
+    layer = (
         _mlp_shapes("msg_mlp.", 2 * d + config.edge_feat_dim + 1, d, d)
         + _mlp_shapes("coord_mlp.", d, d, 1)
         + [(f"{scope}.{proj}", (d, d)) for scope in ("attn_global", "attn_local")
            for proj in ("wq", "wk", "wv")]
         + _mlp_shapes("node_mlp.", 4 * d, d, d)
     )
+    after = [("coord_skip_raw", ()), ("node_skip_raw", ())] + _mlp_shapes(
+        "qa_head.", d, d, 1)
+    return before, layer, after
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple]:
     """Canonical name -> shape declaration for every parameter block."""
-    d = config.hidden_dim
-    shapes: dict[str, tuple] = {
-        "embed.weight": (config.node_feat_dim, d),
-        "embed.bias": (d,),
-    }
-    layer = _layer_shapes(config)
+    before, layer, after = _shape_table(config)
+    shapes = dict(before)
     for index in range(config.num_layers):
         shapes.update((f"layers.{index}.{name}", shape) for name, shape in layer)
-    shapes["coord_skip_raw"] = ()
-    shapes["node_skip_raw"] = ()
-    shapes.update(_mlp_shapes("qa_head.", d, d, 1))
+    shapes.update(after)
     return shapes
 
 
 def _block_count(config: ModelConfig) -> int:
-    """len(parameter_shapes(config)), without listing every layer's blocks:
-    the embedding's two, each layer's, the two skip strengths and the QA
-    head's."""
-    return 4 + config.num_layers * len(_layer_shapes(config)) + len(_mlp_shapes("", 1, 1, 1))
+    """len(parameter_shapes(config)), without listing every layer's blocks."""
+    before, layer, after = _shape_table(config)
+    return len(before) + config.num_layers * len(layer) + len(after)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
@@ -256,16 +254,16 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     physical memory holds, raise MemoryError before any block is listed in
     full.
     """
-    # every layer's blocks have the same shapes, so a one-layer model's
-    # blocks tell the size of any depth
-    one_layer = parameter_shapes(replace(config, num_layers=1))
-    for name, shape in one_layer.items():
+    # every layer's blocks have the same shapes, so one layer's blocks tell
+    # the size of any depth
+    before, layer, after = _shape_table(config)
+    named_layer = [(f"layers.0.{name}", shape) for name, shape in layer]
+    for name, shape in before + named_layer + after:
         if math.prod(shape) > np.iinfo(np.intp).max // 8:
             raise MemoryError(f"parameter block {name} of shape {shape} is too large "
                               "for an array")
-    per_layer = sum(math.prod(shape) for _, shape in _layer_shapes(config))
-    size = 8 * (sum(map(math.prod, one_layer.values()))
-                + (config.num_layers - 1) * per_layer)
+    size = 8 * (sum(math.prod(shape) for _, shape in before + after)
+                + config.num_layers * sum(math.prod(shape) for _, shape in layer))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     blocks = _block_count(config)
     for need, what in ((size, f"take {size:,} bytes"), (blocks * _BLOCK_BYTES,

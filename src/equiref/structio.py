@@ -466,9 +466,23 @@ def parse_pdb_file(path) -> ComplexStructure:
 
 def _format_atom_name(name: str) -> str:
     # One-letter elements start in column 14; four-char names fill 13-16.
-    if len(name) >= 4:
-        return name[:4]
-    return f" {name:<3}"
+    return name if len(name) == 4 else f" {name:<3}"
+
+
+def _check_text_fields(structure: ComplexStructure) -> None:
+    """Raise FormatOverflowError for a text value that would not read back
+    as written: a chain id that is not one character, or a residue name,
+    atom name or element longer than its columns."""
+    for chain_id in structure.chain_ids:
+        if len(chain_id) != 1:
+            raise FormatOverflowError(f"chain id {chain_id!r} is not one character")
+    for column, what, width in ((structure.resname, "residue name", 3),
+                                (structure.name, "atom name", 4),
+                                (structure.element, "element", 2)):
+        too_long = np.strings.str_len(column) > width
+        if too_long.any():
+            raise FormatOverflowError(f"{what} {str(column[too_long.argmax()])!r} does "
+                                      f"not fit the {width}-column PDB field")
 
 
 def _format_coordinate(value: float) -> str:
@@ -496,9 +510,12 @@ def write_pdb(structure: ComplexStructure) -> str:
 
     Raises FormatOverflowError for a value the fixed columns cannot hold:
     a non-finite coordinate, a coordinate outside the "%8.3f" field
-    (magnitude >= 10000 A, or below -999.999 A), or a residue number
-    outside -999..9999, so the text always parses back.
+    (magnitude >= 10000 A, or below -999.999 A), a residue number outside
+    -999..9999, a chain id that is not one character, or a residue name,
+    atom name or element longer than 3, 4 or 2 characters, so the text
+    always parses back.
     """
+    _check_text_fields(structure)
     out: list[str] = []
     for _, rows in structure.chain_slices():
         for serial, name, resname, chain, resnum, xyz, element in zip(

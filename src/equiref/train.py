@@ -9,10 +9,9 @@ computed by reverse accumulation through the whole network.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -185,10 +184,22 @@ def backward(
     return float(loss.data), grads
 
 
+@np.errstate(over="ignore")
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns the norm before scaling. Finite gradients whose squares
+    overflow have it taken over the gradients divided by their largest
+    magnitude; it is infinite only when the norm itself exceeds float64. A
+    non-finite norm leaves the gradients as they are.
+    """
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm > 0:
+    if total == math.inf:
+        peak = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        if peak < math.inf:
+            total = peak * math.sqrt(sum(float(((g / peak) ** 2).sum())
+                                         for g in grads.values()))
+    if max_norm < total < math.inf:
         scale = max_norm / total
         for g in grads.values():
             g *= scale
@@ -210,7 +221,9 @@ def adamw_step(
     state: OptimizerState,
     run: RunConfig,
 ) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One update; parameters and state are modified in place and returned.
+    """One update: ``params[name]``, ``state.m[name]`` and ``state.v[name]``
+    are rebound to new arrays, no array given is written into, and both
+    are returned.
 
     Bias-corrected Adam moments with decoupled weight decay: the learning
     rate of ``run`` stays constant for the whole run, and its weight decay
@@ -221,15 +234,8 @@ def adamw_step(
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
     for name, grad in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
+        m = state.m[name] = b1 * state.m.get(name, 0.0) + (1.0 - b1) * grad
+        v = state.v[name] = b2 * state.v.get(name, 0.0) + (1.0 - b2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
         params[name] = params[name] - run.learning_rate * (
@@ -314,8 +320,12 @@ def train_loop(
     state of the same step; epoch 0 is the unrefined input, which the
     initial parameters reproduce, so a run in which no epoch beats it
     returns them. Training stops when validation RMSD has not improved for
-    ``patience`` epochs. A non-finite loss, gradient or validation RMSD
-    aborts with DivergenceError carrying the TrainResult so far. An epoch
+    ``patience`` epochs. A step whose gradient norm is not finite
+    (a non-finite gradient, named by its first block, or a norm beyond
+    float64; checked before the loss), a non-finite loss or a non-finite
+    validation RMSD aborts with DivergenceError carrying the TrainResult so
+    far. The best state is kept as copies of the parameter and moment
+    dicts: ``adamw_step`` rebinds their arrays, never writes into them. An epoch
     in which every example is skipped raises LossUndefinedError, and so
     does a validation set without reference coordinates, before the first
     step. Without ``val_examples`` the training set is validated on.
@@ -327,7 +337,7 @@ def train_loop(
     _check_validation_set(val_examples)
     params = init_params(config, run.seed)
     state = OptimizerState()
-    result = TrainResult(copy.deepcopy(params), copy.deepcopy(state), [], 0,
+    result = TrainResult(dict(params), OptimizerState(), [], 0,
                          _mean_rmsd(val_examples, lambda example: example.graph.coords))
 
     for epoch in range(1, run.max_epochs + 1):
@@ -342,14 +352,13 @@ def train_loop(
             if not example.supervised:
                 continue
             loss, grads = backward(example, params, config, graph=graph)
-            bad = [name for name, g in grads.items() if not np.all(np.isfinite(g))]
-            if bad:
-                raise DivergenceError(
-                    f"epoch {epoch}: non-finite gradient in block {bad[0]}", result
-                )
+            if not math.isfinite(clip_gradients(grads, GRAD_CLIP_NORM)):
+                bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+                fault = (f"non-finite gradient in block {bad[0]}" if bad
+                         else "gradient norm overflows float64")
+                raise DivergenceError(f"epoch {epoch}: {fault}", result)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}", result)
-            clip_gradients(grads, GRAD_CLIP_NORM)
             params, state = adamw_step(params, grads, state, run)
             losses.append(loss)
         if not losses:
@@ -360,8 +369,8 @@ def train_loop(
             raise DivergenceError(f"non-finite validation RMSD at epoch {epoch}", result)
         improved = val_rmsd < result.best_val_rmsd
         if improved:
-            result.params = copy.deepcopy(params)
-            result.optimizer = copy.deepcopy(state)
+            result.params = dict(params)
+            result.optimizer = replace(state, m=dict(state.m), v=dict(state.v))
             result.best_epoch, result.best_val_rmsd = epoch, val_rmsd
         result.log.append(EpochRecord(epoch, float(np.mean(losses)), val_rmsd, improved))
         if epoch - result.best_epoch >= run.patience:

@@ -341,6 +341,28 @@ class TestWritePdb:
         with pytest.raises(FormatOverflowError, match="residue number 10000"):
             write_pdb(s)
 
+    @pytest.mark.parametrize("column, value, message", [
+        ("chain", "AB", "chain id 'AB' is not one character"),
+        ("chain", "", "chain id '' is not one character"),
+        ("resname", "GLYX", "residue name 'GLYX' does not fit the 3-column"),
+        ("name", "CAXYZ", "atom name 'CAXYZ' does not fit the 4-column"),
+        ("element", "XYZ", "element 'XYZ' does not fit the 2-column"),
+    ])
+    def test_text_field_that_would_not_read_back(self, two_chain_complex, column,
+                                                 value, message):
+        values = getattr(two_chain_complex, column).astype(object)
+        values[values == values[-1]] = value  # all of chain B, or one value's rows
+        s = replace_columns(two_chain_complex, **{column: values.tolist()})
+        with pytest.raises(FormatOverflowError, match=message):
+            write_pdb(s)
+
+    def test_four_character_atom_name_fills_its_columns(self, two_chain_complex):
+        names = two_chain_complex.name.astype(object)
+        names[0] = "CAXY"
+        s = replace_columns(two_chain_complex, name=names.tolist())
+        assert write_pdb(s).splitlines()[0][12:16] == "CAXY"
+        assert parse_pdb(write_pdb(s)).name[0] == "CAXY"
+
 
 class TestMatchAtoms:
     def test_identical_structures(self, two_chain_complex):

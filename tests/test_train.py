@@ -9,6 +9,8 @@ from equiref import train
 from equiref.errors import ConfigError, DivergenceError, LossUndefinedError
 from equiref.model import ModelConfig, forward, forward_pass, init_params
 from equiref.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     OptimizerState,
     RunConfig,
@@ -346,6 +348,28 @@ class TestAdamW:
         # first step: m_hat = g, v_hat = g^2, update ~ -lr * sign(g)
         assert params["w"] == pytest.approx(-1.0, abs=1e-6)
 
+    def test_writes_into_no_array_it_is_given(self):
+        lr, wd = 1e-2, 1e-1
+        frozen = {"w": np.array([0.7, -0.7]), "m": np.array([0.2, -0.2]),
+                  "v": np.array([0.3, 0.1]), "g": np.array([0.5, -0.5])}
+        for array in frozen.values():
+            array.flags.writeable = False
+        params = {"w": frozen["w"]}
+        state = OptimizerState(step=1, m={"w": frozen["m"]}, v={"w": frozen["v"]})
+        adamw_step(params, {"w": frozen["g"]}, state,
+                   RunConfig(learning_rate=lr, weight_decay=wd))
+        m = ADAM_BETA1 * frozen["m"] + (1 - ADAM_BETA1) * frozen["g"]
+        v = ADAM_BETA2 * frozen["v"] + (1 - ADAM_BETA2) * frozen["g"] ** 2
+        update = (m / (1 - ADAM_BETA1 ** 2)) / (np.sqrt(v / (1 - ADAM_BETA2 ** 2))
+                                                 + ADAM_EPS)
+        expected = frozen["w"] - lr * update - lr * wd * frozen["w"]
+        assert state.step == 2
+        np.testing.assert_allclose(state.m["w"], m, rtol=1e-15)
+        np.testing.assert_allclose(state.v["w"], v, rtol=1e-15)
+        np.testing.assert_allclose(params["w"], expected, rtol=1e-15)
+        np.testing.assert_array_equal(frozen["w"], [0.7, -0.7])
+        np.testing.assert_array_equal(frozen["m"], [0.2, -0.2])
+
 
 class TestClip:
     def test_below_threshold_untouched(self):
@@ -358,6 +382,17 @@ class TestClip:
         grads = {"a": np.array([3.0, 4.0])}
         clip_gradients(grads, 1.0)
         assert np.linalg.norm(grads["a"]) == pytest.approx(1.0)
+
+    def test_finite_gradient_whose_squares_overflow(self):
+        grads = {"a": np.array([1e200, 1.0])}
+        norm = clip_gradients(grads, 1.0)
+        assert norm == pytest.approx(1e200, rel=1e-15)
+        assert np.linalg.norm(grads["a"]) == pytest.approx(1.0)
+
+    def test_norm_beyond_float64_is_infinite_and_untouched(self):
+        grads = {"a": np.full(4, 1e308), "b": np.array([1.0])}
+        assert clip_gradients(grads, 1.0) == np.inf
+        np.testing.assert_array_equal(grads["a"], np.full(4, 1e308))
 
 
 def structure_pair(rng, sigma=0.5):
@@ -485,6 +520,45 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError, match="validation RMSD at epoch 1") as info:
             train_loop(examples, examples, config, seed=3, max_epochs=2)
         assert info.value.result.log == [] and info.value.result.best_epoch == 0
+
+    def test_best_state_is_the_state_of_its_epoch(self, tiny_dataset):
+        # the moments go on changing after the best epoch; the state kept
+        # for it must not
+        config, examples = tiny_dataset
+        longer = train_loop(examples, examples, config, seed=3, max_epochs=5,
+                            patience=50, learning_rate=1.0)
+        assert longer.best_epoch == 3 and len(longer.log) == 5
+        stopped = train_loop(examples, examples, config, seed=3, max_epochs=3,
+                             patience=50, learning_rate=1.0)
+        assert longer.optimizer.step == stopped.optimizer.step
+        for kept, reference in ((longer.params, stopped.params),
+                                (longer.optimizer.m, stopped.optimizer.m),
+                                (longer.optimizer.v, stopped.optimizer.v)):
+            assert kept.keys() == reference.keys()
+            assert all(kept[k].tobytes() == reference[k].tobytes() for k in kept)
+
+    def test_gradient_norm_beyond_float64_diverges(self, tiny_dataset, monkeypatch):
+        config, examples = tiny_dataset
+        params = init_params(config, 3)
+        huge = {name: np.full(value.shape, 1e308) for name, value in params.items()}
+        monkeypatch.setattr(train, "backward", lambda *args, **kwargs: (1.0, huge))
+        with pytest.raises(DivergenceError,
+                           match="epoch 1: gradient norm overflows float64") as info:
+            train_loop(examples, examples, config, seed=3, max_epochs=2)
+        assert info.value.result.log == [] and info.value.result.optimizer.step == 0
+
+    def test_non_finite_gradient_is_named_before_the_loss(self, tiny_dataset,
+                                                          monkeypatch):
+        config, examples = tiny_dataset
+        grads = {name: np.zeros(value.shape)
+                 for name, value in init_params(config, 3).items()}
+        second = list(grads)[1]
+        grads[second] = np.full(grads[second].shape, np.nan)
+        monkeypatch.setattr(train, "backward",
+                            lambda *args, **kwargs: (float("nan"), grads))
+        with pytest.raises(DivergenceError,
+                           match=f"epoch 1: non-finite gradient in block {second}$"):
+            train_loop(examples, examples, config, seed=3, max_epochs=2)
 
     def test_training_reduces_loss_and_rmsd(self, rng):
         config = ModelConfig(
